@@ -6,9 +6,12 @@ the complementary misdetection probability, and the number of sensor units
 needed at the site to push the at-least-one-detection probability up to the
 required level.
 
-Covered-block sets are stored as integer bitmasks (bit z = block index z) so
-that tables for city-scale meshes stay small and set algebra in the placement
-solver is cheap.
+This module owns the covered-set format used from here to the solver: a
+Python-int bitmask over in-area positions, where bit i is the i-th block of
+``mesh.in_area_blocks``.  That tuple is also the placement instance's
+universe, so the solver takes the masks as they are; set algebra stays
+integer AND/OR/popcount work.  The three conversions between masks, boolean
+arrays and positions are defined here and nowhere else.
 """
 
 from __future__ import annotations
@@ -113,36 +116,40 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     return max(1, n) * fov
 
 
+def bools_to_mask(flags: np.ndarray) -> int:
+    """Bitmask with bit i set where ``flags[i]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def mask_to_bools(mask: int, n: int) -> np.ndarray:
+    """Boolean array of length ``n`` with ``True`` at the set bits of ``mask``."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
+def mask_positions(mask: int) -> list:
+    """Indices of the set bits of ``mask``, ascending."""
+    return np.flatnonzero(mask_to_bools(mask, mask.bit_length())).tolist()
+
+
 @dataclass(frozen=True)
 class CoverageEntry:
-    """Coverage, detection statistics, and install cost of one (sensor, site) pair."""
+    """Coverage, detection statistics, and install cost of one (sensor, site) pair.
+
+    ``mask`` is the covered set over in-area positions (see the module docstring).
+    """
 
     sensor: str
     site: int
     mask: int = field(repr=False)
     n_covered: int
     mean_detect: float
-    misdetect: float
     units: int
     install_cost: float
 
     @property
-    def covered_blocks(self) -> tuple:
-        return _mask_indices(self.mask)
-
-
-def _mask_indices(mask: int) -> tuple:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
-
-
-def _mask_from_bools(flags: np.ndarray) -> int:
-    packed = np.packbits(flags.reshape(-1), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    def misdetect(self) -> float:
+        return 1.0 - self.mean_detect
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,10 @@ class CoverageTable:
     def feasible(self) -> bool:
         return not self.uncovered
 
-    def entries_for(self, sensor: str) -> tuple:
-        return tuple(e for e in self.entries if e.sensor == sensor)
+    def blocks_of(self, entry: CoverageEntry) -> tuple:
+        """Block ids covered by ``entry``, ascending."""
+        blocks = self.mesh.in_area_blocks
+        return tuple(blocks[p] for p in mask_positions(entry.mask))
 
     def write_csv(self, fp) -> None:
         fp.write("sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n")
@@ -192,13 +201,14 @@ def build_coverage(
 
     geometry = _BlockGeometry(mesh)
     omegas = block_detection(mesh, catalog)
+    in_area = mesh.in_area
     entries = []
-    union = np.zeros(mesh.n_blocks, dtype=bool)
+    # Everything below is indexed by in-area position, the masks' bit order.
+    union = np.zeros(int(np.count_nonzero(in_area)), dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
-        omega = omegas[spec.name]
+        omega = omegas[spec.name][in_area]
         for site in mesh.candidate_sites:
-            grid = geometry.covered(site.x, site.y, spec.range_km)
-            flags = grid.reshape(-1)
+            flags = geometry.covered(site.x, site.y, spec.range_km).reshape(-1)[in_area]
             n = int(np.count_nonzero(flags))
             if n == 0:
                 continue
@@ -209,16 +219,15 @@ def build_coverage(
                 CoverageEntry(
                     sensor=spec.name,
                     site=site.block,
-                    mask=_mask_from_bools(flags),
+                    mask=bools_to_mask(flags),
                     n_covered=n,
                     mean_detect=zeta,
-                    misdetect=1.0 - zeta,
                     units=units,
                     install_cost=units * spec.unit_price_usd,
                 )
             )
 
-    uncovered = tuple(int(z) for z in np.nonzero(mesh.in_area & ~union)[0])
+    uncovered = tuple(np.flatnonzero(in_area)[~union].tolist())
     if uncovered and strict:
         raise InfeasibleCoverage(uncovered)
     return CoverageTable(

@@ -334,7 +334,7 @@ def scenario_npv(
         subs = {t: subscribers(n0, growth, t, start_year, growth_lag, subscriber_rounding) for t in years}
         volumes = {t: total_volume_bytes(traffic.hours_for(t, growth, growth_lag), messages) for t in years}
         cloud = cloud_cost(volumes, subs, policy)
-        rev = {t: subs[t] * fee_usd_month * 12.0 for t in years}
+        rev = revenue(n0, fee_usd_month, growth, years, start_year, growth_lag, subscriber_rounding)
         negative = [cloud[t]["total"] + (plan_cost if t == start_year else 0.0) for t in years]
         series = CashFlowSeries(
             start_year=start_year,

@@ -136,10 +136,6 @@ class AreaMesh:
         j, k = divmod(i, self.n_a)
         return PlanePoint(self.x0 + k * self.block_side, self.y0 + j * self.block_side)
 
-    @property
-    def points(self) -> tuple:
-        return tuple(self.point_xy(i) for i in range(self.n_points))
-
     def block_corner_point_indices(self, z: int) -> tuple:
         j, k = divmod(z, self.blocks_x)
         base = j * self.n_a + k

@@ -8,8 +8,6 @@ timestamps).
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,21 +21,15 @@ from .mesh import AreaMesh, build_mesh, mesh_to_geojson
 from .scenario import Scenario, with_overrides
 from .solver import PlacementInstance, PlacementPlan, dominance_filter, solve_exact, solve_greedy
 
-SWEEP_PARAMETERS = ("fee", "n0", "detection_scale", "r")
-
-
-def thread_count() -> int:
-    """Worker cap from SAND_THREADS (0 = auto, unset/invalid = serial)."""
-    raw = os.environ.get("SAND_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
+# The scenario field each sweep parameter overrides.  fee and n0 only change
+# the economics, so their sweeps reuse one placement.
+_SWEEP_FIELDS = {
+    "fee": "monthly_fee_usd",
+    "n0": "initial_subscribers",
+    "detection_scale": "detection_scale",
+    "r": "required_detection",
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -144,6 +136,9 @@ def write_summary_csv(path: Path, result: PlanResult) -> None:
 
 def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     """Write mesh/plan GeoJSON and heatmap/summary/coverage CSVs; returns the paths."""
+    heatmap_sensor = result.scenario.heatmap_sensor or result.admitted[0]
+    if heatmap_sensor not in result.admitted:
+        raise ValidationError(f"heatmap sensor {heatmap_sensor!r} is not among admitted sensors {result.admitted}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -155,9 +150,6 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     }
     write_json(paths["mesh"], mesh_to_geojson(result.mesh))
     write_json(paths["plan"], plan_to_geojson(result.plan, result.mesh))
-    heatmap_sensor = result.scenario.heatmap_sensor or result.admitted[0]
-    if heatmap_sensor not in result.admitted:
-        raise ValidationError(f"heatmap sensor {heatmap_sensor!r} is not among admitted sensors {result.admitted}")
     write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, heatmap_sensor)
     write_summary_csv(paths["summary"], result)
     with open(paths["coverage"], "w", encoding="utf-8") as fp:
@@ -219,23 +211,11 @@ class SweepRow:
     break_even_year_high: Optional[int]
 
 
-def _sweep_one(scenario: Scenario, parameter: str, value: float, base: Optional[PlanResult]) -> SweepRow:
-    if parameter == "fee":
-        varied = with_overrides(scenario, monthly_fee_usd=float(value))
-        result = base
-    elif parameter == "n0":
-        varied = with_overrides(scenario, initial_subscribers=float(value))
-        result = base
-    elif parameter == "detection_scale":
-        varied = with_overrides(scenario, detection_scale=float(value))
-        result = run_plan(varied)
-    else:  # "r"
-        varied = with_overrides(scenario, required_detection=float(value))
-        result = run_plan(varied)
+def _sweep_row(parameter: str, value: float, varied: Scenario, result: PlanResult) -> SweepRow:
     econ = run_econ(varied, result.plan.total_cost)
     return SweepRow(
         parameter=parameter,
-        value=float(value),
+        value=value,
         n_sites=result.plan.n_sites,
         n_sensor_units=result.plan.total_units,
         total_cost_usd=result.plan.total_cost,
@@ -249,20 +229,19 @@ def _sweep_one(scenario: Scenario, parameter: str, value: float, base: Optional[
 def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
     """Re-run the pipeline for each parameter value; placement is re-solved only
     when the parameter affects coverage (detection_scale, r).  Row order follows
-    the input value order."""
+    the input value order.  Every varied scenario is validated before the
+    first solve."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValidationError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         raise ValidationError("sweep needs at least one value")
+    varied = [with_overrides(scenario, **{_SWEEP_FIELDS[parameter]: v}) for v in values]
     base = run_plan(scenario) if parameter in ("fee", "n0") else None
-    workers = min(thread_count(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_one(scenario, parameter, v, base), values))
-    else:
-        rows = [_sweep_one(scenario, parameter, v, base) for v in values]
-    return rows
+    return [
+        _sweep_row(parameter, v, s, base if base is not None else run_plan(s))
+        for v, s in zip(values, varied)
+    ]
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:

@@ -169,6 +169,12 @@ def _validate(s: Scenario) -> None:
         raise ValidationError(f"econ.subscriber_rounding must be one of {SUBSCRIBER_ROUNDINGS}")
     if e.growth_lag_years < 0:
         raise ValidationError(f"econ.growth_lag_years must be non-negative, got {e.growth_lag_years}")
+    if e.monthly_fee_usd < 0:
+        raise ValidationError(f"econ.monthly_fee_usd must be non-negative, got {e.monthly_fee_usd}")
+    if e.initial_subscribers < 0:
+        raise ValidationError(f"econ.initial_subscribers must be non-negative, got {e.initial_subscribers}")
+    if e.discount_rate <= -1:
+        raise ValidationError(f"econ.discount_rate must exceed -1, got {e.discount_rate}")
     for label, p in (("terrain grid", s.terrain_path), ("pricing policy", e.pricing_path), ("traffic projection", e.traffic_path)):
         if not Path(p).is_file():
             raise ValidationError(f"{label} file not found: {p}")
@@ -177,7 +183,7 @@ def _validate(s: Scenario) -> None:
 
 
 def with_overrides(scenario: Scenario, **kwargs) -> Scenario:
-    """Copy of the scenario with scalar fields replaced (used by sweeps)."""
+    """Validated copy of the scenario with scalar fields replaced (used by sweeps)."""
     econ_fields = {"monthly_fee_usd", "initial_subscribers"}
     econ_kwargs = {k: v for k, v in kwargs.items() if k in econ_fields}
     top_kwargs = {k: v for k, v in kwargs.items() if k not in econ_fields}
@@ -186,6 +192,7 @@ def with_overrides(scenario: Scenario, **kwargs) -> Scenario:
         out = replace(out, econ=replace(out.econ, **econ_kwargs))
     if top_kwargs:
         out = replace(out, **top_kwargs)
+    _validate(out)
     return out
 
 

@@ -3,8 +3,11 @@ greedy baseline and an exhaustive oracle.
 
 The problem is weighted set cover: pick (sensor type, site) candidates so that
 every in-area block is covered by at least one choice, minimizing the summed
-install cost.  Covered sets are bitmasks over positions in the instance's
-universe tuple, which keeps node expansion to integer AND/OR/popcount work.
+install cost.  Covered sets are Python-int bitmasks over positions in the
+instance's universe tuple, in the format ``coverage.py`` defines: for an
+instance built from a coverage table the universe is ``mesh.in_area_blocks``
+and each candidate's mask is the table entry's mask itself.  Node expansion
+is therefore integer AND/OR/popcount work.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import CoverageTable
+from .coverage import CoverageTable, bools_to_mask, mask_positions, mask_to_bools
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -82,25 +85,22 @@ class PlacementInstance:
 
     @classmethod
     def from_coverage(cls, table: CoverageTable, sensor_names: Optional[Sequence[str]] = None) -> "PlacementInstance":
-        """Instance over a coverage table's in-area blocks, optionally restricted to some sensor types."""
-        mesh = table.mesh
+        """Instance over a coverage table's in-area blocks, optionally restricted to some sensor types.
+
+        The candidates share the table entries' masks: both use the in-area
+        blocks as universe."""
         admitted = tuple(sorted(sensor_names)) if sensor_names is not None else tuple(sorted(table.catalog.names))
         unknown = set(admitted) - set(table.catalog.names)
         if unknown:
             raise ValidationError(f"sensor filter names not in catalog: {sorted(unknown)}")
-        in_area = mesh.in_area
-        uni = tuple(int(z) for z in np.nonzero(in_area)[0])
-        n_blocks = mesh.n_blocks
         cands = []
         for entry in table.entries:
             if entry.sensor not in admitted:
                 continue
-            flags = _unpack_mask(entry.mask, n_blocks)
-            packed = np.packbits(flags[in_area], bitorder="little")
             cands.append(
                 Candidate(
                     cid=f"{entry.sensor}@{entry.site:06d}",
-                    covered=int.from_bytes(packed.tobytes(), "little"),
+                    covered=entry.mask,
                     cost=entry.install_cost,
                     sensor=entry.sensor,
                     site=entry.site,
@@ -108,7 +108,7 @@ class PlacementInstance:
                 )
             )
         cands.sort(key=lambda c: c.cid)
-        return cls(universe=uni, candidates=tuple(cands), metadata={"sensor_filter": admitted})
+        return cls(universe=table.mesh.in_area_blocks, candidates=tuple(cands), metadata={"sensor_filter": admitted})
 
 
 @dataclass(frozen=True)
@@ -133,26 +133,12 @@ class PlacementPlan:
         return all(m >= 1 for m in self.multiplicity)
 
 
-def _bits(mask: int) -> list:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
-
-
-def _unpack_mask(mask: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
-
-
 def _make_plan(instance: PlacementInstance, chosen: Sequence[Candidate], mode: str, nodes: int, proven: bool, metadata=None) -> PlacementPlan:
     chosen = tuple(sorted(chosen, key=lambda c: c.cid))
     n = instance.n_elements
     multiplicity = [0] * n
     for c in chosen:
-        for p in _bits(c.covered):
+        for p in mask_positions(c.covered):
             multiplicity[p] += 1
     return PlacementPlan(
         chosen=chosen,
@@ -171,29 +157,33 @@ def _check_coverable(instance: PlacementInstance) -> None:
     for c in instance.candidates:
         union |= c.covered
     if union != instance.full_mask:
-        missing = [instance.universe[p] for p in _bits(instance.full_mask & ~union)]
+        missing = [instance.universe[p] for p in mask_positions(instance.full_mask & ~union)]
         raise Infeasible(f"no candidate covers block(s) {missing[:10]}{'...' if len(missing) > 10 else ''}")
+
+
+def _greedy_cover(candidates: Sequence[Candidate], uncovered: int) -> list:
+    """Repeatedly pick the candidate with the lowest (cost per newly covered
+    element, cid) until ``uncovered`` is empty; returns the picks in order."""
+    chosen = []
+    while uncovered:
+        best, best_key = None, None
+        for c in candidates:
+            gain = (c.covered & uncovered).bit_count()
+            if gain:
+                key = (c.cost / gain, c.cid)
+                if best_key is None or key < best_key:
+                    best, best_key = c, key
+        if best is None:
+            raise Infeasible("greedy selection stalled with blocks still uncovered")
+        chosen.append(best)
+        uncovered &= ~best.covered
+    return chosen
 
 
 def solve_greedy(instance: PlacementInstance) -> PlacementPlan:
     """Repeatedly pick the candidate with the lowest cost per newly covered block."""
     _check_coverable(instance)
-    uncovered = instance.full_mask
-    chosen = []
-    while uncovered:
-        best = None
-        best_key = None
-        for c in instance.candidates:
-            gain = (c.covered & uncovered).bit_count()
-            if gain == 0:
-                continue
-            key = (c.cost / gain, c.cid)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
-        if best is None:
-            raise Infeasible("greedy selection stalled with blocks still uncovered")
-        chosen.append(best)
-        uncovered &= ~best.covered
+    chosen = _greedy_cover(instance.candidates, instance.full_mask)
     return _make_plan(instance, chosen, mode="greedy", nodes=0, proven=False)
 
 
@@ -227,11 +217,11 @@ def solve_brute(instance: PlacementInstance, max_candidates: int = 20) -> Placem
     ties = np.nonzero(feasible & (cost == best_cost))[0]
 
     def subset_key(mask):
-        ids = [instance.candidates[i].cid for i in _bits(int(mask))]
+        ids = [instance.candidates[i].cid for i in mask_positions(int(mask))]
         return (len(ids), ids)
 
     best_mask = min(ties.tolist(), key=subset_key)
-    chosen = [instance.candidates[i] for i in _bits(int(best_mask))]
+    chosen = [instance.candidates[i] for i in mask_positions(int(best_mask))]
     return _make_plan(instance, chosen, mode="brute", nodes=size, proven=True)
 
 
@@ -284,20 +274,15 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     active, n_dominated = _drop_dominated(active)
     forced = []
     remaining = instance.full_mask
-    counts = None
-    remaining_bools = None
     while remaining:
         active = [c for c in active if c.covered & remaining]
         counts = np.zeros(n, dtype=np.int64)
         for c in active:
-            counts += _unpack_mask(c.covered & remaining, n)
-        remaining_bools = _unpack_mask(remaining, n)
-        singles = np.nonzero(remaining_bools & (counts == 1))[0]
-        if singles.size == 0:
+            counts += mask_to_bools(c.covered & remaining, n)
+        remaining_bools = mask_to_bools(remaining, n)
+        singles_mask = bools_to_mask(remaining_bools & (counts == 1))
+        if not singles_mask:
             break
-        singles_mask = 0
-        for p in singles.tolist():
-            singles_mask |= 1 << p
         # A candidate touching a singleton block is its unique coverer.
         for c in active:
             if c.covered & singles_mask:
@@ -313,18 +298,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
                           metadata={"dedup_removed": n_dupes + n_dominated, "forced": len(forced)})
 
     # Residual greedy incumbent.
-    incumbent = list(forced)
-    uncovered = remaining
-    while uncovered:
-        best, best_key = None, None
-        for c in active:
-            gain = (c.covered & uncovered).bit_count()
-            if gain:
-                key = (c.cost / gain, c.cid)
-                if best_key is None or key < best_key:
-                    best, best_key = c, key
-        incumbent.append(best)
-        uncovered &= ~best.covered
+    incumbent = list(forced) + _greedy_cover(active, remaining)
     inc_cost = math.fsum(c.cost for c in incumbent)
     inc_key = (inc_cost, len(incumbent), tuple(sorted(c.cid for c in incumbent)))
 
@@ -333,12 +307,12 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     for c in active:
         eff = c.covered & remaining
         share = c.cost / eff.bit_count()
-        flags = _unpack_mask(eff, n)
+        flags = mask_to_bools(eff, n)
         price[flags] = np.minimum(price[flags], share)
     price = np.where(np.isfinite(price), price, 0.0)
 
     def bound_of(mask: int) -> float:
-        return float(price[_unpack_mask(mask, n)].sum())
+        return float(price[mask_to_bools(mask, n)].sum())
 
     root_bound = bound_of(remaining)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gridwatch.cli import main
-from gridwatch.pipeline import run_plan, sweep, thread_count
+from gridwatch.pipeline import run_plan
 from gridwatch.scenario import bundled_minicity_path, load_scenario
 
 
@@ -229,18 +229,11 @@ def test_sweep_unknown_parameter_exits_2(bundle, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
 
 
-def test_sweep_threaded_matches_serial(bundle, monkeypatch):
-    scn = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
-    monkeypatch.delenv("SAND_THREADS", raising=False)
-    serial = sweep(scn, "fee", [100.0, 250.0, 400.0])
-    monkeypatch.setenv("SAND_THREADS", "3")
-    assert thread_count() == 3
-    threaded = sweep(scn, "fee", [100.0, 250.0, 400.0])
-    assert threaded == serial
-    monkeypatch.setenv("SAND_THREADS", "not-a-number")
-    assert thread_count() == 1
-    monkeypatch.setenv("SAND_THREADS", "0")
-    assert thread_count() >= 1
+def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
+    scn = scenario_with(bundle, sensor_filter=["RF"], output_dir=str(bundle / "out"))
+    assert main(["sweep", str(scn), "--parameter", "fee", "--values", "100,-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+    assert not (bundle / "out").exists()
 
 
 # -- validate and determinism ------------------------------------------------------
@@ -250,6 +243,21 @@ def test_validate_ok(bundle, capsys):
     scn = scenario_with(bundle)
     assert main(["validate", str(scn)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_validate_rejects_negative_fee(capsys):
+    assert main(["validate", str(bundled_minicity_path()), "--fee", "-400"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("monthly_fee_usd", -1), ("initial_subscribers", -1), ("discount_rate", -1.0), ("discount_rate", -2.5)],
+)
+def test_validate_rejects_bad_econ_scalars(bundle, capsys, field, value):
+    scn = scenario_with(bundle, econ={field: value})
+    assert main(["validate", str(scn)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
 
 
 def test_validate_rejects_bad_rounding(bundle, capsys):
@@ -280,6 +288,7 @@ def test_repeated_runs_are_byte_identical(bundle):
 
 
 def test_heatmap_sensor_must_be_admitted(bundle, capsys):
-    scn = scenario_with(bundle, sensor_filter=["RF"], heatmap_sensor="Radar")
+    scn = scenario_with(bundle, sensor_filter=["RF"], heatmap_sensor="Radar", output_dir=str(bundle / "out"))
     assert main(["plan", str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+    assert not (bundle / "out").exists()

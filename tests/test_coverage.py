@@ -160,7 +160,7 @@ def test_single_block_mesh_has_one_entry_per_sensor():
     assert len(table.entries) == len(cat)
     assert {e.sensor for e in table.entries} == set(cat.names)
     for e in table.entries:
-        assert e.covered_blocks == (0,)
+        assert table.blocks_of(e) == (0,)
         assert e.install_cost == e.units * cat.get(e.sensor).unit_price_usd
 
 
@@ -173,7 +173,8 @@ def test_mean_detection_matches_resummation_oracle():
     table = build_coverage(mesh, cat, 0.98, strict=False)
     omega = block_detection(mesh, cat)
     for e in table.entries:
-        resummed = sum(omega[e.sensor][z] for z in e.covered_blocks) / len(e.covered_blocks)
+        blocks = table.blocks_of(e)
+        resummed = sum(omega[e.sensor][z] for z in blocks) / len(blocks)
         assert e.mean_detect == pytest.approx(resummed, rel=1e-12)
         assert e.misdetect == pytest.approx(1.0 - resummed, rel=1e-12)
 

@@ -3,10 +3,12 @@ import math
 import random
 
 import pytest
-from helpers import make_spec, square_mesh
+from helpers import make_spec, site_for_block, square_mesh
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
-from gridwatch.coverage import build_coverage
+from gridwatch.coverage import build_coverage, covered_blocks
 from gridwatch.errors import Infeasible, TooLarge, ValidationError
 from gridwatch.solver import (
     Candidate,
@@ -211,6 +213,27 @@ def test_from_coverage_candidate_shape():
         assert c.cost == entry.install_cost
         assert c.units == entry.units
         assert c.covered.bit_count() == entry.n_covered
+        assert c.covered is entry.mask
+
+
+@given(
+    codes=st.lists(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4]), min_size=4, max_size=4), min_size=4, max_size=4),
+    near=st.floats(0.25, 0.7),
+    far=st.floats(0.7, 1.4),
+)
+def test_from_coverage_masks_match_covered_blocks(codes, near, far):
+    """Set bits mapped through the universe give the geometric covered set,
+    also where OUTSIDE_AREA and WATER cells shift in-area positions."""
+    codes[0][0] = 0  # keep at least one candidate site
+    mesh = square_mesh(4, codes, min_range=near)
+    cat = SensorCatalog((make_spec(name="Far", range_km=far), make_spec(name="Near", range_km=near)))
+    table = build_coverage(mesh, cat, 0.98, strict=False)
+    inst = PlacementInstance.from_coverage(table)
+    assert inst.universe == mesh.in_area_blocks
+    assert len(inst.candidates) == len(table.entries)
+    for c in inst.candidates:
+        got = tuple(u for p, u in enumerate(inst.universe) if (c.covered >> p) & 1)
+        assert got == covered_blocks(mesh, cat.get(c.sensor), site_for_block(mesh, c.site))
 
 
 def test_from_coverage_respects_filter():
