@@ -119,13 +119,12 @@ def _spec_from_dict(raw: dict) -> SensorSpec:
 
 
 def load_catalog(source) -> SensorCatalog:
-    """Load a catalog from a JSON file path, JSON text, or an already-parsed dict."""
+    """Load a catalog from a JSON file path or an already-parsed dict."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text(encoding="utf-8") if not str(source).lstrip().startswith("{") else str(source)
         try:
-            doc = json.loads(text)
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid catalog JSON: {exc}") from None
     if not isinstance(doc, dict) or "sensors" not in doc or not isinstance(doc["sensors"], list):

@@ -158,8 +158,6 @@ class CoverageTable:
 
     mesh: AreaMesh = field(repr=False)
     catalog: SensorCatalog = field(repr=False)
-    required_detection: float
-    rounding: str
     entries: tuple = field(repr=False)
     uncovered: tuple
 
@@ -233,8 +231,6 @@ def build_coverage(
     return CoverageTable(
         mesh=mesh,
         catalog=catalog,
-        required_detection=required_detection,
-        rounding=rounding,
         entries=tuple(entries),
         uncovered=uncovered,
     )

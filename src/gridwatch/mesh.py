@@ -35,13 +35,6 @@ class Terrain(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_code(cls, code: int) -> "Terrain":
-        try:
-            return cls(int(code))
-        except ValueError:
-            raise ParseError(f"unknown terrain code {code!r}; expected one of -1, 0, 1, 2, 3, 4") from None
-
 
 #: Terrain kinds that carry a detection probability (everything except OUTSIDE_AREA).
 DETECTABLE_TERRAINS = (Terrain.OPEN, Terrain.WATER, Terrain.NEIGHBORHOOD, Terrain.HILL, Terrain.COMMERCIAL)

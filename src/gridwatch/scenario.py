@@ -2,7 +2,8 @@
 
 Relative paths inside a scenario (terrain grid, catalog, pricing, traffic) are
 resolved against the scenario file's own directory, so scenario bundles can be
-moved around as a unit.
+moved around as a unit.  ``output_dir`` and the CLI's ``--out`` are the
+exception: they are relative to the working directory.
 """
 
 from __future__ import annotations

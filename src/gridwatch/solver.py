@@ -8,6 +8,10 @@ instance's universe tuple, in the format ``coverage.py`` defines: for an
 instance built from a coverage table the universe is ``mesh.in_area_blocks``
 and each candidate's mask is the table entry's mask itself.  Node expansion
 is therefore integer AND/OR/popcount work.
+
+``solve_exact`` is the one exact path: root reductions (duplicate covered
+sets, forced unique coverers), then branch and bound on the residual.
+``solve_brute`` is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -199,18 +203,17 @@ def solve_brute(instance: PlacementInstance, max_candidates: int = 20) -> Placem
     if not instance.universe:
         return _make_plan(instance, (), mode="brute", nodes=1, proven=True)
 
-    n_elem = instance.n_elements
-    words = (n_elem + 63) // 64
-    size = 1 << n
-    subset = np.arange(size, dtype=np.uint64)
-    cost = np.zeros(size, dtype=np.float64)
-    cover = np.zeros((size, words), dtype=np.uint64)
+    words = (instance.n_elements + 63) // 64
     word_mask = (1 << 64) - 1
-    for i, c in enumerate(instance.candidates):
-        picked = (subset >> np.uint64(i)) & np.uint64(1) == 1
-        cost[picked] += c.cost
+    # Subset tables by doubling: after candidate i, the upper half of each
+    # table is the lower half with candidate i added, so bit i of a row index
+    # says whether candidate i is picked, and costs are summed in index order.
+    cost = np.zeros(1, dtype=np.float64)
+    cover = np.zeros((1, words), dtype=np.uint64)
+    for c in instance.candidates:
         cand_words = np.array([(c.covered >> (64 * w)) & word_mask for w in range(words)], dtype=np.uint64)
-        cover[picked] |= cand_words
+        cost = np.concatenate([cost, cost + c.cost])
+        cover = np.concatenate([cover, cover | cand_words])
     full_words = np.array([(instance.full_mask >> (64 * w)) & word_mask for w in range(words)], dtype=np.uint64)
     feasible = (cover == full_words).all(axis=1)
     best_cost = cost[feasible].min()
@@ -222,7 +225,7 @@ def solve_brute(instance: PlacementInstance, max_candidates: int = 20) -> Placem
 
     best_mask = min(ties.tolist(), key=subset_key)
     chosen = [instance.candidates[i] for i in mask_positions(int(best_mask))]
-    return _make_plan(instance, chosen, mode="brute", nodes=size, proven=True)
+    return _make_plan(instance, chosen, mode="brute", nodes=1 << n, proven=True)
 
 
 def _dedup_identical(candidates: Sequence[Candidate]):
@@ -236,66 +239,42 @@ def _dedup_identical(candidates: Sequence[Candidate]):
     return kept, len(candidates) - len(kept)
 
 
-def _drop_dominated(candidates: Sequence[Candidate], limit: int = 600):
-    """Drop candidates whose covered set is contained in a no-more-expensive one.
-
-    Quadratic, so only applied to moderately sized candidate pools.
-    """
-    if len(candidates) > limit:
-        return list(candidates), 0
-    order = sorted(candidates, key=lambda c: (c.cost, -c.covered.bit_count(), c.cid))
-    kept = []
-    for c in order:
-        dominated = any(k.cost <= c.cost and (k.covered | c.covered) == k.covered for k in kept)
-        if not dominated:
-            kept.append(c)
-    kept.sort(key=lambda c: c.cid)
-    return kept, len(candidates) - len(kept)
-
-
 def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
     """Cost-minimal placement via depth-first branch and bound.
 
-    The incumbent is seeded by the greedy solution.  Each node branches on the
-    uncovered block with the fewest covering candidates, trying coverers in
-    order of marginal cost per newly covered block; sibling subtrees exclude
-    the coverers already tried so the search partitions the space.  The lower
-    bound is the larger of a per-block cheapest-marginal-cost sum and, at the
-    root, a greedy dual bound.  Exceeding ``node_budget`` returns the incumbent
-    with proven_optimal=False.
+    The root drops duplicate covered sets and forces the unique coverer of
+    every block that has one; the greedy solution of the residual seeds the
+    incumbent.  Each node branches on the uncovered block with the fewest
+    covering candidates, trying coverers in order of marginal cost per newly
+    covered block; sibling subtrees exclude the coverers already tried so the
+    search partitions the space.  The lower bound is a per-block
+    cheapest-marginal-cost sum.  Exceeding ``node_budget`` returns the
+    incumbent with proven_optimal=False.
     """
     _check_coverable(instance)
     if not instance.universe:
         return _make_plan(instance, (), mode="exact", nodes=0, proven=True)
     n = instance.n_elements
 
-    # Root reductions: duplicate covered sets, dominated sets, forced singletons.
+    # Root reductions: duplicate covered sets, then forced singletons.
     active, n_dupes = _dedup_identical(instance.candidates)
-    active, n_dominated = _drop_dominated(active)
-    forced = []
+    counts = np.zeros(n, dtype=np.int64)
+    for c in active:
+        counts += mask_to_bools(c.covered, n)
+    singles_mask = bools_to_mask(counts == 1)
+    # A candidate touching a singleton block is its unique coverer.  Forcing
+    # never lowers the coverer count of a block left uncovered, so one pass
+    # leaves no singleton behind.
+    forced = [c for c in active if c.covered & singles_mask]
     remaining = instance.full_mask
-    while remaining:
-        active = [c for c in active if c.covered & remaining]
-        counts = np.zeros(n, dtype=np.int64)
-        for c in active:
-            counts += mask_to_bools(c.covered & remaining, n)
-        remaining_bools = mask_to_bools(remaining, n)
-        singles_mask = bools_to_mask(remaining_bools & (counts == 1))
-        if not singles_mask:
-            break
-        # A candidate touching a singleton block is its unique coverer.
-        for c in active:
-            if c.covered & singles_mask:
-                forced.append(c)
-                remaining &= ~c.covered
-
-    nodes = 0
-    budget_exceeded = False
-    forced_cost = math.fsum(c.cost for c in forced)
+    for c in forced:
+        remaining &= ~c.covered
+    active = [c for c in active if c.covered & remaining]
 
     if remaining == 0:
         return _make_plan(instance, forced, mode="exact", nodes=0, proven=True,
-                          metadata={"dedup_removed": n_dupes + n_dominated, "forced": len(forced)})
+                          metadata={"dedup_removed": n_dupes, "forced": len(forced)})
+    forced_cost = math.fsum(c.cost for c in forced)
 
     # Residual greedy incumbent.
     incumbent = list(forced) + _greedy_cover(active, remaining)
@@ -314,16 +293,9 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     def bound_of(mask: int) -> float:
         return float(price[mask_to_bools(mask, n)].sum())
 
-    root_bound = bound_of(remaining)
+    root_lower = forced_cost + bound_of(remaining)
 
-    # Greedy dual bound: greedy cost divided by the harmonic number of the
-    # largest covering set is a valid lower bound on the residual optimum.
-    h_max = sum(1.0 / k for k in range(1, max(c.covered.bit_count() for c in active) + 1))
-    dual_bound = (inc_cost - forced_cost) / h_max
-    root_lower = forced_cost + max(root_bound, dual_bound)
-
-    order_positions = np.nonzero(remaining_bools)[0].tolist()
-    branch_order = sorted(order_positions, key=lambda p: (int(counts[p]), p))
+    branch_order = sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
     coverer_cache = {}
 
     def coverers_of(p: int) -> list:
@@ -337,9 +309,9 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     def margin() -> float:
         return _PRUNE_REL * max(1.0, abs(inc_cost))
 
-    stack = []
-    if root_lower < inc_cost + margin():
-        stack.append((remaining, 0, 0.0, ()))
+    nodes = 0
+    budget_exceeded = False
+    stack = [(remaining, 0, 0.0, ())]
 
     while stack:
         uncovered, excluded, cost, chosen_idx = stack.pop()
@@ -387,7 +359,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
         nodes=nodes,
         proven=not budget_exceeded,
         metadata={
-            "dedup_removed": n_dupes + n_dominated,
+            "dedup_removed": n_dupes,
             "forced": len(forced),
             "budget_exceeded": budget_exceeded,
             "root_lower_bound": root_lower,

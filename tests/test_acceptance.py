@@ -158,6 +158,15 @@ def test_c07_rf_dominance(minicity):
     ok(7, "dominance filter keeps only RF and leaves the optimal cost unchanged")
 
 
+def test_dominance_filter_knob_end_to_end(minicity):
+    names = ["Radar", "RF", "Acoustic", "OpticalCamera"]
+    filtered = run_plan(minicity_scenario(minicity, sensor_filter=names, apply_dominance_filter=True))
+    plain = run_plan(minicity_scenario(minicity, sensor_filter=names))
+    assert {c.sensor for c in filtered.instance.candidates} == {"RF"}
+    assert filtered.instance.metadata["dominance_removed"] == ("Acoustic", "OpticalCamera", "Radar")
+    assert filtered.plan.total_cost == plain.plan.total_cost
+
+
 def test_c08_monotonicity_suite():
     # (a) unit count never drops as the detection requirement rises
     grid = (0.96, 0.97, 0.98, 0.99)

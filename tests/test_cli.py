@@ -19,7 +19,10 @@ def bundle(tmp_path):
 
 
 def scenario_with(bundle, fname="scn.json", **changes):
+    """Write a variant of the mini-city scenario; artifacts go to ``bundle/out``
+    unless ``output_dir`` is given."""
     doc = json.loads((bundle / "minicity.json").read_text(encoding="utf-8"))
+    doc["output_dir"] = str(bundle / "out")
     econ_changes = changes.pop("econ", {})
     doc.update(changes)
     doc["econ"].update(econ_changes)

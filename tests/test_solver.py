@@ -66,6 +66,30 @@ def test_forced_single_candidate():
         assert plan.total_cost == 7.0
 
 
+def test_forced_reduction_leaves_residual_search():
+    # "a" alone covers 1 and 2, "b" alone covers 6.  Every block of the residual
+    # {3, 4, 5} has two coverers, and greedy's pick ("x" then "v", 3.3) loses
+    # to "w" + "y" (3.1), so the search has to run.
+    sets = [
+        ("a", [1, 2], 4.0),
+        ("b", [6], 1.0),
+        ("v", [5], 1.3),
+        ("w", [3], 1.1),
+        ("x", [3, 4], 2.0),
+        ("x2", [3, 4], 2.5),
+        ("y", [4, 5], 2.0),
+        ("y2", [4, 5], 3.0),
+    ]
+    inst = inst_from([1, 2, 3, 4, 5, 6], sets)
+    plan = solve_exact(inst)
+    assert plan.metadata["forced"] == 2
+    assert plan.metadata["dedup_removed"] == 2
+    assert plan.nodes_explored > 0
+    brute = solve_brute(inst)
+    assert plan.total_cost == brute.total_cost
+    assert [c.cid for c in plan.chosen] == [c.cid for c in brute.chosen] == ["a", "b", "w", "y"]
+
+
 def test_greedy_can_be_suboptimal():
     inst = inst_from([1, 2, 3, 4], [("a", [1, 2, 3], 3.0), ("b", [3, 4], 2.4), ("c", [1, 2], 2.2)])
     greedy = solve_greedy(inst)
