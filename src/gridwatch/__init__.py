@@ -2,7 +2,7 @@
 a gridded area and evaluate its economics."""
 
 from .catalog import SensorCatalog, SensorSpec, default_catalog, load_catalog, scale_detection
-from .coverage import CoverageEntry, CoverageTable, block_detection, build_coverage, covered_blocks, redundancy
+from .coverage import CoverageTable, block_detection, build_coverage, covered_blocks, redundancy
 from .econ import (
     AIRCRAFT_CLASSES,
     CashFlowSeries,

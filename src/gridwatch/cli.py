@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _plan_capex(plan_path: Path) -> float:
     try:
         doc = json.loads(Path(plan_path).read_text(encoding="utf-8"))
         features = doc["features"]
-        return float(sum(f["properties"]["install_cost_usd"] for f in features))
+        return math.fsum(f["properties"]["install_cost_usd"] for f in features)
     except OSError as exc:
         raise ParseError(f"cannot read plan file: {exc}") from None
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

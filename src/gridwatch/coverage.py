@@ -6,18 +6,20 @@ the complementary misdetection probability, and the number of sensor units
 needed at the site to push the at-least-one-detection probability up to the
 required level.
 
-This module owns the covered-set format used from here to the solver: a
-Python-int bitmask over in-area positions, where bit i is the i-th block of
-``mesh.in_area_blocks``.  That tuple is also the placement instance's
-universe, so the solver takes the masks as they are; set algebra stays
-integer AND/OR/popcount work.  The three conversions between masks, boolean
-arrays and positions are defined here and nowhere else.
+This module owns the covered-set format and the candidate record used from
+here to the solver.  A covered set is a Python-int bitmask over in-area
+positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
+tuple is also the placement instance's universe, and the instance's
+candidates are the table's own :class:`Candidate` entries, so set algebra
+stays integer AND/OR/popcount work.  The three conversions between masks,
+boolean arrays and positions are defined here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -133,19 +135,21 @@ def mask_positions(mask: int) -> list:
 
 
 @dataclass(frozen=True)
-class CoverageEntry:
-    """Coverage, detection statistics, and install cost of one (sensor, site) pair.
+class Candidate:
+    """One selectable (sensor type, site) pairing, or an abstract covering set
+    without sensor, site or ``mean_detect``."""
 
-    ``mask`` is the covered set over in-area positions (see the module docstring).
-    """
+    cid: str
+    covered: int = field(repr=False)
+    cost: float
+    sensor: Optional[str] = None
+    site: Optional[int] = None
+    units: int = 1
+    mean_detect: Optional[float] = None
 
-    sensor: str
-    site: int
-    mask: int = field(repr=False)
-    n_covered: int
-    mean_detect: float
-    units: int
-    install_cost: float
+    @property
+    def n_covered(self) -> int:
+        return self.covered.bit_count()
 
     @property
     def misdetect(self) -> float:
@@ -154,7 +158,7 @@ class CoverageEntry:
 
 @dataclass(frozen=True)
 class CoverageTable:
-    """All retained (sensor, site) coverage entries for one mesh and catalog."""
+    """All retained (sensor, site) candidates for one mesh and catalog."""
 
     mesh: AreaMesh = field(repr=False)
     catalog: SensorCatalog = field(repr=False)
@@ -165,16 +169,16 @@ class CoverageTable:
     def feasible(self) -> bool:
         return not self.uncovered
 
-    def blocks_of(self, entry: CoverageEntry) -> tuple:
+    def blocks_of(self, entry: Candidate) -> tuple:
         """Block ids covered by ``entry``, ascending."""
         blocks = self.mesh.in_area_blocks
-        return tuple(blocks[p] for p in mask_positions(entry.mask))
+        return tuple(blocks[p] for p in mask_positions(entry.covered))
 
     def write_csv(self, fp) -> None:
         fp.write("sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n")
         for e in self.entries:
             fp.write(
-                f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{e.misdetect!r},{e.units},{e.install_cost!r}\n"
+                f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{e.misdetect!r},{e.units},{e.cost!r}\n"
             )
 
 
@@ -185,7 +189,8 @@ def build_coverage(
     rounding: str = "ceil",
     strict: bool = True,
 ) -> CoverageTable:
-    """Compute coverage entries for every (sensor type, candidate site) pair.
+    """Compute one :class:`Candidate`, cid ``"<sensor>@<site:06d>"``, per
+    (sensor type, candidate site) pair, in sensor-name then site order.
 
     Pairs covering no block are dropped.  If some in-area block is covered by
     no pair at all the table is infeasible: with ``strict`` (the default) an
@@ -207,21 +212,20 @@ def build_coverage(
         omega = omegas[spec.name][in_area]
         for site in mesh.candidate_sites:
             flags = geometry.covered(site.x, site.y, spec.range_km).reshape(-1)[in_area]
-            n = int(np.count_nonzero(flags))
-            if n == 0:
+            if not flags.any():
                 continue
             union |= flags
             zeta = float(omega[flags].mean())
             units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
             entries.append(
-                CoverageEntry(
+                Candidate(
+                    cid=f"{spec.name}@{site.block:06d}",
+                    covered=bools_to_mask(flags),
+                    cost=units * spec.unit_price_usd,
                     sensor=spec.name,
                     site=site.block,
-                    mask=bools_to_mask(flags),
-                    n_covered=n,
-                    mean_detect=zeta,
                     units=units,
-                    install_cost=units * spec.unit_price_usd,
+                    mean_detect=zeta,
                 )
             )
 

@@ -2,12 +2,14 @@
 
 All artifact writers are deterministic: repeated runs of the same scenario
 produce byte-identical files (sorted JSON keys, repr-formatted floats, no
-timestamps).
+timestamps).  A writer that fails leaves the file it was replacing intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,7 +59,7 @@ def run_plan(scenario: Scenario) -> PlanResult:
         min_sensor_range=working.min_range_km,
     )
     coverage = build_coverage(mesh, working, scenario.required_detection, scenario.rounding)
-    instance = PlacementInstance.from_coverage(coverage, admitted)
+    instance = PlacementInstance.from_coverage(coverage)
     if scenario.apply_dominance_filter:
         instance = dominance_filter(instance, working)
     if scenario.solver_mode == "greedy":
@@ -109,14 +111,30 @@ def plan_to_geojson(plan: PlacementPlan, mesh: AreaMesh) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text file that replaces ``path`` only if the block succeeds: written to
+    ``<name>.tmp`` beside it, moved into place by ``os.replace``, else deleted."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fp:
+        fp.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_heatmap_csv(path: Path, mesh: AreaMesh, catalog: SensorCatalog, sensor: str) -> None:
     """Per-block detection probability for one sensor type (0 outside the area)."""
     omega = block_detection(mesh, catalog)[sensor]
-    with open(path, "w", encoding="utf-8") as fp:
+    with _atomic_open(path) as fp:
         fp.write("block_index,row,col,terrain,detection_probability\n")
         for z in range(mesh.n_blocks):
             j, k = divmod(z, mesh.blocks_x)
@@ -126,7 +144,7 @@ def write_heatmap_csv(path: Path, mesh: AreaMesh, catalog: SensorCatalog, sensor
 def write_summary_csv(path: Path, result: PlanResult) -> None:
     plan = result.plan
     sensor_filter = "+".join(result.admitted)
-    with open(path, "w", encoding="utf-8") as fp:
+    with _atomic_open(path) as fp:
         fp.write("city,sensor_filter,n_sites,n_sensor_units,total_cost_usd,proven_optimal\n")
         fp.write(
             f"{result.scenario.name},{sensor_filter},{plan.n_sites},{plan.total_units},"
@@ -152,7 +170,7 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     write_json(paths["plan"], plan_to_geojson(result.plan, result.mesh))
     write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, heatmap_sensor)
     write_summary_csv(paths["summary"], result)
-    with open(paths["coverage"], "w", encoding="utf-8") as fp:
+    with _atomic_open(paths["coverage"]) as fp:
         result.coverage.write_csv(fp)
     return paths
 
@@ -180,7 +198,7 @@ def run_econ(scenario: Scenario, plan_cost: float) -> ScenarioEconomics:
 
 
 def write_cashflow_csv(path, econ: ScenarioEconomics) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    with _atomic_open(path) as fp:
         fp.write(
             "year,revenue_low,revenue_high,cloud_cost_low,cloud_cost_high,"
             "sensor_capex,npv_low,npv_high,cum_npv_low,cum_npv_high\n"
@@ -245,7 +263,7 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    with _atomic_open(path) as fp:
         fp.write(
             "parameter,value,n_sites,n_sensor_units,total_cost_usd,"
             "final_cum_npv_low,final_cum_npv_high,break_even_year_low,break_even_year_high\n"

@@ -3,11 +3,12 @@ greedy baseline and an exhaustive oracle.
 
 The problem is weighted set cover: pick (sensor type, site) candidates so that
 every in-area block is covered by at least one choice, minimizing the summed
-install cost.  Covered sets are Python-int bitmasks over positions in the
-instance's universe tuple, in the format ``coverage.py`` defines: for an
-instance built from a coverage table the universe is ``mesh.in_area_blocks``
-and each candidate's mask is the table entry's mask itself.  Node expansion
-is therefore integer AND/OR/popcount work.
+install cost.  Candidates are the :class:`Candidate` records ``coverage.py``
+defines, whose covered sets are Python-int bitmasks over positions in the
+instance's universe tuple.  For an instance built from a coverage table the
+universe is ``mesh.in_area_blocks`` and the candidates are the table's own
+entries, sorted by cid.  Node expansion is therefore integer AND/OR/popcount
+work.
 
 ``solve_exact`` is the one exact path: root reductions (duplicate covered
 sets, forced unique coverers), then branch and bound on the residual.
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import CoverageTable, bools_to_mask, mask_positions, mask_to_bools
+from .coverage import Candidate, CoverageTable, bools_to_mask, mask_positions, mask_to_bools
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -35,18 +36,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # by more than accumulated float drift could explain.  Equal-cost subtrees are
 # therefore explored, which also lets the incumbent improve its tie-break key.
 _PRUNE_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One selectable (sensor type, site) pairing, or an abstract covering set."""
-
-    cid: str
-    covered: int = field(repr=False)
-    cost: float
-    sensor: Optional[str] = None
-    site: Optional[int] = None
-    units: int = 1
 
 
 @dataclass(frozen=True)
@@ -88,31 +77,17 @@ class PlacementInstance:
         return cls(universe=uni, candidates=tuple(cands), metadata=dict(metadata or {}))
 
     @classmethod
-    def from_coverage(cls, table: CoverageTable, sensor_names: Optional[Sequence[str]] = None) -> "PlacementInstance":
-        """Instance over a coverage table's in-area blocks, optionally restricted to some sensor types.
+    def from_coverage(cls, table: CoverageTable) -> "PlacementInstance":
+        """Instance over a coverage table's in-area blocks.
 
-        The candidates share the table entries' masks: both use the in-area
-        blocks as universe."""
-        admitted = tuple(sorted(sensor_names)) if sensor_names is not None else tuple(sorted(table.catalog.names))
-        unknown = set(admitted) - set(table.catalog.names)
-        if unknown:
-            raise ValidationError(f"sensor filter names not in catalog: {sorted(unknown)}")
-        cands = []
-        for entry in table.entries:
-            if entry.sensor not in admitted:
-                continue
-            cands.append(
-                Candidate(
-                    cid=f"{entry.sensor}@{entry.site:06d}",
-                    covered=entry.mask,
-                    cost=entry.install_cost,
-                    sensor=entry.sensor,
-                    site=entry.site,
-                    units=entry.units,
-                )
-            )
-        cands.sort(key=lambda c: c.cid)
-        return cls(universe=table.mesh.in_area_blocks, candidates=tuple(cands), metadata={"sensor_filter": admitted})
+        The candidates are the table's own entries, sorted by cid; the table's
+        catalog is the sensor filter, so filter the catalog before building
+        coverage to restrict the sensor types."""
+        return cls(
+            universe=table.mesh.in_area_blocks,
+            candidates=tuple(sorted(table.entries, key=lambda c: c.cid)),
+            metadata={"sensor_filter": tuple(sorted(table.catalog.names))},
+        )
 
 
 @dataclass(frozen=True)
@@ -252,8 +227,6 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     incumbent with proven_optimal=False.
     """
     _check_coverable(instance)
-    if not instance.universe:
-        return _make_plan(instance, (), mode="exact", nodes=0, proven=True)
     n = instance.n_elements
 
     # Root reductions: duplicate covered sets, then forced singletons.
@@ -270,10 +243,6 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     for c in forced:
         remaining &= ~c.covered
     active = [c for c in active if c.covered & remaining]
-
-    if remaining == 0:
-        return _make_plan(instance, forced, mode="exact", nodes=0, proven=True,
-                          metadata={"dedup_removed": n_dupes, "forced": len(forced)})
     forced_cost = math.fsum(c.cost for c in forced)
 
     # Residual greedy incumbent.
@@ -311,7 +280,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
 
     nodes = 0
     budget_exceeded = False
-    stack = [(remaining, 0, 0.0, ())]
+    stack = [(remaining, 0, 0.0, ())] if remaining else []
 
     while stack:
         uncovered, excluded, cost, chosen_idx = stack.pop()

@@ -125,7 +125,7 @@ def test_c05_adsb_single_site(minicity):
     diag = math.hypot(mesh.length_a, mesh.length_b)
     assert diag <= 321.87
     table = build_coverage(mesh, default_catalog().filtered(["ADS-B"]), 0.98, rounding="ceil")
-    plan = solve_exact(PlacementInstance.from_coverage(table, ["ADS-B"]))
+    plan = solve_exact(PlacementInstance.from_coverage(table))
     assert plan.n_sites == 1
     assert plan.total_units == 1
     ok(5, "homogeneous ADS-B places exactly 1 site (mini-city floor mode and all-open ceil mode)")
@@ -191,7 +191,7 @@ def test_c08_monotonicity_suite():
             for scale in (0.95, 1.0, 1.05):
                 cat_s = scale_detection(default_catalog(), scale).filtered(["Radar"])
                 table = build_coverage(mesh, cat_s, 0.98)
-                plan = solve_exact(PlacementInstance.from_coverage(table, ["Radar"]))
+                plan = solve_exact(PlacementInstance.from_coverage(table))
                 assert plan.proven_optimal
                 outcomes[scale] = (plan.total_units, plan.total_cost)
         except InfeasibleCoverage:

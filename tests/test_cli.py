@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gridwatch.cli import main
-from gridwatch.pipeline import run_plan
+from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario
 
 
@@ -183,6 +183,21 @@ def test_econ_uses_plan_capex(bundle):
     assert all(float(r["sensor_capex"]) == 0.0 for r in rows[1:])
 
 
+def test_econ_capex_is_exact_sum_of_install_costs(bundle, capsys):
+    # Plain float summation of ten 0.1s gives 0.9999999999999999; the plan's
+    # own total_cost uses math.fsum, and econ must price that same figure.
+    plan = {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"install_cost_usd": 0.1}} for _ in range(10)],
+    }
+    plan_path = bundle / "tenths.geojson"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    scn = scenario_with(bundle)
+    assert main(["econ", str(scn), "--plan", str(plan_path)]) == 0
+    _, rows = read_csv(bundle / "out" / "cashflow.csv")
+    assert rows[0]["sensor_capex"] == "1.0"
+
+
 def test_econ_rejects_malformed_plan(bundle, capsys):
     bad = bundle / "bad_plan.geojson"
     bad.write_text('{"features": [{}]}', encoding="utf-8")
@@ -237,6 +252,23 @@ def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
     assert main(["sweep", str(scn), "--parameter", "fee", "--values", "100,-1"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
     assert not (bundle / "out").exists()
+
+
+def test_failed_sweep_write_keeps_previous_file(bundle):
+    scn = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
+    rows = sweep(scn, "fee", [100.0, 400.0])
+    path = bundle / "sweep.csv"
+    write_sweep_csv(path, rows)
+    before = path.read_bytes()
+
+    def rows_then_failure():
+        yield rows[0]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_sweep_csv(path, rows_then_failure())
+    assert path.read_bytes() == before
+    assert not list(bundle.glob("*.tmp"))
 
 
 # -- validate and determinism ------------------------------------------------------

@@ -161,7 +161,7 @@ def test_single_block_mesh_has_one_entry_per_sensor():
     assert {e.sensor for e in table.entries} == set(cat.names)
     for e in table.entries:
         assert table.blocks_of(e) == (0,)
-        assert e.install_cost == e.units * cat.get(e.sensor).unit_price_usd
+        assert e.cost == e.units * cat.get(e.sensor).unit_price_usd
 
 
 def test_mean_detection_matches_resummation_oracle():

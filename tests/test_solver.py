@@ -64,6 +64,15 @@ def test_forced_single_candidate():
         plan = solver(inst)
         assert [c.cid for c in plan.chosen] == ["only"]
         assert plan.total_cost == 7.0
+    # Forcing alone proves the plan: no node is searched, and the plan still
+    # reports every key of an exact plan, its bound being the forced cost.
+    plan = solve_exact(inst)
+    assert set(plan.metadata) == {"dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
+    assert plan.metadata["root_lower_bound"] == plan.total_cost
+    assert plan.metadata["forced"] == 1
+    assert plan.metadata["budget_exceeded"] is False
+    assert plan.nodes_explored == 0
+    assert plan.proven_optimal
 
 
 def test_forced_reduction_leaves_residual_search():
@@ -136,11 +145,17 @@ def test_duplicate_cid_rejected():
 
 
 def test_empty_universe_yields_empty_plan():
-    inst = inst_from([], [])
-    for solver in (solve_exact, solve_brute, solve_greedy):
-        plan = solver(inst)
-        assert plan.chosen == ()
-        assert plan.total_cost == 0.0
+    for sets in ([], [("empty", [], 1.0)]):
+        inst = inst_from([], sets)
+        for solver in (solve_exact, solve_brute, solve_greedy):
+            plan = solver(inst)
+            assert plan.chosen == ()
+            assert plan.total_cost == 0.0
+        plan = solve_exact(inst)
+        assert set(plan.metadata) == {"dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
+        assert plan.metadata["root_lower_bound"] == plan.total_cost
+        assert plan.nodes_explored == 0
+        assert plan.proven_optimal
 
 
 def test_node_budget_returns_incumbent_unproven():
@@ -227,17 +242,16 @@ def test_from_coverage_candidate_shape():
     mesh = square_mesh(2, min_range=0.4)
     cat = default_catalog().filtered(["RF", "Acoustic"])
     table = build_coverage(mesh, cat, 0.98)
-    inst = PlacementInstance.from_coverage(table, ["RF", "Acoustic"])
+    inst = PlacementInstance.from_coverage(table)
     assert inst.universe == mesh.in_area_blocks
     assert inst.metadata["sensor_filter"] == ("Acoustic", "RF")
-    by_key = {(e.sensor, e.site): e for e in table.entries}
-    for c in inst.candidates:
+    # The instance holds the table's own entries, in cid order.
+    assert len(inst.candidates) == len(table.entries)
+    ordered = sorted(table.entries, key=lambda e: e.cid)
+    for c, entry in zip(inst.candidates, ordered):
+        assert c is entry
         assert c.cid == f"{c.sensor}@{c.site:06d}"
-        entry = by_key[(c.sensor, c.site)]
-        assert c.cost == entry.install_cost
-        assert c.units == entry.units
-        assert c.covered.bit_count() == entry.n_covered
-        assert c.covered is entry.mask
+        assert c.cost == c.units * cat.get(c.sensor).unit_price_usd
 
 
 @given(
@@ -257,16 +271,19 @@ def test_from_coverage_masks_match_covered_blocks(codes, near, far):
     assert len(inst.candidates) == len(table.entries)
     for c in inst.candidates:
         got = tuple(u for p, u in enumerate(inst.universe) if (c.covered >> p) & 1)
-        assert got == covered_blocks(mesh, cat.get(c.sensor), site_for_block(mesh, c.site))
+        expected = covered_blocks(mesh, cat.get(c.sensor), site_for_block(mesh, c.site))
+        assert got == expected
+        assert c.n_covered == len(expected)
 
 
 def test_from_coverage_respects_filter():
     mesh = square_mesh(2, min_range=0.4)
-    table = build_coverage(mesh, default_catalog(), 0.98)
-    inst = PlacementInstance.from_coverage(table, ["Radar"])
+    table = build_coverage(mesh, default_catalog().filtered(["Radar"]), 0.98)
+    inst = PlacementInstance.from_coverage(table)
     assert {c.sensor for c in inst.candidates} == {"Radar"}
+    assert inst.metadata["sensor_filter"] == ("Radar",)
     with pytest.raises(ValidationError):
-        PlacementInstance.from_coverage(table, ["Radar", "Nope"])
+        default_catalog().filtered(["Radar", "Nope"])
 
 
 # -- dominance filter -----------------------------------------------------------------
@@ -310,7 +327,7 @@ def test_dominance_preserves_optimal_cost_on_mini_mesh():
     names = ["Radar", "RF", "Acoustic", "OpticalCamera"]
     cat = default_catalog().filtered(names)
     table = build_coverage(mesh, cat, 0.98)
-    inst = PlacementInstance.from_coverage(table, names)
+    inst = PlacementInstance.from_coverage(table)
     unfiltered = solve_exact(inst)
     filtered = solve_exact(dominance_filter(inst, cat))
     assert filtered.total_cost == unfiltered.total_cost
