@@ -3,14 +3,13 @@ terrain-conditioned detection probability matrix."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, read_input
 from .mesh import DETECTABLE_TERRAINS, Terrain
 
 #: JSON keys of the detection row, in terrain-code order.
@@ -120,22 +119,19 @@ def _spec_from_dict(raw: dict) -> SensorSpec:
 
 def load_catalog(source) -> SensorCatalog:
     """Load a catalog from a JSON file path or an already-parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid catalog JSON: {exc}") from None
+    doc = source if isinstance(source, dict) else read_input(source, "catalog")
     if not isinstance(doc, dict) or "sensors" not in doc or not isinstance(doc["sensors"], list):
         raise ParseError('catalog JSON must be an object with a "sensors" list')
-    return SensorCatalog(tuple(_spec_from_dict(entry) for entry in doc["sensors"]))
+    try:
+        specs = tuple(_spec_from_dict(entry) for entry in doc["sensors"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed catalog entry: {exc}") from None
+    return SensorCatalog(specs)
 
 
 def default_catalog() -> SensorCatalog:
     """The bundled six-type catalog."""
-    text = resources.files("gridwatch.data").joinpath("catalog.json").read_text(encoding="utf-8")
-    return load_catalog(json.loads(text))
+    return load_catalog(Path(str(resources.files("gridwatch.data").joinpath("catalog.json"))))
 
 
 def scale_detection(catalog: SensorCatalog, factor: float) -> SensorCatalog:

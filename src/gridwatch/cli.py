@@ -3,6 +3,9 @@
 Commands: ``plan`` (mesh + coverage + placement + artifacts), ``econ``
 (cash-flow series for an existing plan), ``sweep`` (sensitivity tables), and
 ``validate`` (check a scenario and its referenced files without solving).
+``validate`` checks everything ``plan`` checks before it builds coverage: the
+scenario and every file it names, the sensor filter, the heatmap sensor and
+the mesh.
 
 Exit codes: 0 success, 2 input or validation failure, 3 infeasible coverage,
 4 node budget exceeded without a proven optimum.  Validation failures print a
@@ -17,7 +20,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import GridwatchError, Infeasible, InfeasibleCoverage, ParseError, ValidationError
+from .errors import GridwatchError, Infeasible, InfeasibleCoverage, ParseError, ValidationError, read_input
+from .mesh import build_mesh
 from .pipeline import run_econ, run_plan, sweep, write_cashflow_csv, write_plan_artifacts, write_sweep_csv
 from .scenario import load_scenario
 
@@ -53,13 +57,10 @@ def cmd_plan(args) -> int:
 
 
 def _plan_capex(plan_path: Path) -> float:
+    doc = read_input(plan_path, "plan file")
     try:
-        doc = json.loads(Path(plan_path).read_text(encoding="utf-8"))
-        features = doc["features"]
-        return math.fsum(f["properties"]["install_cost_usd"] for f in features)
-    except OSError as exc:
-        raise ParseError(f"cannot read plan file: {exc}") from None
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        return math.fsum(f["properties"]["install_cost_usd"] for f in doc["features"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"plan file does not match the plan GeoJSON schema: {exc}") from None
 
 
@@ -100,22 +101,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
-    catalog = scenario.load_sensor_catalog()
-    admitted = scenario.resolve_sensor_filter(catalog)
-    from .econ import load_pricing, load_traffic
-    from .mesh import build_mesh
-
-    load_pricing(scenario.econ.pricing_path)
-    load_traffic(scenario.econ.traffic_path)
-    mesh = build_mesh(
-        scenario.corners,
-        scenario.block_side_km,
-        scenario.terrain_path,
-        catalog.filtered(admitted).min_range_km,
-    )
+    mesh = build_mesh(scenario.corners, scenario.block_side_km, scenario.terrain, scenario.catalog.min_range_km)
     print(
         f"{scenario.name}: ok ({mesh.blocks_x}x{mesh.blocks_y} blocks, "
-        f"{len(mesh.candidate_sites)} candidate sites, sensors: {'+'.join(admitted)})"
+        f"{len(mesh.candidate_sites)} candidate sites, sensors: {'+'.join(sorted(scenario.catalog.names))})"
     )
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import SensorCatalog, SensorSpec
-from .errors import DegenerateDetection, InfeasibleCoverage, ValidationError
+from .errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 from .mesh import AreaMesh, CandidateSite, Terrain
 
 #: Rounding modes for the unit-count formula.  The formula yields a real
@@ -38,6 +38,13 @@ _EDGE_EPS_KM = 1e-12
 # Ratios this close to an integer are snapped before rounding so that
 # analytically integer cases (e.g. log(0.04)/log(0.2) = 2) stay exact.
 _SNAP_REL = 1e-9
+
+# The work and memory of a coverage table grow with sensor types x candidate
+# sites x in-area blocks.  This cap on that product clears the ROADMAP target
+# of 10^4 blocks x 6 types (6x10^8), the 100x100-block acceptance scenario c12
+# (3x10^8) and perfbench's city-10k (2.6x10^8), and stops inputs a few times
+# larger before they exhaust time or memory.  It is a guard, not a setting.
+MAX_COVERAGE_WORK = 10**9
 
 
 def block_detection(mesh: AreaMesh, catalog: SensorCatalog) -> dict:
@@ -196,18 +203,28 @@ def build_coverage(
     no pair at all the table is infeasible: with ``strict`` (the default) an
     :class:`InfeasibleCoverage` error lists the uncovered block indices,
     otherwise the table is returned with its ``uncovered`` field populated.
+    When sensor types x candidate sites x in-area blocks exceeds
+    ``MAX_COVERAGE_WORK``, :class:`TooLarge` is raised before any footprint
+    is computed.
     """
     if not 0.0 < required_detection < 1.0:
         raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
 
+    in_area = mesh.in_area
+    n_in_area = int(np.count_nonzero(in_area))
+    work = len(catalog) * len(mesh.candidate_sites) * n_in_area
+    if work > MAX_COVERAGE_WORK:
+        raise TooLarge(
+            f"coverage of {len(catalog)} sensor type(s) x {len(mesh.candidate_sites)} candidate site(s) x "
+            f"{n_in_area} in-area block(s) = {work:.3g} exceeds the limit of {MAX_COVERAGE_WORK:.0e}"
+        )
     geometry = _BlockGeometry(mesh)
     omegas = block_detection(mesh, catalog)
-    in_area = mesh.in_area
     entries = []
     # Everything below is indexed by in-area position, the masks' bit order.
-    union = np.zeros(int(np.count_nonzero(in_area)), dtype=bool)
+    union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
         for site in mesh.candidate_sites:

@@ -10,13 +10,11 @@ growth compounds from the third.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvariantViolation, ParseError, ValidationError, VolumeAboveTopTier
+from .errors import InvariantViolation, ParseError, ValidationError, VolumeAboveTopTier, read_input
 
 #: Aircraft classes whose surveillance traffic is modeled.
 AIRCRAFT_CLASSES = ("cooperative_manned", "cooperative_uncrewed", "non_cooperative")
@@ -106,7 +104,7 @@ class TrafficProjection:
 
 def load_traffic(source) -> TrafficProjection:
     """Load a traffic projection from a JSON file path or parsed dict."""
-    doc = _load_json(source, "traffic projection")
+    doc = source if isinstance(source, dict) else read_input(source, "traffic projection")
     try:
         per_year = {int(y): {str(k): float(v) for k, v in hours.items()} for y, hours in doc.get("per_year", {}).items()}
         return TrafficProjection(
@@ -118,6 +116,8 @@ def load_traffic(source) -> TrafficProjection:
         )
     except KeyError as exc:
         raise ParseError(f"traffic projection missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed traffic projection field: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class CloudPricingPolicy:
 
 def load_pricing(source) -> CloudPricingPolicy:
     """Load a cloud pricing policy from a JSON file path or parsed dict."""
-    doc = _load_json(source, "pricing policy")
+    doc = source if isinstance(source, dict) else read_input(source, "pricing policy")
     try:
         ingest = doc["ingest"]
         tiers = tuple(IngestTier(float(t["max_bytes"]), float(t["usd_per_year"])) for t in ingest["tiers"])
@@ -188,7 +188,7 @@ def load_pricing(source) -> CloudPricingPolicy:
             database_usd_per_byte=float(doc["database"]["usd_per_byte"]),
             reporting_usd_per_subscriber_month=float(doc["reporting"]["usd_per_subscriber_month"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"pricing policy missing or malformed field: {exc}") from None
 
 
@@ -358,16 +358,3 @@ def scenario_npv(
         cloud_low=cloud_low,
         cloud_high=cloud_high,
     )
-
-
-def _load_json(source, what: str):
-    if isinstance(source, dict):
-        return source
-    try:
-        text = Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {what}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid {what} JSON: {exc}") from None

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all gridwatch modules.
+"""Exception hierarchy shared by all gridwatch modules, and the one reader of
+input files.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 structured error JSON without string-matching messages.
 """
+
+import json
+from pathlib import Path
 
 
 class GridwatchError(Exception):
@@ -68,7 +72,9 @@ class Infeasible(GridwatchError):
 
 
 class TooLarge(GridwatchError):
-    """Instance exceeds the size limit of the exhaustive oracle solver."""
+    """Input exceeds a size limit: the coverage table's work cap
+    (``coverage.MAX_COVERAGE_WORK``) or the exhaustive oracle solver's
+    candidate limit."""
 
     code = "TOO_LARGE"
 
@@ -77,3 +83,16 @@ class VolumeAboveTopTier(GridwatchError):
     """Yearly data volume exceeds the top ingest tier and no overflow rate is configured."""
 
     code = "VOLUME_ABOVE_TOP_TIER"
+
+
+def read_input(path, what: str, as_json: bool = True):
+    """Parsed JSON of the input file at ``path``, or its text when ``as_json`` is
+    false.  ``what`` names the file in the message of the :class:`ParseError`
+    raised for an unreadable, non-UTF-8 or malformed-JSON file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what} JSON in {path}: {exc}") from None

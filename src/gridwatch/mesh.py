@@ -12,12 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, ParseError, RangeTooSmall, ValidationError
+from .errors import DimensionMismatch, InvariantViolation, ParseError, RangeTooSmall, ValidationError, read_input
 from .geo import GeoPoint, PlanePoint, project, unproject
 
 
@@ -52,7 +51,7 @@ def _cells_to_span(length: float, cell: float) -> int:
 def load_terrain_grid(path) -> np.ndarray:
     """Read a terrain CSV (rows of integer codes, row 0 = southernmost) into an int array."""
     rows = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path, "terrain grid", as_json=False)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -68,11 +67,15 @@ def load_terrain_grid(path) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise ParseError(f"{path}: ragged terrain grid (expected {width} columns on every row)")
     grid = np.array(rows, dtype=np.int64)
+    _check_codes(grid, f"{path}: ")
+    return grid
+
+
+def _check_codes(grid: np.ndarray, where: str = "") -> None:
     valid = {t.value for t in Terrain}
     bad = sorted(set(np.unique(grid).tolist()) - valid)
     if bad:
-        raise ParseError(f"{path}: unknown terrain code(s) {bad}; expected codes in {sorted(valid)}")
-    return grid
+        raise ParseError(f"{where}unknown terrain code(s) {bad}; expected codes in {sorted(valid)}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,10 @@ def build_mesh(
 ) -> AreaMesh:
     """Build the projected mesh for four geographic corners.
 
-    ``terrain_grid`` is either a path to a terrain CSV or an integer array of
-    shape (blocks_y, blocks_x).  ``min_sensor_range`` must be at least
-    block_side/sqrt(2) so a sensor at a block center can reach the block's own
-    corners; smaller ranges would leave guaranteed blind spots.
+    ``terrain_grid`` is an integer array of shape (blocks_y, blocks_x).
+    ``min_sensor_range`` must be at least block_side/sqrt(2) so a sensor at a
+    block center can reach the block's own corners; smaller ranges would leave
+    guaranteed blind spots.
     """
     corners = tuple(corners)
     if len(corners) != 4:
@@ -202,14 +205,8 @@ def build_mesh(
     blocks_x = _cells_to_span(length_a, block_side)
     blocks_y = _cells_to_span(length_b, block_side)
 
-    if isinstance(terrain_grid, (str, Path)):
-        grid = load_terrain_grid(terrain_grid)
-    else:
-        grid = np.asarray(terrain_grid, dtype=np.int64)
-        valid = {t.value for t in Terrain}
-        bad = sorted(set(np.unique(grid).tolist()) - valid)
-        if bad:
-            raise ParseError(f"unknown terrain code(s) {bad}")
+    grid = np.asarray(terrain_grid, dtype=np.int64)
+    _check_codes(grid)
     if grid.shape != (blocks_y, blocks_x):
         raise DimensionMismatch(
             f"terrain grid is {grid.shape[0]}x{grid.shape[1]} but the mesh has "

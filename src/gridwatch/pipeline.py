@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .catalog import SensorCatalog, scale_detection
 from .coverage import CoverageTable, block_detection, build_coverage
-from .econ import ScenarioEconomics, load_pricing, load_traffic, scenario_npv
+from .econ import ScenarioEconomics, scenario_npv
 from .errors import ValidationError
 from .geo import PlanePoint, unproject
 from .mesh import AreaMesh, build_mesh, mesh_to_geojson
@@ -37,8 +37,7 @@ SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 @dataclass(frozen=True)
 class PlanResult:
     scenario: Scenario
-    catalog: SensorCatalog
-    admitted: tuple
+    catalog: SensorCatalog  # the admitted sensors, scaled by detection_scale
     mesh: AreaMesh
     coverage: CoverageTable
     instance: PlacementInstance
@@ -47,21 +46,19 @@ class PlanResult:
 
 def run_plan(scenario: Scenario) -> PlanResult:
     """Build mesh and coverage for a scenario and solve the placement problem."""
-    catalog = scenario.load_sensor_catalog()
+    catalog = scenario.catalog
     if scenario.detection_scale != 1.0:
         catalog = scale_detection(catalog, scenario.detection_scale)
-    admitted = scenario.resolve_sensor_filter(catalog)
-    working = catalog.filtered(admitted)
     mesh = build_mesh(
         corners=scenario.corners,
         block_side=scenario.block_side_km,
-        terrain_grid=scenario.terrain_path,
-        min_sensor_range=working.min_range_km,
+        terrain_grid=scenario.terrain,
+        min_sensor_range=catalog.min_range_km,
     )
-    coverage = build_coverage(mesh, working, scenario.required_detection, scenario.rounding)
+    coverage = build_coverage(mesh, catalog, scenario.required_detection, scenario.rounding)
     instance = PlacementInstance.from_coverage(coverage)
     if scenario.apply_dominance_filter:
-        instance = dominance_filter(instance, working)
+        instance = dominance_filter(instance, catalog)
     if scenario.solver_mode == "greedy":
         plan = solve_greedy(instance)
     else:
@@ -69,7 +66,6 @@ def run_plan(scenario: Scenario) -> PlanResult:
     return PlanResult(
         scenario=scenario,
         catalog=catalog,
-        admitted=admitted,
         mesh=mesh,
         coverage=coverage,
         instance=instance,
@@ -143,7 +139,7 @@ def write_heatmap_csv(path: Path, mesh: AreaMesh, catalog: SensorCatalog, sensor
 
 def write_summary_csv(path: Path, result: PlanResult) -> None:
     plan = result.plan
-    sensor_filter = "+".join(result.admitted)
+    sensor_filter = "+".join(sorted(result.catalog.names))
     with _atomic_open(path) as fp:
         fp.write("city,sensor_filter,n_sites,n_sensor_units,total_cost_usd,proven_optimal\n")
         fp.write(
@@ -154,9 +150,6 @@ def write_summary_csv(path: Path, result: PlanResult) -> None:
 
 def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     """Write mesh/plan GeoJSON and heatmap/summary/coverage CSVs; returns the paths."""
-    heatmap_sensor = result.scenario.heatmap_sensor or result.admitted[0]
-    if heatmap_sensor not in result.admitted:
-        raise ValidationError(f"heatmap sensor {heatmap_sensor!r} is not among admitted sensors {result.admitted}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -168,7 +161,7 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     }
     write_json(paths["mesh"], mesh_to_geojson(result.mesh))
     write_json(paths["plan"], plan_to_geojson(result.plan, result.mesh))
-    write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, heatmap_sensor)
+    write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, result.scenario.heatmap_sensor)
     write_summary_csv(paths["summary"], result)
     with _atomic_open(paths["coverage"]) as fp:
         result.coverage.write_csv(fp)
@@ -183,8 +176,8 @@ def run_econ(scenario: Scenario, plan_cost: float) -> ScenarioEconomics:
     e = scenario.econ
     return scenario_npv(
         plan_cost=plan_cost,
-        traffic=load_traffic(e.traffic_path),
-        policy=load_pricing(e.pricing_path),
+        traffic=e.traffic,
+        policy=e.pricing,
         n0=e.initial_subscribers,
         fee_usd_month=e.monthly_fee_usd,
         growth_low=e.growth_low,

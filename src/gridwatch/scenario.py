@@ -1,5 +1,30 @@
 """Scenario files: one JSON document drives a whole planning run.
 
+:func:`load_scenario` is the one place where input is read and checked, so a
+scenario it returns can be planned, priced and swept without opening another
+file.  It reads, each once and each through :func:`errors.read_input`:
+
+* the scenario JSON itself;
+* the terrain grid CSV named by ``area.terrain_grid``;
+* the sensor catalog JSON named by ``catalog`` (the bundled catalog when absent);
+* the pricing policy and traffic projection JSON named by ``econ.pricing`` and
+  ``econ.traffic``.
+
+The :class:`Scenario` carries them parsed: the terrain as an int array, the
+catalog cut to the sensors ``sensor_filter`` admits (de-duplicated, not yet
+scaled by ``detection_scale``), the heatmap sensor resolved and checked
+against it, and the pricing and traffic objects in :class:`EconConfig`.
+
+Error codes it raises:
+
+* ``PARSE_ERROR``: a file cannot be read, is not UTF-8 or is malformed, or the
+  scenario lacks a required field or has one of the wrong type;
+* ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
+  or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
+  catalog lacks or admits none, or the heatmap sensor is not admitted;
+* ``INVARIANT_VIOLATION``: catalog, pricing or traffic content breaks an
+  invariant of the object it builds (e.g. a detection probability of 1).
+
 Relative paths inside a scenario (terrain grid, catalog, pricing, traffic) are
 resolved against the scenario file's own directory, so scenario bundles can be
 moved around as a unit.  ``output_dir`` and the CLI's ``--out`` are the
@@ -8,16 +33,19 @@ exception: they are relative to the working directory.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .catalog import SensorCatalog, default_catalog, load_catalog
 from .coverage import ROUNDING_MODES
-from .econ import SUBSCRIBER_ROUNDINGS
-from .errors import ParseError, ValidationError
+from .econ import SUBSCRIBER_ROUNDINGS, CloudPricingPolicy, TrafficProjection, load_pricing, load_traffic
+from .errors import ParseError, ValidationError, read_input
 from .geo import GeoPoint
+from .mesh import load_terrain_grid
 from .solver import DEFAULT_NODE_BUDGET
 
 SOLVER_MODES = ("exact", "greedy")
@@ -36,8 +64,8 @@ class EconConfig:
     discount_rate: float
     growth_lag_years: int
     subscriber_rounding: str
-    pricing_path: Path
-    traffic_path: Path
+    pricing: CloudPricingPolicy
+    traffic: TrafficProjection
 
 
 @dataclass(frozen=True)
@@ -45,54 +73,54 @@ class Scenario:
     name: str
     corners: tuple
     block_side_km: float
-    terrain_path: Path
-    catalog_path: Optional[Path]
-    sensor_filter: object  # keyword string or tuple of names
+    terrain: np.ndarray = field(repr=False, compare=False)  # int codes, shape (blocks_y, blocks_x)
+    catalog: SensorCatalog  # the admitted sensors, unscaled
+    heatmap_sensor: str
     required_detection: float
     rounding: str
     detection_scale: float
     apply_dominance_filter: bool
     solver_mode: str
     node_budget: int
-    heatmap_sensor: Optional[str]
     econ: EconConfig
     output_dir: Path
 
-    def load_sensor_catalog(self) -> SensorCatalog:
-        return load_catalog(self.catalog_path) if self.catalog_path else default_catalog()
 
-    def resolve_sensor_filter(self, catalog: SensorCatalog) -> tuple:
-        """Admitted sensor names, sorted, after applying the filter keyword or list."""
-        if self.sensor_filter == "all":
-            names = catalog.names
-        elif self.sensor_filter == "noncooperative_capable":
-            names = tuple(s.name for s in catalog if s.tracks_noncooperative)
-            if not names:
-                raise ValidationError("no sensor in the catalog can track non-cooperative aircraft")
-        else:
-            unknown = set(self.sensor_filter) - set(catalog.names)
-            if unknown:
-                raise ValidationError(f"sensor filter names not in catalog: {sorted(unknown)}")
-            if not self.sensor_filter:
-                raise ValidationError("sensor filter list must not be empty")
-            names = tuple(self.sensor_filter)
-        return tuple(sorted(names))
-
-
-def _resolve(base: Path, value: str) -> Path:
+def _input_file(base: Path, value: str, label: str) -> Path:
     p = Path(value)
-    return p if p.is_absolute() else base / p
+    p = p if p.is_absolute() else base / p
+    if not p.is_file():
+        raise ValidationError(f"{label} file not found: {p}")
+    return p
+
+
+def _admitted(catalog: SensorCatalog, sensor_filter) -> SensorCatalog:
+    """The catalog cut to the sensors a filter keyword or name list admits."""
+    if sensor_filter == "all":
+        return catalog
+    if sensor_filter == "noncooperative_capable":
+        names = [s.name for s in catalog if s.tracks_noncooperative]
+        if not names:
+            raise ValidationError("no sensor in the catalog can track non-cooperative aircraft")
+    elif isinstance(sensor_filter, str):
+        raise ValidationError(
+            f"sensor_filter must be a list of names or one of {SENSOR_FILTER_KEYWORDS}, got {sensor_filter!r}"
+        )
+    else:
+        names = [str(n) for n in sensor_filter]
+        unknown = set(names) - set(catalog.names)
+        if unknown:
+            raise ValidationError(f"sensor filter names not in catalog: {sorted(unknown)}")
+        if not names:
+            raise ValidationError("sensor filter list must not be empty")
+    return catalog.filtered(names)
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    """Read and validate a scenario JSON file, applying CLI scalar overrides."""
+    """Read and check a scenario JSON file and every file it names, applying CLI
+    scalar overrides."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid scenario JSON: {exc}") from None
+    doc = read_input(path, "scenario")
     base = path.parent
     overrides = overrides or {}
 
@@ -104,24 +132,27 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         corners = tuple(GeoPoint(float(lon), float(lat)) for lon, lat in raw_corners)
         econ_doc = doc["econ"]
         solver_doc = doc.get("solver", {})
+        terrain = load_terrain_grid(_input_file(base, area["terrain_grid"], "terrain grid"))
+        catalog = _admitted(
+            load_catalog(_input_file(base, doc["catalog"], "catalog")) if "catalog" in doc else default_catalog(),
+            doc.get("sensor_filter", "all"),
+        )
+        heatmap_sensor = doc.get("heatmap_sensor") or min(catalog.names)
+        if heatmap_sensor not in catalog.names:
+            raise ValidationError(f"heatmap sensor {heatmap_sensor!r} is not among admitted {sorted(catalog.names)}")
         scenario = Scenario(
             name=str(doc.get("name", path.stem)),
             corners=corners,
             block_side_km=float(area["block_side_km"]),
-            terrain_path=_resolve(base, area["terrain_grid"]),
-            catalog_path=_resolve(base, doc["catalog"]) if "catalog" in doc else None,
-            sensor_filter=(
-                doc.get("sensor_filter", "all")
-                if isinstance(doc.get("sensor_filter", "all"), str)
-                else tuple(str(n) for n in doc["sensor_filter"])
-            ),
+            terrain=terrain,
+            catalog=catalog,
+            heatmap_sensor=heatmap_sensor,
             required_detection=float(overrides.get("required_detection", doc.get("required_detection", 0.98))),
             rounding=str(doc.get("rounding", "ceil")),
             detection_scale=float(doc.get("detection_scale", 1.0)),
             apply_dominance_filter=bool(doc.get("apply_dominance_filter", False)),
             solver_mode=str(solver_doc.get("mode", "exact")),
             node_budget=int(solver_doc.get("node_budget", DEFAULT_NODE_BUDGET)),
-            heatmap_sensor=doc.get("heatmap_sensor"),
             econ=EconConfig(
                 start_year=int(econ_doc.get("start_year", 2024)),
                 horizon_years=int(econ_doc.get("horizon_years", 10)),
@@ -132,14 +163,14 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 discount_rate=float(econ_doc.get("discount_rate", 0.10)),
                 growth_lag_years=int(econ_doc.get("growth_lag_years", 1)),
                 subscriber_rounding=str(econ_doc.get("subscriber_rounding", "exact")),
-                pricing_path=_resolve(base, econ_doc["pricing"]),
-                traffic_path=_resolve(base, econ_doc["traffic"]),
+                pricing=load_pricing(_input_file(base, econ_doc["pricing"], "pricing policy")),
+                traffic=load_traffic(_input_file(base, econ_doc["traffic"], "traffic projection")),
             ),
             output_dir=Path(overrides.get("output_dir", doc.get("output_dir", "out"))),
         )
     except KeyError as exc:
         raise ParseError(f"scenario missing required field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed scenario field: {exc}") from None
 
     _validate(scenario)
@@ -147,6 +178,17 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
 
 
 def _validate(s: Scenario) -> None:
+    e = s.econ
+    for label, value in (
+        ("detection_scale", s.detection_scale),
+        ("econ.monthly_fee_usd", e.monthly_fee_usd),
+        ("econ.initial_subscribers", e.initial_subscribers),
+        ("econ.growth_low", e.growth_low),
+        ("econ.growth_high", e.growth_high),
+        ("econ.discount_rate", e.discount_rate),
+    ):
+        if not math.isfinite(value):
+            raise ValidationError(f"{label} must be finite, got {value}")
     if not 0.0 < s.required_detection < 1.0:
         raise ValidationError(f"required_detection must be in (0, 1), got {s.required_detection}")
     if s.rounding not in ROUNDING_MODES:
@@ -157,11 +199,6 @@ def _validate(s: Scenario) -> None:
         raise ValidationError(f"solver mode must be one of {SOLVER_MODES}, got {s.solver_mode!r}")
     if s.node_budget < 1:
         raise ValidationError(f"node_budget must be at least 1, got {s.node_budget}")
-    if isinstance(s.sensor_filter, str) and s.sensor_filter not in SENSOR_FILTER_KEYWORDS:
-        raise ValidationError(
-            f"sensor_filter must be a list of names or one of {SENSOR_FILTER_KEYWORDS}, got {s.sensor_filter!r}"
-        )
-    e = s.econ
     if e.horizon_years < 1:
         raise ValidationError(f"econ.horizon_years must be at least 1, got {e.horizon_years}")
     if not 0 <= e.growth_low <= e.growth_high:
@@ -176,11 +213,6 @@ def _validate(s: Scenario) -> None:
         raise ValidationError(f"econ.initial_subscribers must be non-negative, got {e.initial_subscribers}")
     if e.discount_rate <= -1:
         raise ValidationError(f"econ.discount_rate must exceed -1, got {e.discount_rate}")
-    for label, p in (("terrain grid", s.terrain_path), ("pricing policy", e.pricing_path), ("traffic projection", e.traffic_path)):
-        if not Path(p).is_file():
-            raise ValidationError(f"{label} file not found: {p}")
-    if s.catalog_path and not Path(s.catalog_path).is_file():
-        raise ValidationError(f"catalog file not found: {s.catalog_path}")
 
 
 def with_overrides(scenario: Scenario, **kwargs) -> Scenario:

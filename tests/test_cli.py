@@ -1,9 +1,13 @@
+import builtins
+import io
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
+from gridwatch import pipeline
 from gridwatch.cli import main
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario
@@ -327,3 +331,140 @@ def test_heatmap_sensor_must_be_admitted(bundle, capsys):
     assert main(["plan", str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
     assert not (bundle / "out").exists()
+
+
+# -- input checks before any solve or write -------------------------------------
+
+# json.dumps writes nan and inf as the JSON extensions NaN and Infinity.
+NON_FINITE_CASES = (
+    [pytest.param(["--fee", v], {}, id=f"cli-fee-{v}") for v in ("nan", "inf")]
+    + [pytest.param([], {"detection_scale": v}, id=f"json-detection_scale-{v}") for v in (math.nan, math.inf)]
+    + [
+        pytest.param([], {"econ": {field: v}}, id=f"json-{field}-{v}")
+        for field in ("monthly_fee_usd", "initial_subscribers", "growth_low", "growth_high", "discount_rate")
+        for v in (math.nan, math.inf)
+    ]
+)
+
+
+@pytest.mark.parametrize("args,changes", NON_FINITE_CASES)
+def test_non_finite_scalars_exit_2(bundle, capsys, args, changes):
+    scn = scenario_with(bundle, **changes)
+    empty_plan = bundle / "empty_plan.geojson"
+    empty_plan.write_text(json.dumps({"type": "FeatureCollection", "features": []}), encoding="utf-8")
+    assert main(["validate", str(scn), *args]) == 2
+    assert main(["econ", str(scn), "--plan", str(empty_plan), *args]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["VALIDATION_ERROR", "VALIDATION_ERROR"]
+    assert not (bundle / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"solver": {"mode": "exact", "node_budget": math.inf}}, {"econ": {"horizon_years": math.inf}}],
+    ids=["node_budget", "horizon_years"],
+)
+def test_infinite_integer_field_is_a_parse_error(bundle, capsys, changes):
+    # int(nan) was already a PARSE_ERROR; int(inf) raised OverflowError.
+    scn = scenario_with(bundle, **changes)
+    assert main(["validate", str(scn)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PARSE_ERROR"
+
+
+def test_sweep_non_finite_fee_exits_2_before_writing(bundle, capsys):
+    scn = scenario_with(bundle, sensor_filter=["RF"])
+    assert main(["sweep", str(scn), "--parameter", "fee", "--values", "100,nan"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+    assert not (bundle / "out").exists()
+
+
+def test_oversized_area_exits_2_too_large_before_writing(bundle, capsys):
+    from helpers import corners_for
+
+    # 200x200 open blocks under the six-type default catalog: 6 x 40 000 x 40 000.
+    (bundle / "big.csv").write_text("\n".join(",".join("0" * 200) for _ in range(200)) + "\n", encoding="utf-8")
+    area = {"corners": [[c.lon, c.lat] for c in corners_for(60.0, 60.0)], "block_side_km": 0.3, "terrain_grid": "big.csv"}
+    scn = scenario_with(bundle, area=area)
+    assert main(["plan", str(scn)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TOO_LARGE"
+    assert "40000 candidate site(s)" in err["message"]
+    assert not (bundle / "out").exists()
+
+
+def test_duplicate_filter_name_is_admitted_once(bundle, capsys):
+    scn = scenario_with(bundle, sensor_filter=["RF", "RF"])
+    assert main(["validate", str(scn)]) == 0
+    assert "sensors: RF)" in capsys.readouterr().out
+    assert main(["plan", str(scn)]) == 0
+    _, rows = read_csv(bundle / "out" / "summary.csv")
+    assert rows[0]["sensor_filter"] == "RF"
+
+
+def test_unadmitted_heatmap_sensor_fails_before_coverage(bundle, capsys, monkeypatch):
+    scn = scenario_with(bundle, sensor_filter=["RF"], heatmap_sensor="Nope")
+    assert main(["validate", str(scn)]) == 2
+
+    def no_coverage(*args, **kwargs):
+        raise AssertionError("coverage built for a scenario that fails its checks")
+
+    monkeypatch.setattr(pipeline, "build_coverage", no_coverage)
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["VALIDATION_ERROR", "VALIDATION_ERROR"]
+    assert not (bundle / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["scenario", "catalog", "terrain", "pricing", "traffic"])
+def test_non_utf8_input_file_is_a_parse_error(bundle, capsys, target):
+    shutil.copy(bundled_minicity_path().parent / "catalog.json", bundle / "catalog.json")
+    scn = scenario_with(bundle, catalog="catalog.json")
+    files = {
+        "scenario": scn,
+        "catalog": bundle / "catalog.json",
+        "terrain": bundle / "minicity_terrain.csv",
+        "pricing": bundle / "pricing.json",
+        "traffic": bundle / "traffic.json",
+    }
+    files[target].write_bytes(b"\xff" + files[target].read_bytes())
+    assert main(["validate", str(scn)]) == 2
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["PARSE_ERROR", "PARSE_ERROR"]
+    assert not (bundle / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target,edit",
+    [
+        ("catalog", lambda doc: doc["sensors"][0].update(range_km="far")),
+        ("pricing", lambda doc: doc["ingest"]["tiers"][0].update(max_bytes="lots")),
+        ("traffic", lambda doc: doc["hours"].update(non_cooperative="many")),
+    ],
+    ids=["catalog", "pricing", "traffic"],
+)
+def test_malformed_input_value_is_a_parse_error(bundle, capsys, target, edit):
+    shutil.copy(bundled_minicity_path().parent / "catalog.json", bundle / "catalog.json")
+    scn = scenario_with(bundle, catalog="catalog.json")
+    path = bundle / f"{target}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(scn)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PARSE_ERROR"
+    assert target in err["message"]
+
+
+def test_stages_after_load_open_no_file(bundle, monkeypatch):
+    scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a file was opened after load_scenario")
+
+    monkeypatch.setattr(io, "open", no_open)
+    monkeypatch.setattr(builtins, "open", no_open)
+    result = run_plan(scenario)
+    pipeline.run_econ(scenario, result.plan.total_cost)
+    rows = sweep(scenario, "r", [0.96, 0.99]) + sweep(scenario, "fee", [100.0])
+    assert [r.parameter for r in rows] == ["r", "r", "fee"]

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
+from gridwatch import coverage
 from gridwatch.coverage import block_detection, build_coverage, covered_blocks, redundancy
-from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, ValidationError
+from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 
 
 # -- detection probabilities ---------------------------------------------------
@@ -236,3 +237,15 @@ def test_required_detection_validated():
         build_coverage(mesh, default_catalog(), 1.0)
     with pytest.raises(ValidationError):
         build_coverage(mesh, default_catalog(), 0.98, rounding="sideways")
+
+
+def test_size_guard_raises_before_any_footprint(monkeypatch):
+    # 6 types x 40 000 sites x 40 000 blocks = 9.6e9, over the 1e9 cap.
+    mesh = square_mesh(200, min_range=0.4)
+
+    def no_footprints(*args):
+        raise AssertionError("coverage started computing footprints")
+
+    monkeypatch.setattr(coverage, "_BlockGeometry", no_footprints)
+    with pytest.raises(TooLarge, match=r"6 sensor type\(s\) x 40000 candidate site\(s\) x 40000 in-area block\(s\)"):
+        build_coverage(mesh, default_catalog(), 0.98)
