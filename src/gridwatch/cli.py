@@ -59,9 +59,15 @@ def cmd_plan(args) -> int:
 def _plan_capex(plan_path: Path) -> float:
     doc = read_input(plan_path, "plan file")
     try:
-        return math.fsum(f["properties"]["install_cost_usd"] for f in doc["features"])
-    except (KeyError, TypeError, ValueError) as exc:
+        costs = [f["properties"]["install_cost_usd"] for f in doc["features"]]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"plan file does not match the plan GeoJSON schema: {exc}") from None
+    for cost in costs:
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+            raise ParseError(f"plan file install_cost_usd must be a number, got {cost!r}")
+        if not math.isfinite(cost):
+            raise ValidationError(f"plan file install_cost_usd must be finite, got {cost}")
+    return math.fsum(costs)
 
 
 def cmd_econ(args) -> int:

@@ -326,8 +326,8 @@ def scenario_npv(
         raise ValidationError(f"horizon must be at least 1 year, got {horizon_years}")
     if not 0 <= growth_low <= growth_high:
         raise ValidationError(f"growth band must satisfy 0 <= low <= high, got ({growth_low}, {growth_high})")
-    if plan_cost < 0:
-        raise ValidationError(f"plan cost must be non-negative, got {plan_cost}")
+    if not math.isfinite(plan_cost) or plan_cost < 0:
+        raise ValidationError(f"plan cost must be finite and non-negative, got {plan_cost}")
     years = tuple(range(start_year, start_year + horizon_years))
 
     def band(growth: float) -> tuple:

@@ -7,8 +7,9 @@ install cost.  Candidates are the :class:`Candidate` records ``coverage.py``
 defines, whose covered sets are Python-int bitmasks over positions in the
 instance's universe tuple.  For an instance built from a coverage table the
 universe is ``mesh.in_area_blocks`` and the candidates are the table's own
-entries, sorted by cid.  Node expansion is therefore integer AND/OR/popcount
-work.
+entries, sorted by cid.  Node expansion is integer AND/OR work plus one
+batched pricing pass per node: the blocks each child newly covers are priced
+together by looking up the bytes of their masks in a table of block prices.
 
 ``solve_exact`` is the one exact path: root reductions (duplicate covered
 sets, forced unique coverers), then branch and bound on the residual.
@@ -35,6 +36,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # Pruning slack: a node is cut only when its lower bound exceeds the incumbent
 # by more than accumulated float drift could explain.  Equal-cost subtrees are
 # therefore explored, which also lets the incumbent improve its tie-break key.
+# The drift includes that of the incremental child bound: a child's bound is
+# its parent's less the price of what it newly covers, so at depth d it is off
+# from a fresh sum by about d ulps of the root bound, far below this slack.
 _PRUNE_REL = 1e-9
 
 
@@ -214,6 +218,33 @@ def _dedup_identical(candidates: Sequence[Candidate]):
     return kept, len(candidates) - len(kept)
 
 
+def _batch_pricer(price: np.ndarray):
+    """Function that prices a list of masks in one pass: for each mask, the
+    sum of ``price`` over its set bits.
+
+    Row j of the table holds the price sum of every subset of positions
+    8j..8j+7, indexed by that subset's byte, so pricing a mask is one lookup
+    per nonzero byte instead of unpacking it to booleans.  Zero bytes are
+    skipped: what one candidate newly covers is a small part of a large
+    universe, so work and temporaries follow the covered sets, not the
+    universe size times the number of masks."""
+    n_bytes = (len(price) + 7) // 8
+    padded = np.zeros(8 * n_bytes)
+    padded[: len(price)] = price
+    table = np.zeros((n_bytes, 256))
+    for b in range(8):
+        np.add(table[:, : 1 << b], padded[b::8, None], out=table[:, 1 << b : 2 << b])
+    table = table.ravel()
+
+    def price_of(masks: list) -> np.ndarray:
+        raw = np.frombuffer(b"".join([m.to_bytes(n_bytes, "little") for m in masks]), dtype=np.uint8)
+        at = np.flatnonzero(raw)
+        row, col = np.divmod(at, n_bytes)
+        return np.bincount(row, weights=table[256 * col + raw[at]], minlength=len(masks))
+
+    return price_of
+
+
 def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
     """Cost-minimal placement via depth-first branch and bound.
 
@@ -223,8 +254,11 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     covering candidates, trying coverers in order of marginal cost per newly
     covered block; sibling subtrees exclude the coverers already tried so the
     search partitions the space.  The lower bound is a per-block
-    cheapest-marginal-cost sum.  Exceeding ``node_budget`` returns the
-    incumbent with proven_optimal=False.
+    cheapest-marginal-cost sum.  Each stack entry carries its bound; a node
+    prices all its children in one batched pass, takes each child's bound as
+    its own less the price of what the child newly covers, and drops the
+    children that cannot beat the incumbent before any per-child work.
+    Exceeding ``node_budget`` returns the incumbent with proven_optimal=False.
     """
     _check_coverable(instance)
     n = instance.n_elements
@@ -259,53 +293,60 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
         price[flags] = np.minimum(price[flags], share)
     price = np.where(np.isfinite(price), price, 0.0)
 
-    def bound_of(mask: int) -> float:
-        return float(price[mask_to_bools(mask, n)].sum())
-
-    root_lower = forced_cost + bound_of(remaining)
+    root_bound = float(price[mask_to_bools(remaining, n)].sum())
+    root_lower = forced_cost + root_bound
 
     branch_order = sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
+    cost_of = np.array([c.cost for c in active])
     coverer_cache = {}
 
-    def coverers_of(p: int) -> list:
+    def coverers_of(p: int) -> tuple:
+        """Indices into ``active`` of the coverers of block ``p``, ascending,
+        and the mask with those indices set."""
         got = coverer_cache.get(p)
         if got is None:
             bit = 1 << p
-            got = [ci for ci, c in enumerate(active) if c.covered & bit]
+            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
+            got = (idx, sum(1 << ci for ci in idx))
             coverer_cache[p] = got
         return got
 
-    def margin() -> float:
-        return _PRUNE_REL * max(1.0, abs(inc_cost))
+    def prune_at() -> float:
+        return inc_cost + _PRUNE_REL * max(1.0, abs(inc_cost))
 
+    threshold = prune_at()
+    price_of = _batch_pricer(price)
     nodes = 0
     budget_exceeded = False
-    stack = [(remaining, 0, 0.0, ())] if remaining else []
+    # A stack entry: (uncovered, excluded, cost, chosen_idx, bound), where
+    # bound is the price of ``uncovered``.
+    stack = [(remaining, 0, 0.0, (), root_bound)] if remaining else []
 
     while stack:
-        uncovered, excluded, cost, chosen_idx = stack.pop()
+        uncovered, excluded, cost, chosen_idx, bound = stack.pop()
         nodes += 1
         if nodes > node_budget:
             budget_exceeded = True
             break
-        if forced_cost + cost + bound_of(uncovered) >= inc_cost + margin():
+        if forced_cost + cost + bound >= threshold:
             continue
         branch_pos = None
         for p in branch_order:
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
+        coverers, coverer_mask = coverers_of(branch_pos)
+        # Price every admissible child at once; a child's bound is this
+        # node's bound less the price of what the child newly covers.
+        batch = [ci for ci in coverers if not (excluded >> ci) & 1]
+        child_bound = bound - price_of([active[ci].covered & uncovered for ci in batch])
+        child_lower = forced_cost + (cost + cost_of[batch]) + child_bound
         children = []
-        tried = 0
-        for ci in coverers_of(branch_pos):
-            if (excluded >> ci) & 1:
-                continue
+        for j in np.flatnonzero(child_lower < threshold).tolist():
+            ci = batch[j]
             c = active[ci]
-            newly = c.covered & uncovered
             child_cost = cost + c.cost
             child_uncovered = uncovered & ~c.covered
-            child_excluded = excluded | tried
-            tried |= 1 << ci
             if child_uncovered == 0:
                 total = forced_cost + child_cost
                 cand_ids = tuple(sorted([active[i].cid for i in chosen_idx] + [c.cid] + [f.cid for f in forced]))
@@ -313,11 +354,15 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
                 if key < inc_key:
                     incumbent = list(forced) + [active[i] for i in chosen_idx] + [c]
                     inc_cost, inc_key = total, key
+                    threshold = prune_at()
                 continue
-            if forced_cost + child_cost + bound_of(child_uncovered) >= inc_cost + margin():
+            # The incumbent may have improved at an earlier sibling.
+            if child_lower[j] >= threshold:
                 continue
-            ratio = c.cost / newly.bit_count()
-            children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,))))
+            # Siblings earlier in ``batch`` are excluded below this child.
+            child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
+            ratio = c.cost / (c.covered & uncovered).bit_count()
+            children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
 

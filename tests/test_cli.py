@@ -210,6 +210,25 @@ def test_econ_rejects_malformed_plan(bundle, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "PARSE_ERROR"
 
 
+
+@pytest.mark.parametrize(
+    "cost_json,code",
+    [("NaN", "VALIDATION_ERROR"), ("Infinity", "VALIDATION_ERROR"), ("-Infinity", "VALIDATION_ERROR"), ("true", "PARSE_ERROR")],
+)
+def test_econ_rejects_non_finite_or_non_number_install_cost(bundle, capsys, cost_json, code):
+    # json.dumps would refuse NaN in strict mode, so the literal is written as is.
+    plan_path = bundle / "odd_cost.geojson"
+    plan_path.write_text(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {"install_cost_usd": %s}}]}' % cost_json,
+        encoding="utf-8",
+    )
+    scn = scenario_with(bundle)
+    assert main(["econ", str(scn), "--plan", str(plan_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == code
+    assert not (bundle / "out" / "cashflow.csv").exists()
+    assert not (bundle / "out").exists()
+
+
 # -- sweep ----------------------------------------------------------------------
 
 

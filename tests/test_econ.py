@@ -361,3 +361,9 @@ def test_scenario_npv_validation():
         run_scenario(-1.0)
     with pytest.raises(ValidationError):
         scenario_npv(0, default_traffic(), default_policy(), 100, 400, 0.1, 0.2, 0.1, 0, 2024)
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+def test_scenario_npv_rejects_non_finite_plan_cost(cost):
+    with pytest.raises(ValidationError):
+        run_scenario(cost)

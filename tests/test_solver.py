@@ -2,17 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from helpers import make_spec, site_for_block, square_mesh
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
-from gridwatch.coverage import build_coverage, covered_blocks
+from gridwatch.coverage import build_coverage, covered_blocks, mask_to_bools
 from gridwatch.errors import Infeasible, TooLarge, ValidationError
 from gridwatch.solver import (
     Candidate,
     PlacementInstance,
+    _batch_pricer,
     dominance_filter,
     solve_brute,
     solve_exact,
@@ -233,6 +235,70 @@ def test_multiplicity_counts_every_chosen_coverer():
     plan = solve_exact(inst)
     assert plan.multiplicity == (1, 2, 1)
     assert plan.covers_universe
+
+
+def test_exact_matches_brute_on_tied_integer_costs():
+    """Integer costs make many plans tie; universes cross byte and 64-bit
+    word boundaries of the covered-set masks."""
+    rng = random.Random(2312)
+    for _ in range(400):
+        n_el = rng.randint(1, 150)
+        universe = list(range(n_el))
+        sets = [(f"c{i:02d}", rng.sample(universe, rng.randint(1, n_el)), rng.randint(1, 4)) for i in range(rng.randint(1, 15))]
+        sets.append(("zz", universe, rng.randint(4, 16)))
+        inst = inst_from(universe, sets)
+        exact = solve_exact(inst)
+        brute = solve_brute(inst)
+        assert exact.proven_optimal
+        assert (exact.total_cost, len(exact.chosen), [c.cid for c in exact.chosen]) == (
+            brute.total_cost, len(brute.chosen), [c.cid for c in brute.chosen]
+        )
+
+
+def test_node_with_every_branch_coverer_excluded():
+    # The search reaches a node whose branch block's coverers were all tried
+    # by earlier siblings, so it has no child to price.
+    sets = [
+        ("c0", [0, 2, 3, 4, 5], 7.0),
+        ("c1", [1, 4, 5], 5.0),
+        ("c2", [0, 3, 5], 9.0),
+        ("c3", [2], 4.0),
+        ("c4", [0, 1, 3, 5], 3.0),
+    ]
+    plan = solve_exact(inst_from(range(6), sets))
+    assert plan.total_cost == 10.0
+    assert [c.cid for c in plan.chosen] == ["c0", "c4"]
+    assert plan.nodes_explored == 4
+    assert plan.proven_optimal
+
+
+def test_budget_stopped_search_on_coverage_is_pinned():
+    """The nodes the search visits, not only the plan it returns, are fixed:
+    a 16x16 mixed-land mesh stopped mid-search must end exactly here."""
+    rng = random.Random(0)
+    codes = [[rng.choice([0, 0, 2, 2, 3, 4]) for _ in range(16)] for _ in range(16)]
+    mesh = square_mesh(16, codes)
+    table = build_coverage(mesh, default_catalog().filtered(["Radar", "Acoustic", "OpticalCamera"]), 0.98)
+    plan = solve_exact(PlacementInstance.from_coverage(table), node_budget=2000)
+    assert plan.total_cost == 885000.0
+    assert [c.cid for c in plan.chosen] == ["Acoustic@000254", "Radar@000085", "Radar@000125", "Radar@000245"]
+    assert plan.nodes_explored == 2001
+    assert plan.metadata["budget_exceeded"] is True
+    assert not plan.proven_optimal
+    assert repr(plan.metadata["root_lower_bound"]) == "444899.5267195311"
+
+
+
+def test_batch_pricer_matches_boolean_sum():
+    # Sizes on both sides of byte and 64-bit word boundaries; the table sums
+    # in another order than numpy's pairwise sum, so equality is to a few ulps.
+    rng = random.Random(8)
+    for n in (1, 7, 8, 9, 63, 64, 65, 150, 401):
+        price = np.array([rng.uniform(0.0, 10.0) for _ in range(n)])
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        expected = [price[mask_to_bools(m, n)].sum() for m in masks]
+        assert _batch_pricer(price)(masks) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert _batch_pricer(np.ones(5))([]).shape == (0,)
 
 
 # -- instances from coverage tables --------------------------------------------------
