@@ -4,7 +4,8 @@ For every pair this module derives the set of blocks whose four corners all
 lie within the sensor's range, the mean detection probability over that set,
 the complementary misdetection probability, and the number of sensor units
 needed at the site to push the at-least-one-detection probability up to the
-required level.
+required level.  Sites are block centres, so each type's covered sets come
+from one stencil of block offsets, checked against :func:`covered_blocks`.
 
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
@@ -59,42 +60,36 @@ def block_detection(mesh: AreaMesh, catalog: SensorCatalog) -> dict:
     return table
 
 
-class _BlockGeometry:
-    """Precomputed per-block corner bounds along each axis."""
+def _footprint(range_km: float, block_side: float, limit: int) -> np.ndarray:
+    """Boolean (2n+1)x(2n+1) grid, n = min(ceil(range_km / block_side), limit), of the
+    block offsets (dj, dk) whose farthest corner from a block centre, at
+    ((|dk|+1/2)L, (|dj|+1/2)L), lies within ``range_km + _EDGE_EPS_KM``.
 
-    def __init__(self, mesh: AreaMesh):
-        L = mesh.block_side
-        self.x_lo = mesh.x0 + np.arange(mesh.blocks_x, dtype=np.float64) * L
-        self.x_hi = self.x_lo + L
-        self.y_lo = mesh.y0 + np.arange(mesh.blocks_y, dtype=np.float64) * L
-        self.y_hi = self.y_lo + L
-        self.in_area = mesh.in_area.reshape(mesh.blocks_y, mesh.blocks_x)
-        self.mesh = mesh
-
-    def covered(self, site_x: float, site_y: float, range_km: float) -> np.ndarray:
-        """Boolean grid of in-area blocks whose farthest corner is within range."""
-        mesh = self.mesh
-        L = mesh.block_side
-        j_lo = max(0, int(math.floor((site_y - range_km - mesh.y0) / L)) - 1)
-        j_hi = min(mesh.blocks_y, int(math.ceil((site_y + range_km - mesh.y0) / L)) + 1)
-        k_lo = max(0, int(math.floor((site_x - range_km - mesh.x0) / L)) - 1)
-        k_hi = min(mesh.blocks_x, int(math.ceil((site_x + range_km - mesh.x0) / L)) + 1)
-        out = np.zeros((mesh.blocks_y, mesh.blocks_x), dtype=bool)
-        if j_lo >= j_hi or k_lo >= k_hi:
-            return out
-        # Farthest corner of each block from the site, per axis.
-        dx = np.maximum(np.abs(site_x - self.x_lo[k_lo:k_hi]), np.abs(site_x - self.x_hi[k_lo:k_hi]))
-        dy = np.maximum(np.abs(site_y - self.y_lo[j_lo:j_hi]), np.abs(site_y - self.y_hi[j_lo:j_hi]))
-        limit = (range_km + _EDGE_EPS_KM) ** 2
-        window = dx[None, :] ** 2 + dy[:, None] ** 2 <= limit
-        out[j_lo:j_hi, k_lo:k_hi] = window & self.in_area[j_lo:j_hi, k_lo:k_hi]
-        return out
+    ``limit`` is the grid's larger side: no farther offset lands on the grid,
+    and unclipped, ADS-B on 0.3 km blocks would need a 2147x2147 grid.  The
+    stencil agrees with :func:`covered_blocks`, which measures from absolute
+    coordinates, only because ``_EDGE_EPS_KM`` exceeds the rounding error of
+    a site-minus-corner coordinate (about 1e-14 km at city scale).
+    """
+    n = min(math.ceil(range_km / block_side), limit)
+    far = (np.abs(np.arange(-n, n + 1)) + 0.5) * block_side
+    return far[None, :] ** 2 + far[:, None] ** 2 <= (range_km + _EDGE_EPS_KM) ** 2
 
 
 def covered_blocks(mesh: AreaMesh, sensor: SensorSpec, site: CandidateSite) -> tuple:
-    """Indices of in-area blocks fully inside the sensor's range from ``site``."""
-    grid = _BlockGeometry(mesh).covered(site.x, site.y, sensor.range_km)
-    return tuple(int(z) for z in np.nonzero(grid.reshape(-1))[0])
+    """Indices of in-area blocks fully inside the sensor's range from ``site``.
+
+    The literal definition over the whole grid: every mesh point's distance
+    from the site, then the blocks whose four corner points are all in range.
+    It is the reference the stencil-built masks of :func:`build_coverage` are
+    checked against, and shares no geometry code with it.
+    """
+    L = mesh.block_side
+    x = mesh.x0 + np.arange(mesh.n_a, dtype=np.float64) * L
+    y = mesh.y0 + np.arange(mesh.n_b, dtype=np.float64) * L
+    near = (x[None, :] - site.x) ** 2 + (y[:, None] - site.y) ** 2 <= (sensor.range_km + _EDGE_EPS_KM) ** 2
+    corners_in = near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
+    return tuple(int(z) for z in np.flatnonzero(corners_in.reshape(-1) & mesh.in_area))
 
 
 def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str = "ceil") -> int:
@@ -220,19 +215,29 @@ def build_coverage(
             f"coverage of {len(catalog)} sensor type(s) x {len(mesh.candidate_sites)} candidate site(s) x "
             f"{n_in_area} in-area block(s) = {work:.3g} exceeds the limit of {MAX_COVERAGE_WORK:.0e}"
         )
-    geometry = _BlockGeometry(mesh)
+    bx, by = mesh.blocks_x, mesh.blocks_y
+    # In-area position of every block, the masks' bit order; -1 outside the area.
+    position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
     omegas = block_detection(mesh, catalog)
     entries = []
-    # Everything below is indexed by in-area position, the masks' bit order.
     union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
+        stencil = _footprint(spec.range_km, mesh.block_side, max(bx, by))
+        n = stencil.shape[0] // 2
         for site in mesh.candidate_sites:
-            flags = geometry.covered(site.x, site.y, spec.range_km).reshape(-1)[in_area]
-            if not flags.any():
+            j, k = divmod(site.block, bx)
+            j_lo, j_hi, k_lo, k_hi = max(0, j - n), min(by, j + n + 1), max(0, k - n), min(bx, k + n + 1)
+            window = position[j_lo:j_hi, k_lo:k_hi]
+            part = stencil[j_lo - j + n : j_hi - j + n, k_lo - k + n : k_hi - k + n]
+            # Row-major over the window, so ascending: zeta sums in mask order.
+            covered = window[part & (window >= 0)]
+            if not covered.size:
                 continue
+            flags = np.zeros(n_in_area, dtype=bool)
+            flags[covered] = True
             union |= flags
-            zeta = float(omega[flags].mean())
+            zeta = float(omega[covered].mean())
             units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
             entries.append(
                 Candidate(
@@ -249,9 +254,4 @@ def build_coverage(
     uncovered = tuple(np.flatnonzero(in_area)[~union].tolist())
     if uncovered and strict:
         raise InfeasibleCoverage(uncovered)
-    return CoverageTable(
-        mesh=mesh,
-        catalog=catalog,
-        entries=tuple(entries),
-        uncovered=uncovered,
-    )
+    return CoverageTable(mesh=mesh, catalog=catalog, entries=tuple(entries), uncovered=uncovered)

@@ -170,7 +170,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         )
     except KeyError as exc:
         raise ParseError(f"scenario missing required field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed scenario field: {exc}") from None
 
     _validate(scenario)

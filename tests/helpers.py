@@ -26,16 +26,21 @@ def corners_for(width_km, height_km, lon0=-84.0, lat0=39.0):
     )
 
 
-def square_mesh(blocks, terrain=None, block_side=0.3, min_range=None):
-    """Square mesh of blocks x blocks; terrain defaults to all-open."""
+def rect_mesh(blocks_x, blocks_y, terrain=None, block_side=0.3, min_range=None):
+    """Mesh of blocks_x wide by blocks_y tall; terrain, shape (blocks_y, blocks_x),
+    defaults to all-open."""
     if terrain is None:
-        terrain = np.zeros((blocks, blocks), dtype=int)
+        terrain = np.zeros((blocks_y, blocks_x), dtype=int)
     else:
         terrain = np.asarray(terrain, dtype=int)
     if min_range is None:
         min_range = block_side
-    span = blocks * block_side
-    return build_mesh(corners_for(span, span), block_side, terrain, min_range)
+    return build_mesh(corners_for(blocks_x * block_side, blocks_y * block_side), block_side, terrain, min_range)
+
+
+def square_mesh(blocks, terrain=None, block_side=0.3, min_range=None):
+    """Square mesh of blocks x blocks; terrain defaults to all-open."""
+    return rect_mesh(blocks, blocks, terrain, block_side, min_range)
 
 
 def uniform_detect(p):

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import io
 import json
 import math
@@ -345,6 +346,28 @@ def test_repeated_runs_are_byte_identical(bundle):
         assert (bundle / "one" / name).read_bytes() == (bundle / "two" / name).read_bytes(), name
 
 
+def test_artifact_bytes_are_pinned(bundle):
+    """Recorded digests of a non-square, mixed-terrain plan under the default
+    catalog.  Repeated runs agree with each other even after a change that
+    moves a zeta by one ulp or a covered set by one block; this does not."""
+    from helpers import corners_for
+
+    # 7 blocks wide, 5 tall, with OUTSIDE_AREA (-1) and WATER (1) cells.
+    terrain = "0,0,2,1,1,-1,-1\n0,2,4,4,1,0,-1\n3,2,4,4,2,0,0\n3,3,2,0,2,1,0\n-1,3,0,0,0,1,0\n"
+    (bundle / "wide.csv").write_text(terrain, encoding="utf-8")
+    area = {"corners": [[c.lon, c.lat] for c in corners_for(2.1, 1.5)], "block_side_km": 0.3, "terrain_grid": "wide.csv"}
+    assert main(["plan", str(scenario_with(bundle, area=area))]) == 0
+    digests = {
+        name: hashlib.sha256((bundle / "out" / name).read_bytes()).hexdigest()
+        for name in ("coverage.csv", "plan.geojson", "summary.csv")
+    }
+    assert digests == {
+        "coverage.csv": "43d6c81a1f764cb140a55ad275eb92c7016b3debb28421a2c36a9bbe5c67f965",
+        "plan.geojson": "2c7e3bd0f50a14d5be8661cbfd18745561099fd85695827bebe186df3fc74642",
+        "summary.csv": "b363b7b4466fb7b43d7e0b27e40592e6de5ab53fdc3d558e08b70234b903ebc5",
+    }
+
+
 def test_heatmap_sensor_must_be_admitted(bundle, capsys):
     scn = scenario_with(bundle, sensor_filter=["RF"], heatmap_sensor="Radar", output_dir=str(bundle / "out"))
     assert main(["plan", str(scn)]) == 2
@@ -388,6 +411,23 @@ def test_infinite_integer_field_is_a_parse_error(bundle, capsys, changes):
     scn = scenario_with(bundle, **changes)
     assert main(["validate", str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "PARSE_ERROR"
+
+
+@pytest.mark.parametrize(
+    "section,value",
+    [("econ", []), ("econ", "x"), ("solver", []), ("solver", 5)],
+    ids=["econ-list", "econ-str", "solver-list", "solver-int"],
+)
+def test_section_of_wrong_json_type_is_a_parse_error(bundle, capsys, section, value):
+    scn = scenario_with(bundle)
+    doc = json.loads(scn.read_text(encoding="utf-8"))
+    doc[section] = value
+    scn.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(scn)]) == 2
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["PARSE_ERROR", "PARSE_ERROR"]
+    assert not (bundle / "out").exists()
 
 
 def test_sweep_non_finite_fee_exits_2_before_writing(bundle, capsys):

@@ -246,6 +246,6 @@ def test_size_guard_raises_before_any_footprint(monkeypatch):
     def no_footprints(*args):
         raise AssertionError("coverage started computing footprints")
 
-    monkeypatch.setattr(coverage, "_BlockGeometry", no_footprints)
+    monkeypatch.setattr(coverage, "_footprint", no_footprints)
     with pytest.raises(TooLarge, match=r"6 sensor type\(s\) x 40000 candidate site\(s\) x 40000 in-area block\(s\)"):
         build_coverage(mesh, default_catalog(), 0.98)

@@ -4,8 +4,8 @@ import random
 
 import numpy as np
 import pytest
-from helpers import make_spec, site_for_block, square_mesh
-from hypothesis import given
+from helpers import make_spec, rect_mesh, site_for_block, square_mesh
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
@@ -320,17 +320,40 @@ def test_from_coverage_candidate_shape():
         assert c.cost == c.units * cat.get(c.sensor).unit_price_usd
 
 
-@given(
-    codes=st.lists(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4]), min_size=4, max_size=4), min_size=4, max_size=4),
-    near=st.floats(0.25, 0.7),
-    far=st.floats(0.7, 1.4),
-)
-def test_from_coverage_masks_match_covered_blocks(codes, near, far):
+@st.composite
+def coverage_layouts(draw):
+    """A grid of 1-7 by 1-7 blocks, square or not, of random terrain with land
+    in its four corner cells, so sites sit on every edge, and two ranges:
+    one a float, one the distance L*hypot(a+1/2, b+1/2) to the far corner of
+    an on-grid offset, nudged by at most 2e-12 km, which straddles the
+    1e-12 km edge tolerance."""
+    blocks_x, blocks_y = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    codes = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4]), min_size=blocks_x, max_size=blocks_x),
+            min_size=blocks_y,
+            max_size=blocks_y,
+        )
+    )
+    for row, col in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        codes[row][col] = 0
+    block_side = draw(st.sampled_from([0.3, 0.1, 0.25, 0.7, 1.3]))
+    a, b = draw(st.integers(0, blocks_x - 1)), draw(st.integers(0, blocks_y - 1))
+    nudge = draw(st.sampled_from([-1e-13, 0.0, 1e-13, -2e-12, 2e-12]))
+    edge = block_side * math.hypot(a + 0.5, b + 0.5) + nudge
+    return blocks_x, blocks_y, codes, block_side, edge, draw(st.floats(0.25, 1.4)) * block_side / 0.3
+
+
+@given(layout=coverage_layouts())
+@example(layout=(5, 3, [[0] * 5] * 3, 0.3, 0.3 * math.hypot(1.5, 0.5) - 1e-13, 0.5))
+@example(layout=(2, 6, [[0, 0], [1, -1], [0, 2], [3, 4], [-1, 1], [0, 0]], 0.7, 0.7 * math.hypot(1.5, 3.5), 0.9))
+def test_from_coverage_masks_match_covered_blocks(layout):
     """Set bits mapped through the universe give the geometric covered set,
-    also where OUTSIDE_AREA and WATER cells shift in-area positions."""
-    codes[0][0] = 0  # keep at least one candidate site
-    mesh = square_mesh(4, codes, min_range=near)
-    cat = SensorCatalog((make_spec(name="Far", range_km=far), make_spec(name="Near", range_km=near)))
+    also where OUTSIDE_AREA and WATER cells shift in-area positions, on
+    non-square grids, at every grid edge and at the corner-distance boundary."""
+    blocks_x, blocks_y, codes, block_side, edge, free = layout
+    mesh = rect_mesh(blocks_x, blocks_y, codes, block_side=block_side)
+    cat = SensorCatalog((make_spec(name="Edge", range_km=edge), make_spec(name="Free", range_km=free)))
     table = build_coverage(mesh, cat, 0.98, strict=False)
     inst = PlacementInstance.from_coverage(table)
     assert inst.universe == mesh.in_area_blocks
@@ -340,6 +363,11 @@ def test_from_coverage_masks_match_covered_blocks(codes, near, far):
         expected = covered_blocks(mesh, cat.get(c.sensor), site_for_block(mesh, c.site))
         assert got == expected
         assert c.n_covered == len(expected)
+    # Every site whose footprint is non-empty keeps its entry.
+    for spec in cat:
+        assert {c.site for c in inst.candidates if c.sensor == spec.name} == {
+            s.block for s in mesh.candidate_sites if covered_blocks(mesh, spec, s)
+        }
 
 
 def test_from_coverage_respects_filter():
