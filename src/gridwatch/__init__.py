@@ -32,8 +32,8 @@ from .errors import (
     VolumeAboveTopTier,
 )
 from .geo import EARTH_RADIUS_KM, GeoPoint, PlanePoint, distance, project, unproject
-from .mesh import AreaMesh, CandidateSite, Terrain, build_mesh, load_terrain_grid, mesh_to_geojson
-from .pipeline import PlanResult, run_econ, run_plan, sweep, write_plan_artifacts
+from .mesh import AreaMesh, CandidateSite, Terrain, build_mesh, load_terrain_grid
+from .pipeline import PlanResult, mesh_to_geojson, run_econ, run_plan, sweep, write_plan_artifacts
 from .scenario import Scenario, bundled_minicity_path, load_scenario
 from .solver import (
     Candidate,

@@ -7,9 +7,10 @@ Commands: ``plan`` (mesh + coverage + placement + artifacts), ``econ``
 scenario and every file it names, the sensor filter, the heatmap sensor and
 the mesh.
 
-Exit codes: 0 success, 2 input or validation failure, 3 infeasible coverage,
-4 node budget exceeded without a proven optimum.  Validation failures print a
-machine-readable JSON object on stderr.
+Exit codes: 0 success, 2 input or validation failure (an output path that
+cannot be written included), 3 infeasible coverage, 4 node budget exceeded
+without a proven optimum.  Validation failures print a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ def cmd_econ(args) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
     capex = _plan_capex(args.plan)
     econ = run_econ(scenario, capex)
-    outdir = Path(scenario.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path = outdir / "cashflow.csv"
+    out_path = Path(scenario.output_dir) / "cashflow.csv"
     write_cashflow_csv(out_path, econ)
     be_low = econ.low.break_even_year
     be_high = econ.high.break_even_year
@@ -97,9 +96,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"sweep values must be numbers: {exc}") from None
     rows = sweep(scenario, args.parameter, values)
-    outdir = Path(scenario.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path = outdir / "sweep.csv"
+    out_path = Path(scenario.output_dir) / "sweep.csv"
     write_sweep_csv(out_path, rows)
     print(f"  sweep: {out_path}")
     return EXIT_OK

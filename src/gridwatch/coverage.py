@@ -13,7 +13,8 @@ positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
 stays integer AND/OR/popcount work.  The three conversions between masks,
-boolean arrays and positions are defined here and nowhere else.
+boolean arrays and positions are defined here and nowhere else.  The table
+is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -175,13 +176,6 @@ class CoverageTable:
         """Block ids covered by ``entry``, ascending."""
         blocks = self.mesh.in_area_blocks
         return tuple(blocks[p] for p in mask_positions(entry.covered))
-
-    def write_csv(self, fp) -> None:
-        fp.write("sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n")
-        for e in self.entries:
-            fp.write(
-                f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{e.misdetect!r},{e.units},{e.cost!r}\n"
-            )
 
 
 def build_coverage(

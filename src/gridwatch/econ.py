@@ -278,6 +278,9 @@ class CashFlowSeries:
         for v in npv:
             running += v
             cumulative.append(running)
+        # A non-finite flow or an overflowing sum leaves the running total non-finite.
+        if not math.isfinite(running):
+            raise ValidationError(f"cash flows over {len(self.years)} year(s) are not finite floats")
         object.__setattr__(self, "npv", npv)
         object.__setattr__(self, "cumulative_npv", tuple(cumulative))
 

@@ -5,6 +5,7 @@ coordinates, tiled with square blocks of side ``block_side`` km.  Terrain
 arrives as a row-major integer grid (row 0 = southernmost block row); a code
 of -1 marks blocks outside the irregular area boundary.  Every in-area,
 non-water block contributes one candidate sensor site at its center.
+``pipeline.mesh_to_geojson`` formats the mesh as ``mesh.geojson``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError, RangeTooSmall, ValidationError, read_input
-from .geo import GeoPoint, PlanePoint, project, unproject
+from .geo import GeoPoint, PlanePoint, project
 
 
 class Terrain(enum.IntEnum):
@@ -137,21 +138,12 @@ class AreaMesh:
         base = j * self.n_a + k
         return (base, base + 1, base + self.n_a, base + self.n_a + 1)
 
-    def block_bounds(self, z: int) -> tuple:
-        """(x_lo, y_lo, x_hi, y_hi) of block z in plane km."""
-        j, k = divmod(z, self.blocks_x)
-        L = self.block_side
-        return (self.x0 + k * L, self.y0 + j * L, self.x0 + (k + 1) * L, self.y0 + (j + 1) * L)
-
     def block_center(self, z: int) -> PlanePoint:
         j, k = divmod(z, self.blocks_x)
         L = self.block_side
         return PlanePoint(self.x0 + (k + 0.5) * L, self.y0 + (j + 0.5) * L)
 
     # -- terrain -------------------------------------------------------------
-
-    def block_terrain(self, z: int) -> Terrain:
-        return Terrain(int(self.terrain[z]))
 
     @property
     def in_area(self) -> np.ndarray:
@@ -234,28 +226,3 @@ def build_mesh(
         terrain=terrain,
         candidate_sites=tuple(sites),
     )
-
-
-def mesh_to_geojson(mesh: AreaMesh) -> dict:
-    """GeoJSON FeatureCollection of block polygons with terrain and in-area flags."""
-    features = []
-    for z in range(mesh.n_blocks):
-        x_lo, y_lo, x_hi, y_hi = mesh.block_bounds(z)
-        ring = [
-            unproject(PlanePoint(x_lo, y_lo), mesh.origin),
-            unproject(PlanePoint(x_hi, y_lo), mesh.origin),
-            unproject(PlanePoint(x_hi, y_hi), mesh.origin),
-            unproject(PlanePoint(x_lo, y_hi), mesh.origin),
-        ]
-        coords = [[p.lon, p.lat] for p in ring]
-        coords.append(coords[0])
-        terrain = mesh.block_terrain(z)
-        features.append(
-            {
-                "type": "Feature",
-                "id": z,
-                "geometry": {"type": "Polygon", "coordinates": [coords]},
-                "properties": {"terrain": terrain.label, "in_area": terrain != Terrain.OUTSIDE_AREA},
-            }
-        )
-    return {"type": "FeatureCollection", "features": features}

@@ -1,8 +1,11 @@
 """End-to-end orchestration: mesh build, coverage, solve, economics, sweeps.
 
-All artifact writers are deterministic: repeated runs of the same scenario
-produce byte-identical files (sorted JSON keys, repr-formatted floats, no
-timestamps).  A writer that fails leaves the file it was replacing intact.
+This module is the one writer of artifacts: each is formatted here and streamed
+through :func:`_atomic_open`, the one place that creates the output directory.
+Writers are deterministic: repeated runs of the same scenario produce
+byte-identical files (sorted JSON keys, repr-formatted floats, no timestamps).
+A writer that fails leaves the file it was replacing intact, and an output
+path that cannot be written is a :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .coverage import CoverageTable, block_detection, build_coverage
 from .econ import ScenarioEconomics, scenario_npv
 from .errors import ValidationError
 from .geo import PlanePoint, unproject
-from .mesh import AreaMesh, build_mesh, mesh_to_geojson
+from .mesh import AreaMesh, Terrain, build_mesh
 from .scenario import Scenario, with_overrides
 from .solver import PlacementInstance, PlacementPlan, dominance_filter, solve_exact, solve_greedy
 
@@ -75,13 +78,37 @@ def run_plan(scenario: Scenario) -> PlanResult:
 
 # -- artifact writers ---------------------------------------------------------
 
+_TERRAIN_LABELS = {t.value: t.label for t in Terrain}
+
+
+def mesh_to_geojson(mesh: AreaMesh) -> dict:
+    """GeoJSON FeatureCollection of block polygons with terrain and in-area flags.
+    Block corners are lattice points and :func:`unproject` maps x to longitude
+    and y to latitude alone, so each lattice column and row is unprojected once."""
+    L = mesh.block_side
+    lon = [unproject(PlanePoint(mesh.x0 + k * L, mesh.y0), mesh.origin).lon for k in range(mesh.n_a)]
+    lat = [unproject(PlanePoint(mesh.x0, mesh.y0 + j * L), mesh.origin).lat for j in range(mesh.n_b)]
+    features = []
+    for z, code in enumerate(mesh.terrain.tolist()):
+        j, k = divmod(z, mesh.blocks_x)
+        west, east, south, north = lon[k], lon[k + 1], lat[j], lat[j + 1]
+        ring = [[west, south], [east, south], [east, north], [west, north], [west, south]]
+        features.append(
+            {
+                "type": "Feature",
+                "id": z,
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+                "properties": {"terrain": _TERRAIN_LABELS[code], "in_area": code != Terrain.OUTSIDE_AREA},
+            }
+        )
+    return {"type": "FeatureCollection", "features": features}
+
 
 def plan_to_geojson(plan: PlacementPlan, mesh: AreaMesh) -> dict:
     """Chosen sites as a GeoJSON FeatureCollection of points."""
     features = []
     for c in plan.chosen:
-        center = mesh.block_center(c.site)
-        geo = unproject(PlanePoint(center.x, center.y), mesh.origin)
+        geo = unproject(mesh.block_center(c.site), mesh.origin)
         features.append(
             {
                 "type": "Feature",
@@ -110,31 +137,37 @@ def plan_to_geojson(plan: PlacementPlan, mesh: AreaMesh) -> dict:
 @contextlib.contextmanager
 def _atomic_open(path):
     """Text file that replaces ``path`` only if the block succeeds: written to
-    ``<name>.tmp`` beside it, moved into place by ``os.replace``, else deleted."""
+    ``<name>.tmp`` beside it, moved into place by ``os.replace``, else deleted.
+    Creates the parent directory; an OS error becomes a :class:`ValidationError`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fp:
             yield fp
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # under a parent that is a file, unlink fails too
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
         raise
 
 
 def write_json(path: Path, doc: dict) -> None:
     with _atomic_open(path) as fp:
-        fp.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        json.dump(doc, fp, sort_keys=True, indent=2)
+        fp.write("\n")
 
 
 def write_heatmap_csv(path: Path, mesh: AreaMesh, catalog: SensorCatalog, sensor: str) -> None:
     """Per-block detection probability for one sensor type (0 outside the area)."""
-    omega = block_detection(mesh, catalog)[sensor]
+    omega = block_detection(mesh, catalog)[sensor].tolist()
     with _atomic_open(path) as fp:
         fp.write("block_index,row,col,terrain,detection_probability\n")
-        for z in range(mesh.n_blocks):
+        for z, (code, w) in enumerate(zip(mesh.terrain.tolist(), omega)):
             j, k = divmod(z, mesh.blocks_x)
-            fp.write(f"{z},{j},{k},{mesh.block_terrain(z).label},{float(omega[z])!r}\n")
+            fp.write(f"{z},{j},{k},{_TERRAIN_LABELS[code]},{w!r}\n")
 
 
 def write_summary_csv(path: Path, result: PlanResult) -> None:
@@ -148,10 +181,16 @@ def write_summary_csv(path: Path, result: PlanResult) -> None:
         )
 
 
+def write_coverage_csv(path, table: CoverageTable) -> None:
+    with _atomic_open(path) as fp:
+        fp.write("sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n")
+        for e in table.entries:
+            fp.write(f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{e.misdetect!r},{e.units},{e.cost!r}\n")
+
+
 def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     """Write mesh/plan GeoJSON and heatmap/summary/coverage CSVs; returns the paths."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "mesh": outdir / "mesh.geojson",
         "plan": outdir / "plan.geojson",
@@ -163,8 +202,7 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
     write_json(paths["plan"], plan_to_geojson(result.plan, result.mesh))
     write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, result.scenario.heatmap_sensor)
     write_summary_csv(paths["summary"], result)
-    with _atomic_open(paths["coverage"]) as fp:
-        result.coverage.write_csv(fp)
+    write_coverage_csv(paths["coverage"], result.coverage)
     return paths
 
 

@@ -21,7 +21,10 @@ Error codes it raises:
   scenario lacks a required field or has one of the wrong type;
 * ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
   or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
-  catalog lacks or admits none, or the heatmap sensor is not admitted;
+  catalog lacks or admits none, the heatmap sensor is not admitted, or the
+  growth or discount factor compounded over the horizon is not a finite
+  nonzero float;
+* ``TOO_LARGE``: ``econ.horizon_years`` exceeds ``MAX_HORIZON_YEARS``;
 * ``INVARIANT_VIOLATION``: catalog, pricing or traffic content breaks an
   invariant of the object it builds (e.g. a detection probability of 1).
 
@@ -43,7 +46,7 @@ import numpy as np
 from .catalog import SensorCatalog, default_catalog, load_catalog
 from .coverage import ROUNDING_MODES
 from .econ import SUBSCRIBER_ROUNDINGS, CloudPricingPolicy, TrafficProjection, load_pricing, load_traffic
-from .errors import ParseError, ValidationError, read_input
+from .errors import ParseError, TooLarge, ValidationError, read_input
 from .geo import GeoPoint
 from .mesh import load_terrain_grid
 from .solver import DEFAULT_NODE_BUDGET
@@ -51,6 +54,9 @@ from .solver import DEFAULT_NODE_BUDGET
 SOLVER_MODES = ("exact", "greedy")
 
 SENSOR_FILTER_KEYWORDS = ("all", "noncooperative_capable")
+
+# Longest cash-flow horizon: the econ stage builds per-year series of this length.
+MAX_HORIZON_YEARS = 1000
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,8 @@ def _validate(s: Scenario) -> None:
         raise ValidationError(f"node_budget must be at least 1, got {s.node_budget}")
     if e.horizon_years < 1:
         raise ValidationError(f"econ.horizon_years must be at least 1, got {e.horizon_years}")
+    if e.horizon_years > MAX_HORIZON_YEARS:
+        raise TooLarge(f"econ.horizon_years {e.horizon_years} exceeds the limit of {MAX_HORIZON_YEARS}")
     if not 0 <= e.growth_low <= e.growth_high:
         raise ValidationError(f"econ growth band must satisfy 0 <= low <= high, got ({e.growth_low}, {e.growth_high})")
     if e.subscriber_rounding not in SUBSCRIBER_ROUNDINGS:
@@ -213,6 +221,18 @@ def _validate(s: Scenario) -> None:
         raise ValidationError(f"econ.initial_subscribers must be non-negative, got {e.initial_subscribers}")
     if e.discount_rate <= -1:
         raise ValidationError(f"econ.discount_rate must exceed -1, got {e.discount_rate}")
+    # Growth and discount factors compound over the horizon; each must stay a
+    # finite, nonzero float or the cash-flow series overflows or divides by 0.
+    for label, rate in (("econ.growth_high", e.growth_high), ("econ.discount_rate", e.discount_rate)):
+        try:
+            factor = (1.0 + rate) ** e.horizon_years
+        except OverflowError:
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
+            raise ValidationError(
+                f"(1 + {label}) ** econ.horizon_years is not a finite nonzero float "
+                f"({label} = {rate}, horizon {e.horizon_years} years)"
+            )
 
 
 def with_overrides(scenario: Scenario, **kwargs) -> Scenario:

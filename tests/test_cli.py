@@ -278,19 +278,36 @@ def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
     assert not (bundle / "out").exists()
 
 
-def test_failed_sweep_write_keeps_previous_file(bundle):
+def _sweep_csv_then_failure(bundle):
     scn = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
     rows = sweep(scn, "fee", [100.0, 400.0])
     path = bundle / "sweep.csv"
     write_sweep_csv(path, rows)
-    before = path.read_bytes()
 
     def rows_then_failure():
         yield rows[0]
         raise RuntimeError("interrupted")
 
-    with pytest.raises(RuntimeError):
-        write_sweep_csv(path, rows_then_failure())
+    return path, lambda: write_sweep_csv(path, rows_then_failure()), RuntimeError
+
+
+def _json_then_failure(bundle):
+    # json.dump streams into the file, so the encoder has written the first
+    # features before it reaches the object it cannot serialise.
+    path = bundle / "doc.json"
+    features = [{"id": i, "properties": {"n": i}} for i in range(200)]
+    pipeline.write_json(path, {"features": features})
+    return path, lambda: pipeline.write_json(path, {"features": features + [object()]}), TypeError
+
+
+@pytest.mark.parametrize(
+    "make_failure", [_sweep_csv_then_failure, _json_then_failure], ids=["write_sweep_csv", "write_json"]
+)
+def test_failed_sweep_write_keeps_previous_file(bundle, make_failure):
+    path, write_then_fail, error = make_failure(bundle)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_then_fail()
     assert path.read_bytes() == before
     assert not list(bundle.glob("*.tmp"))
 
@@ -359,10 +376,12 @@ def test_artifact_bytes_are_pinned(bundle):
     assert main(["plan", str(scenario_with(bundle, area=area))]) == 0
     digests = {
         name: hashlib.sha256((bundle / "out" / name).read_bytes()).hexdigest()
-        for name in ("coverage.csv", "plan.geojson", "summary.csv")
+        for name in ("coverage.csv", "heatmap.csv", "mesh.geojson", "plan.geojson", "summary.csv")
     }
     assert digests == {
         "coverage.csv": "43d6c81a1f764cb140a55ad275eb92c7016b3debb28421a2c36a9bbe5c67f965",
+        "heatmap.csv": "45253cf671ea7fb8ef7000f70050f5a84f831e287aacec82628b618cef9f5658",
+        "mesh.geojson": "650add1763fceb0a3b291caca02703bd6bf8dc412990142592208007f327dd8d",
         "plan.geojson": "2c7e3bd0f50a14d5be8661cbfd18745561099fd85695827bebe186df3fc74642",
         "summary.csv": "b363b7b4466fb7b43d7e0b27e40592e6de5ab53fdc3d558e08b70234b903ebc5",
     }
@@ -434,6 +453,51 @@ def test_sweep_non_finite_fee_exits_2_before_writing(bundle, capsys):
     scn = scenario_with(bundle, sensor_filter=["RF"])
     assert main(["sweep", str(scn), "--parameter", "fee", "--values", "100,nan"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+    assert not (bundle / "out").exists()
+
+
+def _writing_command(bundle, command, scn) -> list:
+    """argv of a command that writes into the output directory; econ prices an empty plan."""
+    if command == "econ":
+        plan = bundle / "empty_plan.geojson"
+        plan.write_text(json.dumps({"type": "FeatureCollection", "features": []}), encoding="utf-8")
+        return ["econ", str(scn), "--plan", str(plan)]
+    if command == "sweep":
+        return ["sweep", str(scn), "--parameter", "fee", "--values", "100"]
+    return ["plan", str(scn)]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["plan", "econ", "sweep"])
+def test_unwritable_output_path_exits_2(bundle, capsys, command, sub):
+    scn = scenario_with(bundle, sensor_filter=["RF"])
+    blocker = bundle / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / sub
+    assert main(_writing_command(bundle, command, scn) + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "VALIDATION_ERROR"
+    assert err["message"].startswith(f"cannot write {out}")
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+    assert not list(bundle.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "econ,code",
+    [
+        ({"horizon_years": 5000}, "TOO_LARGE"),
+        ({"growth_high": 3.0, "horizon_years": 1000}, "VALIDATION_ERROR"),  # 4 ** 1000 overflows
+        ({"discount_rate": 10.0, "horizon_years": 1000}, "VALIDATION_ERROR"),  # 11 ** 1000 overflows
+        ({"discount_rate": -0.9999, "horizon_years": 100}, "VALIDATION_ERROR"),  # 1e-400 is 0.0
+    ],
+    ids=["horizon-5000", "growth-overflow", "discount-overflow", "discount-underflow"],
+)
+@pytest.mark.parametrize("command", ["validate", "econ", "sweep"])
+def test_compounding_beyond_float_range_exits_2_before_writing(bundle, capsys, command, econ, code):
+    scn = scenario_with(bundle, sensor_filter=["RF"], econ=econ)
+    argv = ["validate", str(scn)] if command == "validate" else _writing_command(bundle, command, scn)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == code
     assert not (bundle / "out").exists()
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
 from gridwatch.coverage import block_detection, build_coverage, covered_blocks, redundancy
+from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 
 
@@ -218,12 +218,11 @@ def test_water_block_needs_coverage_but_hosts_no_site():
     assert all(e.site != 4 for e in table.entries)
 
 
-def test_coverage_csv_schema():
+def test_coverage_csv_schema(tmp_path):
     mesh = square_mesh(2, min_range=0.3)
     table = build_coverage(mesh, default_catalog().filtered(["RF"]), 0.98)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    write_coverage_csv(tmp_path / "coverage.csv", table)
+    lines = (tmp_path / "coverage.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd"
     assert len(lines) == 1 + len(table.entries)
     first = lines[1].split(",")

@@ -272,6 +272,21 @@ def test_series_validation():
         CashFlowSeries(2024, (2024,), (1, 2), (0,), 0.1)
 
 
+@pytest.mark.parametrize(
+    "positive,negative,rate",
+    [
+        ((1e308, 1e308), (0.0, 0.0), 0.0),  # each flow finite, the cumulative sum overflows
+        ((1.0, float("inf")), (0.0, 0.0), 0.1),
+        ((1.0, 1.0), (0.0, float("nan")), 0.1),
+        ((1.0, 1e305), (0.0, 0.0), -0.999999),  # a finite discount factor of 1e-6 overflows the NPV
+    ],
+    ids=["sum-overflow", "inf-flow", "nan-flow", "npv-overflow"],
+)
+def test_series_rejects_non_finite_flows(positive, negative, rate):
+    with pytest.raises(ValidationError, match="not finite"):
+        CashFlowSeries(2024, (2024, 2025), positive, negative, rate)
+
+
 # -- scenario composition -----------------------------------------------------------
 
 

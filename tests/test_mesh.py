@@ -7,7 +7,8 @@ from helpers import corners_for, square_mesh
 
 from gridwatch.errors import DimensionMismatch, ParseError, RangeTooSmall
 from gridwatch.geo import distance
-from gridwatch.mesh import Terrain, build_mesh, load_terrain_grid, mesh_to_geojson
+from gridwatch.mesh import Terrain, build_mesh, load_terrain_grid
+from gridwatch.pipeline import mesh_to_geojson
 
 
 def test_city_scale_block_grid():
@@ -57,7 +58,7 @@ def test_candidate_sites_skip_water_and_outside():
     site_blocks = {s.block for s in mesh.candidate_sites}
     eligible = {
         z for z in range(9)
-        if mesh.block_terrain(z) not in (Terrain.WATER, Terrain.OUTSIDE_AREA)
+        if mesh.terrain[z] not in (Terrain.WATER, Terrain.OUTSIDE_AREA)
     }
     assert site_blocks == eligible
     assert len(mesh.candidate_sites) == len(eligible)  # exactly one site per eligible block
