@@ -8,8 +8,9 @@ scenario and every file it names, the sensor filter, the heatmap sensor and
 the mesh.
 
 Exit codes: 0 success, 2 input or validation failure (an output path that
-cannot be written included), 3 infeasible coverage, 4 node budget exceeded
-without a proven optimum.  Validation failures print a machine-readable JSON
+cannot be written included), 3 infeasible coverage, 4 no proven optimum:
+the node budget ran out, or the dominance filter removed a sensor type, which
+is a rule and not a proof.  Validation failures print a machine-readable JSON
 object on stderr.
 """
 

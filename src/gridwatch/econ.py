@@ -5,7 +5,11 @@ of each cost component (tiered ingest, per-byte-month storage, fixed plus
 variable analytics and database, per-user reporting) and reads the rates from
 a pricing policy file.  Subscriber growth is compounded with a one-year lag by
 default: the first two operating years share the initial subscriber count and
-growth compounds from the third.
+growth compounds from the third.  Flight hours grow at the same rate.
+
+:class:`EconConfig` holds a scenario's model inputs.  :func:`scenario_npv` owns
+every check on them, ``TOO_LARGE`` for the horizon included, and building a
+config runs them once, so a scenario is rejected before any solve.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvariantViolation, ParseError, ValidationError, VolumeAboveTopTier, read_input
+from .errors import InvariantViolation, ParseError, TooLarge, ValidationError, VolumeAboveTopTier, read_input
 
 #: Aircraft classes whose surveillance traffic is modeled.
 AIRCRAFT_CLASSES = ("cooperative_manned", "cooperative_uncrewed", "non_cooperative")
@@ -22,6 +26,9 @@ AIRCRAFT_CLASSES = ("cooperative_manned", "cooperative_uncrewed", "non_cooperati
 SUBSCRIBER_ROUNDINGS = ("exact", "ceil", "floor", "nearest")
 
 SECONDS_PER_HOUR = 3600
+
+# Longest cash-flow horizon: the model builds per-year series of this length.
+MAX_HORIZON_YEARS = 1000
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,11 @@ def growth_exponent(year: int, start_year: int, lag: int = 1) -> int:
 
 @dataclass(frozen=True)
 class TrafficProjection:
-    """Projected flight hours per aircraft class, with a growth-rate band."""
+    """Projected flight hours per aircraft class; years without explicit hours
+    grow from the base year at the rate the caller passes."""
 
     base_year: int
     base_hours: Mapping[str, float]
-    growth_low: float
-    growth_high: float
     per_year: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,10 +95,6 @@ class TrafficProjection:
             raise InvariantViolation(f"unknown aircraft class(es): {sorted(unknown)}")
         if any(h < 0 for h in self.base_hours.values()):
             raise InvariantViolation("flight hours must be non-negative")
-        if not 0 <= self.growth_low <= self.growth_high:
-            raise InvariantViolation(
-                f"growth band must satisfy 0 <= low <= high, got ({self.growth_low}, {self.growth_high})"
-            )
 
     def hours_for(self, year: int, growth: float, lag: int = 1) -> dict:
         explicit = self.per_year.get(year)
@@ -103,15 +105,14 @@ class TrafficProjection:
 
 
 def load_traffic(source) -> TrafficProjection:
-    """Load a traffic projection from a JSON file path or parsed dict."""
+    """Load a traffic projection from a JSON file path or parsed dict.  Keys it
+    does not use, such as an old file's ``growth_low``/``growth_high``, are ignored."""
     doc = source if isinstance(source, dict) else read_input(source, "traffic projection")
     try:
         per_year = {int(y): {str(k): float(v) for k, v in hours.items()} for y, hours in doc.get("per_year", {}).items()}
         return TrafficProjection(
             base_year=int(doc["base_year"]),
             base_hours={str(k): float(v) for k, v in doc["hours"].items()},
-            growth_low=float(doc["growth_low"]),
-            growth_high=float(doc["growth_high"]),
             per_year=per_year,
         )
     except KeyError as exc:
@@ -324,11 +325,21 @@ def scenario_npv(
     growth_lag: int = 1,
 ) -> ScenarioEconomics:
     """Full cash-flow series for a plan: capex at the start year, then yearly
-    cloud cost against subscription revenue, under both growth-band endpoints."""
+    cloud cost against subscription revenue, under both growth-band endpoints.
+    Flows that leave the float range over the horizon are a :class:`ValidationError`."""
     if horizon_years < 1:
         raise ValidationError(f"horizon must be at least 1 year, got {horizon_years}")
+    if horizon_years > MAX_HORIZON_YEARS:
+        raise TooLarge(f"horizon_years {horizon_years} exceeds the limit of {MAX_HORIZON_YEARS}")
+    scalars = {"initial_subscribers": n0, "monthly_fee_usd": fee_usd_month, "growth_low": growth_low,
+               "growth_high": growth_high, "discount_rate": discount_rate}
+    for label, value in scalars.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{label} must be finite, got {value}")
     if not 0 <= growth_low <= growth_high:
         raise ValidationError(f"growth band must satisfy 0 <= low <= high, got ({growth_low}, {growth_high})")
+    if growth_lag < 0:
+        raise ValidationError(f"growth_lag_years must be non-negative, got {growth_lag}")
     if not math.isfinite(plan_cost) or plan_cost < 0:
         raise ValidationError(f"plan cost must be finite and non-negative, got {plan_cost}")
     years = tuple(range(start_year, start_year + horizon_years))
@@ -348,8 +359,14 @@ def scenario_npv(
         )
         return series, tuple(rev[t] for t in years), tuple(cloud[t] for t in years)
 
-    low_series, rev_low, cloud_low = band(growth_low)
-    high_series, rev_high, cloud_high = band(growth_high)
+    try:
+        low_series, rev_low, cloud_low = band(growth_low)
+        high_series, rev_high, cloud_high = band(growth_high)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"cash flows over {horizon_years} year(s) leave the float range "
+            f"(growth band ({growth_low}, {growth_high}), discount rate {discount_rate}): {exc}"
+        ) from None
     return ScenarioEconomics(
         capex=plan_cost,
         start_year=start_year,
@@ -361,3 +378,44 @@ def scenario_npv(
         cloud_low=cloud_low,
         cloud_high=cloud_high,
     )
+
+
+@dataclass(frozen=True)
+class EconConfig:
+    """A scenario's inputs to the cash-flow model.  Building one prices a
+    zero-cost plan through :func:`scenario_npv`, so the model's own checks and
+    float range decide which configs exist.  Capex adds only a finite amount
+    to the first year's outflow, so a config that prices at zero capex prices
+    at any real one; :class:`CashFlowSeries` still checks every run."""
+
+    start_year: int
+    horizon_years: int
+    initial_subscribers: float
+    monthly_fee_usd: float
+    growth_low: float
+    growth_high: float
+    discount_rate: float
+    growth_lag_years: int
+    subscriber_rounding: str
+    pricing: CloudPricingPolicy
+    traffic: TrafficProjection
+
+    def __post_init__(self):
+        self.cash_flows(0.0)
+
+    def cash_flows(self, plan_cost: float) -> ScenarioEconomics:
+        """Cash-flow series for a plan of the given capital cost."""
+        return scenario_npv(
+            plan_cost=plan_cost,
+            traffic=self.traffic,
+            policy=self.pricing,
+            n0=self.initial_subscribers,
+            fee_usd_month=self.monthly_fee_usd,
+            growth_low=self.growth_low,
+            growth_high=self.growth_high,
+            discount_rate=self.discount_rate,
+            horizon_years=self.horizon_years,
+            start_year=self.start_year,
+            subscriber_rounding=self.subscriber_rounding,
+            growth_lag=self.growth_lag_years,
+        )

@@ -73,8 +73,9 @@ class Infeasible(GridwatchError):
 
 class TooLarge(GridwatchError):
     """Input exceeds a size limit: the coverage table's work cap
-    (``coverage.MAX_COVERAGE_WORK``) or the exhaustive oracle solver's
-    candidate limit."""
+    (``coverage.MAX_COVERAGE_WORK``), the cash-flow horizon guard
+    (``econ.MAX_HORIZON_YEARS``) or the exhaustive oracle solver's candidate
+    limit."""
 
     code = "TOO_LARGE"
 

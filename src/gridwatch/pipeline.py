@@ -13,13 +13,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .catalog import SensorCatalog, scale_detection
 from .coverage import CoverageTable, block_detection, build_coverage
-from .econ import ScenarioEconomics, scenario_npv
+from .econ import ScenarioEconomics
 from .errors import ValidationError
 from .geo import PlanePoint, unproject
 from .mesh import AreaMesh, Terrain, build_mesh
@@ -66,6 +66,11 @@ def run_plan(scenario: Scenario) -> PlanResult:
         plan = solve_greedy(instance)
     else:
         plan = solve_exact(instance, node_budget=scenario.node_budget)
+    if instance.metadata.get("dominance_removed"):
+        # The filter is a type-level rule, not a proof: the filtered instance's
+        # optimum and root bound need not hold for the scenario.
+        metadata = {k: v for k, v in plan.metadata.items() if k != "root_lower_bound"}
+        plan = replace(plan, proven_optimal=False, metadata=metadata)
     return PlanResult(
         scenario=scenario,
         catalog=catalog,
@@ -211,21 +216,7 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
 
 def run_econ(scenario: Scenario, plan_cost: float) -> ScenarioEconomics:
     """Cash-flow series for a given capital cost under the scenario's econ config."""
-    e = scenario.econ
-    return scenario_npv(
-        plan_cost=plan_cost,
-        traffic=e.traffic,
-        policy=e.pricing,
-        n0=e.initial_subscribers,
-        fee_usd_month=e.monthly_fee_usd,
-        growth_low=e.growth_low,
-        growth_high=e.growth_high,
-        discount_rate=e.discount_rate,
-        horizon_years=e.horizon_years,
-        start_year=e.start_year,
-        subscriber_rounding=e.subscriber_rounding,
-        growth_lag=e.growth_lag_years,
-    )
+    return scenario.econ.cash_flows(plan_cost)
 
 
 def write_cashflow_csv(path, econ: ScenarioEconomics) -> None:

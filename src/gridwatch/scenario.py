@@ -13,7 +13,15 @@ file.  It reads, each once and each through :func:`errors.read_input`:
 The :class:`Scenario` carries them parsed: the terrain as an int array, the
 catalog cut to the sensors ``sensor_filter`` admits (de-duplicated, not yet
 scaled by ``detection_scale``), the heatmap sensor resolved and checked
-against it, and the pricing and traffic objects in :class:`EconConfig`.
+against it, and the pricing and traffic objects in :class:`econ.EconConfig`.
+
+Each object checks itself when it is built, so ``replace`` in a sweep re-runs
+the same checks: :class:`Scenario` its own scalars, :class:`econ.EconConfig`
+every econ field through the cash-flow model, the catalog, pricing and
+traffic objects their content.  :func:`load_scenario` checks the sensor
+filter, the heatmap sensor and that ``output_dir`` is not under a file.  The
+econ config is built before the :class:`Scenario`, so an econ fault is
+reported before a fault in the scenario's own scalars or ``output_dir``.
 
 Error codes it raises:
 
@@ -21,10 +29,13 @@ Error codes it raises:
   scenario lacks a required field or has one of the wrong type;
 * ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
   or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
-  catalog lacks or admits none, the heatmap sensor is not admitted, or the
-  growth or discount factor compounded over the horizon is not a finite
-  nonzero float;
-* ``TOO_LARGE``: ``econ.horizon_years`` exceeds ``MAX_HORIZON_YEARS``;
+  catalog lacks or admits none, the heatmap sensor is not admitted, the cash
+  flows overflow or divide by zero over the horizon, or ``output_dir`` lies
+  under a file;
+* ``TOO_LARGE``: from the econ model, when ``econ.horizon_years`` exceeds
+  ``econ.MAX_HORIZON_YEARS``;
+* ``VOLUME_ABOVE_TOP_TIER``: from the econ model, when traffic outgrows the top
+  ingest tier of a pricing policy that has no overflow rate;
 * ``INVARIANT_VIOLATION``: catalog, pricing or traffic content breaks an
   invariant of the object it builds (e.g. a detection probability of 1).
 
@@ -37,7 +48,8 @@ exception: they are relative to the working directory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,8 +57,8 @@ import numpy as np
 
 from .catalog import SensorCatalog, default_catalog, load_catalog
 from .coverage import ROUNDING_MODES
-from .econ import SUBSCRIBER_ROUNDINGS, CloudPricingPolicy, TrafficProjection, load_pricing, load_traffic
-from .errors import ParseError, TooLarge, ValidationError, read_input
+from .econ import EconConfig, load_pricing, load_traffic
+from .errors import ParseError, ValidationError, read_input
 from .geo import GeoPoint
 from .mesh import load_terrain_grid
 from .solver import DEFAULT_NODE_BUDGET
@@ -54,24 +66,6 @@ from .solver import DEFAULT_NODE_BUDGET
 SOLVER_MODES = ("exact", "greedy")
 
 SENSOR_FILTER_KEYWORDS = ("all", "noncooperative_capable")
-
-# Longest cash-flow horizon: the econ stage builds per-year series of this length.
-MAX_HORIZON_YEARS = 1000
-
-
-@dataclass(frozen=True)
-class EconConfig:
-    start_year: int
-    horizon_years: int
-    initial_subscribers: float
-    monthly_fee_usd: float
-    growth_low: float
-    growth_high: float
-    discount_rate: float
-    growth_lag_years: int
-    subscriber_rounding: str
-    pricing: CloudPricingPolicy
-    traffic: TrafficProjection
 
 
 @dataclass(frozen=True)
@@ -90,6 +84,18 @@ class Scenario:
     node_budget: int
     econ: EconConfig
     output_dir: Path
+
+    def __post_init__(self):
+        if not (math.isfinite(self.detection_scale) and self.detection_scale > 0):
+            raise ValidationError(f"detection_scale must be finite and positive, got {self.detection_scale}")
+        if not 0.0 < self.required_detection < 1.0:
+            raise ValidationError(f"required_detection must be in (0, 1), got {self.required_detection}")
+        if self.rounding not in ROUNDING_MODES:
+            raise ValidationError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
+        if self.solver_mode not in SOLVER_MODES:
+            raise ValidationError(f"solver mode must be one of {SOLVER_MODES}, got {self.solver_mode!r}")
+        if self.node_budget < 1:
+            raise ValidationError(f"node_budget must be at least 1, got {self.node_budget}")
 
 
 def _input_file(base: Path, value: str, label: str) -> Path:
@@ -179,74 +185,23 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed scenario field: {exc}") from None
 
-    _validate(scenario)
+    # The output directory's nearest existing ancestor must be a directory;
+    # checked before any work, and nothing is created here.
+    out = scenario.output_dir
+    for p in (out, *out.parents):
+        if os.path.exists(p):
+            if not os.path.isdir(p):
+                raise ValidationError(f"cannot write {out}: {p} is not a directory")
+            break
     return scenario
 
 
-def _validate(s: Scenario) -> None:
-    e = s.econ
-    for label, value in (
-        ("detection_scale", s.detection_scale),
-        ("econ.monthly_fee_usd", e.monthly_fee_usd),
-        ("econ.initial_subscribers", e.initial_subscribers),
-        ("econ.growth_low", e.growth_low),
-        ("econ.growth_high", e.growth_high),
-        ("econ.discount_rate", e.discount_rate),
-    ):
-        if not math.isfinite(value):
-            raise ValidationError(f"{label} must be finite, got {value}")
-    if not 0.0 < s.required_detection < 1.0:
-        raise ValidationError(f"required_detection must be in (0, 1), got {s.required_detection}")
-    if s.rounding not in ROUNDING_MODES:
-        raise ValidationError(f"rounding must be one of {ROUNDING_MODES}, got {s.rounding!r}")
-    if s.detection_scale <= 0:
-        raise ValidationError(f"detection_scale must be positive, got {s.detection_scale}")
-    if s.solver_mode not in SOLVER_MODES:
-        raise ValidationError(f"solver mode must be one of {SOLVER_MODES}, got {s.solver_mode!r}")
-    if s.node_budget < 1:
-        raise ValidationError(f"node_budget must be at least 1, got {s.node_budget}")
-    if e.horizon_years < 1:
-        raise ValidationError(f"econ.horizon_years must be at least 1, got {e.horizon_years}")
-    if e.horizon_years > MAX_HORIZON_YEARS:
-        raise TooLarge(f"econ.horizon_years {e.horizon_years} exceeds the limit of {MAX_HORIZON_YEARS}")
-    if not 0 <= e.growth_low <= e.growth_high:
-        raise ValidationError(f"econ growth band must satisfy 0 <= low <= high, got ({e.growth_low}, {e.growth_high})")
-    if e.subscriber_rounding not in SUBSCRIBER_ROUNDINGS:
-        raise ValidationError(f"econ.subscriber_rounding must be one of {SUBSCRIBER_ROUNDINGS}")
-    if e.growth_lag_years < 0:
-        raise ValidationError(f"econ.growth_lag_years must be non-negative, got {e.growth_lag_years}")
-    if e.monthly_fee_usd < 0:
-        raise ValidationError(f"econ.monthly_fee_usd must be non-negative, got {e.monthly_fee_usd}")
-    if e.initial_subscribers < 0:
-        raise ValidationError(f"econ.initial_subscribers must be non-negative, got {e.initial_subscribers}")
-    if e.discount_rate <= -1:
-        raise ValidationError(f"econ.discount_rate must exceed -1, got {e.discount_rate}")
-    # Growth and discount factors compound over the horizon; each must stay a
-    # finite, nonzero float or the cash-flow series overflows or divides by 0.
-    for label, rate in (("econ.growth_high", e.growth_high), ("econ.discount_rate", e.discount_rate)):
-        try:
-            factor = (1.0 + rate) ** e.horizon_years
-        except OverflowError:
-            factor = math.inf
-        if not 0.0 < factor < math.inf:
-            raise ValidationError(
-                f"(1 + {label}) ** econ.horizon_years is not a finite nonzero float "
-                f"({label} = {rate}, horizon {e.horizon_years} years)"
-            )
-
-
 def with_overrides(scenario: Scenario, **kwargs) -> Scenario:
-    """Validated copy of the scenario with scalar fields replaced (used by sweeps)."""
-    econ_fields = {"monthly_fee_usd", "initial_subscribers"}
-    econ_kwargs = {k: v for k, v in kwargs.items() if k in econ_fields}
-    top_kwargs = {k: v for k, v in kwargs.items() if k not in econ_fields}
-    out = scenario
-    if econ_kwargs:
-        out = replace(out, econ=replace(out.econ, **econ_kwargs))
-    if top_kwargs:
-        out = replace(out, **top_kwargs)
-    _validate(out)
-    return out
+    """Checked copy of the scenario with scalar fields replaced (used by sweeps):
+    ``replace`` re-runs both the scenario's and the econ config's checks."""
+    econ_names = {f.name for f in fields(EconConfig)}
+    econ = replace(scenario.econ, **{k: v for k, v in kwargs.items() if k in econ_names})
+    return replace(scenario, econ=econ, **{k: v for k, v in kwargs.items() if k not in econ_names})
 
 
 def bundled_minicity_path() -> Path:

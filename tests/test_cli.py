@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gridwatch import pipeline
+from gridwatch import cli, pipeline
 from gridwatch.cli import main
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario
@@ -132,6 +132,25 @@ def test_plan_infeasible_coverage_exits_3(bundle, capsys):
 def test_plan_budget_exceeded_exits_4(bundle):
     scn = scenario_with(bundle, sensor_filter=["Acoustic"], solver={"mode": "exact", "node_budget": 1})
     assert main(["plan", str(scn)]) == 4
+
+
+@pytest.mark.parametrize(
+    "apply_filter,code,cost,proven", [(True, 4, 210000.0, "false"), (False, 0, 27000.0, "true")], ids=["filter", "plain"]
+)
+def test_dominance_filter_claims_no_optimum(bundle, apply_filter, code, cost, proven):
+    # On one open block the filter drops Acoustic for Radar, and the filtered
+    # optimum costs nearly eight times the scenario's: the filter proves nothing.
+    from helpers import corners_for
+
+    (bundle / "one.csv").write_text("0\n", encoding="utf-8")
+    area = {"corners": [[c.lon, c.lat] for c in corners_for(0.3, 0.3)], "block_side_km": 0.3, "terrain_grid": "one.csv"}
+    scn = scenario_with(bundle, area=area, sensor_filter=["Radar", "Acoustic"], apply_dominance_filter=apply_filter)
+    assert main(["plan", str(scn)]) == code
+    _, rows = read_csv(bundle / "out" / "summary.csv")
+    assert (float(rows[0]["total_cost_usd"]), rows[0]["proven_optimal"]) == (cost, proven)
+    result = run_plan(load_scenario(scn))
+    assert result.instance.metadata.get("dominance_removed", ()) == (("Acoustic",) if apply_filter else ())
+    assert ("root_lower_bound" in result.plan.metadata) is not apply_filter
 
 
 def test_missing_terrain_file_exits_2(bundle, capsys):
@@ -365,25 +384,31 @@ def test_repeated_runs_are_byte_identical(bundle):
 
 def test_artifact_bytes_are_pinned(bundle):
     """Recorded digests of a non-square, mixed-terrain plan under the default
-    catalog.  Repeated runs agree with each other even after a change that
-    moves a zeta by one ulp or a covered set by one block; this does not."""
+    catalog, its cash flows and a fee sweep.  Repeated runs agree with each
+    other even after a change that moves a zeta by one ulp or a covered set by
+    one block; this does not."""
     from helpers import corners_for
 
     # 7 blocks wide, 5 tall, with OUTSIDE_AREA (-1) and WATER (1) cells.
     terrain = "0,0,2,1,1,-1,-1\n0,2,4,4,1,0,-1\n3,2,4,4,2,0,0\n3,3,2,0,2,1,0\n-1,3,0,0,0,1,0\n"
     (bundle / "wide.csv").write_text(terrain, encoding="utf-8")
     area = {"corners": [[c.lon, c.lat] for c in corners_for(2.1, 1.5)], "block_side_km": 0.3, "terrain_grid": "wide.csv"}
-    assert main(["plan", str(scenario_with(bundle, area=area))]) == 0
+    scn = str(scenario_with(bundle, area=area))
+    assert main(["plan", scn]) == 0
+    assert main(["econ", scn, "--plan", str(bundle / "out" / "plan.geojson")]) == 0
+    assert main(["sweep", scn, "--parameter", "fee", "--values", "100,400"]) == 0
     digests = {
         name: hashlib.sha256((bundle / "out" / name).read_bytes()).hexdigest()
-        for name in ("coverage.csv", "heatmap.csv", "mesh.geojson", "plan.geojson", "summary.csv")
+        for name in ("cashflow.csv", "coverage.csv", "heatmap.csv", "mesh.geojson", "plan.geojson", "summary.csv", "sweep.csv")
     }
     assert digests == {
+        "cashflow.csv": "612c0a4b170b06bb12bac0b87e8bfdbc7b23c8abc47b83f7fcfa111c87ccd66e",
         "coverage.csv": "43d6c81a1f764cb140a55ad275eb92c7016b3debb28421a2c36a9bbe5c67f965",
         "heatmap.csv": "45253cf671ea7fb8ef7000f70050f5a84f831e287aacec82628b618cef9f5658",
         "mesh.geojson": "650add1763fceb0a3b291caca02703bd6bf8dc412990142592208007f327dd8d",
         "plan.geojson": "2c7e3bd0f50a14d5be8661cbfd18745561099fd85695827bebe186df3fc74642",
         "summary.csv": "b363b7b4466fb7b43d7e0b27e40592e6de5ab53fdc3d558e08b70234b903ebc5",
+        "sweep.csv": "10f77a60ad70452513924fa70ea04700d5f8ffbdb77f4a248d7ce2e8f281d236",
     }
 
 
@@ -467,14 +492,30 @@ def _writing_command(bundle, command, scn) -> list:
     return ["plan", str(scn)]
 
 
+def _no_run_plan(monkeypatch) -> list:
+    """Replace run_plan wherever the CLI and the pipeline look it up; the list
+    returned records each call, and a call fails the command."""
+    calls = []
+
+    def no_plan(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("run_plan called for a scenario that fails its checks")
+
+    monkeypatch.setattr(pipeline, "run_plan", no_plan)
+    monkeypatch.setattr(cli, "run_plan", no_plan)
+    return calls
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
-@pytest.mark.parametrize("command", ["plan", "econ", "sweep"])
-def test_unwritable_output_path_exits_2(bundle, capsys, command, sub):
+@pytest.mark.parametrize("command", ["plan", "econ", "sweep", "validate"])
+def test_unwritable_output_path_exits_2(bundle, capsys, monkeypatch, command, sub):
     scn = scenario_with(bundle, sensor_filter=["RF"])
     blocker = bundle / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")
     out = blocker / sub
-    assert main(_writing_command(bundle, command, scn) + ["--out", str(out)]) == 2
+    _no_run_plan(monkeypatch)
+    argv = ["validate", str(scn)] if command == "validate" else _writing_command(bundle, command, scn)
+    assert main(argv + ["--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "VALIDATION_ERROR"
     assert err["message"].startswith(f"cannot write {out}")
@@ -487,17 +528,34 @@ def test_unwritable_output_path_exits_2(bundle, capsys, command, sub):
     [
         ({"horizon_years": 5000}, "TOO_LARGE"),
         ({"growth_high": 3.0, "horizon_years": 1000}, "VALIDATION_ERROR"),  # 4 ** 1000 overflows
+        ({"growth_high": 1.0, "horizon_years": 1000}, "VALIDATION_ERROR"),  # 2 ** 998 is finite, the flows are not
         ({"discount_rate": 10.0, "horizon_years": 1000}, "VALIDATION_ERROR"),  # 11 ** 1000 overflows
         ({"discount_rate": -0.9999, "horizon_years": 100}, "VALIDATION_ERROR"),  # 1e-400 is 0.0
     ],
-    ids=["horizon-5000", "growth-overflow", "discount-overflow", "discount-underflow"],
+    ids=["horizon-5000", "growth-overflow", "growth-product-overflow", "discount-overflow", "discount-underflow"],
 )
 @pytest.mark.parametrize("command", ["validate", "econ", "sweep"])
-def test_compounding_beyond_float_range_exits_2_before_writing(bundle, capsys, command, econ, code):
+def test_compounding_beyond_float_range_exits_2_before_writing(bundle, capsys, monkeypatch, command, econ, code):
     scn = scenario_with(bundle, sensor_filter=["RF"], econ=econ)
     argv = ["validate", str(scn)] if command == "validate" else _writing_command(bundle, command, scn)
+    plan_calls = _no_run_plan(monkeypatch)
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == code
+    assert plan_calls == []
+    assert not (bundle / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_traffic_beyond_top_ingest_tier_exits_2_before_solving(bundle, capsys, monkeypatch, command):
+    pricing = json.loads((bundle / "pricing.json").read_text(encoding="utf-8"))
+    del pricing["ingest"]["overflow_usd_per_byte"]
+    (bundle / "pricing.json").write_text(json.dumps(pricing), encoding="utf-8")
+    scn = scenario_with(bundle, sensor_filter=["RF"], econ={"growth_high": 0.5, "horizon_years": 20})
+    argv = ["validate", str(scn)] if command == "validate" else _writing_command(bundle, command, scn)
+    plan_calls = _no_run_plan(monkeypatch)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VOLUME_ABOVE_TOP_TIER"
+    assert plan_calls == []
     assert not (bundle / "out").exists()
 
 

@@ -358,17 +358,39 @@ def test_traffic_projection_band_and_overrides():
     base = t.hours_for(2024, 0.20)
     later = t.hours_for(2033, 0.20)
     assert later["cooperative_uncrewed"] == pytest.approx(base["cooperative_uncrewed"] * 1.2 ** 8)
-    explicit = TrafficProjection(2024, {"cooperative_manned": 10.0}, 0.1, 0.2, per_year={2025: {"cooperative_manned": 3.0}})
+    explicit = TrafficProjection(2024, {"cooperative_manned": 10.0}, per_year={2025: {"cooperative_manned": 3.0}})
     assert explicit.hours_for(2025, 0.2) == {"cooperative_manned": 3.0}
 
 
 def test_traffic_validation():
     with pytest.raises(InvariantViolation):
-        TrafficProjection(2024, {"cooperative_manned": -1.0}, 0.1, 0.2)
-    with pytest.raises(InvariantViolation):
-        TrafficProjection(2024, {"cooperative_manned": 1.0}, 0.3, 0.2)
+        TrafficProjection(2024, {"cooperative_manned": -1.0})
     with pytest.raises(ParseError):
         load_traffic({"hours": {}})
+
+
+# The bundled traffic file as it was while it carried a growth band, which
+# nothing read: scenario_npv grows traffic by the scenario's own band.
+TRAFFIC_WITH_BAND = """{
+  "base_year": 2024,
+  "hours": {
+    "cooperative_manned": 1200,
+    "cooperative_uncrewed": 30000,
+    "non_cooperative": 800
+  },
+  "growth_low": 0.10,
+  "growth_high": 0.20
+}
+"""
+
+
+def test_traffic_file_with_old_growth_band_still_loads(tmp_path):
+    path = tmp_path / "traffic.json"
+    path.write_text(TRAFFIC_WITH_BAND, encoding="utf-8")
+    old = load_traffic(path)
+    assert old == default_traffic()
+    args = (default_policy(), 100.0, 400.0, 0.10, 0.20, 0.10, 10, 2024)
+    assert scenario_npv(1000.0, old, *args) == scenario_npv(1000.0, default_traffic(), *args)
 
 
 def test_scenario_npv_validation():
