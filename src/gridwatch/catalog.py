@@ -9,7 +9,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import InvariantViolation, ParseError, read_input
+from .errors import InvariantViolation, ParseError, read_field, read_input
 from .mesh import DETECTABLE_TERRAINS, Terrain
 
 #: JSON keys of the detection row, in terrain-code order.
@@ -112,7 +112,7 @@ def _spec_from_dict(raw: dict) -> SensorSpec:
         range_km=float(raw["range_km"]),
         unit_price_usd=float(raw["unit_price_usd"]),
         fov_multiplier=fov,
-        tracks_noncooperative=bool(raw["tracks_noncooperative"]),
+        tracks_noncooperative=read_field(raw["tracks_noncooperative"], bool, f"{raw['name']}: tracks_noncooperative"),
         detect={_KEY_TO_TERRAIN[k]: float(v) for k, v in detect_raw.items()},
     )
 

@@ -81,14 +81,16 @@ def covered_blocks(mesh: AreaMesh, sensor: SensorSpec, site: CandidateSite) -> t
     """Indices of in-area blocks fully inside the sensor's range from ``site``.
 
     The literal definition over the whole grid: every mesh point's distance
-    from the site, then the blocks whose four corner points are all in range.
-    It is the reference the stencil-built masks of :func:`build_coverage` are
-    checked against, and shares no geometry code with it.
+    from the site, at ``mesh.block_center(site.block)``, then the blocks whose
+    four corner points are all in range.  It is the reference the
+    stencil-built masks of :func:`build_coverage` are checked against, and
+    shares no geometry code with it.
     """
     L = mesh.block_side
     x = mesh.x0 + np.arange(mesh.n_a, dtype=np.float64) * L
     y = mesh.y0 + np.arange(mesh.n_b, dtype=np.float64) * L
-    near = (x[None, :] - site.x) ** 2 + (y[:, None] - site.y) ** 2 <= (sensor.range_km + _EDGE_EPS_KM) ** 2
+    centre = mesh.block_center(site.block)
+    near = (x[None, :] - centre.x) ** 2 + (y[:, None] - centre.y) ** 2 <= (sensor.range_km + _EDGE_EPS_KM) ** 2
     corners_in = near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
     return tuple(int(z) for z in np.flatnonzero(corners_in.reshape(-1) & mesh.in_area))
 
@@ -166,11 +168,7 @@ class CoverageTable:
     mesh: AreaMesh = field(repr=False)
     catalog: SensorCatalog = field(repr=False)
     entries: tuple = field(repr=False)
-    uncovered: tuple
-
-    @property
-    def feasible(self) -> bool:
-        return not self.uncovered
+    uncovered: tuple  # in-area blocks no entry covers; empty when the table is feasible
 
     def blocks_of(self, entry: Candidate) -> tuple:
         """Block ids covered by ``entry``, ascending."""

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvariantViolation, ParseError, TooLarge, ValidationError, VolumeAboveTopTier, read_input
+from .errors import InvariantViolation, ParseError, TooLarge, ValidationError, VolumeAboveTopTier, read_field, read_input
 
 #: Aircraft classes whose surveillance traffic is modeled.
 AIRCRAFT_CLASSES = ("cooperative_manned", "cooperative_uncrewed", "non_cooperative")
@@ -111,7 +111,7 @@ def load_traffic(source) -> TrafficProjection:
     try:
         per_year = {int(y): {str(k): float(v) for k, v in hours.items()} for y, hours in doc.get("per_year", {}).items()}
         return TrafficProjection(
-            base_year=int(doc["base_year"]),
+            base_year=read_field(doc["base_year"], int, "traffic base_year"),
             base_hours={str(k): float(v) for k, v in doc["hours"].items()},
             per_year=per_year,
         )
@@ -296,15 +296,13 @@ class CashFlowSeries:
 
 @dataclass(frozen=True)
 class ScenarioEconomics:
-    """Low/high growth-band cash flows for one placement plan."""
+    """Low/high growth-band cash flows for one placement plan.  Each band's
+    yearly revenue is its series' ``positive`` flows; ``cloud_low`` and
+    ``cloud_high`` hold each year's cloud cost components."""
 
     capex: float
-    start_year: int
-    years: tuple
     low: CashFlowSeries
     high: CashFlowSeries
-    revenue_low: tuple
-    revenue_high: tuple
     cloud_low: tuple
     cloud_high: tuple
 
@@ -357,27 +355,17 @@ def scenario_npv(
             negative=tuple(negative),
             discount_rate=discount_rate,
         )
-        return series, tuple(rev[t] for t in years), tuple(cloud[t] for t in years)
+        return series, tuple(cloud[t] for t in years)
 
     try:
-        low_series, rev_low, cloud_low = band(growth_low)
-        high_series, rev_high, cloud_high = band(growth_high)
+        low_series, cloud_low = band(growth_low)
+        high_series, cloud_high = band(growth_high)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(
             f"cash flows over {horizon_years} year(s) leave the float range "
             f"(growth band ({growth_low}, {growth_high}), discount rate {discount_rate}): {exc}"
         ) from None
-    return ScenarioEconomics(
-        capex=plan_cost,
-        start_year=start_year,
-        years=years,
-        low=low_series,
-        high=high_series,
-        revenue_low=rev_low,
-        revenue_high=rev_high,
-        cloud_low=cloud_low,
-        cloud_high=cloud_high,
-    )
+    return ScenarioEconomics(capex=plan_cost, low=low_series, high=high_series, cloud_low=cloud_low, cloud_high=cloud_high)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all gridwatch modules, and the one reader of
-input files.
+"""Exception hierarchy shared by all gridwatch modules, the one reader of
+input files, and the reader of their boolean and integer fields.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 structured error JSON without string-matching messages.
@@ -97,3 +97,20 @@ def read_input(path, what: str, as_json: bool = True):
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid {what} JSON in {path}: {exc}") from None
+
+
+def read_field(value, kind: type, name: str):
+    """A parsed JSON field ``value`` as a ``bool`` or an ``int``, per ``kind``.
+    A bool must be JSON ``true`` or ``false``; an int a JSON integer or a
+    number with no fractional part, such as ``10.0``.  Anything else, a
+    string, a fraction or ``null`` included, is a :class:`ParseError` naming
+    the field ``name``: ``bool("false")`` is true and ``int(10.9)`` is 10."""
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is int and not isinstance(value, bool):
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    wanted = "true or false" if kind is bool else "an integer"
+    raise ParseError(f"{name} must be {wanted}, got {json.dumps(value, default=repr)}")

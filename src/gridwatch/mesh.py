@@ -4,7 +4,8 @@ The area is the axis-aligned bounding rectangle of four projected corner
 coordinates, tiled with square blocks of side ``block_side`` km.  Terrain
 arrives as a row-major integer grid (row 0 = southernmost block row); a code
 of -1 marks blocks outside the irregular area boundary.  Every in-area,
-non-water block contributes one candidate sensor site at its center.
+non-water block is one candidate sensor site, at its center: a site is its
+block, and :meth:`AreaMesh.block_center` gives the center.
 ``pipeline.mesh_to_geojson`` formats the mesh as ``mesh.geojson``.
 """
 
@@ -81,18 +82,16 @@ def _check_codes(grid: np.ndarray, where: str = "") -> None:
 
 @dataclass(frozen=True)
 class CandidateSite:
-    """A potential sensor location: the center of an in-area, non-water block."""
+    """A potential sensor location: the center of an in-area, non-water block,
+    at ``mesh.block_center(block)``."""
 
     block: int
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
 class AreaMesh:
     """Immutable projected mesh over the surveillance area."""
 
-    corners: tuple
     origin: GeoPoint
     block_side: float
     length_a: float
@@ -115,17 +114,8 @@ class AreaMesh:
         return self.n_b - 1
 
     @property
-    def n_points(self) -> int:
-        return self.n_a * self.n_b
-
-    @property
     def n_blocks(self) -> int:
         return self.blocks_x * self.blocks_y
-
-    @property
-    def removed_count(self) -> int:
-        """Number of mesh blocks falling outside the area boundary."""
-        return int(np.count_nonzero(self.terrain == Terrain.OUTSIDE_AREA))
 
     # -- geometry ------------------------------------------------------------
 
@@ -152,10 +142,6 @@ class AreaMesh:
     @property
     def in_area_blocks(self) -> tuple:
         return tuple(int(z) for z in np.nonzero(self.in_area)[0])
-
-    @property
-    def terrain_grid(self) -> np.ndarray:
-        return self.terrain.reshape(self.blocks_y, self.blocks_x)
 
 
 def build_mesh(
@@ -206,15 +192,8 @@ def build_mesh(
         )
 
     terrain = grid.reshape(-1).astype(np.int8)
-    L = block_side
-    sites = []
     placeable = (terrain != Terrain.OUTSIDE_AREA) & (terrain != Terrain.WATER)
-    for z in np.nonzero(placeable)[0]:
-        j, k = divmod(int(z), blocks_x)
-        sites.append(CandidateSite(int(z), x0 + (k + 0.5) * L, y0 + (j + 0.5) * L))
-
     return AreaMesh(
-        corners=corners,
         origin=origin,
         block_side=block_side,
         length_a=length_a,
@@ -224,5 +203,5 @@ def build_mesh(
         x0=x0,
         y0=y0,
         terrain=terrain,
-        candidate_sites=tuple(sites),
+        candidate_sites=tuple(CandidateSite(z) for z in np.flatnonzero(placeable).tolist()),
     )

@@ -225,13 +225,14 @@ def write_cashflow_csv(path, econ: ScenarioEconomics) -> None:
             "year,revenue_low,revenue_high,cloud_cost_low,cloud_cost_high,"
             "sensor_capex,npv_low,npv_high,cum_npv_low,cum_npv_high\n"
         )
-        for i, year in enumerate(econ.years):
-            capex = econ.capex if year == econ.start_year else 0.0
+        low, high = econ.low, econ.high
+        for i, year in enumerate(low.years):
+            capex = econ.capex if year == low.start_year else 0.0
             fp.write(
-                f"{year},{econ.revenue_low[i]!r},{econ.revenue_high[i]!r},"
+                f"{year},{low.positive[i]!r},{high.positive[i]!r},"
                 f"{econ.cloud_low[i]['total']!r},{econ.cloud_high[i]['total']!r},{capex!r},"
-                f"{econ.low.npv[i]!r},{econ.high.npv[i]!r},"
-                f"{econ.low.cumulative_npv[i]!r},{econ.high.cumulative_npv[i]!r}\n"
+                f"{low.npv[i]!r},{high.npv[i]!r},"
+                f"{low.cumulative_npv[i]!r},{high.cumulative_npv[i]!r}\n"
             )
 
 

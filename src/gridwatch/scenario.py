@@ -26,7 +26,14 @@ reported before a fault in the scenario's own scalars or ``output_dir``.
 Error codes it raises:
 
 * ``PARSE_ERROR``: a file cannot be read, is not UTF-8 or is malformed, or the
-  scenario lacks a required field or has one of the wrong type;
+  scenario lacks a required field or has one of the wrong type.  Through
+  :func:`errors.read_field`, a boolean (``apply_dominance_filter``, a
+  catalog entry's ``tracks_noncooperative``) must be JSON ``true`` or
+  ``false``, and an integer (``solver.node_budget``, ``econ.start_year``,
+  ``econ.horizon_years``, ``econ.growth_lag_years``, the traffic file's
+  ``base_year``) a JSON integer or a number with no fractional part: the
+  string ``"false"``, ``10.9`` or ``null`` is a parse error, not a truthy
+  string or a truncated number;
 * ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
   or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
   catalog lacks or admits none, the heatmap sensor is not admitted, the cash
@@ -58,7 +65,7 @@ import numpy as np
 from .catalog import SensorCatalog, default_catalog, load_catalog
 from .coverage import ROUNDING_MODES
 from .econ import EconConfig, load_pricing, load_traffic
-from .errors import ParseError, ValidationError, read_input
+from .errors import ParseError, ValidationError, read_field, read_input
 from .geo import GeoPoint
 from .mesh import load_terrain_grid
 from .solver import DEFAULT_NODE_BUDGET
@@ -162,18 +169,18 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             required_detection=float(overrides.get("required_detection", doc.get("required_detection", 0.98))),
             rounding=str(doc.get("rounding", "ceil")),
             detection_scale=float(doc.get("detection_scale", 1.0)),
-            apply_dominance_filter=bool(doc.get("apply_dominance_filter", False)),
+            apply_dominance_filter=read_field(doc.get("apply_dominance_filter", False), bool, "apply_dominance_filter"),
             solver_mode=str(solver_doc.get("mode", "exact")),
-            node_budget=int(solver_doc.get("node_budget", DEFAULT_NODE_BUDGET)),
+            node_budget=read_field(solver_doc.get("node_budget", DEFAULT_NODE_BUDGET), int, "solver.node_budget"),
             econ=EconConfig(
-                start_year=int(econ_doc.get("start_year", 2024)),
-                horizon_years=int(econ_doc.get("horizon_years", 10)),
+                start_year=read_field(econ_doc.get("start_year", 2024), int, "econ.start_year"),
+                horizon_years=read_field(econ_doc.get("horizon_years", 10), int, "econ.horizon_years"),
                 initial_subscribers=float(econ_doc.get("initial_subscribers", 100)),
                 monthly_fee_usd=float(overrides.get("monthly_fee_usd", econ_doc.get("monthly_fee_usd", 400))),
                 growth_low=float(econ_doc.get("growth_low", 0.10)),
                 growth_high=float(econ_doc.get("growth_high", 0.20)),
                 discount_rate=float(econ_doc.get("discount_rate", 0.10)),
-                growth_lag_years=int(econ_doc.get("growth_lag_years", 1)),
+                growth_lag_years=read_field(econ_doc.get("growth_lag_years", 1), int, "econ.growth_lag_years"),
                 subscriber_rounding=str(econ_doc.get("subscriber_rounding", "exact")),
                 pricing=load_pricing(_input_file(base, econ_doc["pricing"], "pricing policy")),
                 traffic=load_traffic(_input_file(base, econ_doc["traffic"], "traffic projection")),

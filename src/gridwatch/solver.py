@@ -10,10 +10,14 @@ universe is ``mesh.in_area_blocks`` and the candidates are the table's own
 entries, sorted by cid.  Node expansion is integer AND/OR work plus one
 batched pricing pass per node: the blocks each child newly covers are priced
 together by looking up the bytes of their masks in a table of block prices.
+A block's coverers are a bitmask too, over indices into the residual
+candidates.
 
 ``solve_exact`` is the one exact path: root reductions (duplicate covered
-sets, forced unique coverers), then branch and bound on the residual.
-``solve_brute`` is the oracle it is tested against.
+sets, forced unique coverers), then branch and bound on the residual.  The
+root unpacks each residual candidate's mask once, to price blocks and count
+their coverers in the same pass.  ``solve_brute`` is the oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, bools_to_mask, mask_positions, mask_to_bools
+from .coverage import Candidate, CoverageTable, mask_positions, mask_to_bools
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -84,14 +88,9 @@ class PlacementInstance:
     def from_coverage(cls, table: CoverageTable) -> "PlacementInstance":
         """Instance over a coverage table's in-area blocks.
 
-        The candidates are the table's own entries, sorted by cid; the table's
-        catalog is the sensor filter, so filter the catalog before building
-        coverage to restrict the sensor types."""
-        return cls(
-            universe=table.mesh.in_area_blocks,
-            candidates=tuple(sorted(table.entries, key=lambda c: c.cid)),
-            metadata={"sensor_filter": tuple(sorted(table.catalog.names))},
-        )
+        The candidates are the table's own entries, sorted by cid; filter the
+        catalog before building coverage to restrict the sensor types."""
+        return cls(universe=table.mesh.in_area_blocks, candidates=tuple(sorted(table.entries, key=lambda c: c.cid)))
 
 
 @dataclass(frozen=True)
@@ -183,18 +182,19 @@ def solve_brute(instance: PlacementInstance, max_candidates: int = 20) -> Placem
         return _make_plan(instance, (), mode="brute", nodes=1, proven=True)
 
     words = (instance.n_elements + 63) // 64
-    word_mask = (1 << 64) - 1
+
+    def words_of(mask: int) -> np.ndarray:
+        return np.frombuffer(mask.to_bytes(8 * words, "little"), "<u8")
+
     # Subset tables by doubling: after candidate i, the upper half of each
     # table is the lower half with candidate i added, so bit i of a row index
     # says whether candidate i is picked, and costs are summed in index order.
     cost = np.zeros(1, dtype=np.float64)
     cover = np.zeros((1, words), dtype=np.uint64)
     for c in instance.candidates:
-        cand_words = np.array([(c.covered >> (64 * w)) & word_mask for w in range(words)], dtype=np.uint64)
         cost = np.concatenate([cost, cost + c.cost])
-        cover = np.concatenate([cover, cover | cand_words])
-    full_words = np.array([(instance.full_mask >> (64 * w)) & word_mask for w in range(words)], dtype=np.uint64)
-    feasible = (cover == full_words).all(axis=1)
+        cover = np.concatenate([cover, cover | words_of(c.covered)])
+    feasible = (cover == words_of(instance.full_mask)).all(axis=1)
     best_cost = cost[feasible].min()
     ties = np.nonzero(feasible & (cost == best_cost))[0]
 
@@ -250,28 +250,31 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
 
     The root drops duplicate covered sets and forces the unique coverer of
     every block that has one; the greedy solution of the residual seeds the
-    incumbent.  Each node branches on the uncovered block with the fewest
-    covering candidates, trying coverers in order of marginal cost per newly
-    covered block; sibling subtrees exclude the coverers already tried so the
-    search partitions the space.  The lower bound is a per-block
-    cheapest-marginal-cost sum.  Each stack entry carries its bound; a node
-    prices all its children in one batched pass, takes each child's bound as
-    its own less the price of what the child newly covers, and drops the
-    children that cannot beat the incumbent before any per-child work.
-    Exceeding ``node_budget`` returns the incumbent with proven_optimal=False.
+    incumbent.  One pass over the residual unpacks each candidate's mask once,
+    to price the blocks and count their coverers.  Each node branches on the
+    uncovered block with the fewest covering candidates, trying coverers in
+    order of marginal cost per newly covered block; sibling subtrees exclude
+    the coverers already tried so the search partitions the space.  A block's
+    coverers and a node's excluded candidates are bitmasks over the residual
+    candidates.  The lower bound is a per-block cheapest-marginal-cost sum.
+    Each stack entry carries its bound; a node prices all its children in one
+    batched pass, takes each child's bound as its own less the price of what
+    the child newly covers, and drops the children that cannot beat the
+    incumbent before any per-child work.  Exceeding ``node_budget`` returns
+    the incumbent with proven_optimal=False.
     """
     _check_coverable(instance)
     n = instance.n_elements
 
-    # Root reductions: duplicate covered sets, then forced singletons.
+    # Root reductions: duplicate covered sets, then forced singletons: the
+    # blocks in ``once & ~twice`` have one coverer each, which is forced.
+    # Forcing leaves no new singleton behind (see ``counts`` below).
     active, n_dupes = _dedup_identical(instance.candidates)
-    counts = np.zeros(n, dtype=np.int64)
+    once = twice = 0
     for c in active:
-        counts += mask_to_bools(c.covered, n)
-    singles_mask = bools_to_mask(counts == 1)
-    # A candidate touching a singleton block is its unique coverer.  Forcing
-    # never lowers the coverer count of a block left uncovered, so one pass
-    # leaves no singleton behind.
+        twice |= once & c.covered
+        once |= c.covered
+    singles_mask = once & ~twice
     forced = [c for c in active if c.covered & singles_mask]
     remaining = instance.full_mask
     for c in forced:
@@ -285,12 +288,18 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     inc_key = (inc_cost, len(incumbent), tuple(sorted(c.cid for c in incumbent)))
 
     # Static per-block price: cheapest cost share among coverers of the block.
+    # ``counts`` is each block's number of residual coverers.  On a block left
+    # uncovered it equals the count before forcing: no forced candidate covers
+    # the block, and each of its coverers touches ``remaining`` and so
+    # survives the filter.  ``branch_order`` reads only those blocks.
     price = np.full(n, np.inf)
+    counts = np.zeros(n, dtype=np.int64)
     for c in active:
         eff = c.covered & remaining
         share = c.cost / eff.bit_count()
         flags = mask_to_bools(eff, n)
         price[flags] = np.minimum(price[flags], share)
+        counts += flags
     price = np.where(np.isfinite(price), price, 0.0)
 
     root_bound = float(price[mask_to_bools(remaining, n)].sum())
@@ -298,18 +307,8 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
 
     branch_order = sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
     cost_of = np.array([c.cost for c in active])
-    coverer_cache = {}
-
-    def coverers_of(p: int) -> tuple:
-        """Indices into ``active`` of the coverers of block ``p``, ascending,
-        and the mask with those indices set."""
-        got = coverer_cache.get(p)
-        if got is None:
-            bit = 1 << p
-            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
-            got = (idx, sum(1 << ci for ci in idx))
-            coverer_cache[p] = got
-        return got
+    # Per branch block: the mask with bit ci set for each coverer active[ci].
+    coverer_masks = {}
 
     def prune_at() -> float:
         return inc_cost + _PRUNE_REL * max(1.0, abs(inc_cost))
@@ -335,10 +334,13 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
-        coverers, coverer_mask = coverers_of(branch_pos)
+        coverer_mask = coverer_masks.get(branch_pos)
+        if coverer_mask is None:
+            bit = 1 << branch_pos
+            coverer_mask = coverer_masks[branch_pos] = sum(1 << ci for ci, c in enumerate(active) if c.covered & bit)
         # Price every admissible child at once; a child's bound is this
         # node's bound less the price of what the child newly covers.
-        batch = [ci for ci in coverers if not (excluded >> ci) & 1]
+        batch = mask_positions(coverer_mask & ~excluded)
         child_bound = bound - price_of([active[ci].covered & uncovered for ci in batch])
         child_lower = forced_cost + (cost + cost_of[batch]) + child_bound
         children = []

@@ -384,9 +384,10 @@ def test_repeated_runs_are_byte_identical(bundle):
 
 def test_artifact_bytes_are_pinned(bundle):
     """Recorded digests of a non-square, mixed-terrain plan under the default
-    catalog, its cash flows and a fee sweep.  Repeated runs agree with each
-    other even after a change that moves a zeta by one ulp or a covered set by
-    one block; this does not."""
+    catalog, its cash flows from the default and a later start year, and a fee
+    sweep.  Repeated runs agree with each other even after a change that moves
+    a zeta by one ulp, a covered set by one block or capex by one row; this
+    does not."""
     from helpers import corners_for
 
     # 7 blocks wide, 5 tall, with OUTSIDE_AREA (-1) and WATER (1) cells.
@@ -397,12 +398,15 @@ def test_artifact_bytes_are_pinned(bundle):
     assert main(["plan", scn]) == 0
     assert main(["econ", scn, "--plan", str(bundle / "out" / "plan.geojson")]) == 0
     assert main(["sweep", scn, "--parameter", "fee", "--values", "100,400"]) == 0
-    digests = {
-        name: hashlib.sha256((bundle / "out" / name).read_bytes()).hexdigest()
-        for name in ("cashflow.csv", "coverage.csv", "heatmap.csv", "mesh.geojson", "plan.geojson", "summary.csv", "sweep.csv")
-    }
+    later = str(scenario_with(bundle, "later.json", area=area, output_dir=str(bundle / "later"),
+                              econ={"start_year": 2030, "horizon_years": 3}))
+    assert main(["econ", later, "--plan", str(bundle / "out" / "plan.geojson")]) == 0
+    names = ("cashflow.csv", "coverage.csv", "heatmap.csv", "mesh.geojson", "plan.geojson", "summary.csv", "sweep.csv")
+    paths = {name: bundle / "out" / name for name in names} | {"cashflow-2030.csv": bundle / "later" / "cashflow.csv"}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == {
         "cashflow.csv": "612c0a4b170b06bb12bac0b87e8bfdbc7b23c8abc47b83f7fcfa111c87ccd66e",
+        "cashflow-2030.csv": "b297f0ff405753583945e126038686063c83f011aa449de56f5dbc93d6166ca1",
         "coverage.csv": "43d6c81a1f764cb140a55ad275eb92c7016b3debb28421a2c36a9bbe5c67f965",
         "heatmap.csv": "45253cf671ea7fb8ef7000f70050f5a84f831e287aacec82628b618cef9f5658",
         "mesh.geojson": "650add1763fceb0a3b291caca02703bd6bf8dc412990142592208007f327dd8d",
@@ -447,14 +451,67 @@ def test_non_finite_scalars_exit_2(bundle, capsys, args, changes):
 
 @pytest.mark.parametrize(
     "changes",
-    [{"solver": {"mode": "exact", "node_budget": math.inf}}, {"econ": {"horizon_years": math.inf}}],
-    ids=["node_budget", "horizon_years"],
+    [
+        pytest.param({"solver": {"mode": "exact", "node_budget": math.inf}}, id="node_budget"),
+        pytest.param({"econ": {"horizon_years": math.inf}}, id="horizon_years"),
+        pytest.param({"solver": {"mode": "exact", "node_budget": 1.9}}, id="node_budget-fraction"),
+        pytest.param({"solver": {"mode": "exact", "node_budget": True}}, id="node_budget-bool"),
+        pytest.param({"solver": {"mode": "exact", "node_budget": "300"}}, id="node_budget-string"),
+        pytest.param({"econ": {"horizon_years": 10.9}}, id="horizon_years-fraction"),
+        pytest.param({"econ": {"start_year": 2024.5}}, id="start_year-fraction"),
+        pytest.param({"econ": {"growth_lag_years": 1.7}}, id="growth_lag_years-fraction"),
+        pytest.param({"econ": {"horizon_years": None}}, id="horizon_years-null"),
+        pytest.param({"traffic": {"base_year": 2024.9}}, id="traffic-base_year-fraction"),
+    ],
 )
 def test_infinite_integer_field_is_a_parse_error(bundle, capsys, changes):
-    # int(nan) was already a PARSE_ERROR; int(inf) raised OverflowError.
+    # int() raised OverflowError on inf, and truncated a fraction or a bool
+    # without a word.  An integer field takes an integral JSON number only.
+    changes = dict(changes)
+    if "traffic" in changes:
+        doc = json.loads((bundle / "traffic.json").read_text(encoding="utf-8"))
+        doc.update(changes.pop("traffic"))
+        (bundle / "traffic.json").write_text(json.dumps(doc), encoding="utf-8")
     scn = scenario_with(bundle, **changes)
     assert main(["validate", str(scn)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "PARSE_ERROR"
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["PARSE_ERROR", "PARSE_ERROR"]
+    assert not (bundle / "out").exists()
+
+
+def test_integral_float_is_an_integer_field(bundle):
+    scn = scenario_with(bundle, econ={"horizon_years": 10.0}, solver={"mode": "exact", "node_budget": 5e3})
+    assert main(["validate", str(scn)]) == 0
+    scenario = load_scenario(scn)
+    assert scenario.econ.horizon_years == 10 and type(scenario.econ.horizon_years) is int
+    assert scenario.node_budget == 5000 and type(scenario.node_budget) is int
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("apply_dominance_filter", v) for v in ("false", 0, 1, None)]
+    + [("tracks_noncooperative", v) for v in ("false", 0, None)],
+)
+def test_boolean_field_must_be_json_true_or_false(bundle, capsys, field, value):
+    # bool("false") is true: the filter switched on, or ADS-B passed as a
+    # non-cooperative tracker.
+    if field == "tracks_noncooperative":
+        doc = json.loads((bundled_minicity_path().parent / "catalog.json").read_text(encoding="utf-8"))
+        for entry in doc["sensors"]:
+            if entry["name"] == "ADS-B":
+                entry[field] = value
+        (bundle / "catalog.json").write_text(json.dumps(doc), encoding="utf-8")
+        changes = {"catalog": "catalog.json", "sensor_filter": "noncooperative_capable"}
+    else:
+        changes = {field: value, "sensor_filter": ["Radar", "RF", "Acoustic", "OpticalCamera"]}
+    scn = scenario_with(bundle, **changes)
+    assert main(["validate", str(scn)]) == 2
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == ["PARSE_ERROR", "PARSE_ERROR"]
+    assert all(field in e["message"] for e in errors)
+    assert not (bundle / "out").exists()
 
 
 @pytest.mark.parametrize(

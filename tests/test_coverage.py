@@ -32,9 +32,10 @@ def test_block_detection_uses_terrain_row():
 def brute_covered(mesh, range_km, site):
     """Oracle: a block counts iff all four of its corner points are within range."""
     result = []
+    centre = mesh.block_center(site.block)
     for z in mesh.in_area_blocks:
         pts = [mesh.point_xy(i) for i in mesh.block_corner_point_indices(z)]
-        if all(math.hypot(p.x - site.x, p.y - site.y) <= range_km + 1e-12 for p in pts):
+        if all(math.hypot(p.x - centre.x, p.y - centre.y) <= range_km + 1e-12 for p in pts):
             result.append(z)
     return tuple(result)
 
@@ -201,7 +202,6 @@ def test_all_entries_dropped_makes_table_infeasible():
     table = build_coverage(mesh, cat, 0.98, strict=False)
     assert table.entries == ()
     assert table.uncovered == mesh.in_area_blocks
-    assert not table.feasible
 
 
 def test_water_block_needs_coverage_but_hosts_no_site():
@@ -214,7 +214,7 @@ def test_water_block_needs_coverage_but_hosts_no_site():
     assert err.value.uncovered == (4,)
     # A longer reach covers the water block from its neighbors.
     table = build_coverage(mesh, SensorCatalog((make_spec(range_km=0.5),)), 0.98)
-    assert table.feasible
+    assert table.uncovered == ()
     assert all(e.site != 4 for e in table.entries)
 
 

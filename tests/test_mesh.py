@@ -16,14 +16,14 @@ def test_city_scale_block_grid():
     mesh = build_mesh(corners_for(16.2, 18.0), 0.3, np.zeros((60, 54), dtype=int), 0.4)
     assert (mesh.blocks_x, mesh.blocks_y) == (54, 60)
     assert mesh.n_blocks == 3240
-    assert mesh.n_points == mesh.n_a * mesh.n_b == 55 * 61
+    assert (mesh.n_a, mesh.n_b) == (55, 61)
     assert mesh.n_blocks == (mesh.n_a - 1) * (mesh.n_b - 1)
 
 
 def test_single_block_mesh():
     mesh = build_mesh(corners_for(0.3, 0.3), 0.3, np.zeros((1, 1), dtype=int), 0.3)
     assert mesh.n_blocks == 1
-    assert mesh.n_points == 4
+    assert (mesh.n_a, mesh.n_b) == (2, 2)
 
 
 def test_non_divisible_span_rounds_up():
@@ -33,7 +33,7 @@ def test_non_divisible_span_rounds_up():
 
 def test_all_outside_area():
     mesh = build_mesh(corners_for(0.9, 0.9), 0.3, np.full((3, 3), -1, dtype=int), 0.4)
-    assert mesh.removed_count == 9
+    assert not mesh.in_area.any()
     assert mesh.candidate_sites == ()
     assert mesh.in_area_blocks == ()
 
@@ -41,7 +41,8 @@ def test_all_outside_area():
 def test_in_area_count_plus_removed_is_total():
     codes = np.array([[0, -1, 1], [2, 3, -1], [4, 0, 0]])
     mesh = build_mesh(corners_for(0.9, 0.9), 0.3, codes, 0.4)
-    assert len(mesh.in_area_blocks) + mesh.removed_count == mesh.n_blocks == 9
+    assert mesh.in_area_blocks == (0, 2, 3, 4, 6, 7, 8)
+    assert mesh.n_blocks == 9
 
 
 def test_block_center_is_half_diagonal_from_corners():
@@ -62,9 +63,6 @@ def test_candidate_sites_skip_water_and_outside():
     }
     assert site_blocks == eligible
     assert len(mesh.candidate_sites) == len(eligible)  # exactly one site per eligible block
-    for s in mesh.candidate_sites:
-        center = mesh.block_center(s.block)
-        assert (s.x, s.y) == (center.x, center.y)
 
 
 def test_rejects_small_sensor_range():

@@ -288,6 +288,35 @@ def test_budget_stopped_search_on_coverage_is_pinned():
     assert repr(plan.metadata["root_lower_bound"]) == "444899.5267195311"
 
 
+def forced_then_branching_instance(seed):
+    """24 random sets over 40 elements; a costly extra set covers whatever
+    they miss, so some elements have one coverer and force it at the root."""
+    rng = random.Random(seed)
+    sets = [(f"c{i:02d}", [e for e in range(40) if rng.random() < 0.12], rng.choice([2.0, 3.0, 5.0, 7.5])) for i in range(24)]
+    sets.append(("lone", [e for e in range(40) if not any(e in s[1] for s in sets)] + [0], 9.0))
+    return inst_from(range(40), sets)
+
+
+@pytest.mark.parametrize(
+    "seed,forced,cids,root_bound",
+    [
+        (1, 3, "c00 c01 c02 c03 c04 c06 c07 c11 c13 c17 c23 lone", "39.28571428571429"),
+        (3, 4, "c01 c03 c07 c09 c10 c13 c14 c15 c19 c21 c23 lone", "37.083333333333336"),
+        (14, 5, "c01 c04 c07 c08 c10 c11 c12 c13 c15 c18 c20 c23", "29.083333333333332"),
+    ],
+)
+def test_search_after_forcing_is_pinned(seed, forced, cids, root_bound):
+    """Forcing, then a residual search that branches until the node budget
+    stops it.  Each node branches on the uncovered block with the fewest
+    coverers; these searches end elsewhere when the order ignores that count."""
+    plan = solve_exact(forced_then_branching_instance(seed), node_budget=12)
+    assert plan.metadata["forced"] == forced
+    assert plan.metadata["budget_exceeded"] is True
+    assert plan.nodes_explored == 13
+    assert " ".join(c.cid for c in plan.chosen) == cids
+    assert repr(plan.metadata["root_lower_bound"]) == root_bound
+
+
 
 def test_batch_pricer_matches_boolean_sum():
     # Sizes on both sides of byte and 64-bit word boundaries; the table sums
@@ -310,7 +339,6 @@ def test_from_coverage_candidate_shape():
     table = build_coverage(mesh, cat, 0.98)
     inst = PlacementInstance.from_coverage(table)
     assert inst.universe == mesh.in_area_blocks
-    assert inst.metadata["sensor_filter"] == ("Acoustic", "RF")
     # The instance holds the table's own entries, in cid order.
     assert len(inst.candidates) == len(table.entries)
     ordered = sorted(table.entries, key=lambda e: e.cid)
@@ -375,7 +403,6 @@ def test_from_coverage_respects_filter():
     table = build_coverage(mesh, default_catalog().filtered(["Radar"]), 0.98)
     inst = PlacementInstance.from_coverage(table)
     assert {c.sensor for c in inst.candidates} == {"Radar"}
-    assert inst.metadata["sensor_filter"] == ("Radar",)
     with pytest.raises(ValidationError):
         default_catalog().filtered(["Radar", "Nope"])
 
