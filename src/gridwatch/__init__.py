@@ -8,6 +8,7 @@ from .econ import (
     CashFlowSeries,
     CloudPricingPolicy,
     DEFAULT_MESSAGE_SPECS,
+    EconConfig,
     MessageSpec,
     ScenarioEconomics,
     TrafficProjection,
@@ -15,8 +16,6 @@ from .econ import (
     data_volume,
     load_pricing,
     load_traffic,
-    revenue,
-    scenario_npv,
 )
 from .errors import (
     DegenerateDetection,

@@ -104,16 +104,14 @@ def _spec_from_dict(raw: dict) -> SensorSpec:
     detect_raw = raw["detect"]
     if not isinstance(detect_raw, dict) or set(detect_raw) != set(DETECT_KEYS):
         raise ParseError(f"{raw.get('name', '?')}: detect must have exactly the keys {list(DETECT_KEYS)}")
-    fov = raw["fov_multiplier"]
-    if isinstance(fov, bool) or not isinstance(fov, int):
-        raise InvariantViolation(f"{raw['name']}: fov_multiplier must be an integer, got {fov!r}")
+    name = f"catalog sensor {raw['name']}"
     return SensorSpec(
         name=str(raw["name"]),
-        range_km=float(raw["range_km"]),
-        unit_price_usd=float(raw["unit_price_usd"]),
-        fov_multiplier=fov,
-        tracks_noncooperative=read_field(raw["tracks_noncooperative"], bool, f"{raw['name']}: tracks_noncooperative"),
-        detect={_KEY_TO_TERRAIN[k]: float(v) for k, v in detect_raw.items()},
+        range_km=read_field(raw["range_km"], float, f"{name}: range_km"),
+        unit_price_usd=read_field(raw["unit_price_usd"], float, f"{name}: unit_price_usd"),
+        fov_multiplier=read_field(raw["fov_multiplier"], int, f"{name}: fov_multiplier"),
+        tracks_noncooperative=read_field(raw["tracks_noncooperative"], bool, f"{name}: tracks_noncooperative"),
+        detect={_KEY_TO_TERRAIN[k]: read_field(v, float, f"{name}: detect.{k}") for k, v in detect_raw.items()},
     )
 
 

@@ -166,7 +166,6 @@ class CoverageTable:
     """All retained (sensor, site) candidates for one mesh and catalog."""
 
     mesh: AreaMesh = field(repr=False)
-    catalog: SensorCatalog = field(repr=False)
     entries: tuple = field(repr=False)
     uncovered: tuple  # in-area blocks no entry covers; empty when the table is feasible
 
@@ -246,4 +245,4 @@ def build_coverage(
     uncovered = tuple(np.flatnonzero(in_area)[~union].tolist())
     if uncovered and strict:
         raise InfeasibleCoverage(uncovered)
-    return CoverageTable(mesh=mesh, catalog=catalog, entries=tuple(entries), uncovered=uncovered)
+    return CoverageTable(mesh=mesh, entries=tuple(entries), uncovered=uncovered)

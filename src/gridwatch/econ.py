@@ -7,16 +7,18 @@ a pricing policy file.  Subscriber growth is compounded with a one-year lag by
 default: the first two operating years share the initial subscriber count and
 growth compounds from the third.  Flight hours grow at the same rate.
 
-:class:`EconConfig` holds a scenario's model inputs.  :func:`scenario_npv` owns
-every check on them, ``TOO_LARGE`` for the horizon included, and building a
-config runs them once, so a scenario is rejected before any solve.
+:class:`EconConfig` is the cash-flow model: it holds a scenario's inputs,
+checks every one of them, ``TOO_LARGE`` for the horizon included, when it is
+built, and prices a plan with :meth:`EconConfig.cash_flows`.  Building a
+config also prices a zero-cost plan, so a scenario is rejected before any
+solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import InvariantViolation, ParseError, TooLarge, ValidationError, VolumeAboveTopTier, read_field, read_input
 
@@ -57,13 +59,13 @@ DEFAULT_MESSAGE_SPECS = (
 )
 
 
-def data_volume(hours_by_class: Mapping[str, float], specs: Sequence[MessageSpec] = DEFAULT_MESSAGE_SPECS) -> dict:
+def data_volume(hours_by_class: Mapping[str, float]) -> dict:
     """Yearly surveillance bits per aircraft class from flight hours."""
     unknown = set(hours_by_class) - set(AIRCRAFT_CLASSES)
     if unknown:
         raise ValidationError(f"unknown aircraft class(es) in traffic: {sorted(unknown)}")
     bits = {}
-    for spec in specs:
+    for spec in DEFAULT_MESSAGE_SPECS:
         hours = float(hours_by_class.get(spec.aircraft_class, 0.0))
         if hours < 0:
             raise ValidationError(f"negative flight hours for {spec.aircraft_class}")
@@ -71,8 +73,8 @@ def data_volume(hours_by_class: Mapping[str, float], specs: Sequence[MessageSpec
     return bits
 
 
-def total_volume_bytes(hours_by_class: Mapping[str, float], specs: Sequence[MessageSpec] = DEFAULT_MESSAGE_SPECS) -> float:
-    return sum(data_volume(hours_by_class, specs).values()) / 8.0
+def total_volume_bytes(hours_by_class: Mapping[str, float]) -> float:
+    return sum(data_volume(hours_by_class).values()) / 8.0
 
 
 def growth_exponent(year: int, start_year: int, lag: int = 1) -> int:
@@ -109,10 +111,13 @@ def load_traffic(source) -> TrafficProjection:
     does not use, such as an old file's ``growth_low``/``growth_high``, are ignored."""
     doc = source if isinstance(source, dict) else read_input(source, "traffic projection")
     try:
-        per_year = {int(y): {str(k): float(v) for k, v in hours.items()} for y, hours in doc.get("per_year", {}).items()}
+        per_year = {
+            int(y): {str(k): read_field(v, float, f"traffic per_year.{y}.{k}") for k, v in hours.items()}
+            for y, hours in doc.get("per_year", {}).items()
+        }
         return TrafficProjection(
             base_year=read_field(doc["base_year"], int, "traffic base_year"),
-            base_hours={str(k): float(v) for k, v in doc["hours"].items()},
+            base_hours={str(k): read_field(v, float, f"traffic hours.{k}") for k, v in doc["hours"].items()},
             per_year=per_year,
         )
     except KeyError as exc:
@@ -175,19 +180,28 @@ class CloudPricingPolicy:
 def load_pricing(source) -> CloudPricingPolicy:
     """Load a cloud pricing policy from a JSON file path or parsed dict."""
     doc = source if isinstance(source, dict) else read_input(source, "pricing policy")
+
+    def number(section: dict, key: str, where: str) -> float:
+        return read_field(section[key], float, f"pricing {where}.{key}")
+
     try:
         ingest = doc["ingest"]
-        tiers = tuple(IngestTier(float(t["max_bytes"]), float(t["usd_per_year"])) for t in ingest["tiers"])
+        tiers = tuple(
+            IngestTier(number(t, "max_bytes", f"ingest.tiers[{i}]"), number(t, "usd_per_year", f"ingest.tiers[{i}]"))
+            for i, t in enumerate(ingest["tiers"])
+        )
         overflow = ingest.get("overflow_usd_per_byte")
+        if overflow is not None:
+            overflow = number(ingest, "overflow_usd_per_byte", "ingest")
         return CloudPricingPolicy(
             ingest_tiers=tiers,
-            ingest_overflow_usd_per_byte=None if overflow is None else float(overflow),
-            storage_usd_per_byte_month=float(doc["storage"]["usd_per_byte_month"]),
-            analytics_fixed_usd_per_year=float(doc["analytics"]["fixed_usd_per_year"]),
-            analytics_usd_per_byte=float(doc["analytics"]["usd_per_byte"]),
-            database_fixed_usd_per_year=float(doc["database"]["fixed_usd_per_year"]),
-            database_usd_per_byte=float(doc["database"]["usd_per_byte"]),
-            reporting_usd_per_subscriber_month=float(doc["reporting"]["usd_per_subscriber_month"]),
+            ingest_overflow_usd_per_byte=overflow,
+            storage_usd_per_byte_month=number(doc["storage"], "usd_per_byte_month", "storage"),
+            analytics_fixed_usd_per_year=number(doc["analytics"], "fixed_usd_per_year", "analytics"),
+            analytics_usd_per_byte=number(doc["analytics"], "usd_per_byte", "analytics"),
+            database_fixed_usd_per_year=number(doc["database"], "fixed_usd_per_year", "database"),
+            database_usd_per_byte=number(doc["database"], "usd_per_byte", "database"),
+            reporting_usd_per_subscriber_month=number(doc["reporting"], "usd_per_subscriber_month", "reporting"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"pricing policy missing or malformed field: {exc}") from None
@@ -230,23 +244,6 @@ def subscribers(n0: float, growth: float, year: int, start_year: int, lag: int =
     if rounding == "nearest":
         return float(math.floor(count + 0.5))
     return count
-
-
-def revenue(
-    n0: float,
-    fee_usd_month: float,
-    growth: float,
-    years: Sequence[int],
-    start_year: Optional[int] = None,
-    lag: int = 1,
-    rounding: str = "exact",
-) -> dict:
-    """Yearly subscription revenue: subscribers times 12 monthly fees."""
-    if n0 < 0 or fee_usd_month < 0 or growth < 0:
-        raise ValidationError("initial subscribers, fee, and growth must be non-negative")
-    years = tuple(years)
-    t0 = min(years) if start_year is None else start_year
-    return {t: subscribers(n0, growth, t, t0, lag, rounding) * fee_usd_month * 12.0 for t in years}
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,7 @@ class CashFlowSeries:
 class ScenarioEconomics:
     """Low/high growth-band cash flows for one placement plan.  Each band's
     yearly revenue is its series' ``positive`` flows; ``cloud_low`` and
-    ``cloud_high`` hold each year's cloud cost components."""
+    ``cloud_high`` hold each year's total cloud cost."""
 
     capex: float
     low: CashFlowSeries
@@ -307,74 +304,13 @@ class ScenarioEconomics:
     cloud_high: tuple
 
 
-def scenario_npv(
-    plan_cost: float,
-    traffic: TrafficProjection,
-    policy: CloudPricingPolicy,
-    n0: float,
-    fee_usd_month: float,
-    growth_low: float,
-    growth_high: float,
-    discount_rate: float,
-    horizon_years: int,
-    start_year: int,
-    messages: Sequence[MessageSpec] = DEFAULT_MESSAGE_SPECS,
-    subscriber_rounding: str = "exact",
-    growth_lag: int = 1,
-) -> ScenarioEconomics:
-    """Full cash-flow series for a plan: capex at the start year, then yearly
-    cloud cost against subscription revenue, under both growth-band endpoints.
-    Flows that leave the float range over the horizon are a :class:`ValidationError`."""
-    if horizon_years < 1:
-        raise ValidationError(f"horizon must be at least 1 year, got {horizon_years}")
-    if horizon_years > MAX_HORIZON_YEARS:
-        raise TooLarge(f"horizon_years {horizon_years} exceeds the limit of {MAX_HORIZON_YEARS}")
-    scalars = {"initial_subscribers": n0, "monthly_fee_usd": fee_usd_month, "growth_low": growth_low,
-               "growth_high": growth_high, "discount_rate": discount_rate}
-    for label, value in scalars.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{label} must be finite, got {value}")
-    if not 0 <= growth_low <= growth_high:
-        raise ValidationError(f"growth band must satisfy 0 <= low <= high, got ({growth_low}, {growth_high})")
-    if growth_lag < 0:
-        raise ValidationError(f"growth_lag_years must be non-negative, got {growth_lag}")
-    if not math.isfinite(plan_cost) or plan_cost < 0:
-        raise ValidationError(f"plan cost must be finite and non-negative, got {plan_cost}")
-    years = tuple(range(start_year, start_year + horizon_years))
-
-    def band(growth: float) -> tuple:
-        subs = {t: subscribers(n0, growth, t, start_year, growth_lag, subscriber_rounding) for t in years}
-        volumes = {t: total_volume_bytes(traffic.hours_for(t, growth, growth_lag), messages) for t in years}
-        cloud = cloud_cost(volumes, subs, policy)
-        rev = revenue(n0, fee_usd_month, growth, years, start_year, growth_lag, subscriber_rounding)
-        negative = [cloud[t]["total"] + (plan_cost if t == start_year else 0.0) for t in years]
-        series = CashFlowSeries(
-            start_year=start_year,
-            years=years,
-            positive=tuple(rev[t] for t in years),
-            negative=tuple(negative),
-            discount_rate=discount_rate,
-        )
-        return series, tuple(cloud[t] for t in years)
-
-    try:
-        low_series, cloud_low = band(growth_low)
-        high_series, cloud_high = band(growth_high)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValidationError(
-            f"cash flows over {horizon_years} year(s) leave the float range "
-            f"(growth band ({growth_low}, {growth_high}), discount rate {discount_rate}): {exc}"
-        ) from None
-    return ScenarioEconomics(capex=plan_cost, low=low_series, high=high_series, cloud_low=cloud_low, cloud_high=cloud_high)
-
-
 @dataclass(frozen=True)
 class EconConfig:
-    """A scenario's inputs to the cash-flow model.  Building one prices a
-    zero-cost plan through :func:`scenario_npv`, so the model's own checks and
-    float range decide which configs exist.  Capex adds only a finite amount
-    to the first year's outflow, so a config that prices at zero capex prices
-    at any real one; :class:`CashFlowSeries` still checks every run."""
+    """A scenario's inputs to the cash-flow model, checked when it is built.
+    Building one then prices a zero-cost plan, so the model's float range
+    decides which configs exist.  Capex adds only a finite amount to the
+    first year's outflow, so a config that prices at zero capex prices at any
+    real one; :class:`CashFlowSeries` still checks every run."""
 
     start_year: int
     horizon_years: int
@@ -389,21 +325,62 @@ class EconConfig:
     traffic: TrafficProjection
 
     def __post_init__(self):
+        if self.horizon_years < 1:
+            raise ValidationError(f"horizon must be at least 1 year, got {self.horizon_years}")
+        if self.horizon_years > MAX_HORIZON_YEARS:
+            raise TooLarge(f"horizon_years {self.horizon_years} exceeds the limit of {MAX_HORIZON_YEARS}")
+        for label in ("initial_subscribers", "monthly_fee_usd", "growth_low", "growth_high", "discount_rate"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValidationError(f"{label} must be finite, got {value}")
+        if not 0 <= self.growth_low <= self.growth_high:
+            raise ValidationError(
+                f"growth band must satisfy 0 <= low <= high, got ({self.growth_low}, {self.growth_high})"
+            )
+        if self.growth_lag_years < 0:
+            raise ValidationError(f"growth_lag_years must be non-negative, got {self.growth_lag_years}")
+        if self.initial_subscribers < 0 or self.monthly_fee_usd < 0:
+            raise ValidationError(
+                f"initial_subscribers and monthly_fee_usd must be non-negative, "
+                f"got ({self.initial_subscribers}, {self.monthly_fee_usd})"
+            )
+        if self.subscriber_rounding not in SUBSCRIBER_ROUNDINGS:
+            raise ValidationError(
+                f"unknown subscriber rounding {self.subscriber_rounding!r}; expected one of {SUBSCRIBER_ROUNDINGS}"
+            )
         self.cash_flows(0.0)
 
     def cash_flows(self, plan_cost: float) -> ScenarioEconomics:
-        """Cash-flow series for a plan of the given capital cost."""
-        return scenario_npv(
-            plan_cost=plan_cost,
-            traffic=self.traffic,
-            policy=self.pricing,
-            n0=self.initial_subscribers,
-            fee_usd_month=self.monthly_fee_usd,
-            growth_low=self.growth_low,
-            growth_high=self.growth_high,
+        """Cash-flow series for a plan of the given capital cost: capex at the
+        start year, then yearly cloud cost against subscription revenue, under
+        both growth-band endpoints.  Flows that leave the float range over the
+        horizon are a :class:`ValidationError`."""
+        if not math.isfinite(plan_cost) or plan_cost < 0:
+            raise ValidationError(f"plan cost must be finite and non-negative, got {plan_cost}")
+        try:
+            low, cloud_low = self._band(self.growth_low, plan_cost)
+            high, cloud_high = self._band(self.growth_high, plan_cost)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                f"cash flows over {self.horizon_years} year(s) leave the float range "
+                f"(growth band ({self.growth_low}, {self.growth_high}), discount rate {self.discount_rate}): {exc}"
+            ) from None
+        return ScenarioEconomics(capex=plan_cost, low=low, high=high, cloud_low=cloud_low, cloud_high=cloud_high)
+
+    def _band(self, growth: float, plan_cost: float) -> tuple:
+        """One growth endpoint's series and its yearly cloud cost totals; the
+        subscriber series drives both reporting cost and revenue."""
+        start, lag = self.start_year, self.growth_lag_years
+        years = tuple(range(start, start + self.horizon_years))
+        subs = {t: subscribers(self.initial_subscribers, growth, t, start, lag, self.subscriber_rounding) for t in years}
+        volumes = {t: total_volume_bytes(self.traffic.hours_for(t, growth, lag)) for t in years}
+        cloud = cloud_cost(volumes, subs, self.pricing)
+        totals = tuple(cloud[t]["total"] for t in years)
+        series = CashFlowSeries(
+            start_year=start,
+            years=years,
+            positive=tuple(subs[t] * self.monthly_fee_usd * 12.0 for t in years),
+            negative=tuple(c + (plan_cost if t == start else 0.0) for t, c in zip(years, totals)),
             discount_rate=self.discount_rate,
-            horizon_years=self.horizon_years,
-            start_year=self.start_year,
-            subscriber_rounding=self.subscriber_rounding,
-            growth_lag=self.growth_lag_years,
         )
+        return series, totals

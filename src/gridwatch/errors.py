@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all gridwatch modules, the one reader of
-input files, and the reader of their boolean and integer fields.
+input files, and the reader of their boolean and numeric fields.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 structured error JSON without string-matching messages.
@@ -100,17 +100,19 @@ def read_input(path, what: str, as_json: bool = True):
 
 
 def read_field(value, kind: type, name: str):
-    """A parsed JSON field ``value`` as a ``bool`` or an ``int``, per ``kind``.
-    A bool must be JSON ``true`` or ``false``; an int a JSON integer or a
-    number with no fractional part, such as ``10.0``.  Anything else, a
-    string, a fraction or ``null`` included, is a :class:`ParseError` naming
-    the field ``name``: ``bool("false")`` is true and ``int(10.9)`` is 10."""
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is int and not isinstance(value, bool):
-        if isinstance(value, int):
+    """A parsed JSON field ``value`` as a ``bool``, an ``int`` or a ``float``,
+    per ``kind``.  A bool must be JSON ``true`` or ``false``; an int a JSON
+    integer or a number with no fractional part, such as ``10.0``; a float any
+    JSON number, ``NaN`` and ``Infinity`` included, for the caller's range
+    checks.  Anything else, a string or ``null`` included, and a bool where a
+    number is wanted, is a :class:`ParseError` naming the field ``name``:
+    ``bool("false")`` is true, ``int(10.9)`` is 10 and ``float(True)`` is 1.0."""
+    if isinstance(value, bool):
+        if kind is bool:
             return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-    wanted = "true or false" if kind is bool else "an integer"
+    elif kind is int and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    elif kind is float and isinstance(value, (int, float)):
+        return float(value)
+    wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
     raise ParseError(f"{name} must be {wanted}, got {json.dumps(value, default=repr)}")

@@ -230,7 +230,7 @@ def write_cashflow_csv(path, econ: ScenarioEconomics) -> None:
             capex = econ.capex if year == low.start_year else 0.0
             fp.write(
                 f"{year},{low.positive[i]!r},{high.positive[i]!r},"
-                f"{econ.cloud_low[i]['total']!r},{econ.cloud_high[i]['total']!r},{capex!r},"
+                f"{econ.cloud_low[i]!r},{econ.cloud_high[i]!r},{capex!r},"
                 f"{low.npv[i]!r},{high.npv[i]!r},"
                 f"{low.cumulative_npv[i]!r},{high.cumulative_npv[i]!r}\n"
             )

@@ -17,11 +17,12 @@ against it, and the pricing and traffic objects in :class:`econ.EconConfig`.
 
 Each object checks itself when it is built, so ``replace`` in a sweep re-runs
 the same checks: :class:`Scenario` its own scalars, :class:`econ.EconConfig`
-every econ field through the cash-flow model, the catalog, pricing and
-traffic objects their content.  :func:`load_scenario` checks the sensor
-filter, the heatmap sensor and that ``output_dir`` is not under a file.  The
-econ config is built before the :class:`Scenario`, so an econ fault is
-reported before a fault in the scenario's own scalars or ``output_dir``.
+every econ field and then the float range of a zero-cost plan's cash flows,
+the catalog, pricing and traffic objects their content.
+:func:`load_scenario` checks the sensor filter, the heatmap sensor and that
+``output_dir`` is not under a file.  The econ config is built before the
+:class:`Scenario`, so an econ fault is reported before a fault in the
+scenario's own scalars or ``output_dir``.
 
 Error codes it raises:
 
@@ -29,20 +30,23 @@ Error codes it raises:
   scenario lacks a required field or has one of the wrong type.  Through
   :func:`errors.read_field`, a boolean (``apply_dominance_filter``, a
   catalog entry's ``tracks_noncooperative``) must be JSON ``true`` or
-  ``false``, and an integer (``solver.node_budget``, ``econ.start_year``,
-  ``econ.horizon_years``, ``econ.growth_lag_years``, the traffic file's
-  ``base_year``) a JSON integer or a number with no fractional part: the
-  string ``"false"``, ``10.9`` or ``null`` is a parse error, not a truthy
-  string or a truncated number;
+  ``false``; an integer (``solver.node_budget``, ``econ.start_year``,
+  ``econ.horizon_years``, ``econ.growth_lag_years``, a catalog entry's
+  ``fov_multiplier``, the traffic file's ``base_year``) a JSON integer or a
+  number with no fractional part; and every other numeric field, in the
+  scenario, catalog, pricing and traffic files alike, a JSON number: the
+  string ``"false"`` or ``"0.3"``, ``true`` where a number is wanted,
+  ``10.9`` where an integer is wanted, or ``null`` is a parse error, not a
+  truthy string, a quoted number, a $1 fee or a truncated number;
 * ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
   or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
   catalog lacks or admits none, the heatmap sensor is not admitted, the cash
   flows overflow or divide by zero over the horizon, or ``output_dir`` lies
   under a file;
-* ``TOO_LARGE``: from the econ model, when ``econ.horizon_years`` exceeds
-  ``econ.MAX_HORIZON_YEARS``;
-* ``VOLUME_ABOVE_TOP_TIER``: from the econ model, when traffic outgrows the top
-  ingest tier of a pricing policy that has no overflow rate;
+* ``TOO_LARGE``: from :class:`econ.EconConfig`, when ``econ.horizon_years``
+  exceeds ``econ.MAX_HORIZON_YEARS``;
+* ``VOLUME_ABOVE_TOP_TIER``: from :class:`econ.EconConfig`, when traffic
+  outgrows the top ingest tier of a pricing policy that has no overflow rate;
 * ``INVARIANT_VIOLATION``: catalog, pricing or traffic content breaks an
   invariant of the object it builds (e.g. a detection probability of 1).
 
@@ -148,7 +152,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         raw_corners = area["corners"]
         if len(raw_corners) != 4:
             raise ValidationError(f"area.corners must list exactly 4 [lon, lat] pairs, got {len(raw_corners)}")
-        corners = tuple(GeoPoint(float(lon), float(lat)) for lon, lat in raw_corners)
+        corners = tuple(
+            GeoPoint(read_field(lon, float, "area.corners longitude"), read_field(lat, float, "area.corners latitude"))
+            for lon, lat in raw_corners
+        )
         econ_doc = doc["econ"]
         solver_doc = doc.get("solver", {})
         terrain = load_terrain_grid(_input_file(base, area["terrain_grid"], "terrain grid"))
@@ -162,24 +169,28 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         scenario = Scenario(
             name=str(doc.get("name", path.stem)),
             corners=corners,
-            block_side_km=float(area["block_side_km"]),
+            block_side_km=read_field(area["block_side_km"], float, "area.block_side_km"),
             terrain=terrain,
             catalog=catalog,
             heatmap_sensor=heatmap_sensor,
-            required_detection=float(overrides.get("required_detection", doc.get("required_detection", 0.98))),
+            required_detection=read_field(
+                overrides.get("required_detection", doc.get("required_detection", 0.98)), float, "required_detection"
+            ),
             rounding=str(doc.get("rounding", "ceil")),
-            detection_scale=float(doc.get("detection_scale", 1.0)),
+            detection_scale=read_field(doc.get("detection_scale", 1.0), float, "detection_scale"),
             apply_dominance_filter=read_field(doc.get("apply_dominance_filter", False), bool, "apply_dominance_filter"),
             solver_mode=str(solver_doc.get("mode", "exact")),
             node_budget=read_field(solver_doc.get("node_budget", DEFAULT_NODE_BUDGET), int, "solver.node_budget"),
             econ=EconConfig(
                 start_year=read_field(econ_doc.get("start_year", 2024), int, "econ.start_year"),
                 horizon_years=read_field(econ_doc.get("horizon_years", 10), int, "econ.horizon_years"),
-                initial_subscribers=float(econ_doc.get("initial_subscribers", 100)),
-                monthly_fee_usd=float(overrides.get("monthly_fee_usd", econ_doc.get("monthly_fee_usd", 400))),
-                growth_low=float(econ_doc.get("growth_low", 0.10)),
-                growth_high=float(econ_doc.get("growth_high", 0.20)),
-                discount_rate=float(econ_doc.get("discount_rate", 0.10)),
+                initial_subscribers=read_field(econ_doc.get("initial_subscribers", 100), float, "econ.initial_subscribers"),
+                monthly_fee_usd=read_field(
+                    overrides.get("monthly_fee_usd", econ_doc.get("monthly_fee_usd", 400)), float, "econ.monthly_fee_usd"
+                ),
+                growth_low=read_field(econ_doc.get("growth_low", 0.10), float, "econ.growth_low"),
+                growth_high=read_field(econ_doc.get("growth_high", 0.20), float, "econ.growth_high"),
+                discount_rate=read_field(econ_doc.get("discount_rate", 0.10), float, "econ.discount_rate"),
                 growth_lag_years=read_field(econ_doc.get("growth_lag_years", 1), int, "econ.growth_lag_years"),
                 subscriber_rounding=str(econ_doc.get("subscriber_rounding", "exact")),
                 pricing=load_pricing(_input_file(base, econ_doc["pricing"], "pricing policy")),

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 from helpers import corners_for, square_mesh
 from test_catalog import PUBLISHED_DETECTION, PUBLISHED_SPECS
+from test_econ import config
 
 from gridwatch.catalog import default_catalog, scale_detection
 from gridwatch.cli import main
 from gridwatch.coverage import build_coverage, redundancy
-from gridwatch.econ import DEFAULT_MESSAGE_SPECS, revenue, scenario_npv, load_pricing, load_traffic, CashFlowSeries
+from gridwatch.econ import DEFAULT_MESSAGE_SPECS, CashFlowSeries
 from gridwatch.errors import InfeasibleCoverage
 from gridwatch.mesh import Terrain, build_mesh
 from gridwatch.scenario import bundled_minicity_path, load_scenario
@@ -203,11 +204,12 @@ def test_c08_monotonicity_suite():
 
 
 def test_c09_revenue_endpoints():
-    years = tuple(range(2024, 2034))
-    first = revenue(100, 400, 0.20, years)[2024]
+    first = config().cash_flows(0.0).high.positive[0]
     assert first == 480_000.0
-    high = revenue(100, 400, 0.20, years, rounding="ceil")[2033]
-    low = revenue(100, 400, 0.10, years, rounding="ceil")[2033]
+    rounded = config(subscriber_rounding="ceil").cash_flows(0.0)
+    assert rounded.high.years[-1] == 2033
+    high = rounded.high.positive[-1]
+    low = rounded.low.positive[-1]
     assert abs(high - 2_064_000.0) <= 1000.0
     assert abs(low - 1_032_000.0) <= 1000.0
     ok(9, f"revenue starts at $480,000 and reaches ${high:,.0f} / ${low:,.0f} in 2033 under 20%/10% growth")
@@ -220,13 +222,8 @@ def test_c10_npv_checks():
     assert abs(one.npv[1] - 0.909091) < 1e-6
     assert abs(one.npv[1] - 1.0 / 1.1) < 1e-9
 
-    from importlib import resources
-
-    pricing = load_pricing(json.loads(resources.files("gridwatch.data").joinpath("pricing.json").read_text()))
-    traffic = load_traffic(json.loads(resources.files("gridwatch.data").joinpath("traffic.json").read_text()))
-
     def break_even(fee, n0):
-        econ = scenario_npv(2_000_000.0, traffic, pricing, n0, fee, 0.10, 0.20, 0.10, 10, 2024)
+        econ = config(monthly_fee_usd=fee, initial_subscribers=n0).cash_flows(2_000_000.0)
         year = econ.high.break_even_year
         return 9999 if year is None else year
 

@@ -3,7 +3,7 @@ from helpers import make_spec, uniform_detect
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridwatch.catalog import SensorCatalog, default_catalog, load_catalog, scale_detection
+from gridwatch.catalog import DETECT_KEYS, SensorCatalog, default_catalog, load_catalog, scale_detection
 from gridwatch.errors import InvariantViolation, ParseError
 from gridwatch.mesh import Terrain
 
@@ -114,6 +114,39 @@ def test_load_catalog_requires_exact_detect_keys():
     }
     with pytest.raises(ParseError, match="detect"):
         load_catalog(doc)
+
+
+def radar_entry(**changes):
+    """The bundled Radar entry with some fields replaced, as a one-sensor catalog document."""
+    entry = {
+        "name": "Radar",
+        "range_km": 2.41,
+        "unit_price_usd": 35000,
+        "fov_multiplier": 3,
+        "tracks_noncooperative": True,
+        "detect": dict(zip(DETECT_KEYS, PUBLISHED_DETECTION["Radar"])),
+    }
+    return {"sensors": [entry | changes]}
+
+
+def test_integral_float_fov_multiplier_loads_as_int():
+    spec = load_catalog(radar_entry(fov_multiplier=2.0)).get("Radar")
+    assert spec.fov_multiplier == 2 and type(spec.fov_multiplier) is int
+
+
+def test_zero_fov_multiplier_breaks_the_spec_invariant():
+    with pytest.raises(InvariantViolation, match="fov_multiplier"):
+        load_catalog(radar_entry(fov_multiplier=0))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("fov_multiplier", v) for v in (True, "2", 2.5, None)]
+    + [(f, v) for f in ("range_km", "unit_price_usd") for v in (True, "2.41", None)],
+)
+def test_mistyped_number_is_a_parse_error(field, value):
+    with pytest.raises(ParseError, match=field):
+        load_catalog(radar_entry(**{field: value}))
 
 
 def test_load_catalog_round_trips_bundled(tmp_path):

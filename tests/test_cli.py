@@ -416,6 +416,49 @@ def test_artifact_bytes_are_pinned(bundle):
     }
 
 
+# Traffic hours given outright for two years, one of them naming two classes
+# only; every other year grows from the base year.
+PER_YEAR_TRAFFIC = {
+    "2026": {"cooperative_manned": 1500, "cooperative_uncrewed": 45000.5, "non_cooperative": 900},
+    "2029": {"cooperative_manned": 100, "non_cooperative": 4000},
+}
+
+
+@pytest.mark.parametrize(
+    "econ,traffic,digest",
+    [
+        ({"subscriber_rounding": "ceil"}, {}, "2d7f5daa98dbe9c1f2f83efeaa1994f2e1b2fd862ffd244ccaddf2db226897fb"),
+        ({"subscriber_rounding": "floor"}, {}, "fe14d799a842c176d0f6319f1598eb0734beb8570c71a3515f1ea08482f73acb"),
+        ({"subscriber_rounding": "nearest"}, {}, "35a258d39120b7629ba4ecf4055b12a8524fb1b202c428822726574d523125d1"),
+        ({"growth_lag_years": 0}, {}, "e9561c92db95cdb49984be9f3bf2e2209bf54247c41683dbc41b722e02457195"),
+        ({"growth_lag_years": 3, "start_year": 2030}, {}, "037fb49bbdf7688662b39d531b1669a959c1dfac5bca32b712533a91faac2f49"),
+        ({}, {"per_year": PER_YEAR_TRAFFIC}, "83689e46cb476982d929dd0e6d8018ea95fd22df4ef738a34fc3bd4900622703"),
+        (
+            {"discount_rate": -0.05, "initial_subscribers": 37.5, "monthly_fee_usd": 399.99},
+            {},
+            "a5c704d90807a7a4ac181cfbe9329a5807de3cb9720059a9364cad52e5387b2a",
+        ),
+    ],
+    ids=["ceil", "floor", "nearest", "lag-0", "lag-3-from-2030", "per-year-traffic", "negative-discount"],
+)
+def test_cashflow_bytes_are_pinned(bundle, econ, traffic, digest):
+    """Recorded digests of ``cashflow.csv`` under each subscriber rounding, two
+    growth lags, explicit traffic years and a negative discount rate."""
+    doc = json.loads((bundle / "traffic.json").read_text(encoding="utf-8"))
+    (bundle / "traffic.json").write_text(json.dumps(doc | traffic), encoding="utf-8")
+    plan = bundle / "plan.geojson"
+    plan.write_text(json.dumps({"features": [{"properties": {"install_cost_usd": 1234567.5}}]}), encoding="utf-8")
+    assert main(["econ", str(scenario_with(bundle, econ=econ)), "--plan", str(plan)]) == 0
+    assert hashlib.sha256((bundle / "out" / "cashflow.csv").read_bytes()).hexdigest() == digest
+
+
+def test_n0_sweep_bytes_are_pinned(bundle):
+    scn = scenario_with(bundle, econ={"subscriber_rounding": "nearest"})
+    assert main(["sweep", str(scn), "--parameter", "n0", "--values", "10,50.5,100,1000"]) == 0
+    digest = hashlib.sha256((bundle / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "224510aeed4b8f539cd5754515e3fc28609038a8da9a27ac0dde270fc57c2380"
+
+
 def test_heatmap_sensor_must_be_admitted(bundle, capsys):
     scn = scenario_with(bundle, sensor_filter=["RF"], heatmap_sensor="Radar", output_dir=str(bundle / "out"))
     assert main(["plan", str(scn)]) == 2
@@ -692,6 +735,54 @@ def test_malformed_input_value_is_a_parse_error(bundle, capsys, target, edit):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "PARSE_ERROR"
     assert target in err["message"]
+
+
+# id: (file, path to the field, value, field name in the message)
+NON_NUMBER_CASES = {
+    "fee-true": ("scenario", ("econ", "monthly_fee_usd"), True, "econ.monthly_fee_usd"),
+    "n0-true": ("scenario", ("econ", "initial_subscribers"), True, "econ.initial_subscribers"),
+    "growth_high-string": ("scenario", ("econ", "growth_high"), "0.2", "econ.growth_high"),
+    "discount_rate-false": ("scenario", ("econ", "discount_rate"), False, "econ.discount_rate"),
+    "r-string": ("scenario", ("required_detection",), "0.98", "required_detection"),
+    "detection_scale-true": ("scenario", ("detection_scale",), True, "detection_scale"),
+    "block_side_km-string": ("scenario", ("area", "block_side_km"), "0.3", "area.block_side_km"),
+    "corner-string": ("scenario", ("area", "corners", 0, 0), "-84.2004", "area.corners"),
+    "catalog-price-true": ("catalog", ("sensors", 0, "unit_price_usd"), True, "catalog sensor Radar: unit_price_usd"),
+    "catalog-fov-string": ("catalog", ("sensors", 0, "fov_multiplier"), "3", "catalog sensor Radar: fov_multiplier"),
+    "catalog-detect-string": ("catalog", ("sensors", 0, "detect", "open"), "0.95", "catalog sensor Radar: detect.open"),
+    "pricing-reporting-true": (
+        "pricing", ("reporting", "usd_per_subscriber_month"), True, "pricing reporting.usd_per_subscriber_month"
+    ),
+    "pricing-tier-string": (
+        "pricing", ("ingest", "tiers", 1, "usd_per_year"), "15000", "pricing ingest.tiers[1].usd_per_year"
+    ),
+    "traffic-hours-true": ("traffic", ("hours", "non_cooperative"), True, "traffic hours.non_cooperative"),
+    "traffic-per_year-string": (
+        "traffic", ("per_year",), {"2026": {"non_cooperative": "900"}}, "traffic per_year.2026.non_cooperative"
+    ),
+}
+
+
+@pytest.mark.parametrize("target,path,value,field", NON_NUMBER_CASES.values(), ids=NON_NUMBER_CASES.keys())
+def test_numeric_field_must_be_a_json_number(bundle, capsys, target, path, value, field):
+    # float(True) is 1.0 and float("0.3") is 0.3: a boolean ran as a $1 fee
+    # or one subscriber, and a quoted number passed as a number.
+    shutil.copy(bundled_minicity_path().parent / "catalog.json", bundle / "catalog.json")
+    scn = scenario_with(bundle, catalog="catalog.json", sensor_filter=["RF"])
+    file = scn if target == "scenario" else bundle / f"{target}.json"
+    doc = json.loads(file.read_text(encoding="utf-8"))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(scn)]) == 2
+    assert main(["plan", str(scn)]) == 2
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == ["PARSE_ERROR", "PARSE_ERROR"]
+    assert all(field in e["message"] for e in errors)
+    assert not (bundle / "out").exists()
 
 
 def test_stages_after_load_open_no_file(bundle, monkeypatch):

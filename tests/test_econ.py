@@ -9,6 +9,7 @@ from gridwatch.econ import (
     CashFlowSeries,
     CloudPricingPolicy,
     DEFAULT_MESSAGE_SPECS,
+    EconConfig,
     IngestTier,
     MessageSpec,
     TrafficProjection,
@@ -17,12 +18,10 @@ from gridwatch.econ import (
     growth_exponent,
     load_pricing,
     load_traffic,
-    revenue,
-    scenario_npv,
     subscribers,
     total_volume_bytes,
 )
-from gridwatch.errors import InvariantViolation, ParseError, ValidationError, VolumeAboveTopTier
+from gridwatch.errors import InvariantViolation, ParseError, TooLarge, ValidationError, VolumeAboveTopTier
 
 
 def bundled(name):
@@ -35,6 +34,24 @@ def default_policy():
 
 def default_traffic():
     return load_traffic(bundled("traffic.json"))
+
+
+def config(**changes):
+    """The bundled scenario's econ config with some fields replaced."""
+    fields = dict(
+        start_year=2024,
+        horizon_years=10,
+        initial_subscribers=100.0,
+        monthly_fee_usd=400.0,
+        growth_low=0.10,
+        growth_high=0.20,
+        discount_rate=0.10,
+        growth_lag_years=1,
+        subscriber_rounding="exact",
+        pricing=default_policy(),
+        traffic=default_traffic(),
+    )
+    return EconConfig(**(fields | changes))
 
 
 # -- messages and volumes -----------------------------------------------------
@@ -83,31 +100,28 @@ def test_total_volume_bytes_is_bits_over_eight():
 # -- revenue --------------------------------------------------------------------
 
 
-YEARS = tuple(range(2024, 2034))
-
-
 def test_first_year_revenue():
-    rev = revenue(100, 400, 0.20, YEARS)
-    assert rev[2024] == 480_000.0
-    assert rev[2025] == 480_000.0  # growth starts after the documented one-year lag
+    rev = config().cash_flows(0.0).high.positive
+    assert rev[0] == 480_000.0
+    assert rev[1] == 480_000.0  # growth starts after the documented one-year lag
 
 
 def test_zero_growth_is_constant():
-    rev = revenue(100, 400, 0.0, YEARS)
-    assert set(rev.values()) == {480_000.0}
+    flows = config(growth_low=0.0, growth_high=0.0).cash_flows(0.0)
+    assert set(flows.low.positive) == set(flows.high.positive) == {480_000.0}
 
 
 def test_final_year_endpoints_with_integer_subscribers():
-    high = revenue(100, 400, 0.20, YEARS, rounding="ceil")
-    low = revenue(100, 400, 0.10, YEARS, rounding="ceil")
-    assert high[2033] == 2_064_000.0
-    assert low[2033] == 1_032_000.0
+    flows = config(subscriber_rounding="ceil").cash_flows(0.0)
+    assert flows.low.years[-1] == 2033
+    assert flows.high.positive[-1] == 2_064_000.0
+    assert flows.low.positive[-1] == 1_032_000.0
 
 
 def test_final_year_high_endpoint_fractional():
-    rev = revenue(100, 400, 0.20, YEARS)
-    assert rev[2033] == pytest.approx(480_000.0 * 1.2 ** 8, rel=1e-12)
-    assert abs(rev[2033] - 2_064_000.0) < 1000.0
+    rev = config().cash_flows(0.0).high.positive
+    assert rev[-1] == pytest.approx(480_000.0 * 1.2 ** 8, rel=1e-12)
+    assert abs(rev[-1] - 2_064_000.0) < 1000.0
 
 
 def test_growth_exponent_convention():
@@ -128,9 +142,8 @@ def test_subscriber_rounding_modes():
 
 @given(g_low=st.floats(0.0, 0.15), extra=st.floats(0.0, 0.15))
 def test_revenue_band_is_ordered(g_low, extra):
-    lo = revenue(100, 400, g_low, YEARS)
-    hi = revenue(100, 400, g_low + extra, YEARS)
-    assert all(hi[t] >= lo[t] for t in YEARS)
+    flows = config(growth_low=g_low, growth_high=g_low + extra).cash_flows(0.0)
+    assert all(hi >= lo for lo, hi in zip(flows.low.positive, flows.high.positive))
 
 
 # -- cloud cost -------------------------------------------------------------------
@@ -291,18 +304,7 @@ def test_series_rejects_non_finite_flows(positive, negative, rate):
 
 
 def run_scenario(capex, fee=400.0, n0=100.0, g=(0.10, 0.20)):
-    return scenario_npv(
-        plan_cost=capex,
-        traffic=default_traffic(),
-        policy=default_policy(),
-        n0=n0,
-        fee_usd_month=fee,
-        growth_low=g[0],
-        growth_high=g[1],
-        discount_rate=0.10,
-        horizon_years=10,
-        start_year=2024,
-    )
+    return config(monthly_fee_usd=fee, initial_subscribers=n0, growth_low=g[0], growth_high=g[1]).cash_flows(capex)
 
 
 def test_zero_capex_breaks_even_immediately():
@@ -370,7 +372,7 @@ def test_traffic_validation():
 
 
 # The bundled traffic file as it was while it carried a growth band, which
-# nothing read: scenario_npv grows traffic by the scenario's own band.
+# nothing read: the cash-flow model grows traffic by the scenario's own band.
 TRAFFIC_WITH_BAND = """{
   "base_year": 2024,
   "hours": {
@@ -389,18 +391,37 @@ def test_traffic_file_with_old_growth_band_still_loads(tmp_path):
     path.write_text(TRAFFIC_WITH_BAND, encoding="utf-8")
     old = load_traffic(path)
     assert old == default_traffic()
-    args = (default_policy(), 100.0, 400.0, 0.10, 0.20, 0.10, 10, 2024)
-    assert scenario_npv(1000.0, old, *args) == scenario_npv(1000.0, default_traffic(), *args)
+    assert config(traffic=old).cash_flows(1000.0) == config().cash_flows(1000.0)
 
 
-def test_scenario_npv_validation():
+def test_cash_flows_validation():
     with pytest.raises(ValidationError):
         run_scenario(-1.0)
     with pytest.raises(ValidationError):
-        scenario_npv(0, default_traffic(), default_policy(), 100, 400, 0.1, 0.2, 0.1, 0, 2024)
+        config(horizon_years=0)
+
+
+@pytest.mark.parametrize(
+    "changes,error",
+    [
+        ({"horizon_years": 1001}, TooLarge),
+        ({"horizon_years": 5000, "monthly_fee_usd": float("nan")}, TooLarge),  # the horizon is checked first
+        ({"discount_rate": float("inf")}, ValidationError),
+        ({"growth_low": 0.3}, ValidationError),
+        ({"growth_low": -0.1}, ValidationError),
+        ({"growth_lag_years": -1}, ValidationError),
+        ({"initial_subscribers": -1.0}, ValidationError),
+        ({"monthly_fee_usd": -0.5}, ValidationError),
+        ({"subscriber_rounding": "banker"}, ValidationError),
+        ({"discount_rate": -1.0}, ValidationError),
+    ],
+)
+def test_config_rejects_each_bad_input(changes, error):
+    with pytest.raises(error):
+        config(**changes)
 
 
 @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
-def test_scenario_npv_rejects_non_finite_plan_cost(cost):
+def test_cash_flows_rejects_non_finite_plan_cost(cost):
     with pytest.raises(ValidationError):
         run_scenario(cost)
