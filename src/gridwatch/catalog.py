@@ -104,9 +104,10 @@ def _spec_from_dict(raw: dict) -> SensorSpec:
     detect_raw = raw["detect"]
     if not isinstance(detect_raw, dict) or set(detect_raw) != set(DETECT_KEYS):
         raise ParseError(f"{raw.get('name', '?')}: detect must have exactly the keys {list(DETECT_KEYS)}")
-    name = f"catalog sensor {raw['name']}"
+    sensor = read_field(raw["name"], str, "catalog sensor name")
+    name = f"catalog sensor {sensor}"
     return SensorSpec(
-        name=str(raw["name"]),
+        name=sensor,
         range_km=read_field(raw["range_km"], float, f"{name}: range_km"),
         unit_price_usd=read_field(raw["unit_price_usd"], float, f"{name}: unit_price_usd"),
         fov_multiplier=read_field(raw["fov_multiplier"], int, f"{name}: fov_multiplier"),

@@ -7,6 +7,15 @@ needed at the site to push the at-least-one-detection probability up to the
 required level.  Sites are block centres, so each type's covered sets come
 from one stencil of block offsets, checked against :func:`covered_blocks`.
 
+:func:`build_coverage` runs in two stages.  The footprint stage,
+:func:`build_footprints`, does everything that does not depend on the required
+detection probability: the size guard, the stencil walk, the covered-set
+masks, each pair's mean detection and the blocks no pair covers.  The pricing
+stage turns that :class:`FootprintTable` into candidates at one requirement:
+unit counts from :func:`redundancy`, costs, then the strict coverage check.
+A sweep over the requirement builds the footprint table once and prices it at
+every point.
+
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
 positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
@@ -162,12 +171,41 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class CoverageTable:
-    """All retained (sensor, site) candidates for one mesh and catalog."""
+class FootprintTable:
+    """The part of a coverage table that does not depend on the required
+    detection probability, for one mesh and catalog.
+
+    Each of ``cids``, ``specs``, ``sites``, ``covered`` (in-area bitmasks) and
+    ``mean_detect`` holds one item per (sensor type, candidate site) pair that
+    covers at least one block, in sensor-name then site order.  Columns rather
+    than a record per pair keep the table to a few pointers per pair: the
+    candidates priced from it share its strings, ints and floats.
+    """
 
     mesh: AreaMesh = field(repr=False)
+    cids: tuple = field(repr=False)
+    specs: tuple = field(repr=False)
+    sites: tuple = field(repr=False)
+    covered: tuple = field(repr=False)
+    mean_detect: tuple = field(repr=False)
+    uncovered: tuple  # in-area blocks no pair covers; empty when coverage is feasible
+
+
+@dataclass(frozen=True)
+class CoverageTable:
+    """All retained (sensor, site) candidates for one mesh and catalog: its
+    footprint table priced at one required detection probability."""
+
+    footprints: FootprintTable = field(repr=False)
     entries: tuple = field(repr=False)
-    uncovered: tuple  # in-area blocks no entry covers; empty when the table is feasible
+
+    @property
+    def mesh(self) -> AreaMesh:
+        return self.footprints.mesh
+
+    @property
+    def uncovered(self) -> tuple:
+        return self.footprints.uncovered
 
     def blocks_of(self, entry: Candidate) -> tuple:
         """Block ids covered by ``entry``, ascending."""
@@ -175,29 +213,12 @@ class CoverageTable:
         return tuple(blocks[p] for p in mask_positions(entry.covered))
 
 
-def build_coverage(
-    mesh: AreaMesh,
-    catalog: SensorCatalog,
-    required_detection: float,
-    rounding: str = "ceil",
-    strict: bool = True,
-) -> CoverageTable:
-    """Compute one :class:`Candidate`, cid ``"<sensor>@<site:06d>"``, per
-    (sensor type, candidate site) pair, in sensor-name then site order.
-
-    Pairs covering no block are dropped.  If some in-area block is covered by
-    no pair at all the table is infeasible: with ``strict`` (the default) an
-    :class:`InfeasibleCoverage` error lists the uncovered block indices,
-    otherwise the table is returned with its ``uncovered`` field populated.
+def build_footprints(mesh: AreaMesh, catalog: SensorCatalog) -> FootprintTable:
+    """The footprint stage of :func:`build_coverage`: every (sensor type,
+    candidate site) pair's covered blocks and mean detection probability.
     When sensor types x candidate sites x in-area blocks exceeds
     ``MAX_COVERAGE_WORK``, :class:`TooLarge` is raised before any footprint
-    is computed.
-    """
-    if not 0.0 < required_detection < 1.0:
-        raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
-    if rounding not in ROUNDING_MODES:
-        raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-
+    is computed."""
     in_area = mesh.in_area
     n_in_area = int(np.count_nonzero(in_area))
     work = len(catalog) * len(mesh.candidate_sites) * n_in_area
@@ -210,7 +231,7 @@ def build_coverage(
     # In-area position of every block, the masks' bit order; -1 outside the area.
     position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
     omegas = block_detection(mesh, catalog)
-    entries = []
+    cids, specs, sites, masks, zetas = [], [], [], [], []
     union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
@@ -228,21 +249,67 @@ def build_coverage(
             flags = np.zeros(n_in_area, dtype=bool)
             flags[covered] = True
             union |= flags
-            zeta = float(omega[covered].mean())
-            units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
-            entries.append(
-                Candidate(
-                    cid=f"{spec.name}@{site.block:06d}",
-                    covered=bools_to_mask(flags),
-                    cost=units * spec.unit_price_usd,
-                    sensor=spec.name,
-                    site=site.block,
-                    units=units,
-                    mean_detect=zeta,
-                )
-            )
-
+            cids.append(f"{spec.name}@{site.block:06d}")
+            specs.append(spec)
+            sites.append(site.block)
+            masks.append(bools_to_mask(flags))
+            zetas.append(float(omega[covered].mean()))
     uncovered = tuple(np.flatnonzero(in_area)[~union].tolist())
-    if uncovered and strict:
-        raise InfeasibleCoverage(uncovered)
-    return CoverageTable(mesh=mesh, entries=tuple(entries), uncovered=uncovered)
+    return FootprintTable(
+        mesh=mesh,
+        cids=tuple(cids),
+        specs=tuple(specs),
+        sites=tuple(sites),
+        covered=tuple(masks),
+        mean_detect=tuple(zetas),
+        uncovered=uncovered,
+    )
+
+
+def build_coverage(
+    mesh: AreaMesh,
+    catalog: SensorCatalog,
+    required_detection: float,
+    rounding: str = "ceil",
+    strict: bool = True,
+    footprints: Optional[FootprintTable] = None,
+) -> CoverageTable:
+    """Compute one :class:`Candidate`, cid ``"<sensor>@<site:06d>"``, per
+    (sensor type, candidate site) pair, in sensor-name then site order.
+
+    Pairs covering no block are dropped.  If some in-area block is covered by
+    no pair at all the table is infeasible: with ``strict`` (the default) an
+    :class:`InfeasibleCoverage` error lists the uncovered block indices,
+    otherwise the table is returned with its ``uncovered`` field populated.
+    A unit count that cannot be computed (:class:`DegenerateDetection`) is
+    reported before the uncovered blocks.
+
+    ``footprints``, when given, is :func:`build_footprints` of an equal mesh
+    and catalog: it is priced in place of building the footprint stage again,
+    and the table's mesh is ``footprints.mesh``.  Otherwise the footprint
+    stage runs here, with its :class:`TooLarge` guard.
+    """
+    if not 0.0 < required_detection < 1.0:
+        raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
+    if rounding not in ROUNDING_MODES:
+        raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
+    if footprints is None:
+        footprints = build_footprints(mesh, catalog)
+    entries = []
+    columns = (footprints.cids, footprints.specs, footprints.sites, footprints.covered, footprints.mean_detect)
+    for cid, spec, site, covered, zeta in zip(*columns):
+        units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
+        entries.append(
+            Candidate(
+                cid=cid,
+                covered=covered,
+                cost=units * spec.unit_price_usd,
+                sensor=spec.name,
+                site=site,
+                units=units,
+                mean_detect=zeta,
+            )
+        )
+    if footprints.uncovered and strict:
+        raise InfeasibleCoverage(footprints.uncovered)
+    return CoverageTable(footprints=footprints, entries=tuple(entries))

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all gridwatch modules, the one reader of
-input files, and the reader of their boolean and numeric fields.
+input files, and the reader of their boolean, numeric and string fields.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 structured error JSON without string-matching messages.
@@ -100,13 +100,15 @@ def read_input(path, what: str, as_json: bool = True):
 
 
 def read_field(value, kind: type, name: str):
-    """A parsed JSON field ``value`` as a ``bool``, an ``int`` or a ``float``,
-    per ``kind``.  A bool must be JSON ``true`` or ``false``; an int a JSON
-    integer or a number with no fractional part, such as ``10.0``; a float any
-    JSON number, ``NaN`` and ``Infinity`` included, for the caller's range
-    checks.  Anything else, a string or ``null`` included, and a bool where a
-    number is wanted, is a :class:`ParseError` naming the field ``name``:
-    ``bool("false")`` is true, ``int(10.9)`` is 10 and ``float(True)`` is 1.0."""
+    """A parsed JSON field ``value`` as a ``bool``, an ``int``, a ``float`` or
+    a ``str``, per ``kind``.  A bool must be JSON ``true`` or ``false``; an int
+    a JSON integer or a number with no fractional part, such as ``10.0``; a
+    float any JSON number, ``NaN`` and ``Infinity`` included, for the caller's
+    range checks; a str a JSON string.  Anything else, ``null`` included, a
+    string where a number is wanted and a bool where a number or a string is
+    wanted, is a :class:`ParseError` naming the field ``name``:
+    ``bool("false")`` is true, ``int(10.9)`` is 10, ``float(True)`` is 1.0 and
+    ``str(None)`` is ``"None"``."""
     if isinstance(value, bool):
         if kind is bool:
             return value
@@ -114,5 +116,7 @@ def read_field(value, kind: type, name: str):
         return int(value)
     elif kind is float and isinstance(value, (int, float)):
         return float(value)
-    wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+    elif kind is str and isinstance(value, str):
+        return value
+    wanted = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[kind]
     raise ParseError(f"{name} must be {wanted}, got {json.dumps(value, default=repr)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,8 +48,28 @@ class PlanResult:
     plan: PlacementPlan
 
 
+# Set by :func:`sweep` for its duration to a list that holds, once a point has
+# run, ``[scenario, footprint table]`` of the latest point; None outside a sweep.
+_sweep_footprints: ContextVar[Optional[list]] = ContextVar("sweep_footprints", default=None)
+
+
+def _same_map(a: Scenario, b: Scenario) -> bool:
+    """Whether two scenarios have the same footprint table: the same terrain
+    grid (by identity; a sweep's varied scenarios share the loaded array),
+    area, admitted catalog and detection scale."""
+    return (
+        a.terrain is b.terrain
+        and a.corners == b.corners
+        and a.block_side_km == b.block_side_km
+        and a.catalog == b.catalog
+        and a.detection_scale == b.detection_scale
+    )
+
+
 def run_plan(scenario: Scenario) -> PlanResult:
-    """Build mesh and coverage for a scenario and solve the placement problem."""
+    """Build mesh and coverage for a scenario and solve the placement problem.
+    Inside :func:`sweep`, coverage prices the previous point's footprint table
+    when the map and catalog are the same."""
     catalog = scenario.catalog
     if scenario.detection_scale != 1.0:
         catalog = scale_detection(catalog, scenario.detection_scale)
@@ -58,7 +79,11 @@ def run_plan(scenario: Scenario) -> PlanResult:
         terrain_grid=scenario.terrain,
         min_sensor_range=catalog.min_range_km,
     )
-    coverage = build_coverage(mesh, catalog, scenario.required_detection, scenario.rounding)
+    held = _sweep_footprints.get()
+    footprints = held[1] if held and _same_map(held[0], scenario) else None
+    coverage = build_coverage(mesh, catalog, scenario.required_detection, scenario.rounding, footprints=footprints)
+    if held is not None:
+        held[:] = [scenario, coverage.footprints]
     instance = PlacementInstance.from_coverage(coverage)
     if scenario.apply_dominance_filter:
         instance = dominance_filter(instance, catalog)
@@ -74,7 +99,7 @@ def run_plan(scenario: Scenario) -> PlanResult:
     return PlanResult(
         scenario=scenario,
         catalog=catalog,
-        mesh=mesh,
+        mesh=coverage.mesh,
         coverage=coverage,
         instance=instance,
         plan=plan,
@@ -271,18 +296,29 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
     """Re-run the pipeline for each parameter value; placement is re-solved only
     when the parameter affects coverage (detection_scale, r).  Row order follows
     the input value order.  Every varied scenario is validated before the
-    first solve."""
+    first solve.
+
+    An r sweep builds the footprint table (covered sets, mean detection
+    probabilities, uncovered blocks) at its first point and prices that same
+    table at every later point; only unit counts and costs are recomputed.
+    The table is held until this call returns or raises, and never shared
+    with another call.  A detection_scale sweep changes the footprints at
+    every point, so each point builds its own."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValidationError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     values = [float(v) for v in values]
     if not values:
         raise ValidationError("sweep needs at least one value")
     varied = [with_overrides(scenario, **{_SWEEP_FIELDS[parameter]: v}) for v in values]
-    base = run_plan(scenario) if parameter in ("fee", "n0") else None
-    return [
-        _sweep_row(parameter, v, s, base if base is not None else run_plan(s))
-        for v, s in zip(values, varied)
-    ]
+    token = _sweep_footprints.set([])
+    try:
+        base = run_plan(scenario) if parameter in ("fee", "n0") else None
+        return [
+            _sweep_row(parameter, v, s, base if base is not None else run_plan(s))
+            for v, s in zip(values, varied)
+        ]
+    finally:
+        _sweep_footprints.reset(token)
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:

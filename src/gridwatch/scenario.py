@@ -37,7 +37,12 @@ Error codes it raises:
   scenario, catalog, pricing and traffic files alike, a JSON number: the
   string ``"false"`` or ``"0.3"``, ``true`` where a number is wanted,
   ``10.9`` where an integer is wanted, or ``null`` is a parse error, not a
-  truthy string, a quoted number, a $1 fee or a truncated number;
+  truthy string, a quoted number, a $1 fee or a truncated number.  A name or
+  keyword (the scenario ``name``, ``rounding``, ``heatmap_sensor``,
+  ``solver.mode``, ``econ.subscriber_rounding``, the ``sensor_filter`` names,
+  a catalog entry's ``name``) must be a JSON string: ``true``, ``false`` or
+  ``null`` there is a parse error, not a sensor named ``True``, a rounding
+  named ``None`` or the default heatmap sensor;
 * ``VALIDATION_ERROR``: a named file does not exist, a scalar is out of range
   or not finite, a keyword is unknown, ``sensor_filter`` names a sensor the
   catalog lacks or admits none, the heatmap sensor is not admitted, the cash
@@ -130,7 +135,7 @@ def _admitted(catalog: SensorCatalog, sensor_filter) -> SensorCatalog:
             f"sensor_filter must be a list of names or one of {SENSOR_FILTER_KEYWORDS}, got {sensor_filter!r}"
         )
     else:
-        names = [str(n) for n in sensor_filter]
+        names = [read_field(n, str, "sensor_filter name") for n in sensor_filter]
         unknown = set(names) - set(catalog.names)
         if unknown:
             raise ValidationError(f"sensor filter names not in catalog: {sorted(unknown)}")
@@ -163,11 +168,13 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             load_catalog(_input_file(base, doc["catalog"], "catalog")) if "catalog" in doc else default_catalog(),
             doc.get("sensor_filter", "all"),
         )
-        heatmap_sensor = doc.get("heatmap_sensor") or min(catalog.names)
+        heatmap_sensor = (
+            read_field(doc["heatmap_sensor"], str, "heatmap_sensor") if "heatmap_sensor" in doc else min(catalog.names)
+        )
         if heatmap_sensor not in catalog.names:
             raise ValidationError(f"heatmap sensor {heatmap_sensor!r} is not among admitted {sorted(catalog.names)}")
         scenario = Scenario(
-            name=str(doc.get("name", path.stem)),
+            name=read_field(doc.get("name", path.stem), str, "name"),
             corners=corners,
             block_side_km=read_field(area["block_side_km"], float, "area.block_side_km"),
             terrain=terrain,
@@ -176,10 +183,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             required_detection=read_field(
                 overrides.get("required_detection", doc.get("required_detection", 0.98)), float, "required_detection"
             ),
-            rounding=str(doc.get("rounding", "ceil")),
+            rounding=read_field(doc.get("rounding", "ceil"), str, "rounding"),
             detection_scale=read_field(doc.get("detection_scale", 1.0), float, "detection_scale"),
             apply_dominance_filter=read_field(doc.get("apply_dominance_filter", False), bool, "apply_dominance_filter"),
-            solver_mode=str(solver_doc.get("mode", "exact")),
+            solver_mode=read_field(solver_doc.get("mode", "exact"), str, "solver.mode"),
             node_budget=read_field(solver_doc.get("node_budget", DEFAULT_NODE_BUDGET), int, "solver.node_budget"),
             econ=EconConfig(
                 start_year=read_field(econ_doc.get("start_year", 2024), int, "econ.start_year"),
@@ -192,7 +199,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 growth_high=read_field(econ_doc.get("growth_high", 0.20), float, "econ.growth_high"),
                 discount_rate=read_field(econ_doc.get("discount_rate", 0.10), float, "econ.discount_rate"),
                 growth_lag_years=read_field(econ_doc.get("growth_lag_years", 1), int, "econ.growth_lag_years"),
-                subscriber_rounding=str(econ_doc.get("subscriber_rounding", "exact")),
+                subscriber_rounding=read_field(
+                    econ_doc.get("subscriber_rounding", "exact"), str, "econ.subscriber_rounding"
+                ),
                 pricing=load_pricing(_input_file(base, econ_doc["pricing"], "pricing policy")),
                 traffic=load_traffic(_input_file(base, econ_doc["traffic"], "traffic projection")),
             ),

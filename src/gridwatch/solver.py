@@ -11,7 +11,8 @@ entries, sorted by cid.  Node expansion is integer AND/OR work plus one
 batched pricing pass per node: the blocks each child newly covers are priced
 together by looking up the bytes of their masks in a table of block prices.
 A block's coverers are a bitmask too, over indices into the residual
-candidates.
+candidates, kept beside the same indices as a list for the nodes that
+exclude none of them.
 
 ``solve_exact`` is the one exact path: root reductions (duplicate covered
 sets, forced unique coverers), then branch and bound on the residual.  The
@@ -256,11 +257,12 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     order of marginal cost per newly covered block; sibling subtrees exclude
     the coverers already tried so the search partitions the space.  A block's
     coverers and a node's excluded candidates are bitmasks over the residual
-    candidates.  The lower bound is a per-block cheapest-marginal-cost sum.
-    Each stack entry carries its bound; a node prices all its children in one
-    batched pass, takes each child's bound as its own less the price of what
-    the child newly covers, and drops the children that cannot beat the
-    incumbent before any per-child work.  Exceeding ``node_budget`` returns
+    candidates; a node that excludes none of its block's coverers takes
+    their cached index list as is.  The lower bound is a per-block
+    cheapest-marginal-cost sum.  Each stack entry carries its bound; a node
+    prices all its children in one batched pass, takes each child's bound as
+    its own less the price of what the child newly covers, and drops the
+    children that cannot beat the incumbent before any per-child work.  Exceeding ``node_budget`` returns
     the incumbent with proven_optimal=False.
     """
     _check_coverable(instance)
@@ -307,8 +309,9 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
 
     branch_order = sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
     cost_of = np.array([c.cost for c in active])
-    # Per branch block: the mask with bit ci set for each coverer active[ci].
-    coverer_masks = {}
+    # Per branch block: the mask with bit ci set for each coverer active[ci],
+    # and the same coverers as an ascending index list.
+    coverers = {}
 
     def prune_at() -> float:
         return inc_cost + _PRUNE_REL * max(1.0, abs(inc_cost))
@@ -334,13 +337,18 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
-        coverer_mask = coverer_masks.get(branch_pos)
-        if coverer_mask is None:
+        found = coverers.get(branch_pos)
+        if found is None:
             bit = 1 << branch_pos
-            coverer_mask = coverer_masks[branch_pos] = sum(1 << ci for ci, c in enumerate(active) if c.covered & bit)
+            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
+            found = coverers[branch_pos] = (sum(1 << ci for ci in idx), idx)
+        coverer_mask, idx = found
         # Price every admissible child at once; a child's bound is this
-        # node's bound less the price of what the child newly covers.
-        batch = mask_positions(coverer_mask & ~excluded)
+        # node's bound less the price of what the child newly covers.  The
+        # admissible children are the block's coverers less the excluded
+        # ones; often none of them is excluded.
+        dropped = coverer_mask & excluded
+        batch = mask_positions(coverer_mask ^ dropped) if dropped else idx
         child_bound = bound - price_of([active[ci].covered & uncovered for ci in batch])
         child_lower = forced_cost + (cost + cost_of[batch]) + child_bound
         children = []

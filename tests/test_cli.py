@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from gridwatch import cli, pipeline
+from gridwatch import cli, coverage, pipeline
 from gridwatch.cli import main
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
-from gridwatch.scenario import bundled_minicity_path, load_scenario
+from gridwatch.scenario import bundled_minicity_path, load_scenario, with_overrides
 
 
 @pytest.fixture()
@@ -297,6 +297,70 @@ def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
     assert not (bundle / "out").exists()
 
 
+@pytest.fixture()
+def footprint_builds(monkeypatch):
+    """Every footprint table coverage builds, the number of coverage tables
+    the pipeline asks for, and every run_plan result, in call order."""
+    built, priced, results = [], [], []
+
+    def build_and_keep(*args, build=coverage.build_footprints):
+        built.append(build(*args))
+        return built[-1]
+
+    def price_and_count(*args, build=pipeline.build_coverage, **kwargs):
+        priced.append(args)
+        return build(*args, **kwargs)
+
+    def run_and_keep(scenario, run=pipeline.run_plan):
+        results.append(run(scenario))
+        return results[-1]
+
+    monkeypatch.setattr(coverage, "build_footprints", build_and_keep)
+    monkeypatch.setattr(pipeline, "build_coverage", price_and_count)
+    monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
+    return built, priced, results
+
+
+def test_r_sweep_builds_footprints_once_per_call(bundle, footprint_builds):
+    built, priced, results = footprint_builds
+    scenario = load_scenario(scenario_with(bundle, sensor_filter=["Acoustic", "RF"]))
+    sweep(scenario, "r", [0.9, 0.95, 0.99])
+    assert len(built) == 1 and len(priced) == 3
+    assert all(r.coverage.footprints is built[0] and r.mesh is built[0].mesh for r in results)
+    assert pipeline._sweep_footprints.get() is None
+    # Nothing outlives the call: the next sweep and a lone run_plan build their own.
+    sweep(scenario, "r", [0.9])
+    assert pipeline.run_plan(scenario).coverage.footprints is built[2]
+    assert len(built) == 3
+
+
+def test_sweep_point_that_raises_releases_the_footprints(bundle, footprint_builds, monkeypatch):
+    solves = []
+
+    def fail_second(instance, node_budget, solve=pipeline.solve_exact):
+        solves.append(instance)
+        if len(solves) == 2:
+            raise RuntimeError("second point fails")
+        return solve(instance, node_budget=node_budget)
+
+    monkeypatch.setattr(pipeline, "solve_exact", fail_second)
+    scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
+    with pytest.raises(RuntimeError, match="second point"):
+        sweep(scenario, "r", [0.9, 0.95, 0.99])
+    assert pipeline._sweep_footprints.get() is None
+    assert len(solves) == 2
+
+
+def test_detection_scale_sweep_builds_footprints_at_every_point(bundle, footprint_builds):
+    built, _, results = footprint_builds
+    scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
+    sweep(scenario, "detection_scale", [0.9, 1.0, 0.9])
+    assert len(built) == 3
+    assert [r.coverage.footprints for r in results] == built
+    zetas = [[e.mean_detect for e in r.coverage.entries] for r in results]
+    assert zetas[0] == zetas[2] != zetas[1]
+
+
 def _sweep_csv_then_failure(bundle):
     scn = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
     rows = sweep(scn, "fee", [100.0, 400.0])
@@ -382,18 +446,23 @@ def test_repeated_runs_are_byte_identical(bundle):
         assert (bundle / "one" / name).read_bytes() == (bundle / "two" / name).read_bytes(), name
 
 
+def wide_area(bundle):
+    """Scenario ``area`` of a map 7 blocks wide and 5 tall, with OUTSIDE_AREA
+    (-1) and WATER (1) cells; its terrain file is written into ``bundle``."""
+    from helpers import corners_for
+
+    terrain = "0,0,2,1,1,-1,-1\n0,2,4,4,1,0,-1\n3,2,4,4,2,0,0\n3,3,2,0,2,1,0\n-1,3,0,0,0,1,0\n"
+    (bundle / "wide.csv").write_text(terrain, encoding="utf-8")
+    return {"corners": [[c.lon, c.lat] for c in corners_for(2.1, 1.5)], "block_side_km": 0.3, "terrain_grid": "wide.csv"}
+
+
 def test_artifact_bytes_are_pinned(bundle):
     """Recorded digests of a non-square, mixed-terrain plan under the default
     catalog, its cash flows from the default and a later start year, and a fee
     sweep.  Repeated runs agree with each other even after a change that moves
     a zeta by one ulp, a covered set by one block or capex by one row; this
     does not."""
-    from helpers import corners_for
-
-    # 7 blocks wide, 5 tall, with OUTSIDE_AREA (-1) and WATER (1) cells.
-    terrain = "0,0,2,1,1,-1,-1\n0,2,4,4,1,0,-1\n3,2,4,4,2,0,0\n3,3,2,0,2,1,0\n-1,3,0,0,0,1,0\n"
-    (bundle / "wide.csv").write_text(terrain, encoding="utf-8")
-    area = {"corners": [[c.lon, c.lat] for c in corners_for(2.1, 1.5)], "block_side_km": 0.3, "terrain_grid": "wide.csv"}
+    area = wide_area(bundle)
     scn = str(scenario_with(bundle, area=area))
     assert main(["plan", scn]) == 0
     assert main(["econ", scn, "--plan", str(bundle / "out" / "plan.geojson")]) == 0
@@ -457,6 +526,69 @@ def test_n0_sweep_bytes_are_pinned(bundle):
     assert main(["sweep", str(scn), "--parameter", "n0", "--values", "10,50.5,100,1000"]) == 0
     digest = hashlib.sha256((bundle / "out" / "sweep.csv").read_bytes()).hexdigest()
     assert digest == "224510aeed4b8f539cd5754515e3fc28609038a8da9a27ac0dde270fc57c2380"
+
+
+R_SWEEP_VALUES = (0.9, 0.95, 0.98, 0.99)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "rounding,sweep_digest,coverage_digest",
+    [
+        (
+            "ceil",
+            "b47eef4dc16446c8af55bb8be451b44b09fadcecfa33547fac4a1a0d55a886c7",
+            "b42ef2ddb1313b06ca0196a651691c497e86203584c9cb444c6f209933bee231",
+        ),
+        (
+            "nearest",
+            "3d2b6b76aae5c2272adc4d22b2b54ce264ffb27f04e851723ea6601b005d0d15",
+            "40ddc7c4d614de5d58a27c56cee9ed546c1b540c18749dc9e94f2635784712a9",
+        ),
+        (
+            "floor",
+            "837fc2104c1d3ea5276fa7d30cf7b91382c845a16ec529c66d6dfb4fdb15a9de",
+            "fbaf4e83fe81c3decc3739801da34832d6574df0e9d190ac9dd90f510e49713a",
+        ),
+    ],
+    ids=["ceil", "nearest", "floor"],
+)
+def test_r_sweep_bytes_are_pinned(bundle, monkeypatch, rounding, sweep_digest, coverage_digest):
+    """Recorded digests of an r sweep on the wide mixed-terrain map under each
+    unit rounding, and of the concatenated ``coverage.csv`` of its points, as
+    the sweep builds them and as a lone ``run_plan`` per point does."""
+    scn = scenario_with(bundle, area=wide_area(bundle), rounding=rounding)
+    values = ",".join(repr(r) for r in R_SWEEP_VALUES)
+    assert main(["sweep", str(scn), "--parameter", "r", "--values", values]) == 0
+    assert sha256((bundle / "out" / "sweep.csv").read_bytes()) == sweep_digest
+
+    def coverage_bytes(results):
+        for i, result in enumerate(results):
+            pipeline.write_coverage_csv(bundle / f"coverage-{i}.csv", result.coverage)
+        return b"".join((bundle / f"coverage-{i}.csv").read_bytes() for i in range(len(results)))
+
+    scenario = load_scenario(scn)
+    alone = [run_plan(with_overrides(scenario, required_detection=r)) for r in R_SWEEP_VALUES]
+    swept = []
+
+    def run_and_keep(s, run_plan=pipeline.run_plan):
+        swept.append(run_plan(s))
+        return swept[-1]
+
+    monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
+    sweep(scenario, "r", R_SWEEP_VALUES)
+    assert sha256(coverage_bytes(alone)) == coverage_digest
+    assert sha256(coverage_bytes(swept)) == coverage_digest
+
+
+def test_detection_scale_sweep_bytes_are_pinned(bundle):
+    scn = scenario_with(bundle, area=wide_area(bundle))
+    assert main(["sweep", str(scn), "--parameter", "detection_scale", "--values", "0.9,1.0,1.05"]) == 0
+    digest = sha256((bundle / "out" / "sweep.csv").read_bytes())
+    assert digest == "cbbf30d59422050732eed89fc19c16b16394c6f8733ed7ae20a12fb6c70a18b9"
 
 
 def test_heatmap_sensor_must_be_admitted(bundle, capsys):
@@ -783,6 +915,39 @@ def test_numeric_field_must_be_a_json_number(bundle, capsys, target, path, value
     assert [e["error"] for e in errors] == ["PARSE_ERROR", "PARSE_ERROR"]
     assert all(field in e["message"] for e in errors)
     assert not (bundle / "out").exists()
+
+
+# id: (file, path to the field, value, field name in the message)
+NON_STRING_CASES = {
+    "catalog-name-true": ("catalog", ("sensors", 0, "name"), True, "catalog sensor name"),
+    "sensor_filter-name-number": ("scenario", ("sensor_filter",), ["RF", 7], "sensor_filter name"),
+    "name-number": ("scenario", ("name",), 12, "name"),
+    "rounding-null": ("scenario", ("rounding",), None, "rounding"),
+    "heatmap_sensor-false": ("scenario", ("heatmap_sensor",), False, "heatmap_sensor"),
+    "solver-mode-false": ("scenario", ("solver", "mode"), False, "solver.mode"),
+    "subscriber_rounding-null": ("scenario", ("econ", "subscriber_rounding"), None, "econ.subscriber_rounding"),
+}
+
+
+@pytest.mark.parametrize("target,path,value,field", NON_STRING_CASES.values(), ids=NON_STRING_CASES.keys())
+def test_string_field_must_be_a_json_string(bundle, capsys, target, path, value, field):
+    # str(True) is "True" and str(None) is "None": a catalog sensor named
+    # True loaded, a null rounding was reported as an unknown keyword, and a
+    # false heatmap sensor fell back to the default one.
+    shutil.copy(bundled_minicity_path().parent / "catalog.json", bundle / "catalog.json")
+    scn = scenario_with(bundle, catalog="catalog.json", sensor_filter=["RF"])
+    file = scn if target == "scenario" else bundle / f"{target}.json"
+    doc = json.loads(file.read_text(encoding="utf-8"))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(scn)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PARSE_ERROR"
+    assert f"{field} must be a string" in err["message"]
 
 
 def test_stages_after_load_open_no_file(bundle, monkeypatch):

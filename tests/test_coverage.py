@@ -1,5 +1,6 @@
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from helpers import make_spec, site_for_block, square_mesh
@@ -248,3 +249,29 @@ def test_size_guard_raises_before_any_footprint(monkeypatch):
     monkeypatch.setattr(coverage, "_footprint", no_footprints)
     with pytest.raises(TooLarge, match=r"6 sensor type\(s\) x 40000 candidate site\(s\) x 40000 in-area block\(s\)"):
         build_coverage(mesh, default_catalog(), 0.98)
+
+
+def test_degenerate_detection_is_reported_before_uncovered_blocks():
+    # The water block is out of reach of a sensor covering its own block only,
+    # and a detection probability of 1 (unreachable through a checked spec)
+    # makes every unit count singular.
+    mesh = square_mesh(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    spec = make_spec(range_km=0.3)
+    object.__setattr__(spec, "detect", MappingProxyType({t: 1.0 for t in spec.detect}))
+    catalog = SensorCatalog((spec,))
+    footprints = coverage.build_footprints(mesh, catalog)
+    assert footprints.uncovered == (4,)
+    for reuse in (None, footprints):
+        with pytest.raises(DegenerateDetection):
+            build_coverage(mesh, catalog, 0.98, footprints=reuse)
+
+
+def test_priced_footprints_match_a_fresh_table():
+    mesh = square_mesh(5, [[0, 1, 2, 3, 4]] * 5, min_range=0.4)
+    catalog = default_catalog().filtered(["Radar", "RF", "Acoustic"])
+    footprints = coverage.build_footprints(mesh, catalog)
+    for r in (0.9, 0.98):
+        for rounding in coverage.ROUNDING_MODES:
+            reused = build_coverage(mesh, catalog, r, rounding, footprints=footprints)
+            assert reused.entries == build_coverage(mesh, catalog, r, rounding).entries
+            assert reused.footprints is footprints and reused.mesh is mesh

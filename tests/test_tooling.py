@@ -1,5 +1,6 @@
 """Checks that tie the benchmark under ``perfbench/`` to the package it measures."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,42 @@ def test_perfbench_fast_self_tests_pass():
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "4 passed" in proc.stdout
+
+
+# Runs the sweep-r workload's two first ops in a worker of their own and
+# prints, per op, whether it was traced, its problems and its span counts.
+_SWEEP_OPS = """
+import collections, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import inputs, measure
+workload = inputs.WORKLOADS["sweep-r"]
+with tempfile.TemporaryDirectory() as tmp:
+    scenario = inputs.write_inputs(workload, 1, Path(tmp) / "inputs")
+    records, traces = measure.run_ops(workload, scenario, 0.0, True, Path(tmp))
+spans = iter(traces)
+ops = []
+for rec in records:
+    names = collections.Counter(s["name"] for s in next(spans)) if rec.traced else {}
+    ops.append({"traced": rec.traced, "problems": rec.problems, "spans": names, "layers": rec.layers})
+print(json.dumps(ops))
+"""
+
+
+def test_perfbench_sweep_ops_check_every_point():
+    # An r sweep shares one footprint table between its points, yet each
+    # point must still go through pipeline.build_coverage (one traced
+    # coverage.build span per point) and pass the benchmark's plan checks,
+    # which also count the plans an op makes.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_OPS], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    ops = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [op["traced"] for op in ops] == [False, True]
+    assert [op["problems"] for op in ops] == [[], []]
+    traced = ops[1]
+    assert traced["spans"]["pipeline.run_plan"] == 8
+    assert traced["spans"]["coverage.build"] == 8
+    assert traced["layers"]["coverage.entries"] == 25_920
