@@ -7,14 +7,13 @@ needed at the site to push the at-least-one-detection probability up to the
 required level.  Sites are block centres, so each type's covered sets come
 from one stencil of block offsets, checked against :func:`covered_blocks`.
 
-:func:`build_coverage` runs in two stages.  The footprint stage,
-:func:`build_footprints`, does everything that does not depend on the required
-detection probability: the size guard, the stencil walk, the covered-set
-masks, each pair's mean detection and the blocks no pair covers.  The pricing
-stage turns that :class:`FootprintTable` into candidates at one requirement:
+:func:`build_coverage` runs in two stages.  A walk over the stencils gives
+every pair's covered-set mask and mean detection probability, and the blocks
+no pair covers; none of that depends on the required detection probability.
+Pricing then turns each pair into a :class:`Candidate` at one requirement:
 unit counts from :func:`redundancy`, costs, then the strict coverage check.
-A sweep over the requirement builds the footprint table once and prices it at
-every point.
+A sweep over the requirement walks once and prices the previous point's
+table at every later point.
 
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
@@ -148,7 +147,7 @@ def mask_positions(mask: int) -> list:
     return np.flatnonzero(mask_to_bools(mask, mask.bit_length())).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One selectable (sensor type, site) pairing, or an abstract covering set
     without sensor, site or ``mean_detect``."""
@@ -171,41 +170,12 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class FootprintTable:
-    """The part of a coverage table that does not depend on the required
-    detection probability, for one mesh and catalog.
-
-    Each of ``cids``, ``specs``, ``sites``, ``covered`` (in-area bitmasks) and
-    ``mean_detect`` holds one item per (sensor type, candidate site) pair that
-    covers at least one block, in sensor-name then site order.  Columns rather
-    than a record per pair keep the table to a few pointers per pair: the
-    candidates priced from it share its strings, ints and floats.
-    """
+class CoverageTable:
+    """All retained (sensor, site) candidates for one mesh and catalog."""
 
     mesh: AreaMesh = field(repr=False)
-    cids: tuple = field(repr=False)
-    specs: tuple = field(repr=False)
-    sites: tuple = field(repr=False)
-    covered: tuple = field(repr=False)
-    mean_detect: tuple = field(repr=False)
-    uncovered: tuple  # in-area blocks no pair covers; empty when coverage is feasible
-
-
-@dataclass(frozen=True)
-class CoverageTable:
-    """All retained (sensor, site) candidates for one mesh and catalog: its
-    footprint table priced at one required detection probability."""
-
-    footprints: FootprintTable = field(repr=False)
     entries: tuple = field(repr=False)
-
-    @property
-    def mesh(self) -> AreaMesh:
-        return self.footprints.mesh
-
-    @property
-    def uncovered(self) -> tuple:
-        return self.footprints.uncovered
+    uncovered: tuple  # in-area blocks no entry covers; empty when the table is feasible
 
     def blocks_of(self, entry: Candidate) -> tuple:
         """Block ids covered by ``entry``, ascending."""
@@ -213,10 +183,11 @@ class CoverageTable:
         return tuple(blocks[p] for p in mask_positions(entry.covered))
 
 
-def build_footprints(mesh: AreaMesh, catalog: SensorCatalog) -> FootprintTable:
-    """The footprint stage of :func:`build_coverage`: every (sensor type,
-    candidate site) pair's covered blocks and mean detection probability.
-    When sensor types x candidate sites x in-area blocks exceeds
+def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
+    """The stencil walk of :func:`build_coverage`: ``(cid, spec, site,
+    covered, mean_detect)`` for every (sensor type, candidate site) pair that
+    covers a block, in sensor-name then site order, and the in-area blocks no
+    pair covers.  When sensor types x candidate sites x in-area blocks exceeds
     ``MAX_COVERAGE_WORK``, :class:`TooLarge` is raised before any footprint
     is computed."""
     in_area = mesh.in_area
@@ -231,7 +202,7 @@ def build_footprints(mesh: AreaMesh, catalog: SensorCatalog) -> FootprintTable:
     # In-area position of every block, the masks' bit order; -1 outside the area.
     position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
     omegas = block_detection(mesh, catalog)
-    cids, specs, sites, masks, zetas = [], [], [], [], []
+    pairs = []
     union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
@@ -249,21 +220,9 @@ def build_footprints(mesh: AreaMesh, catalog: SensorCatalog) -> FootprintTable:
             flags = np.zeros(n_in_area, dtype=bool)
             flags[covered] = True
             union |= flags
-            cids.append(f"{spec.name}@{site.block:06d}")
-            specs.append(spec)
-            sites.append(site.block)
-            masks.append(bools_to_mask(flags))
-            zetas.append(float(omega[covered].mean()))
-    uncovered = tuple(np.flatnonzero(in_area)[~union].tolist())
-    return FootprintTable(
-        mesh=mesh,
-        cids=tuple(cids),
-        specs=tuple(specs),
-        sites=tuple(sites),
-        covered=tuple(masks),
-        mean_detect=tuple(zetas),
-        uncovered=uncovered,
-    )
+            zeta = float(omega[covered].mean())
+            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, bools_to_mask(flags), zeta))
+    return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
 
 
 def build_coverage(
@@ -272,7 +231,7 @@ def build_coverage(
     required_detection: float,
     rounding: str = "ceil",
     strict: bool = True,
-    footprints: Optional[FootprintTable] = None,
+    like: Optional[CoverageTable] = None,
 ) -> CoverageTable:
     """Compute one :class:`Candidate`, cid ``"<sensor>@<site:06d>"``, per
     (sensor type, candidate site) pair, in sensor-name then site order.
@@ -284,20 +243,25 @@ def build_coverage(
     A unit count that cannot be computed (:class:`DegenerateDetection`) is
     reported before the uncovered blocks.
 
-    ``footprints``, when given, is :func:`build_footprints` of an equal mesh
-    and catalog: it is priced in place of building the footprint stage again,
-    and the table's mesh is ``footprints.mesh``.  Otherwise the footprint
-    stage runs here, with its :class:`TooLarge` guard.
+    ``like``, when given, is a table of an equal mesh and catalog at any
+    requirement and rounding.  Its entries' cids, sites, covered sets and
+    mean detection probabilities are priced again, each with the spec of
+    ``catalog`` that its sensor names, in place of walking the stencils; the
+    table's mesh and uncovered blocks are ``like.mesh`` and ``like.uncovered``.
+    Otherwise the walk runs here, with its :class:`TooLarge` guard.
     """
     if not 0.0 < required_detection < 1.0:
         raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-    if footprints is None:
-        footprints = build_footprints(mesh, catalog)
+    if like is None:
+        pairs, uncovered = _footprints(mesh, catalog)
+    else:
+        mesh, uncovered = like.mesh, like.uncovered
+        specs = {spec.name: spec for spec in catalog}
+        pairs = ((e.cid, specs[e.sensor], e.site, e.covered, e.mean_detect) for e in like.entries)
     entries = []
-    columns = (footprints.cids, footprints.specs, footprints.sites, footprints.covered, footprints.mean_detect)
-    for cid, spec, site, covered, zeta in zip(*columns):
+    for cid, spec, site, covered, zeta in pairs:
         units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
         entries.append(
             Candidate(
@@ -310,6 +274,6 @@ def build_coverage(
                 mean_detect=zeta,
             )
         )
-    if footprints.uncovered and strict:
-        raise InfeasibleCoverage(footprints.uncovered)
-    return CoverageTable(footprints=footprints, entries=tuple(entries))
+    if uncovered and strict:
+        raise InfeasibleCoverage(uncovered)
+    return CoverageTable(mesh=mesh, entries=tuple(entries), uncovered=uncovered)

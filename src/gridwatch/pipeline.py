@@ -48,28 +48,16 @@ class PlanResult:
     plan: PlacementPlan
 
 
-# Set by :func:`sweep` for its duration to a list that holds, once a point has
-# run, ``[scenario, footprint table]`` of the latest point; None outside a sweep.
-_sweep_footprints: ContextVar[Optional[list]] = ContextVar("sweep_footprints", default=None)
-
-
-def _same_map(a: Scenario, b: Scenario) -> bool:
-    """Whether two scenarios have the same footprint table: the same terrain
-    grid (by identity; a sweep's varied scenarios share the loaded array),
-    area, admitted catalog and detection scale."""
-    return (
-        a.terrain is b.terrain
-        and a.corners == b.corners
-        and a.block_side_km == b.block_side_km
-        and a.catalog == b.catalog
-        and a.detection_scale == b.detection_scale
-    )
+# Set by an r :func:`sweep` for its duration to a list that holds, once a point
+# has run, ``[coverage table]`` of the latest point; None otherwise.  The
+# points of an r sweep differ only in the requirement, so each prices the
+# previous point's table.
+_sweep_table: ContextVar[Optional[list]] = ContextVar("sweep_table", default=None)
 
 
 def run_plan(scenario: Scenario) -> PlanResult:
     """Build mesh and coverage for a scenario and solve the placement problem.
-    Inside :func:`sweep`, coverage prices the previous point's footprint table
-    when the map and catalog are the same."""
+    Inside an r :func:`sweep`, coverage prices the previous point's table."""
     catalog = scenario.catalog
     if scenario.detection_scale != 1.0:
         catalog = scale_detection(catalog, scenario.detection_scale)
@@ -79,11 +67,13 @@ def run_plan(scenario: Scenario) -> PlanResult:
         terrain_grid=scenario.terrain,
         min_sensor_range=catalog.min_range_km,
     )
-    held = _sweep_footprints.get()
-    footprints = held[1] if held and _same_map(held[0], scenario) else None
-    coverage = build_coverage(mesh, catalog, scenario.required_detection, scenario.rounding, footprints=footprints)
+    held = _sweep_table.get()
+    # No local keeps the previous table: it is freed once this one replaces it.
+    coverage = build_coverage(
+        mesh, catalog, scenario.required_detection, scenario.rounding, like=held[0] if held else None
+    )
     if held is not None:
-        held[:] = [scenario, coverage.footprints]
+        held[:] = [coverage]
     instance = PlacementInstance.from_coverage(coverage)
     if scenario.apply_dominance_filter:
         instance = dominance_filter(instance, catalog)
@@ -298,19 +288,21 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
     the input value order.  Every varied scenario is validated before the
     first solve.
 
-    An r sweep builds the footprint table (covered sets, mean detection
-    probabilities, uncovered blocks) at its first point and prices that same
-    table at every later point; only unit counts and costs are recomputed.
-    The table is held until this call returns or raises, and never shared
-    with another call.  A detection_scale sweep changes the footprints at
-    every point, so each point builds its own."""
+    Only an r sweep reprices: its varied scenarios differ from ``scenario``
+    in the requirement alone, so every point has the same map and catalog,
+    and each point after the first prices the previous point's coverage
+    table (covered sets, mean detection probabilities, uncovered blocks)
+    again; only unit counts and costs are recomputed.  The table is held
+    until this call returns or raises, and never shared with another call.
+    A detection_scale sweep changes the mean detection at every point, so
+    each point builds its own table."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValidationError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     values = [float(v) for v in values]
     if not values:
         raise ValidationError("sweep needs at least one value")
     varied = [with_overrides(scenario, **{_SWEEP_FIELDS[parameter]: v}) for v in values]
-    token = _sweep_footprints.set([])
+    token = _sweep_table.set([] if parameter == "r" else None)
     try:
         base = run_plan(scenario) if parameter in ("fee", "n0") else None
         return [
@@ -318,7 +310,7 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
             for v, s in zip(values, varied)
         ]
     finally:
-        _sweep_footprints.reset(token)
+        _sweep_table.reset(token)
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:

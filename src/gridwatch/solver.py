@@ -65,17 +65,21 @@ class PlacementInstance:
 
     @classmethod
     def from_sets(cls, universe: Iterable, sets: Iterable, metadata: Optional[dict] = None) -> "PlacementInstance":
-        """Build an instance from (cid, elements, cost) triples over an explicit universe."""
+        """Build an instance from (cid, elements, cost) triples over an explicit
+        universe of distinct elements; every cost must be finite and positive."""
         uni = tuple(sorted(universe))
         pos = {u: i for i, u in enumerate(uni)}
+        if len(pos) < len(uni):
+            repeated = sorted({a for a, b in zip(uni, uni[1:]) if a == b})
+            raise ValidationError(f"universe repeats element(s) {repeated}")
         cands = []
         seen = set()
         for cid, elements, cost in sets:
             if cid in seen:
                 raise ValidationError(f"duplicate candidate id {cid!r}")
             seen.add(cid)
-            if not cost > 0:
-                raise ValidationError(f"candidate {cid!r} has non-positive cost {cost}")
+            if not (cost > 0 and math.isfinite(cost)):
+                raise ValidationError(f"candidate {cid!r} has cost {cost}; expected a finite positive number")
             mask = 0
             for el in elements:
                 if el not in pos:

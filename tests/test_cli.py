@@ -4,6 +4,7 @@ import io
 import json
 import math
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -299,12 +300,12 @@ def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
 
 @pytest.fixture()
 def footprint_builds(monkeypatch):
-    """Every footprint table coverage builds, the number of coverage tables
-    the pipeline asks for, and every run_plan result, in call order."""
+    """Every stencil walk coverage makes, the number of coverage tables the
+    pipeline asks for, and every run_plan result, in call order."""
     built, priced, results = [], [], []
 
-    def build_and_keep(*args, build=coverage.build_footprints):
-        built.append(build(*args))
+    def walk_and_keep(*args, walk=coverage._footprints):
+        built.append(walk(*args))
         return built[-1]
 
     def price_and_count(*args, build=pipeline.build_coverage, **kwargs):
@@ -315,10 +316,16 @@ def footprint_builds(monkeypatch):
         results.append(run(scenario))
         return results[-1]
 
-    monkeypatch.setattr(coverage, "build_footprints", build_and_keep)
+    monkeypatch.setattr(coverage, "_footprints", walk_and_keep)
     monkeypatch.setattr(pipeline, "build_coverage", price_and_count)
     monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
     return built, priced, results
+
+
+def shares_covered(entries, pairs) -> bool:
+    """Whether ``entries`` hold the very covered-set ints of ``pairs``, a walk's
+    ``(cid, spec, site, covered, mean_detect)`` tuples, in order."""
+    return len(entries) == len(pairs) and all(e.covered is p[3] for e, p in zip(entries, pairs))
 
 
 def test_r_sweep_builds_footprints_once_per_call(bundle, footprint_builds):
@@ -326,11 +333,11 @@ def test_r_sweep_builds_footprints_once_per_call(bundle, footprint_builds):
     scenario = load_scenario(scenario_with(bundle, sensor_filter=["Acoustic", "RF"]))
     sweep(scenario, "r", [0.9, 0.95, 0.99])
     assert len(built) == 1 and len(priced) == 3
-    assert all(r.coverage.footprints is built[0] and r.mesh is built[0].mesh for r in results)
-    assert pipeline._sweep_footprints.get() is None
-    # Nothing outlives the call: the next sweep and a lone run_plan build their own.
+    assert all(shares_covered(r.coverage.entries, built[0][0]) and r.mesh is results[0].mesh for r in results)
+    assert pipeline._sweep_table.get() is None
+    # Nothing outlives the call: the next sweep and a lone run_plan walk again.
     sweep(scenario, "r", [0.9])
-    assert pipeline.run_plan(scenario).coverage.footprints is built[2]
+    assert shares_covered(pipeline.run_plan(scenario).coverage.entries, built[2][0])
     assert len(built) == 3
 
 
@@ -347,8 +354,28 @@ def test_sweep_point_that_raises_releases_the_footprints(bundle, footprint_build
     scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
     with pytest.raises(RuntimeError, match="second point"):
         sweep(scenario, "r", [0.9, 0.95, 0.99])
-    assert pipeline._sweep_footprints.get() is None
+    assert pipeline._sweep_table.get() is None
     assert len(solves) == 2
+
+
+def test_r_sweep_solves_with_only_the_latest_table(bundle, monkeypatch):
+    # The previous point's table is needed only to price the next one; held
+    # through the solve, it would double the candidates alive at the peak.
+    tables, alive = [], []
+
+    def build_and_watch(*args, build=pipeline.build_coverage, **kwargs):
+        table = build(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table
+
+    def count_and_solve(instance, node_budget, solve=pipeline.solve_exact):
+        alive.append(sum(t() is not None for t in tables))
+        return solve(instance, node_budget=node_budget)
+
+    monkeypatch.setattr(pipeline, "build_coverage", build_and_watch)
+    monkeypatch.setattr(pipeline, "solve_exact", count_and_solve)
+    sweep(load_scenario(scenario_with(bundle, sensor_filter=["RF"])), "r", [0.9, 0.95, 0.99])
+    assert alive == [1, 1, 1]
 
 
 def test_detection_scale_sweep_builds_footprints_at_every_point(bundle, footprint_builds):
@@ -356,7 +383,7 @@ def test_detection_scale_sweep_builds_footprints_at_every_point(bundle, footprin
     scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
     sweep(scenario, "detection_scale", [0.9, 1.0, 0.9])
     assert len(built) == 3
-    assert [r.coverage.footprints for r in results] == built
+    assert all(shares_covered(r.coverage.entries, walk[0]) for r, walk in zip(results, built))
     zetas = [[e.mean_detect for e in r.coverage.entries] for r in results]
     assert zetas[0] == zetas[2] != zetas[1]
 

@@ -259,19 +259,20 @@ def test_degenerate_detection_is_reported_before_uncovered_blocks():
     spec = make_spec(range_km=0.3)
     object.__setattr__(spec, "detect", MappingProxyType({t: 1.0 for t in spec.detect}))
     catalog = SensorCatalog((spec,))
-    footprints = coverage.build_footprints(mesh, catalog)
-    assert footprints.uncovered == (4,)
-    for reuse in (None, footprints):
-        with pytest.raises(DegenerateDetection):
-            build_coverage(mesh, catalog, 0.98, footprints=reuse)
+    assert coverage._footprints(mesh, catalog)[1] == (4,)
+    with pytest.raises(DegenerateDetection):
+        build_coverage(mesh, catalog, 0.98)
 
 
 def test_priced_footprints_match_a_fresh_table():
     mesh = square_mesh(5, [[0, 1, 2, 3, 4]] * 5, min_range=0.4)
     catalog = default_catalog().filtered(["Radar", "RF", "Acoustic"])
-    footprints = coverage.build_footprints(mesh, catalog)
+    like = build_coverage(mesh, catalog, 0.5, "floor")
     for r in (0.9, 0.98):
         for rounding in coverage.ROUNDING_MODES:
-            reused = build_coverage(mesh, catalog, r, rounding, footprints=footprints)
-            assert reused.entries == build_coverage(mesh, catalog, r, rounding).entries
-            assert reused.footprints is footprints and reused.mesh is mesh
+            reused = build_coverage(mesh, catalog, r, rounding, like=like)
+            fresh = build_coverage(mesh, catalog, r, rounding)
+            assert reused.entries == fresh.entries != like.entries
+            assert reused.uncovered == fresh.uncovered
+            assert reused.mesh is like.mesh
+            assert all(e.covered is f.covered for e, f in zip(reused.entries, like.entries))

@@ -136,14 +136,25 @@ def test_uncoverable_block_is_infeasible():
             solver(inst)
 
 
-def test_nonpositive_cost_rejected():
-    with pytest.raises(ValidationError):
-        inst_from([1], [("a", [1], 0.0)])
+@pytest.mark.parametrize("cost", [0.0, -1.0, math.inf, math.nan])
+def test_nonpositive_cost_rejected(cost):
+    with pytest.raises(ValidationError, match="expected a finite positive number"):
+        inst_from([1], [("a", [1], cost)])
 
 
-def test_duplicate_cid_rejected():
-    with pytest.raises(ValidationError):
-        inst_from([1], [("a", [1], 1.0), ("a", [1], 2.0)])
+@pytest.mark.parametrize(
+    "universe, sets, message",
+    [
+        ([1], [("a", [1], 1.0), ("a", [1], 2.0)], "duplicate candidate id 'a'"),
+        # Unchecked, a repeated element collapses in the position map and
+        # leaves a bit no candidate can cover.
+        ([1, 1, 2], [("a", [1, 2], 1.0)], r"universe repeats element\(s\) \[1\]"),
+    ],
+    ids=["cid", "universe-element"],
+)
+def test_duplicate_cid_rejected(universe, sets, message):
+    with pytest.raises(ValidationError, match=message):
+        inst_from(universe, sets)
 
 
 def test_empty_universe_yields_empty_plan():

@@ -54,7 +54,7 @@ print(json.dumps(ops))
 
 
 def test_perfbench_sweep_ops_check_every_point():
-    # An r sweep shares one footprint table between its points, yet each
+    # An r sweep prices the previous point's coverage table again, yet each
     # point must still go through pipeline.build_coverage (one traced
     # coverage.build span per point) and pass the benchmark's plan checks,
     # which also count the plans an op makes.
