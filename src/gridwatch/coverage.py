@@ -11,9 +11,8 @@ from one stencil of block offsets, checked against :func:`covered_blocks`.
 every pair's covered-set mask and mean detection probability, and the blocks
 no pair covers; none of that depends on the required detection probability.
 Pricing then turns each pair into a :class:`Candidate` at one requirement:
-unit counts from :func:`redundancy`, costs, then the strict coverage check.
-A sweep over the requirement walks once and prices the previous point's
-table at every later point.
+unit counts from :func:`redundancy`, then costs; a returned table is feasible.
+A sweep over the requirement walks once; later points price the last table.
 
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
@@ -119,6 +118,8 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
     raw = math.log1p(-required) / math.log1p(-mean_detect)
+    if not math.isfinite(raw * fov):
+        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
     nearest_int = round(raw)
     if abs(raw - nearest_int) <= _SNAP_REL * max(1.0, abs(raw)):
         n = int(nearest_int)
@@ -171,11 +172,10 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CoverageTable:
-    """All retained (sensor, site) candidates for one mesh and catalog."""
+    """All retained (sensor, site) candidates for one mesh and catalog, covering every in-area block."""
 
     mesh: AreaMesh = field(repr=False)
     entries: tuple = field(repr=False)
-    uncovered: tuple  # in-area blocks no entry covers; empty when the table is feasible
 
     def blocks_of(self, entry: Candidate) -> tuple:
         """Block ids covered by ``entry``, ascending."""
@@ -230,34 +230,29 @@ def build_coverage(
     catalog: SensorCatalog,
     required_detection: float,
     rounding: str = "ceil",
-    strict: bool = True,
     like: Optional[CoverageTable] = None,
 ) -> CoverageTable:
-    """Compute one :class:`Candidate`, cid ``"<sensor>@<site:06d>"``, per
-    (sensor type, candidate site) pair, in sensor-name then site order.
+    """Feasible table over ``mesh``, one :class:`Candidate` (cid
+    ``"<sensor>@<site:06d>"``) per (sensor type, candidate site) pair that
+    covers a block, in sensor-name then site order; or, checked in this order
+    once every pair is priced, :class:`DegenerateDetection` for a unit count
+    that cannot be computed, :class:`ValidationError` for install costs that
+    sum past the float range, :class:`InfeasibleCoverage` for blocks no pair covers.
 
-    Pairs covering no block are dropped.  If some in-area block is covered by
-    no pair at all the table is infeasible: with ``strict`` (the default) an
-    :class:`InfeasibleCoverage` error lists the uncovered block indices,
-    otherwise the table is returned with its ``uncovered`` field populated.
-    A unit count that cannot be computed (:class:`DegenerateDetection`) is
-    reported before the uncovered blocks.
-
-    ``like``, when given, is a table of an equal mesh and catalog at any
-    requirement and rounding.  Its entries' cids, sites, covered sets and
-    mean detection probabilities are priced again, each with the spec of
-    ``catalog`` that its sensor names, in place of walking the stencils; the
-    table's mesh and uncovered blocks are ``like.mesh`` and ``like.uncovered``.
+    ``like``, when given, is a table over ``mesh`` and an equal catalog at any
+    requirement and rounding.  Its entries' cids, sites, covered sets and mean
+    detection probabilities are priced again, each with the spec of
+    ``catalog`` that its sensor names, in place of walking the stencils.
     Otherwise the walk runs here, with its :class:`TooLarge` guard.
     """
     if not 0.0 < required_detection < 1.0:
         raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
+    uncovered = ()
     if like is None:
         pairs, uncovered = _footprints(mesh, catalog)
     else:
-        mesh, uncovered = like.mesh, like.uncovered
         specs = {spec.name: spec for spec in catalog}
         pairs = ((e.cid, specs[e.sensor], e.site, e.covered, e.mean_detect) for e in like.entries)
     entries = []
@@ -274,6 +269,9 @@ def build_coverage(
                 mean_detect=zeta,
             )
         )
-    if uncovered and strict:
+    # A finite sum bounds every plan's cost, so no plan total can overflow.
+    if not math.isfinite(sum(e.cost for e in entries)):
+        raise ValidationError("install costs of the coverage table sum past the float range")
+    if uncovered:
         raise InfeasibleCoverage(uncovered)
-    return CoverageTable(mesh=mesh, entries=tuple(entries), uncovered=uncovered)
+    return CoverageTable(mesh=mesh, entries=tuple(entries))

@@ -46,7 +46,7 @@ class DimensionMismatch(ValidationError):
 
 
 class DegenerateDetection(GridwatchError):
-    """Mean detection probability of 1 makes the redundancy formula singular."""
+    """Mean detection probability of 1, or so near 0 that the unit count overflows."""
 
     code = "DEGENERATE_DETECTION"
 
@@ -75,7 +75,7 @@ class TooLarge(GridwatchError):
     """Input exceeds a size limit: the coverage table's work cap
     (``coverage.MAX_COVERAGE_WORK``), the cash-flow horizon guard
     (``econ.MAX_HORIZON_YEARS``) or the exhaustive oracle solver's candidate
-    limit."""
+    limit (``solver.MAX_BRUTE_CANDIDATES``)."""
 
     code = "TOO_LARGE"
 

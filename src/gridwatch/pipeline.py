@@ -50,25 +50,25 @@ class PlanResult:
 
 # Set by an r :func:`sweep` for its duration to a list that holds, once a point
 # has run, ``[coverage table]`` of the latest point; None otherwise.  The
-# points of an r sweep differ only in the requirement, so each prices the
-# previous point's table.
+# points of an r sweep differ only in the requirement, so each reuses the
+# held table's mesh and prices the table again.
 _sweep_table: ContextVar[Optional[list]] = ContextVar("sweep_table", default=None)
 
 
 def run_plan(scenario: Scenario) -> PlanResult:
     """Build mesh and coverage for a scenario and solve the placement problem.
-    Inside an r :func:`sweep`, coverage prices the previous point's table."""
+    An r :func:`sweep`'s later points reuse the previous point's mesh and table."""
     catalog = scenario.catalog
     if scenario.detection_scale != 1.0:
         catalog = scale_detection(catalog, scenario.detection_scale)
-    mesh = build_mesh(
+    held = _sweep_table.get()
+    # No local keeps the previous table: it is freed once this one replaces it.
+    mesh = held[0].mesh if held else build_mesh(
         corners=scenario.corners,
         block_side=scenario.block_side_km,
         terrain_grid=scenario.terrain,
         min_sensor_range=catalog.min_range_km,
     )
-    held = _sweep_table.get()
-    # No local keeps the previous table: it is freed once this one replaces it.
     coverage = build_coverage(
         mesh, catalog, scenario.required_detection, scenario.rounding, like=held[0] if held else None
     )
@@ -89,7 +89,7 @@ def run_plan(scenario: Scenario) -> PlanResult:
     return PlanResult(
         scenario=scenario,
         catalog=catalog,
-        mesh=coverage.mesh,
+        mesh=mesh,
         coverage=coverage,
         instance=instance,
         plan=plan,
@@ -290,8 +290,8 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
 
     Only an r sweep reprices: its varied scenarios differ from ``scenario``
     in the requirement alone, so every point has the same map and catalog,
-    and each point after the first prices the previous point's coverage
-    table (covered sets, mean detection probabilities, uncovered blocks)
+    and each point after the first reuses the previous point's mesh and
+    prices its coverage table (covered sets, mean detection probabilities)
     again; only unit counts and costs are recomputed.  The table is held
     until this call returns or raises, and never shared with another call.
     A detection_scale sweep changes the mean detection at every point, so

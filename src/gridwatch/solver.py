@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # from a fresh sum by about d ulps of the root bound, far below this slack.
 _PRUNE_REL = 1e-9
 
+#: Most candidates :func:`solve_brute` takes; it scans all 2^n subsets.
+MAX_BRUTE_CANDIDATES = 20
+
 
 @dataclass(frozen=True)
 class PlacementInstance:
@@ -64,20 +67,16 @@ class PlacementInstance:
         return (1 << len(self.universe)) - 1
 
     @classmethod
-    def from_sets(cls, universe: Iterable, sets: Iterable, metadata: Optional[dict] = None) -> "PlacementInstance":
+    def from_sets(cls, universe: Iterable, sets: Iterable) -> "PlacementInstance":
         """Build an instance from (cid, elements, cost) triples over an explicit
-        universe of distinct elements; every cost must be finite and positive."""
+        universe of distinct elements; cids differ as strings, costs are finite and positive."""
         uni = tuple(sorted(universe))
         pos = {u: i for i, u in enumerate(uni)}
         if len(pos) < len(uni):
             repeated = sorted({a for a, b in zip(uni, uni[1:]) if a == b})
             raise ValidationError(f"universe repeats element(s) {repeated}")
         cands = []
-        seen = set()
         for cid, elements, cost in sets:
-            if cid in seen:
-                raise ValidationError(f"duplicate candidate id {cid!r}")
-            seen.add(cid)
             if not (cost > 0 and math.isfinite(cost)):
                 raise ValidationError(f"candidate {cid!r} has cost {cost}; expected a finite positive number")
             mask = 0
@@ -87,7 +86,10 @@ class PlacementInstance:
                 mask |= 1 << pos[el]
             cands.append(Candidate(cid=str(cid), covered=mask, cost=float(cost)))
         cands.sort(key=lambda c: c.cid)
-        return cls(universe=uni, candidates=tuple(cands), metadata=dict(metadata or {}))
+        for a, b in zip(cands, cands[1:]):
+            if a.cid == b.cid:
+                raise ValidationError(f"duplicate candidate id {a.cid!r}")
+        return cls(universe=uni, candidates=tuple(cands))
 
     @classmethod
     def from_coverage(cls, table: CoverageTable) -> "PlacementInstance":
@@ -160,8 +162,6 @@ def _greedy_cover(candidates: Sequence[Candidate], uncovered: int) -> list:
                 key = (c.cost / gain, c.cid)
                 if best_key is None or key < best_key:
                     best, best_key = c, key
-        if best is None:
-            raise Infeasible("greedy selection stalled with blocks still uncovered")
         chosen.append(best)
         uncovered &= ~best.covered
     return chosen
@@ -174,14 +174,14 @@ def solve_greedy(instance: PlacementInstance) -> PlacementPlan:
     return _make_plan(instance, chosen, mode="greedy", nodes=0, proven=False)
 
 
-def solve_brute(instance: PlacementInstance, max_candidates: int = 20) -> PlacementPlan:
+def solve_brute(instance: PlacementInstance) -> PlacementPlan:
     """Exhaustively scan all candidate subsets; the provenance oracle for solve_exact.
 
     Ties are broken by (fewer candidates, lexicographic candidate ids).
     """
     n = len(instance.candidates)
-    if n > max_candidates:
-        raise TooLarge(f"{n} candidates exceeds the exhaustive scan limit of {max_candidates}")
+    if n > MAX_BRUTE_CANDIDATES:
+        raise TooLarge(f"{n} candidates exceeds the exhaustive scan limit of {MAX_BRUTE_CANDIDATES}")
     _check_coverable(instance)
     if not instance.universe:
         return _make_plan(instance, (), mode="brute", nodes=1, proven=True)

@@ -130,6 +130,36 @@ def test_plan_infeasible_coverage_exits_3(bundle, capsys):
     assert "3" in err["message"]
 
 
+def _faint_rf_plan(bundle):
+    doc = json.loads((bundled_minicity_path().parent / "catalog.json").read_text(encoding="utf-8"))
+    for spec in doc["sensors"]:
+        if spec["name"] == "RF":
+            spec["detect"] = {terrain: 1e-310 for terrain in spec["detect"]}
+    (bundle / "faint.json").write_text(json.dumps(doc), encoding="utf-8")
+    return ["plan", str(scenario_with(bundle, catalog="faint.json"))]
+
+
+@pytest.mark.parametrize(
+    "make_argv, code",
+    [
+        # The real-valued unit count is infinite.
+        (lambda b: ["plan", str(scenario_with(b, detection_scale=1e-310))], "DEGENERATE_DETECTION"),
+        (_faint_rf_plan, "DEGENERATE_DETECTION"),
+        # Unit counts are finite, but install costs overflow to infinity.
+        (lambda b: ["plan", str(scenario_with(b, detection_scale=1e-305))], "VALIDATION_ERROR"),
+        (
+            lambda b: ["sweep", str(scenario_with(b)), "--parameter", "detection_scale", "--values", "1,1e-310"],
+            "DEGENERATE_DETECTION",
+        ),
+    ],
+    ids=["plan-detection-scale", "plan-catalog-detect", "plan-install-cost", "sweep-detection-scale"],
+)
+def test_counts_and_costs_past_the_float_range_exit_2_before_writing(bundle, capsys, make_argv, code):
+    assert main(make_argv(bundle)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == code
+    assert not (bundle / "out").exists()
+
+
 def test_plan_budget_exceeded_exits_4(bundle):
     scn = scenario_with(bundle, sensor_filter=["Acoustic"], solver={"mode": "exact", "node_budget": 1})
     assert main(["plan", str(scn)]) == 4
@@ -301,8 +331,9 @@ def test_sweep_negative_fee_exits_2_before_writing(bundle, capsys):
 @pytest.fixture()
 def footprint_builds(monkeypatch):
     """Every stencil walk coverage makes, the number of coverage tables the
-    pipeline asks for, and every run_plan result, in call order."""
-    built, priced, results = [], [], []
+    pipeline asks for, every run_plan result and every mesh the pipeline
+    builds, in call order."""
+    built, priced, results, meshes = [], [], [], []
 
     def walk_and_keep(*args, walk=coverage._footprints):
         built.append(walk(*args))
@@ -316,10 +347,15 @@ def footprint_builds(monkeypatch):
         results.append(run(scenario))
         return results[-1]
 
+    def mesh_and_keep(*args, build=pipeline.build_mesh, **kwargs):
+        meshes.append(build(*args, **kwargs))
+        return meshes[-1]
+
     monkeypatch.setattr(coverage, "_footprints", walk_and_keep)
     monkeypatch.setattr(pipeline, "build_coverage", price_and_count)
     monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
-    return built, priced, results
+    monkeypatch.setattr(pipeline, "build_mesh", mesh_and_keep)
+    return built, priced, results, meshes
 
 
 def shares_covered(entries, pairs) -> bool:
@@ -329,16 +365,19 @@ def shares_covered(entries, pairs) -> bool:
 
 
 def test_r_sweep_builds_footprints_once_per_call(bundle, footprint_builds):
-    built, priced, results = footprint_builds
+    built, priced, results, meshes = footprint_builds
     scenario = load_scenario(scenario_with(bundle, sensor_filter=["Acoustic", "RF"]))
     sweep(scenario, "r", [0.9, 0.95, 0.99])
-    assert len(built) == 1 and len(priced) == 3
-    assert all(shares_covered(r.coverage.entries, built[0][0]) and r.mesh is results[0].mesh for r in results)
+    assert len(built) == 1 and len(priced) == 3 and len(meshes) == 1
+    assert all(shares_covered(r.coverage.entries, built[0][0]) for r in results)
+    assert all(r.mesh is r.coverage.mesh is meshes[0] for r in results)
     assert pipeline._sweep_table.get() is None
-    # Nothing outlives the call: the next sweep and a lone run_plan walk again.
+    # Nothing outlives the call: the next sweep and a lone run_plan build again.
     sweep(scenario, "r", [0.9])
-    assert shares_covered(pipeline.run_plan(scenario).coverage.entries, built[2][0])
-    assert len(built) == 3
+    lone = pipeline.run_plan(scenario)
+    assert shares_covered(lone.coverage.entries, built[2][0])
+    assert len(built) == 3 and len(meshes) == 3
+    assert lone.mesh is lone.coverage.mesh is meshes[2]
 
 
 def test_sweep_point_that_raises_releases_the_footprints(bundle, footprint_builds, monkeypatch):
@@ -379,10 +418,10 @@ def test_r_sweep_solves_with_only_the_latest_table(bundle, monkeypatch):
 
 
 def test_detection_scale_sweep_builds_footprints_at_every_point(bundle, footprint_builds):
-    built, _, results = footprint_builds
+    built, _, results, meshes = footprint_builds
     scenario = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
     sweep(scenario, "detection_scale", [0.9, 1.0, 0.9])
-    assert len(built) == 3
+    assert len(built) == 3 and len(meshes) == 3
     assert all(shares_covered(r.coverage.entries, walk[0]) for r, walk in zip(results, built))
     zetas = [[e.mean_detect for e in r.coverage.entries] for r in results]
     assert zetas[0] == zetas[2] != zetas[1]

@@ -129,6 +129,12 @@ def test_redundancy_rounding_modes():
 def test_redundancy_rejects_degenerate_and_invalid():
     with pytest.raises(DegenerateDetection):
         redundancy(1.0, 0.9)
+    # Near zero the real-valued unit count passes the float range: here the
+    # ratio itself is infinite, there it is finite until the field-of-view
+    # multiplier of 2 doubles it.
+    for zeta, fov in ((1e-310, 1), (2.5e-308, 2)):
+        with pytest.raises(DegenerateDetection, match="more units than a float can count"):
+            redundancy(zeta, 0.98, fov)
     with pytest.raises(ValidationError):
         redundancy(0.0, 0.9)
     with pytest.raises(ValidationError):
@@ -173,7 +179,7 @@ def test_mean_detection_matches_resummation_oracle():
     codes[0][0] = 0  # keep at least one site
     mesh = square_mesh(5, codes)
     cat = default_catalog().filtered(["Radar", "Acoustic"])
-    table = build_coverage(mesh, cat, 0.98, strict=False)
+    table = build_coverage(mesh, cat, 0.98)
     omega = block_detection(mesh, cat)
     for e in table.entries:
         blocks = table.blocks_of(e)
@@ -198,11 +204,10 @@ def test_all_entries_dropped_makes_table_infeasible():
     """A sensor that cannot even reach its own block corners yields no entries."""
     mesh = square_mesh(3, min_range=0.3)
     cat = SensorCatalog((make_spec(range_km=0.15),))
-    with pytest.raises(InfeasibleCoverage):
+    with pytest.raises(InfeasibleCoverage) as err:
         build_coverage(mesh, cat, 0.98)
-    table = build_coverage(mesh, cat, 0.98, strict=False)
-    assert table.entries == ()
-    assert table.uncovered == mesh.in_area_blocks
+    assert err.value.uncovered == mesh.in_area_blocks
+    assert coverage._footprints(mesh, cat)[0] == []
 
 
 def test_water_block_needs_coverage_but_hosts_no_site():
@@ -215,7 +220,6 @@ def test_water_block_needs_coverage_but_hosts_no_site():
     assert err.value.uncovered == (4,)
     # A longer reach covers the water block from its neighbors.
     table = build_coverage(mesh, SensorCatalog((make_spec(range_km=0.5),)), 0.98)
-    assert table.uncovered == ()
     assert all(e.site != 4 for e in table.entries)
 
 
@@ -264,6 +268,17 @@ def test_degenerate_detection_is_reported_before_uncovered_blocks():
         build_coverage(mesh, catalog, 0.98)
 
 
+def test_costs_past_the_float_range_are_reported_before_uncovered_blocks():
+    # Each of the eight land sites needs two units at 5e307, a finite 1e308;
+    # the table's costs sum to infinity, so some plan total could overflow.
+    mesh = square_mesh(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    catalog = SensorCatalog((make_spec(range_km=0.3, price=5e307),))
+    assert coverage._footprints(mesh, catalog)[1] == (4,)
+    assert redundancy(0.9, 0.98) == 2
+    with pytest.raises(ValidationError, match="sum past the float range"):
+        build_coverage(mesh, catalog, 0.98)
+
+
 def test_priced_footprints_match_a_fresh_table():
     mesh = square_mesh(5, [[0, 1, 2, 3, 4]] * 5, min_range=0.4)
     catalog = default_catalog().filtered(["Radar", "RF", "Acoustic"])
@@ -273,6 +288,5 @@ def test_priced_footprints_match_a_fresh_table():
             reused = build_coverage(mesh, catalog, r, rounding, like=like)
             fresh = build_coverage(mesh, catalog, r, rounding)
             assert reused.entries == fresh.entries != like.entries
-            assert reused.uncovered == fresh.uncovered
             assert reused.mesh is like.mesh
             assert all(e.covered is f.covered for e, f in zip(reused.entries, like.entries))

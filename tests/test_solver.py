@@ -4,13 +4,14 @@ import random
 
 import numpy as np
 import pytest
-from helpers import make_spec, rect_mesh, site_for_block, square_mesh
+from helpers import make_spec, rect_mesh, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
+from gridwatch import coverage
 from gridwatch.coverage import build_coverage, covered_blocks, mask_to_bools
-from gridwatch.errors import Infeasible, TooLarge, ValidationError
+from gridwatch.errors import Infeasible, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.solver import (
     Candidate,
     PlacementInstance,
@@ -146,11 +147,13 @@ def test_nonpositive_cost_rejected(cost):
     "universe, sets, message",
     [
         ([1], [("a", [1], 1.0), ("a", [1], 2.0)], "duplicate candidate id 'a'"),
+        # Cids are stored as strings, where 1 and "1" are the same id.
+        ([1, 2], [(1, [1], 1.0), ("1", [2], 1.0)], "duplicate candidate id '1'"),
         # Unchecked, a repeated element collapses in the position map and
         # leaves a bit no candidate can cover.
         ([1, 1, 2], [("a", [1, 2], 1.0)], r"universe repeats element\(s\) \[1\]"),
     ],
-    ids=["cid", "universe-element"],
+    ids=["cid", "cid-after-str", "universe-element"],
 )
 def test_duplicate_cid_rejected(universe, sets, message):
     with pytest.raises(ValidationError, match=message):
@@ -389,24 +392,33 @@ def coverage_layouts(draw):
 def test_from_coverage_masks_match_covered_blocks(layout):
     """Set bits mapped through the universe give the geometric covered set,
     also where OUTSIDE_AREA and WATER cells shift in-area positions, on
-    non-square grids, at every grid edge and at the corner-distance boundary."""
+    non-square grids, at every grid edge and at the corner-distance boundary.
+    The stencil walk is checked on every layout, the instance on the layouts
+    whose blocks all have a coverer, and the reported blocks on the rest."""
     blocks_x, blocks_y, codes, block_side, edge, free = layout
     mesh = rect_mesh(blocks_x, blocks_y, codes, block_side=block_side)
     cat = SensorCatalog((make_spec(name="Edge", range_km=edge), make_spec(name="Free", range_km=free)))
-    table = build_coverage(mesh, cat, 0.98, strict=False)
-    inst = PlacementInstance.from_coverage(table)
-    assert inst.universe == mesh.in_area_blocks
-    assert len(inst.candidates) == len(table.entries)
+    universe = mesh.in_area_blocks
+    reached = {(spec.name, s.block): covered_blocks(mesh, spec, s) for spec in cat for s in mesh.candidate_sites}
+    pairs, _ = coverage._footprints(mesh, cat)
+    for _, spec, site, covered, _ in pairs:
+        assert tuple(u for p, u in enumerate(universe) if (covered >> p) & 1) == reached[spec.name, site]
+    # Every site whose footprint is non-empty keeps its pair, and no other.
+    assert {(spec.name, site) for _, spec, site, _, _ in pairs} == {key for key, blocks in reached.items() if blocks}
+    unreached = tuple(z for z in universe if not any(z in blocks for blocks in reached.values()))
+    if unreached:
+        with pytest.raises(InfeasibleCoverage) as err:
+            build_coverage(mesh, cat, 0.98)
+        assert err.value.uncovered == unreached
+        return
+    inst = PlacementInstance.from_coverage(build_coverage(mesh, cat, 0.98))
+    assert inst.universe == universe
+    assert len(inst.candidates) == len(pairs)
     for c in inst.candidates:
         got = tuple(u for p, u in enumerate(inst.universe) if (c.covered >> p) & 1)
-        expected = covered_blocks(mesh, cat.get(c.sensor), site_for_block(mesh, c.site))
+        expected = reached[c.sensor, c.site]
         assert got == expected
         assert c.n_covered == len(expected)
-    # Every site whose footprint is non-empty keeps its entry.
-    for spec in cat:
-        assert {c.site for c in inst.candidates if c.sensor == spec.name} == {
-            s.block for s in mesh.candidate_sites if covered_blocks(mesh, spec, s)
-        }
 
 
 def test_from_coverage_respects_filter():

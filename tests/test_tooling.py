@@ -69,4 +69,6 @@ def test_perfbench_sweep_ops_check_every_point():
     traced = ops[1]
     assert traced["spans"]["pipeline.run_plan"] == 8
     assert traced["spans"]["coverage.build"] == 8
+    # Every point of an r sweep has the same map, so only the first builds a mesh.
+    assert traced["spans"]["mesh.build"] == 1
     assert traced["layers"]["coverage.entries"] == 25_920
