@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     VolumeAboveTopTier,
 )
-from .geo import EARTH_RADIUS_KM, GeoPoint, PlanePoint, distance, project, unproject
+from .geo import EARTH_RADIUS_KM, GeoPoint, PlanePoint, project, unproject
 from .mesh import AreaMesh, CandidateSite, Terrain, build_mesh, load_terrain_grid
 from .pipeline import PlanResult, mesh_to_geojson, run_econ, run_plan, sweep, write_plan_artifacts
 from .scenario import Scenario, bundled_minicity_path, load_scenario

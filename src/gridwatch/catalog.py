@@ -3,6 +3,8 @@ terrain-conditioned detection probability matrix."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -12,8 +14,8 @@ from typing import Mapping
 from .errors import InvariantViolation, ParseError, read_field, read_input
 from .mesh import DETECTABLE_TERRAINS, Terrain
 
-#: JSON keys of the detection row, in terrain-code order.
-DETECT_KEYS = ("open", "water", "neighborhood", "hill", "commercial")
+#: JSON keys of the detection row, in terrain-code order: the terrain labels.
+DETECT_KEYS = tuple(t.label for t in DETECTABLE_TERRAINS)
 
 _KEY_TO_TERRAIN = dict(zip(DETECT_KEYS, DETECTABLE_TERRAINS))
 
@@ -38,10 +40,15 @@ class SensorSpec:
             raise InvariantViolation("sensor spec with empty name")
         if not self.range_km > 0:
             raise InvariantViolation(f"{self.name}: range_km must be > 0, got {self.range_km}")
+        # Coverage and the dominance filter square the range.
+        if not math.isfinite(self.range_km * self.range_km):
+            raise InvariantViolation(f"{self.name}: range_km must have a finite square, got {self.range_km}")
         if not self.unit_price_usd > 0:
             raise InvariantViolation(f"{self.name}: unit_price_usd must be > 0, got {self.unit_price_usd}")
         if not (isinstance(self.fov_multiplier, int) and self.fov_multiplier >= 1):
             raise InvariantViolation(f"{self.name}: fov_multiplier must be an integer >= 1, got {self.fov_multiplier}")
+        if self.fov_multiplier > sys.float_info.max:
+            raise InvariantViolation(f"{self.name}: fov_multiplier is past the float range of {sys.float_info.max:.6g}")
         missing = [t.label for t in DETECTABLE_TERRAINS if t not in self.detect]
         if missing:
             raise InvariantViolation(f"{self.name}: missing detection entries for {missing}")

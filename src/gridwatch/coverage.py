@@ -2,10 +2,10 @@
 
 For every pair this module derives the set of blocks whose four corners all
 lie within the sensor's range, the mean detection probability over that set,
-the complementary misdetection probability, and the number of sensor units
-needed at the site to push the at-least-one-detection probability up to the
-required level.  Sites are block centres, so each type's covered sets come
-from one stencil of block offsets, checked against :func:`covered_blocks`.
+and the number of sensor units needed at the site to push the
+at-least-one-detection probability up to the required level.  Sites are
+block centres, so each type's covered sets come from one stencil of block
+offsets, checked against :func:`covered_blocks`.
 
 :func:`build_coverage` runs in two stages.  A walk over the stencils gives
 every pair's covered-set mask and mean detection probability, and the blocks
@@ -27,6 +27,7 @@ is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,15 +88,15 @@ def _footprint(range_km: float, block_side: float, limit: int) -> np.ndarray:
 def covered_blocks(mesh: AreaMesh, sensor: SensorSpec, site: CandidateSite) -> tuple:
     """Indices of in-area blocks fully inside the sensor's range from ``site``.
 
-    The literal definition over the whole grid: every mesh point's distance
+    The literal definition over the whole grid: every block corner's distance
     from the site, at ``mesh.block_center(site.block)``, then the blocks whose
-    four corner points are all in range.  It is the reference the
+    four corners are all in range.  It is the reference the
     stencil-built masks of :func:`build_coverage` are checked against, and
     shares no geometry code with it.
     """
     L = mesh.block_side
-    x = mesh.x0 + np.arange(mesh.n_a, dtype=np.float64) * L
-    y = mesh.y0 + np.arange(mesh.n_b, dtype=np.float64) * L
+    x = mesh.x0 + np.arange(mesh.blocks_x + 1, dtype=np.float64) * L
+    y = mesh.y0 + np.arange(mesh.blocks_y + 1, dtype=np.float64) * L
     centre = mesh.block_center(site.block)
     near = (x[None, :] - centre.x) ** 2 + (y[:, None] - centre.y) ** 2 <= (sensor.range_km + _EDGE_EPS_KM) ** 2
     corners_in = near[:-1, :-1] & near[:-1, 1:] & near[1:, :-1] & near[1:, 1:]
@@ -129,7 +130,11 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
         n = math.floor(raw)
     else:
         n = math.floor(raw + 0.5)
-    return max(1, n) * fov
+    # Rounding up can carry a finite raw * fov past the float range.
+    units = max(1, n) * fov
+    if units > sys.float_info.max:
+        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
+    return units
 
 
 def bools_to_mask(flags: np.ndarray) -> int:
@@ -165,10 +170,6 @@ class Candidate:
     def n_covered(self) -> int:
         return self.covered.bit_count()
 
-    @property
-    def misdetect(self) -> float:
-        return 1.0 - self.mean_detect
-
 
 @dataclass(frozen=True)
 class CoverageTable:
@@ -176,11 +177,6 @@ class CoverageTable:
 
     mesh: AreaMesh = field(repr=False)
     entries: tuple = field(repr=False)
-
-    def blocks_of(self, entry: Candidate) -> tuple:
-        """Block ids covered by ``entry``, ascending."""
-        blocks = self.mesh.in_area_blocks
-        return tuple(blocks[p] for p in mask_positions(entry.covered))
 
 
 def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:

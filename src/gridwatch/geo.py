@@ -58,8 +58,3 @@ def unproject(p: PlanePoint, origin: GeoPoint) -> GeoPoint:
     lat = origin.lat + p.y / (EARTH_RADIUS_KM * _DEG)
     lon = origin.lon + p.x / (EARTH_RADIUS_KM * math.cos(origin.lat * _DEG) * _DEG)
     return GeoPoint(lon, lat)
-
-
-def distance(a: PlanePoint, b: PlanePoint) -> float:
-    """Euclidean distance in km between two plane points."""
-    return math.hypot(a.x - b.x, a.y - b.y)

@@ -1,12 +1,14 @@
-"""Rectangular surveillance mesh: points, square blocks, terrain, candidate sites.
+"""Rectangular surveillance mesh: a grid of square blocks, terrain, candidate sites.
 
 The area is the axis-aligned bounding rectangle of four projected corner
-coordinates, tiled with square blocks of side ``block_side`` km.  Terrain
-arrives as a row-major integer grid (row 0 = southernmost block row); a code
-of -1 marks blocks outside the irregular area boundary.  Every in-area,
-non-water block is one candidate sensor site, at its center: a site is its
-block, and :meth:`AreaMesh.block_center` gives the center.
-``pipeline.mesh_to_geojson`` formats the mesh as ``mesh.geojson``.
+coordinates, tiled from its south-west corner ``(x0, y0)`` with ``blocks_x``
+by ``blocks_y`` square blocks of side ``block_side`` km.  Terrain arrives as a
+row-major integer grid (row 0 = southernmost block row); a code of -1 marks
+blocks outside the irregular area boundary.  Every in-area, non-water block is
+one candidate sensor site, at its center: a site is its block, and
+:meth:`AreaMesh.block_center` gives the center.  Only ``coverage.covered_blocks``
+and ``pipeline.mesh_to_geojson``, which formats the mesh as ``mesh.geojson``,
+walk the block corners.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ DETECTABLE_TERRAINS = (Terrain.OPEN, Terrain.WATER, Terrain.NEIGHBORHOOD, Terrai
 def _cells_to_span(length: float, cell: float) -> int:
     """Number of cells of size ``cell`` needed to tile ``length``, robust to float noise."""
     q = length / cell
+    if not math.isfinite(q):
+        raise ValidationError(f"a span of {length:.6g} km holds more blocks of side {cell:.6g} km than a float can count")
     nearest = round(q)
     if nearest >= 1 and abs(q - nearest) <= 1e-9 * max(1.0, abs(q)):
         return int(nearest)
@@ -90,50 +94,26 @@ class CandidateSite:
 
 @dataclass(frozen=True)
 class AreaMesh:
-    """Immutable projected mesh over the surveillance area."""
+    """Immutable projected grid of ``blocks_x`` by ``blocks_y`` square blocks
+    over the surveillance area, numbered row-major from the south-west."""
 
     origin: GeoPoint
     block_side: float
-    length_a: float
-    length_b: float
-    n_a: int  # points along x
-    n_b: int  # points along y
+    blocks_x: int
+    blocks_y: int
     x0: float
     y0: float
     terrain: np.ndarray = field(repr=False)  # flat int8, len n_blocks, row-major from the south
     candidate_sites: tuple = field(repr=False)
 
-    # -- sizes ---------------------------------------------------------------
-
-    @property
-    def blocks_x(self) -> int:
-        return self.n_a - 1
-
-    @property
-    def blocks_y(self) -> int:
-        return self.n_b - 1
-
     @property
     def n_blocks(self) -> int:
         return self.blocks_x * self.blocks_y
-
-    # -- geometry ------------------------------------------------------------
-
-    def point_xy(self, i: int) -> PlanePoint:
-        j, k = divmod(i, self.n_a)
-        return PlanePoint(self.x0 + k * self.block_side, self.y0 + j * self.block_side)
-
-    def block_corner_point_indices(self, z: int) -> tuple:
-        j, k = divmod(z, self.blocks_x)
-        base = j * self.n_a + k
-        return (base, base + 1, base + self.n_a, base + self.n_a + 1)
 
     def block_center(self, z: int) -> PlanePoint:
         j, k = divmod(z, self.blocks_x)
         L = self.block_side
         return PlanePoint(self.x0 + (k + 0.5) * L, self.y0 + (j + 0.5) * L)
-
-    # -- terrain -------------------------------------------------------------
 
     @property
     def in_area(self) -> np.ndarray:
@@ -196,10 +176,8 @@ def build_mesh(
     return AreaMesh(
         origin=origin,
         block_side=block_side,
-        length_a=length_a,
-        length_b=length_b,
-        n_a=blocks_x + 1,
-        n_b=blocks_y + 1,
+        blocks_x=blocks_x,
+        blocks_y=blocks_y,
         x0=x0,
         y0=y0,
         terrain=terrain,

@@ -81,9 +81,10 @@ def run_plan(scenario: Scenario) -> PlanResult:
         plan = solve_greedy(instance)
     else:
         plan = solve_exact(instance, node_budget=scenario.node_budget)
-    if instance.metadata.get("dominance_removed"):
-        # The filter is a type-level rule, not a proof: the filtered instance's
-        # optimum and root bound need not hold for the scenario.
+    if len(instance.candidates) < len(coverage.entries):
+        # The filter's removals show in the candidate count.  It is a
+        # type-level rule, not a proof: the filtered instance's optimum and
+        # root bound need not hold for the scenario.
         metadata = {k: v for k, v in plan.metadata.items() if k != "root_lower_bound"}
         plan = replace(plan, proven_optimal=False, metadata=metadata)
     return PlanResult(
@@ -106,8 +107,8 @@ def mesh_to_geojson(mesh: AreaMesh) -> dict:
     Block corners are lattice points and :func:`unproject` maps x to longitude
     and y to latitude alone, so each lattice column and row is unprojected once."""
     L = mesh.block_side
-    lon = [unproject(PlanePoint(mesh.x0 + k * L, mesh.y0), mesh.origin).lon for k in range(mesh.n_a)]
-    lat = [unproject(PlanePoint(mesh.x0, mesh.y0 + j * L), mesh.origin).lat for j in range(mesh.n_b)]
+    lon = [unproject(PlanePoint(mesh.x0 + k * L, mesh.y0), mesh.origin).lon for k in range(mesh.blocks_x + 1)]
+    lat = [unproject(PlanePoint(mesh.x0, mesh.y0 + j * L), mesh.origin).lat for j in range(mesh.blocks_y + 1)]
     features = []
     for z, code in enumerate(mesh.terrain.tolist()):
         j, k = divmod(z, mesh.blocks_x)
@@ -205,7 +206,7 @@ def write_coverage_csv(path, table: CoverageTable) -> None:
     with _atomic_open(path) as fp:
         fp.write("sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n")
         for e in table.entries:
-            fp.write(f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{e.misdetect!r},{e.units},{e.cost!r}\n")
+            fp.write(f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{1.0 - e.mean_detect!r},{e.units},{e.cost!r}\n")
 
 
 def write_plan_artifacts(result: PlanResult, outdir) -> dict:

@@ -56,7 +56,6 @@ class PlacementInstance:
 
     universe: tuple
     candidates: tuple
-    metadata: dict = field(default_factory=dict, compare=False)
 
     @property
     def n_elements(self) -> int:
@@ -107,7 +106,6 @@ class PlacementPlan:
     chosen: tuple
     total_cost: float
     total_units: int
-    multiplicity: tuple
     mode: str
     nodes_explored: int
     proven_optimal: bool
@@ -117,23 +115,13 @@ class PlacementPlan:
     def n_sites(self) -> int:
         return len(self.chosen)
 
-    @property
-    def covers_universe(self) -> bool:
-        return all(m >= 1 for m in self.multiplicity)
 
-
-def _make_plan(instance: PlacementInstance, chosen: Sequence[Candidate], mode: str, nodes: int, proven: bool, metadata=None) -> PlacementPlan:
+def _make_plan(chosen: Sequence[Candidate], mode: str, nodes: int, proven: bool, metadata=None) -> PlacementPlan:
     chosen = tuple(sorted(chosen, key=lambda c: c.cid))
-    n = instance.n_elements
-    multiplicity = [0] * n
-    for c in chosen:
-        for p in mask_positions(c.covered):
-            multiplicity[p] += 1
     return PlacementPlan(
         chosen=chosen,
         total_cost=float(math.fsum(c.cost for c in chosen)),
         total_units=sum(c.units for c in chosen),
-        multiplicity=tuple(multiplicity),
         mode=mode,
         nodes_explored=nodes,
         proven_optimal=proven,
@@ -171,7 +159,7 @@ def solve_greedy(instance: PlacementInstance) -> PlacementPlan:
     """Repeatedly pick the candidate with the lowest cost per newly covered block."""
     _check_coverable(instance)
     chosen = _greedy_cover(instance.candidates, instance.full_mask)
-    return _make_plan(instance, chosen, mode="greedy", nodes=0, proven=False)
+    return _make_plan(chosen, mode="greedy", nodes=0, proven=False)
 
 
 def solve_brute(instance: PlacementInstance) -> PlacementPlan:
@@ -184,7 +172,7 @@ def solve_brute(instance: PlacementInstance) -> PlacementPlan:
         raise TooLarge(f"{n} candidates exceeds the exhaustive scan limit of {MAX_BRUTE_CANDIDATES}")
     _check_coverable(instance)
     if not instance.universe:
-        return _make_plan(instance, (), mode="brute", nodes=1, proven=True)
+        return _make_plan((), mode="brute", nodes=1, proven=True)
 
     words = (instance.n_elements + 63) // 64
 
@@ -209,7 +197,7 @@ def solve_brute(instance: PlacementInstance) -> PlacementPlan:
 
     best_mask = min(ties.tolist(), key=subset_key)
     chosen = [instance.candidates[i] for i in mask_positions(int(best_mask))]
-    return _make_plan(instance, chosen, mode="brute", nodes=1 << n, proven=True)
+    return _make_plan(chosen, mode="brute", nodes=1 << n, proven=True)
 
 
 def _dedup_identical(candidates: Sequence[Candidate]):
@@ -381,7 +369,6 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
         stack.extend(node for _, node in children)
 
     return _make_plan(
-        instance,
         incumbent,
         mode="exact",
         nodes=nodes,
@@ -421,8 +408,7 @@ def dominance_filter(instance: PlacementInstance, catalog: SensorCatalog) -> Pla
 
     A type is removed when another admitted type reaches at least as far, detects
     at least as well on every terrain, and equips a 360-degree site at no higher
-    cost per unit of reachable area, with at least one of those strict.  Removed
-    names are recorded in the returned instance's metadata.
+    cost per unit of reachable area, with at least one of those strict.
     """
     present = sorted({c.sensor for c in instance.candidates if c.sensor is not None})
     specs = {name: catalog.get(name) for name in present}
@@ -431,6 +417,4 @@ def dominance_filter(instance: PlacementInstance, catalog: SensorCatalog) -> Pla
         if any(v != u and _dominates(specs[v], specs[u]) for v in present)
     }
     kept = tuple(c for c in instance.candidates if c.sensor is None or c.sensor not in removed)
-    metadata = dict(instance.metadata)
-    metadata["dominance_removed"] = tuple(sorted(removed))
-    return PlacementInstance(universe=instance.universe, candidates=kept, metadata=metadata)
+    return PlacementInstance(instance.universe, kept)

@@ -1,5 +1,5 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs."""
+small synthetic meshes/specs, plus a plan feasibility check."""
 
 import math
 
@@ -63,3 +63,11 @@ def site_for_block(mesh, block):
         if s.block == block:
             return s
     raise AssertionError(f"block {block} has no candidate site")
+
+
+def covers(instance, plan):
+    """Whether the OR of the plan's chosen masks is the instance's whole universe."""
+    union = 0
+    for c in plan.chosen:
+        union |= c.covered
+    return union == instance.full_mask

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import corners_for, square_mesh
+from helpers import corners_for, covers, square_mesh
 from test_catalog import PUBLISHED_DETECTION, PUBLISHED_SPECS
 from test_econ import config
 
@@ -106,7 +106,7 @@ def test_c04_exact_solver_matches_brute_oracle():
         exact = solve_exact(inst)
         brute = solve_brute(inst)
         assert exact.total_cost == brute.total_cost
-        assert exact.covers_universe and brute.covers_universe
+        assert covers(inst, exact) and covers(inst, brute)
         assert exact.proven_optimal
         checked += 1
     elapsed = time.perf_counter() - start
@@ -123,7 +123,7 @@ def test_c05_adsb_single_site(minicity):
     assert result.plan.proven_optimal
     # all-open synthetic city, ceil rounding: mean detection 0.99 already gives one unit
     mesh = square_mesh(12, min_range=321.87)
-    diag = math.hypot(mesh.length_a, mesh.length_b)
+    diag = math.hypot(mesh.blocks_x, mesh.blocks_y) * mesh.block_side
     assert diag <= 321.87
     table = build_coverage(mesh, default_catalog().filtered(["ADS-B"]), 0.98, rounding="ceil")
     plan = solve_exact(PlacementInstance.from_coverage(table))
@@ -152,7 +152,6 @@ def test_c07_rf_dominance(minicity):
     catalog = result.catalog.filtered(names)
     filtered = dominance_filter(instance, catalog)
     assert {c.sensor for c in filtered.candidates} == {"RF"}
-    assert set(filtered.metadata["dominance_removed"]) == {"Radar", "Acoustic", "OpticalCamera"}
     without = solve_exact(instance)
     with_filter = solve_exact(filtered)
     assert without.total_cost == with_filter.total_cost
@@ -164,7 +163,7 @@ def test_dominance_filter_knob_end_to_end(minicity):
     filtered = run_plan(minicity_scenario(minicity, sensor_filter=names, apply_dominance_filter=True))
     plain = run_plan(minicity_scenario(minicity, sensor_filter=names))
     assert {c.sensor for c in filtered.instance.candidates} == {"RF"}
-    assert filtered.instance.metadata["dominance_removed"] == ("Acoustic", "OpticalCamera", "Radar")
+    assert {c.sensor for c in plain.instance.candidates} == set(names)
     assert filtered.plan.total_cost == plain.plan.total_cost
 
 

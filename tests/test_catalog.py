@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from helpers import make_spec, uniform_detect
 from hypothesis import given
@@ -66,7 +68,12 @@ def test_missing_terrain_entry_rejected():
         make_spec(detect=detect)
 
 
-@pytest.mark.parametrize("field,value", [("range_km", 0.0), ("range_km", -1.0), ("unit_price_usd", 0.0), ("fov_multiplier", 0)])
+@pytest.mark.parametrize(
+    "field,value",
+    [("range_km", 0.0), ("range_km", -1.0), ("unit_price_usd", 0.0), ("fov_multiplier", 0)]
+    # Coverage squares the range and prices multiples of the multiplier.
+    + [("range_km", 1e160), ("range_km", math.inf), pytest.param("fov_multiplier", 10**400, id="fov_multiplier-1e400")],
+)
 def test_invalid_scalar_fields_rejected(field, value):
     kwargs = {"name": "Probe", "range_km": 1.0, "price": 100.0, "fov": 1}
     mapping = {"range_km": "range_km", "unit_price_usd": "price", "fov_multiplier": "fov"}

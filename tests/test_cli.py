@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gridwatch import cli, coverage, pipeline
+from gridwatch.catalog import DETECT_KEYS
 from gridwatch.cli import main
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario, with_overrides
@@ -130,13 +131,19 @@ def test_plan_infeasible_coverage_exits_3(bundle, capsys):
     assert "3" in err["message"]
 
 
-def _faint_rf_plan(bundle):
+def _rf_catalog(bundle, **changes):
+    """Write the bundled catalog with RF's fields changed; returns its file name."""
     doc = json.loads((bundled_minicity_path().parent / "catalog.json").read_text(encoding="utf-8"))
     for spec in doc["sensors"]:
         if spec["name"] == "RF":
-            spec["detect"] = {terrain: 1e-310 for terrain in spec["detect"]}
-    (bundle / "faint.json").write_text(json.dumps(doc), encoding="utf-8")
-    return ["plan", str(scenario_with(bundle, catalog="faint.json"))]
+            spec.update(changes)
+    (bundle / "rf.json").write_text(json.dumps(doc), encoding="utf-8")
+    return "rf.json"
+
+
+def _faint_rf_plan(bundle):
+    faint = dict.fromkeys(DETECT_KEYS, 1e-310)
+    return ["plan", str(scenario_with(bundle, catalog=_rf_catalog(bundle, detect=faint)))]
 
 
 @pytest.mark.parametrize(
@@ -151,11 +158,43 @@ def _faint_rf_plan(bundle):
             lambda b: ["sweep", str(scenario_with(b)), "--parameter", "detection_scale", "--values", "1,1e-310"],
             "DEGENERATE_DETECTION",
         ),
+        # 1.8 RF units at a site times 9e307 is finite; rounded up to 2, it is not.
+        (
+            lambda b: ["plan", str(scenario_with(b, sensor_filter=["RF"], catalog=_rf_catalog(b, fov_multiplier=9 * 10**307)))],
+            "DEGENERATE_DETECTION",
+        ),
     ],
-    ids=["plan-detection-scale", "plan-catalog-detect", "plan-install-cost", "sweep-detection-scale"],
+    ids=["plan-detection-scale", "plan-catalog-detect", "plan-install-cost", "sweep-detection-scale", "plan-rounded-units"],
 )
 def test_counts_and_costs_past_the_float_range_exit_2_before_writing(bundle, capsys, make_argv, code):
     assert main(make_argv(bundle)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == code
+    assert not (bundle / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+@pytest.mark.parametrize(
+    "rf, changes, area, code",
+    [
+        ({"fov_multiplier": 10**400}, {"sensor_filter": ["RF"]}, {}, "INVARIANT_VIOLATION"),
+        (
+            {"fov_multiplier": 10**400},
+            {"sensor_filter": ["Radar", "RF"], "apply_dominance_filter": True},
+            {},
+            "INVARIANT_VIOLATION",
+        ),
+        # Coverage squares the range.
+        ({"range_km": 1e160}, {"sensor_filter": ["RF"]}, {}, "INVARIANT_VIOLATION"),
+        ({"range_km": math.inf}, {"sensor_filter": ["RF"]}, {}, "INVARIANT_VIOLATION"),
+        # The span over the block side is an infinite block count.
+        ({}, {}, {"block_side_km": 5e-324}, "VALIDATION_ERROR"),
+    ],
+    ids=["rf-fov", "rf-fov-dominance", "rf-range-square", "rf-range-inf", "block-side"],
+)
+def test_catalog_and_mesh_past_the_float_range_exit_2_before_writing(bundle, capsys, command, rf, changes, area, code):
+    area = json.loads((bundle / "minicity.json").read_text(encoding="utf-8"))["area"] | area
+    scn = scenario_with(bundle, catalog=_rf_catalog(bundle, **rf), area=area, **changes)
+    assert main([command, str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == code
     assert not (bundle / "out").exists()
 
@@ -166,22 +205,29 @@ def test_plan_budget_exceeded_exits_4(bundle):
 
 
 @pytest.mark.parametrize(
-    "apply_filter,code,cost,proven", [(True, 4, 210000.0, "false"), (False, 0, 27000.0, "true")], ids=["filter", "plain"]
+    "sensors,apply_filter,left,code,cost,proven",
+    [
+        (["Radar", "Acoustic"], True, {"Radar"}, 4, 210000.0, "false"),
+        (["Radar", "Acoustic"], False, {"Radar", "Acoustic"}, 0, 27000.0, "true"),
+        (["Radar"], True, {"Radar"}, 0, 210000.0, "true"),
+    ],
+    ids=["filter", "plain", "filter-removes-nothing"],
 )
-def test_dominance_filter_claims_no_optimum(bundle, apply_filter, code, cost, proven):
+def test_dominance_filter_claims_no_optimum(bundle, sensors, apply_filter, left, code, cost, proven):
     # On one open block the filter drops Acoustic for Radar, and the filtered
     # optimum costs nearly eight times the scenario's: the filter proves nothing.
+    # A filter that removes no candidate leaves the proof standing.
     from helpers import corners_for
 
     (bundle / "one.csv").write_text("0\n", encoding="utf-8")
     area = {"corners": [[c.lon, c.lat] for c in corners_for(0.3, 0.3)], "block_side_km": 0.3, "terrain_grid": "one.csv"}
-    scn = scenario_with(bundle, area=area, sensor_filter=["Radar", "Acoustic"], apply_dominance_filter=apply_filter)
+    scn = scenario_with(bundle, area=area, sensor_filter=sensors, apply_dominance_filter=apply_filter)
     assert main(["plan", str(scn)]) == code
     _, rows = read_csv(bundle / "out" / "summary.csv")
     assert (float(rows[0]["total_cost_usd"]), rows[0]["proven_optimal"]) == (cost, proven)
     result = run_plan(load_scenario(scn))
-    assert result.instance.metadata.get("dominance_removed", ()) == (("Acoustic",) if apply_filter else ())
-    assert ("root_lower_bound" in result.plan.metadata) is not apply_filter
+    assert {c.sensor for c in result.instance.candidates} == left
+    assert ("root_lower_bound" in result.plan.metadata) is (code == 0)
 
 
 def test_missing_terrain_file_exits_2(bundle, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
-from gridwatch.coverage import block_detection, build_coverage, covered_blocks, redundancy
+from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, redundancy
 from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 
@@ -34,9 +34,11 @@ def brute_covered(mesh, range_km, site):
     """Oracle: a block counts iff all four of its corner points are within range."""
     result = []
     centre = mesh.block_center(site.block)
+    L = mesh.block_side
     for z in mesh.in_area_blocks:
-        pts = [mesh.point_xy(i) for i in mesh.block_corner_point_indices(z)]
-        if all(math.hypot(p.x - centre.x, p.y - centre.y) <= range_km + 1e-12 for p in pts):
+        j, k = divmod(z, mesh.blocks_x)
+        pts = [(mesh.x0 + (k + dk) * L, mesh.y0 + (j + dj) * L) for dj in (0, 1) for dk in (0, 1)]
+        if all(math.hypot(x - centre.x, y - centre.y) <= range_km + 1e-12 for x, y in pts):
             result.append(z)
     return tuple(result)
 
@@ -135,6 +137,9 @@ def test_redundancy_rejects_degenerate_and_invalid():
     for zeta, fov in ((1e-310, 1), (2.5e-308, 2)):
         with pytest.raises(DegenerateDetection, match="more units than a float can count"):
             redundancy(zeta, 0.98, fov)
+    # Finite at 2.06 units x 6e307, the count passes the range rounded up to 3.
+    with pytest.raises(DegenerateDetection, match="more units than a float can count"):
+        redundancy(0.85, 0.98, 6 * 10**307)
     with pytest.raises(ValidationError):
         redundancy(0.0, 0.9)
     with pytest.raises(ValidationError):
@@ -169,7 +174,7 @@ def test_single_block_mesh_has_one_entry_per_sensor():
     assert len(table.entries) == len(cat)
     assert {e.sensor for e in table.entries} == set(cat.names)
     for e in table.entries:
-        assert table.blocks_of(e) == (0,)
+        assert [mesh.in_area_blocks[p] for p in mask_positions(e.covered)] == [0]
         assert e.cost == e.units * cat.get(e.sensor).unit_price_usd
 
 
@@ -182,10 +187,9 @@ def test_mean_detection_matches_resummation_oracle():
     table = build_coverage(mesh, cat, 0.98)
     omega = block_detection(mesh, cat)
     for e in table.entries:
-        blocks = table.blocks_of(e)
+        blocks = [mesh.in_area_blocks[p] for p in mask_positions(e.covered)]
         resummed = sum(omega[e.sensor][z] for z in blocks) / len(blocks)
         assert e.mean_detect == pytest.approx(resummed, rel=1e-12)
-        assert e.misdetect == pytest.approx(1.0 - resummed, rel=1e-12)
 
 
 def test_entries_sorted_and_units_monotone_in_requirement():

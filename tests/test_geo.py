@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwatch.errors import ValidationError
-from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint, PlanePoint, distance, project, unproject
+from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint, PlanePoint, project, unproject
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -68,19 +68,3 @@ def test_geopoint_rejects_out_of_range(lon, lat):
 def test_plane_point_must_be_finite():
     with pytest.raises(ValidationError):
         PlanePoint(float("inf"), 0.0)
-
-
-def test_distance_345_triangle():
-    assert distance(PlanePoint(0.0, 0.0), PlanePoint(3.0, 4.0)) == 5.0
-
-
-def test_distance_zero():
-    p = PlanePoint(1.25, -7.5)
-    assert distance(p, p) == 0.0
-
-
-def test_distance_block_center_to_corner():
-    # center of an L=0.3 block to its corner: L/sqrt(2)
-    d = distance(PlanePoint(0.15, 0.15), PlanePoint(0.0, 0.0))
-    assert d == pytest.approx(0.3 / math.sqrt(2), rel=1e-12)
-    assert d == pytest.approx(0.2121, abs=5e-5)

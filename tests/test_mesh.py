@@ -6,7 +6,6 @@ import pytest
 from helpers import corners_for, square_mesh
 
 from gridwatch.errors import DimensionMismatch, ParseError, RangeTooSmall
-from gridwatch.geo import distance
 from gridwatch.mesh import Terrain, build_mesh, load_terrain_grid
 from gridwatch.pipeline import mesh_to_geojson
 
@@ -16,14 +15,12 @@ def test_city_scale_block_grid():
     mesh = build_mesh(corners_for(16.2, 18.0), 0.3, np.zeros((60, 54), dtype=int), 0.4)
     assert (mesh.blocks_x, mesh.blocks_y) == (54, 60)
     assert mesh.n_blocks == 3240
-    assert (mesh.n_a, mesh.n_b) == (55, 61)
-    assert mesh.n_blocks == (mesh.n_a - 1) * (mesh.n_b - 1)
 
 
 def test_single_block_mesh():
     mesh = build_mesh(corners_for(0.3, 0.3), 0.3, np.zeros((1, 1), dtype=int), 0.3)
     assert mesh.n_blocks == 1
-    assert (mesh.n_a, mesh.n_b) == (2, 2)
+    assert (mesh.blocks_x, mesh.blocks_y) == (1, 1)
 
 
 def test_non_divisible_span_rounds_up():
@@ -47,10 +44,14 @@ def test_in_area_count_plus_removed_is_total():
 
 def test_block_center_is_half_diagonal_from_corners():
     mesh = square_mesh(4)
+    L = mesh.block_side
     for z in (0, 5, 15):
         center = mesh.block_center(z)
-        for i in mesh.block_corner_point_indices(z):
-            assert distance(center, mesh.point_xy(i)) == pytest.approx(0.3 / math.sqrt(2), rel=1e-9)
+        j, k = divmod(z, mesh.blocks_x)
+        for dj in (0, 1):
+            for dk in (0, 1):
+                x, y = mesh.x0 + (k + dk) * L, mesh.y0 + (j + dj) * L
+                assert math.hypot(center.x - x, center.y - y) == pytest.approx(0.3 / math.sqrt(2), rel=1e-9)
 
 
 def test_candidate_sites_skip_water_and_outside():
@@ -121,8 +122,9 @@ def test_geojson_export_is_deterministic():
 
 def test_points_row_major_from_southwest():
     mesh = square_mesh(2)
-    assert mesh.point_xy(0).x == pytest.approx(mesh.x0)
-    assert mesh.point_xy(0).y == pytest.approx(mesh.y0)
-    # next point along x, then wrap to the next row northward
-    assert mesh.point_xy(1).x > mesh.point_xy(0).x
-    assert mesh.point_xy(mesh.n_a).y > mesh.point_xy(0).y
+    first = mesh.block_center(0)
+    assert first.x == pytest.approx(mesh.x0 + mesh.block_side / 2)
+    assert first.y == pytest.approx(mesh.y0 + mesh.block_side / 2)
+    # next block along x, then wrap to the next row northward
+    assert mesh.block_center(1).x > first.x
+    assert mesh.block_center(mesh.blocks_x).y > first.y

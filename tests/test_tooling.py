@@ -72,3 +72,16 @@ def test_perfbench_sweep_ops_check_every_point():
     # Every point of an r sweep has the same map, so only the first builds a mesh.
     assert traced["spans"]["mesh.build"] == 1
     assert traced["layers"]["coverage.entries"] == 25_920
+
+
+def test_input_checks_accept_every_benchmark_scenario(monkeypatch, tmp_path, capsys):
+    # A new input check that rejects a benchmark workload (ADS-B's 321.87 km
+    # range, say) must fail here, not only in a benchmark run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    from gridwatch import cli
+
+    for name, workload in inputs.WORKLOADS.items():
+        scenario = inputs.write_inputs(workload, 1, tmp_path / name)
+        assert cli.main(["validate", str(scenario)]) == 0, capsys.readouterr().err
