@@ -199,6 +199,9 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
     omegas = block_detection(mesh, catalog)
     pairs = []
+    # Equal covered sets share one int: a type that reaches every block from
+    # every site would otherwise store one copy of the full mask per site.
+    shared = {}
     union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
@@ -217,7 +220,9 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
             flags[covered] = True
             union |= flags
             zeta = float(omega[covered].mean())
-            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, bools_to_mask(flags), zeta))
+            mask = bools_to_mask(flags)
+            mask = shared.setdefault(mask, mask)
+            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, mask, zeta))
     return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
 
 

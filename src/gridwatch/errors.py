@@ -104,9 +104,10 @@ def read_field(value, kind: type, name: str):
     a ``str``, per ``kind``.  A bool must be JSON ``true`` or ``false``; an int
     a JSON integer or a number with no fractional part, such as ``10.0``; a
     float any JSON number, ``NaN`` and ``Infinity`` included, for the caller's
-    range checks; a str a JSON string.  Anything else, ``null`` included, a
-    string where a number is wanted and a bool where a number or a string is
-    wanted, is a :class:`ParseError` naming the field ``name``:
+    range checks, save an integer past the float range; a str a JSON string.
+    Anything else, ``null`` included, a string where a number is wanted and a
+    bool where a number or a string is wanted, is a :class:`ParseError`
+    naming the field ``name``:
     ``bool("false")`` is true, ``int(10.9)`` is 10, ``float(True)`` is 1.0 and
     ``str(None)`` is ``"None"``."""
     if isinstance(value, bool):
@@ -115,7 +116,10 @@ def read_field(value, kind: type, name: str):
     elif kind is int and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         return int(value)
     elif kind is float and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParseError(f"{name} must be a number within the float range, got an integer past it") from None
     elif kind is str and isinstance(value, str):
         return value
     wanted = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[kind]

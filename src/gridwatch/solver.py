@@ -16,9 +16,14 @@ exclude none of them.
 
 ``solve_exact`` is the one exact path: root reductions (duplicate covered
 sets, forced unique coverers), then branch and bound on the residual.  The
-root unpacks each residual candidate's mask once, to price blocks and count
-their coverers in the same pass.  ``solve_brute`` is the oracle it is tested
-against.
+root prices each block at the least cost share among its coverers by
+visiting candidates in ascending share until every block is priced, so most
+masks are never unpacked.  When a residual is left to search, it counts
+each block's coverers for the branch order from masks unpacked a chunk of
+candidates at a time.  A search stopped by its node budget reports as its
+root bound the larger of the static share bound and a dual-ascent bound
+raised from the same prices (Beasley, 1987).  ``solve_brute`` is the oracle
+it is tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ _PRUNE_REL = 1e-9
 
 #: Most candidates :func:`solve_brute` takes; it scans all 2^n subsets.
 MAX_BRUTE_CANDIDATES = 20
+
+# Most cells (candidates x blocks) the root unpacks or prices at once, so
+# that a chunk's temporaries stay well under a megabyte at any size.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -238,31 +247,123 @@ def _batch_pricer(price: np.ndarray):
     return price_of
 
 
+def _share_price(active: Sequence[Candidate], remaining: int, n: int) -> np.ndarray:
+    """Static price of each of the ``n`` positions: over ``remaining``, the
+    least share ``cost / |covered & remaining|`` among the block's coverers
+    in ``active``; 0 elsewhere.
+
+    Candidates are visited in ascending share (a stable sort), so a block
+    takes the share of the first candidate that covers it; only a candidate
+    that prices a new block has its mask unpacked, and the pass stops once
+    every block is priced."""
+    shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
+    price = np.zeros(n)
+    unpriced = remaining
+    for ci in np.argsort(shares, kind="stable").tolist():
+        new = active[ci].covered & unpriced
+        if new:
+            price[mask_to_bools(new, n)] = shares[ci]
+            unpriced ^= new
+            if not unpriced:
+                break
+    return price
+
+
+def _chunk_rows(n: int) -> int:
+    """Candidates per chunk of the root's passes over masks of ``n`` blocks:
+    ``_CHUNK_CELLS`` cells, and at most 255, so that a chunk's coverer
+    count of a block fits a byte."""
+    return max(1, min(255, _CHUNK_CELLS // n))
+
+
+def _branch_order(active: Sequence[Candidate], remaining: int, n: int) -> list:
+    """Positions of ``remaining`` by ascending (number of coverers in
+    ``active``, position): the order in which the search picks the block it
+    branches on.  The coverers are counted from the masks unpacked a chunk
+    of candidates at a time."""
+    counts = np.zeros(n, dtype=np.int64)
+    n_bytes = (n + 7) // 8
+    step = _chunk_rows(n)
+    for i in range(0, len(active), step):
+        raw = b"".join([c.covered.to_bytes(n_bytes, "little") for c in active[i : i + step]])
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes), axis=1, count=n, bitorder="little")
+        counts += np.add.reduce(bits, axis=0, dtype=np.uint8)
+    rows = np.flatnonzero(mask_to_bools(remaining, n))
+    return rows[np.argsort(counts[rows], kind="stable")].tolist()
+
+
+def _dual_ascent(active: Sequence[Candidate], price: np.ndarray, price_of, rows, coverers_of) -> np.ndarray:
+    """Block prices raised from ``price`` by Beasley's dual ascent: a feasible
+    point of the covering LP's dual over ``active``, so their sum bounds the
+    cost of every cover of the priced blocks.
+
+    ``price`` must itself be dual feasible, as the static share price is, and
+    ``price_of`` must price masks by it.  A candidate's slack is its cost
+    less the price of its blocks, clamped at 0; it is computed a chunk of
+    masks at a time.  Each row of ``rows`` that no tight candidate covers
+    is then raised by the least slack among its coverers, ``coverers_of``
+    (a list of indices into ``active``), and each of them gives up that much."""
+    prices = price.copy()
+    step = _chunk_rows(len(price))
+    slack = np.array([c.cost for c in active])
+    for i in range(0, len(active), step):
+        slack[i : i + step] -= price_of([c.covered for c in active[i : i + step]])
+    np.maximum(slack, 0.0, out=slack)
+    # The blocks of every tight candidate: raising one of them gains nothing.
+    dead = 0
+    for ci in np.flatnonzero(slack == 0.0).tolist():
+        dead |= active[ci].covered
+    for p in rows:
+        if (dead >> p) & 1:
+            continue
+        idx = coverers_of(p)
+        left = slack[idx]
+        rise = left.min()
+        prices[p] += rise
+        left -= rise
+        slack[idx] = left
+        for j in np.flatnonzero(left == 0.0).tolist():
+            dead |= active[idx[j]].covered
+    return prices
+
+
 def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
     """Cost-minimal placement via depth-first branch and bound.
 
     The root drops duplicate covered sets and forces the unique coverer of
     every block that has one; the greedy solution of the residual seeds the
-    incumbent.  One pass over the residual unpacks each candidate's mask once,
-    to price the blocks and count their coverers.  Each node branches on the
-    uncovered block with the fewest covering candidates, trying coverers in
-    order of marginal cost per newly covered block; sibling subtrees exclude
-    the coverers already tried so the search partitions the space.  A block's
+    incumbent.  The lower bound is a per-block cheapest-share sum: each block
+    is priced at the least ``cost / |covered & residual|`` among its
+    coverers, found by visiting candidates in ascending share until every
+    block is priced.  Each node branches on the uncovered block with the
+    fewest covering candidates, trying coverers in order of marginal cost
+    per newly covered block; sibling subtrees exclude the coverers already
+    tried so the search partitions the space; the counts are taken once,
+    from masks unpacked a chunk at a time, when a residual is left.  A block's
     coverers and a node's excluded candidates are bitmasks over the residual
     candidates; a node that excludes none of its block's coverers takes
-    their cached index list as is.  The lower bound is a per-block
-    cheapest-marginal-cost sum.  Each stack entry carries its bound; a node
-    prices all its children in one batched pass, takes each child's bound as
-    its own less the price of what the child newly covers, and drops the
-    children that cannot beat the incumbent before any per-child work.  Exceeding ``node_budget`` returns
-    the incumbent with proven_optimal=False.
+    their cached index list as is.  Each stack entry carries its bound; a
+    node prices all its children in one batched pass, takes each child's
+    bound as its own less the price of what the child newly covers, and
+    drops the children that cannot beat the incumbent before any per-child
+    work.
+
+    Exceeding ``node_budget`` returns the incumbent with
+    proven_optimal=False.  Its ``root_lower_bound`` is then the larger of
+    the static bound and the forced cost plus a dual-ascent bound on the
+    residual, raised from the static prices in branch order (see
+    :func:`_dual_ascent`); a search that ends on its own reports the static
+    bound.
     """
     _check_coverable(instance)
     n = instance.n_elements
 
     # Root reductions: duplicate covered sets, then forced singletons: the
     # blocks in ``once & ~twice`` have one coverer each, which is forced.
-    # Forcing leaves no new singleton behind (see ``counts`` below).
+    # Forcing leaves no new singleton behind: on a block left uncovered, the
+    # number of residual coverers equals the count before forcing, as no
+    # forced candidate covers the block and each of its coverers touches
+    # ``remaining`` and so survives the filter.
     active, n_dupes = _dedup_identical(instance.candidates)
     once = twice = 0
     for c in active:
@@ -281,29 +382,23 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     inc_cost = math.fsum(c.cost for c in incumbent)
     inc_key = (inc_cost, len(incumbent), tuple(sorted(c.cid for c in incumbent)))
 
-    # Static per-block price: cheapest cost share among coverers of the block.
-    # ``counts`` is each block's number of residual coverers.  On a block left
-    # uncovered it equals the count before forcing: no forced candidate covers
-    # the block, and each of its coverers touches ``remaining`` and so
-    # survives the filter.  ``branch_order`` reads only those blocks.
-    price = np.full(n, np.inf)
-    counts = np.zeros(n, dtype=np.int64)
-    for c in active:
-        eff = c.covered & remaining
-        share = c.cost / eff.bit_count()
-        flags = mask_to_bools(eff, n)
-        price[flags] = np.minimum(price[flags], share)
-        counts += flags
-    price = np.where(np.isfinite(price), price, 0.0)
-
+    price = _share_price(active, remaining, n)
     root_bound = float(price[mask_to_bools(remaining, n)].sum())
     root_lower = forced_cost + root_bound
 
-    branch_order = sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
+    branch_order = _branch_order(active, remaining, n) if remaining else []
     cost_of = np.array([c.cost for c in active])
     # Per branch block: the mask with bit ci set for each coverer active[ci],
     # and the same coverers as an ascending index list.
     coverers = {}
+
+    def coverers_of(p: int) -> tuple:
+        found = coverers.get(p)
+        if found is None:
+            bit = 1 << p
+            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
+            found = coverers[p] = (sum(1 << ci for ci in idx), idx)
+        return found
 
     def prune_at() -> float:
         return inc_cost + _PRUNE_REL * max(1.0, abs(inc_cost))
@@ -329,12 +424,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
-        found = coverers.get(branch_pos)
-        if found is None:
-            bit = 1 << branch_pos
-            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
-            found = coverers[branch_pos] = (sum(1 << ci for ci in idx), idx)
-        coverer_mask, idx = found
+        coverer_mask, idx = coverers_of(branch_pos)
         # Price every admissible child at once; a child's bound is this
         # node's bound less the price of what the child newly covers.  The
         # admissible children are the block's coverers less the excluded
@@ -367,6 +457,10 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
+
+    if budget_exceeded:
+        dual = _dual_ascent(active, price, price_of, branch_order, lambda p: coverers_of(p)[1])
+        root_lower = max(root_lower, forced_cost + math.fsum(dual.tolist()))
 
     return _make_plan(
         incumbent,

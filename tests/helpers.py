@@ -1,5 +1,5 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs, plus a plan feasibility check."""
+small synthetic meshes/specs, plus plan and dual feasibility checks."""
 
 import math
 
@@ -71,3 +71,18 @@ def covers(instance, plan):
     for c in plan.chosen:
         union |= c.covered
     return union == instance.full_mask
+
+
+def dual_violations(instance, prices, rel=1e-9):
+    """Cids of the candidates whose covered positions' ``prices`` sum past
+    their cost by more than ``rel``, or all cids if a price is negative: an
+    empty list says ``prices``, one per universe position, are a feasible
+    point of the covering LP's dual.  Sums are taken position by position."""
+    if any(y < 0 for y in prices):
+        return [c.cid for c in instance.candidates]
+    over = []
+    for c in instance.candidates:
+        held = [prices[p] for p in range(instance.n_elements) if (c.covered >> p) & 1]
+        if math.fsum(held) > c.cost * (1 + rel):
+            over.append(c.cid)
+    return over

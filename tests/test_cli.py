@@ -199,6 +199,19 @@ def test_catalog_and_mesh_past_the_float_range_exit_2_before_writing(bundle, cap
     assert not (bundle / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["range_km", "unit_price_usd", "detect.open"])
+def test_catalog_integer_past_the_float_range_names_its_field(bundle, capsys, field):
+    doc = json.loads((bundled_minicity_path().parent / "catalog.json").read_text(encoding="utf-8"))
+    detect = next(s["detect"] for s in doc["sensors"] if s["name"] == "RF")
+    rf = {"detect": detect | {"open": 10**400}} if field == "detect.open" else {field: 10**400}
+    scn = scenario_with(bundle, catalog=_rf_catalog(bundle, **rf))
+    assert main(["validate", str(scn)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PARSE_ERROR"
+    assert err["message"] == f"catalog sensor RF: {field} must be a number within the float range, got an integer past it"
+    assert not (bundle / "out").exists()
+
+
 def test_plan_budget_exceeded_exits_4(bundle):
     scn = scenario_with(bundle, sensor_filter=["Acoustic"], solver={"mode": "exact", "node_budget": 1})
     assert main(["plan", str(scn)]) == 4

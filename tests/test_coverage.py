@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from types import MappingProxyType
@@ -237,6 +238,23 @@ def test_coverage_csv_schema(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "RF"
     assert int(first[2]) == 4
+
+
+def test_equal_covered_sets_share_one_int(tmp_path):
+    # ADS-B reaches every block of the mesh from each of its 32 sites.
+    rng = random.Random(6)
+    codes = [[rng.choice([0, 1, 2, 3, 4]) for _ in range(6)] for _ in range(6)]
+    mesh = square_mesh(6, codes)
+    table = build_coverage(mesh, default_catalog().filtered(["ADS-B", "Acoustic"]), 0.98)
+    adsb = [e for e in table.entries if e.sensor == "ADS-B"]
+    assert len(adsb) == len(mesh.candidate_sites) == 32
+    assert {id(e.covered) for e in adsb} == {id(adsb[0].covered)}
+    assert adsb[0].covered == (1 << len(mesh.in_area_blocks)) - 1
+    assert len({id(e.covered) for e in table.entries}) == len({e.covered for e in table.entries}) == 33
+    # The same bytes as a table holding one int per entry.
+    write_coverage_csv(tmp_path / "coverage.csv", table)
+    digest = hashlib.sha256((tmp_path / "coverage.csv").read_bytes()).hexdigest()
+    assert digest == "6bce6230ee89c6db2a268003ec366d14093cdf17b5e50b80de3153ad2d28aa72"
 
 
 def test_required_detection_validated():

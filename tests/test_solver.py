@@ -1,16 +1,17 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import covers, make_spec, rect_mesh, square_mesh
+from helpers import covers, dual_violations, make_spec, rect_mesh, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
-from gridwatch import coverage
-from gridwatch.coverage import build_coverage, covered_blocks, mask_to_bools
+from gridwatch import coverage, solver
+from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, mask_to_bools
 from gridwatch.errors import Infeasible, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.solver import (
     Candidate,
@@ -244,16 +245,20 @@ def test_greedy_never_beats_exact_and_respects_harmonic_bound():
         assert greedy.total_cost <= h * exact.total_cost + 1e-9
 
 
-def test_exact_matches_brute_on_tied_integer_costs():
-    """Integer costs make many plans tie; universes cross byte and 64-bit
-    word boundaries of the covered-set masks."""
+def tied_integer_instances():
+    """400 instances whose integer costs make many plans tie; universes cross
+    byte and 64-bit word boundaries of the covered-set masks."""
     rng = random.Random(2312)
     for _ in range(400):
         n_el = rng.randint(1, 150)
         universe = list(range(n_el))
         sets = [(f"c{i:02d}", rng.sample(universe, rng.randint(1, n_el)), rng.randint(1, 4)) for i in range(rng.randint(1, 15))]
         sets.append(("zz", universe, rng.randint(4, 16)))
-        inst = inst_from(universe, sets)
+        yield inst_from(universe, sets)
+
+
+def test_exact_matches_brute_on_tied_integer_costs():
+    for inst in tied_integer_instances():
         exact = solve_exact(inst)
         brute = solve_brute(inst)
         assert exact.proven_optimal
@@ -292,7 +297,9 @@ def test_budget_stopped_search_on_coverage_is_pinned():
     assert plan.nodes_explored == 2001
     assert plan.metadata["budget_exceeded"] is True
     assert not plan.proven_optimal
-    assert repr(plan.metadata["root_lower_bound"]) == "444899.5267195311"
+    # Dual ascent at the budget exit, raised from the static share bound.
+    assert repr(plan.metadata["root_lower_bound"]) == "605242.9378531073"
+    assert plan.metadata["root_lower_bound"] >= 444899.5267195311
 
 
 def forced_then_branching_instance(seed):
@@ -305,24 +312,119 @@ def forced_then_branching_instance(seed):
 
 
 @pytest.mark.parametrize(
-    "seed,forced,cids,root_bound",
+    "seed,forced,cids,root_bound,static_bound",
     [
-        (1, 3, "c00 c01 c02 c03 c04 c06 c07 c11 c13 c17 c23 lone", "39.28571428571429"),
-        (3, 4, "c01 c03 c07 c09 c10 c13 c14 c15 c19 c21 c23 lone", "37.083333333333336"),
-        (14, 5, "c01 c04 c07 c08 c10 c11 c12 c13 c15 c18 c20 c23", "29.083333333333332"),
+        (1, 3, "c00 c01 c02 c03 c04 c06 c07 c11 c13 c17 c23 lone", "44.083333333333336", 39.28571428571429),
+        (3, 4, "c01 c03 c07 c09 c10 c13 c14 c15 c19 c21 c23 lone", "43.5", 37.083333333333336),
+        (14, 5, "c01 c04 c07 c08 c10 c11 c12 c13 c15 c18 c20 c23", "39.25", 29.083333333333332),
     ],
 )
-def test_search_after_forcing_is_pinned(seed, forced, cids, root_bound):
+def test_search_after_forcing_is_pinned(seed, forced, cids, root_bound, static_bound):
     """Forcing, then a residual search that branches until the node budget
     stops it.  Each node branches on the uncovered block with the fewest
-    coverers; these searches end elsewhere when the order ignores that count."""
+    coverers; these searches end elsewhere when the order ignores that count.
+    The reported bound is the dual ascent's, raised from the static one."""
     plan = solve_exact(forced_then_branching_instance(seed), node_budget=12)
     assert plan.metadata["forced"] == forced
     assert plan.metadata["budget_exceeded"] is True
     assert plan.nodes_explored == 13
     assert " ".join(c.cid for c in plan.chosen) == cids
     assert repr(plan.metadata["root_lower_bound"]) == root_bound
+    assert plan.metadata["root_lower_bound"] >= static_bound
 
+
+@pytest.fixture()
+def dual_ascents(monkeypatch):
+    """(static price, raised price) of every dual ascent ``solve_exact`` runs, in order."""
+    seen = []
+    ascend = solver._dual_ascent
+
+    def ascend_and_keep(active, price, *args):
+        seen.append((price, ascend(active, price, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver, "_dual_ascent", ascend_and_keep)
+    return seen
+
+
+def float_cost_instances():
+    """The shapes of :func:`tied_integer_instances` with costs whose shares
+    sum back to a candidate's cost only within rounding."""
+    rng = random.Random(1987)
+    for inst in tied_integer_instances():
+        yield PlacementInstance(inst.universe, tuple(replace(c, cost=c.cost * rng.uniform(0.1, 1.0)) for c in inst.candidates))
+
+
+@pytest.mark.parametrize("instances", [tied_integer_instances, float_cost_instances])
+@pytest.mark.parametrize("node_budget", [0, 1, 2, 5])
+def test_budget_stopped_bound_is_dual_feasible_and_below_the_optimum(dual_ascents, node_budget, instances):
+    exits = 0
+    for inst in instances():
+        plan = solve_exact(inst, node_budget=node_budget)
+        if not plan.metadata["budget_exceeded"]:
+            assert len(dual_ascents) == exits
+            continue
+        exits += 1
+        assert len(dual_ascents) == exits, "one dual ascent per budget exit"
+        static, prices = dual_ascents[-1]
+        # The ascent only raises prices, and keeps them dual feasible.
+        assert (prices >= static).all()
+        assert dual_violations(inst, prices) == []
+        optimum = solve_brute(inst).total_cost
+        assert plan.metadata["root_lower_bound"] <= optimum * (1 + 1e-9)
+        assert math.fsum(prices) <= plan.metadata["root_lower_bound"] * (1 + 1e-9)
+    assert exits >= 40
+
+
+def root_pass_oracle(active, remaining, n):
+    """The root pass as one loop over the candidates, each mask unpacked to
+    price its blocks and count their coverers: the static price and the
+    branch order."""
+    price = np.full(n, np.inf)
+    counts = np.zeros(n, dtype=np.int64)
+    for c in active:
+        eff = c.covered & remaining
+        share = c.cost / eff.bit_count()
+        flags = mask_to_bools(eff, n)
+        price[flags] = np.minimum(price[flags], share)
+        counts += flags
+    price = np.where(np.isfinite(price), price, 0.0)
+    return price, sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
+
+
+@pytest.mark.parametrize("chunk_cells", [solver._CHUNK_CELLS, 100, 1])
+def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
+    # Integer costs make shares tie.  Small chunks split the candidates, down
+    # to one per chunk; up to 700 candidates give blocks more coverers than
+    # a chunk's byte counts hold.
+    monkeypatch.setattr(solver, "_CHUNK_CELLS", chunk_cells)
+    rng = random.Random(1416)
+    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200):
+        for size in (40, 40, 40, 40, 700):
+            remaining = rng.getrandbits(n) | 1 << rng.randrange(n)
+            cands = [Candidate(f"c{i:03d}", rng.getrandbits(n) | 1 << rng.randrange(n), float(rng.randint(1, 6))) for i in range(rng.randint(1, size))]
+            cands.append(Candidate("all", (1 << n) - 1, float(rng.randint(1, 3 * n))))
+            active = [c for c in cands if c.covered & remaining]
+            price, order = root_pass_oracle(active, remaining, n)
+            assert np.array_equal(solver._share_price(active, remaining, n), price)
+            assert solver._branch_order(active, remaining, n) == order
+    # Block 0 has 300 coverers and block 1 has 100: counted in one byte, 300
+    # would read 44 and reverse the order.
+    active = [Candidate(f"d{i:03d}", 0b01 | (0b10 if i < 100 else 0), 1.0) for i in range(300)]
+    assert solver._branch_order(active, 0b11, 2) == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+
+
+def test_root_proven_instance_explores_only_the_root():
+    # No block has one coverer, and "a"'s share prices every block at the
+    # greedy plan's cost.  The root still branches, and none of its children
+    # can beat the incumbent, so it is the one node explored.
+    inst = inst_from(range(4), [("a", range(4), 4.0), ("b", [0, 1], 3.0), ("c", [2, 3], 3.0)])
+    plan = solve_exact(inst)
+    assert [c.cid for c in plan.chosen] == ["a"]
+    assert plan.metadata["forced"] == 0
+    assert plan.metadata["root_lower_bound"] == plan.total_cost == 4.0
+    assert plan.nodes_explored == 1
+    assert plan.proven_optimal
 
 
 def test_batch_pricer_matches_boolean_sum():
