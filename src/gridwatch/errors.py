@@ -89,13 +89,14 @@ class VolumeAboveTopTier(GridwatchError):
 def read_input(path, what: str, as_json: bool = True):
     """Parsed JSON of the input file at ``path``, or its text when ``as_json`` is
     false.  ``what`` names the file in the message of the :class:`ParseError`
-    raised for an unreadable, non-UTF-8 or malformed-JSON file."""
+    raised for an unreadable, non-UTF-8 or malformed-JSON file, a JSON integer
+    too long to convert included."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         return json.loads(text) if as_json else text
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"invalid {what} JSON in {path}: {exc}") from None
 
 

@@ -14,16 +14,24 @@ A block's coverers are a bitmask too, over indices into the residual
 candidates, kept beside the same indices as a list for the nodes that
 exclude none of them.
 
-``solve_exact`` is the one exact path: root reductions (duplicate covered
-sets, forced unique coverers), then branch and bound on the residual.  The
-root prices each block at the least cost share among its coverers by
-visiting candidates in ascending share until every block is priced, so most
-masks are never unpacked.  When a residual is left to search, it counts
-each block's coverers for the branch order from masks unpacked a chunk of
-candidates at a time.  A search stopped by its node budget reports as its
-root bound the larger of the static share bound and a dual-ascent bound
-raised from the same prices (Beasley, 1987).  ``solve_brute`` is the oracle
-it is tested against.
+``solve_exact`` is the one exact path: root reductions (candidates beaten
+at their own site, duplicate covered sets, forced unique coverers), then
+branch and bound on the residual.  The root prices each block at the least
+cost share among its coverers by visiting candidates in ascending share
+until every block is priced, so most masks are never unpacked.  When a
+residual is left to search, it counts each block's coverers for the branch
+order from masks unpacked a chunk of candidates at a time.
+
+When the node budget can pay for it, the search first runs as a short
+probe.  A probe stopped by its budget is followed by a dual-ascent bound
+raised from the share prices (Beasley, 1987), a subgradient Lagrangian
+started from the ascent's prices with a primal heuristic, and reduced-cost
+fixing (Beasley, 1990; Caprara, Fischetti and Toth, 1999); the search then
+runs again on the core of candidates that fixing keeps, which holds every
+plan costing no more than the incumbent.  A search stopped by its node
+budget reports as its root bound the best of the static share bound and the
+root's dual-ascent and Lagrangian bounds.  Plans are ranked by (fsum cost,
+size, cids).  ``solve_brute`` is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -57,6 +65,15 @@ MAX_BRUTE_CANDIDATES = 20
 # Most cells (candidates x blocks) the root unpacks or prices at once, so
 # that a chunk's temporaries stay well under a megabyte at any size.
 _CHUNK_CELLS = 1 << 16
+
+#: Subgradient steps of the root's Lagrangian: a fixed count, never a time
+#: limit, so that repeated runs stay byte-identical.
+_LAGRANGE_STEPS = 500
+
+# A Lagrangian step prices every residual candidate: measured, it costs
+# about as much as one search node per this many candidates, or fewer (a
+# step took 6.2 node-times on 998 candidates and 13.3 on 1 805).
+_CANDIDATES_PER_NODE = 100
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,18 @@ def _make_plan(chosen: Sequence[Candidate], mode: str, nodes: int, proven: bool,
     )
 
 
+def _plan_key(chosen: Sequence[Candidate]) -> tuple:
+    """The order in which the solvers rank plans: (fsum cost, number of
+    candidates, sorted cids).  The fsum is the total :func:`_make_plan`
+    reports, so plans of equal total compare equal on it whatever their order."""
+    return (math.fsum(c.cost for c in chosen), len(chosen), tuple(sorted(c.cid for c in chosen)))
+
+
+def _prune_at(cost: float) -> float:
+    """The bound at or above which a subtree cannot beat a plan of ``cost``."""
+    return cost + _PRUNE_REL * max(1.0, abs(cost))
+
+
 def _check_coverable(instance: PlacementInstance) -> None:
     union = 0
     for c in instance.candidates:
@@ -174,7 +203,9 @@ def solve_greedy(instance: PlacementInstance) -> PlacementPlan:
 def solve_brute(instance: PlacementInstance) -> PlacementPlan:
     """Exhaustively scan all candidate subsets; the provenance oracle for solve_exact.
 
-    Ties are broken by (fewer candidates, lexicographic candidate ids).
+    The plan is the least by :func:`_plan_key` among the subsets whose
+    index-order cost sums lie within the prune slack of the least sum: ties
+    are broken by (fsum cost, fewer candidates, lexicographic candidate ids).
     """
     n = len(instance.candidates)
     if n > MAX_BRUTE_CANDIDATES:
@@ -198,15 +229,29 @@ def solve_brute(instance: PlacementInstance) -> PlacementPlan:
         cover = np.concatenate([cover, cover | words_of(c.covered)])
     feasible = (cover == words_of(instance.full_mask)).all(axis=1)
     best_cost = cost[feasible].min()
-    ties = np.nonzero(feasible & (cost == best_cost))[0]
-
-    def subset_key(mask):
-        ids = [instance.candidates[i].cid for i in mask_positions(int(mask))]
-        return (len(ids), ids)
-
-    best_mask = min(ties.tolist(), key=subset_key)
-    chosen = [instance.candidates[i] for i in mask_positions(int(best_mask))]
+    # Index-order sums can split equal totals by an ulp: the subsets within
+    # the prune slack of the least are compared on their fsum totals.
+    near = np.flatnonzero(feasible & (cost <= _prune_at(best_cost)))
+    best_mask = min(near.tolist(), key=lambda mask: _plan_key([instance.candidates[i] for i in mask_positions(mask)]))
+    chosen = [instance.candidates[i] for i in mask_positions(best_mask)]
     return _make_plan(chosen, mode="brute", nodes=1 << n, proven=True)
+
+
+def _drop_site_dominated(candidates: Sequence[Candidate]) -> list:
+    """``candidates`` less each one beaten at its own site: another candidate
+    there is strictly cheaper and covers a superset of its blocks.  Swapping
+    the beaten one for it lowers any plan's cost, so the beaten one is in no
+    minimum-cost plan.  Candidates without a site are all kept."""
+    by_site = {}
+    for c in candidates:
+        if c.site is not None:
+            by_site.setdefault(c.site, []).append(c)
+    beaten = set()
+    for group in by_site.values():
+        for c in group:
+            if any(d.cost < c.cost and not c.covered & ~d.covered for d in group):
+                beaten.add(c.cid)
+    return [c for c in candidates if c.cid not in beaten]
 
 
 def _dedup_identical(candidates: Sequence[Candidate]):
@@ -276,18 +321,22 @@ def _chunk_rows(n: int) -> int:
     return max(1, min(255, _CHUNK_CELLS // n))
 
 
+def _unpack(candidates: Sequence[Candidate], n: int) -> np.ndarray:
+    """The masks of ``candidates`` over ``n`` blocks as rows of 0/1 bytes."""
+    n_bytes = (n + 7) // 8
+    raw = b"".join([c.covered.to_bytes(n_bytes, "little") for c in candidates])
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes), axis=1, count=n, bitorder="little")
+
+
 def _branch_order(active: Sequence[Candidate], remaining: int, n: int) -> list:
     """Positions of ``remaining`` by ascending (number of coverers in
     ``active``, position): the order in which the search picks the block it
     branches on.  The coverers are counted from the masks unpacked a chunk
     of candidates at a time."""
     counts = np.zeros(n, dtype=np.int64)
-    n_bytes = (n + 7) // 8
     step = _chunk_rows(n)
     for i in range(0, len(active), step):
-        raw = b"".join([c.covered.to_bytes(n_bytes, "little") for c in active[i : i + step]])
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes), axis=1, count=n, bitorder="little")
-        counts += np.add.reduce(bits, axis=0, dtype=np.uint8)
+        counts += np.add.reduce(_unpack(active[i : i + step], n), axis=0, dtype=np.uint8)
     rows = np.flatnonzero(mask_to_bools(remaining, n))
     return rows[np.argsort(counts[rows], kind="stable")].tolist()
 
@@ -327,111 +376,86 @@ def _dual_ascent(active: Sequence[Candidate], price: np.ndarray, price_of, rows,
     return prices
 
 
-def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
-    """Cost-minimal placement via depth-first branch and bound.
+def _force(candidates: Sequence[Candidate], remaining: int) -> tuple:
+    """``(forced, active, remaining)``: the unique coverers of the blocks of
+    ``remaining`` that have one, the candidates that still cover a block
+    once they are taken, and the blocks left.
 
-    The root drops duplicate covered sets and forces the unique coverer of
-    every block that has one; the greedy solution of the residual seeds the
-    incumbent.  The lower bound is a per-block cheapest-share sum: each block
-    is priced at the least ``cost / |covered & residual|`` among its
-    coverers, found by visiting candidates in ascending share until every
-    block is priced.  Each node branches on the uncovered block with the
-    fewest covering candidates, trying coverers in order of marginal cost
-    per newly covered block; sibling subtrees exclude the coverers already
-    tried so the search partitions the space; the counts are taken once,
-    from masks unpacked a chunk at a time, when a residual is left.  A block's
-    coverers and a node's excluded candidates are bitmasks over the residual
-    candidates; a node that excludes none of its block's coverers takes
-    their cached index list as is.  Each stack entry carries its bound; a
-    node prices all its children in one batched pass, takes each child's
-    bound as its own less the price of what the child newly covers, and
-    drops the children that cannot beat the incumbent before any per-child
-    work.
-
-    Exceeding ``node_budget`` returns the incumbent with
-    proven_optimal=False.  Its ``root_lower_bound`` is then the larger of
-    the static bound and the forced cost plus a dual-ascent bound on the
-    residual, raised from the static prices in branch order (see
-    :func:`_dual_ascent`); a search that ends on its own reports the static
-    bound.
-    """
-    _check_coverable(instance)
-    n = instance.n_elements
-
-    # Root reductions: duplicate covered sets, then forced singletons: the
-    # blocks in ``once & ~twice`` have one coverer each, which is forced.
-    # Forcing leaves no new singleton behind: on a block left uncovered, the
-    # number of residual coverers equals the count before forcing, as no
-    # forced candidate covers the block and each of its coverers touches
-    # ``remaining`` and so survives the filter.
-    active, n_dupes = _dedup_identical(instance.candidates)
+    Forcing leaves no new singleton behind: on a block left uncovered, the
+    number of coverers in ``active`` equals the count before forcing, as no
+    forced candidate covers the block and each of its coverers touches the
+    blocks left and so survives the filter."""
     once = twice = 0
-    for c in active:
+    for c in candidates:
         twice |= once & c.covered
         once |= c.covered
-    singles_mask = once & ~twice
-    forced = [c for c in active if c.covered & singles_mask]
-    remaining = instance.full_mask
+    singles = once & ~twice & remaining
+    forced = [c for c in candidates if c.covered & singles]
     for c in forced:
         remaining &= ~c.covered
-    active = [c for c in active if c.covered & remaining]
-    forced_cost = math.fsum(c.cost for c in forced)
+    return forced, [c for c in candidates if c.covered & remaining], remaining
 
-    # Residual greedy incumbent.
-    incumbent = list(forced) + _greedy_cover(active, remaining)
-    inc_cost = math.fsum(c.cost for c in incumbent)
-    inc_key = (inc_cost, len(incumbent), tuple(sorted(c.cid for c in incumbent)))
 
-    price = _share_price(active, remaining, n)
-    root_bound = float(price[mask_to_bools(remaining, n)].sum())
-    root_lower = forced_cost + root_bound
+class _Residual:
+    """What a search over one residual problem needs, built once: the
+    candidates ``active`` left after taking ``forced``, the blocks
+    ``remaining`` they must cover, the static share price and its sum
+    ``bound``, a batch pricer by that price, the branch order, and each
+    branch block's coverers, found on first use."""
 
-    branch_order = _branch_order(active, remaining, n) if remaining else []
-    cost_of = np.array([c.cost for c in active])
-    # Per branch block: the mask with bit ci set for each coverer active[ci],
-    # and the same coverers as an ascending index list.
-    coverers = {}
+    def __init__(self, active: list, remaining: int, forced: list, n: int):
+        self.active, self.remaining, self.forced = active, remaining, forced
+        self.forced_cost = math.fsum(c.cost for c in forced)
+        self.price = _share_price(active, remaining, n)
+        self.bound = float(self.price[mask_to_bools(remaining, n)].sum())
+        self.price_of = _batch_pricer(self.price)
+        self.order = _branch_order(active, remaining, n) if remaining else []
+        self._coverers = {}
 
-    def coverers_of(p: int) -> tuple:
-        found = coverers.get(p)
+    def coverers_of(self, p: int) -> tuple:
+        """The mask with bit ci set for each coverer ``active[ci]`` of block
+        ``p``, and the same coverers as an ascending index list."""
+        found = self._coverers.get(p)
         if found is None:
             bit = 1 << p
-            idx = [ci for ci, c in enumerate(active) if c.covered & bit]
-            found = coverers[p] = (sum(1 << ci for ci in idx), idx)
+            idx = [ci for ci, c in enumerate(self.active) if c.covered & bit]
+            found = self._coverers[p] = (sum(1 << ci for ci in idx), idx)
         return found
 
-    def prune_at() -> float:
-        return inc_cost + _PRUNE_REL * max(1.0, abs(inc_cost))
 
-    threshold = prune_at()
-    price_of = _batch_pricer(price)
+def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
+    """Depth-first branch and bound over ``res`` from ``incumbent``, a plan
+    over the whole universe; returns ``(nodes, budget_exceeded, incumbent)``,
+    where ``incumbent`` is the least by :func:`_plan_key` of the plans seen
+    and ``nodes`` is ``node_budget + 1`` when the budget stopped the search."""
+    active, forced, forced_cost = res.active, res.forced, res.forced_cost
+    inc_key = _plan_key(incumbent)
+    threshold = _prune_at(inc_key[0])
+    cost_of = np.array([c.cost for c in active])
     nodes = 0
-    budget_exceeded = False
     # A stack entry: (uncovered, excluded, cost, chosen_idx, bound), where
     # bound is the price of ``uncovered``.
-    stack = [(remaining, 0, 0.0, (), root_bound)] if remaining else []
-
+    stack = [(res.remaining, 0, 0.0, (), res.bound)] if res.remaining else []
     while stack:
         uncovered, excluded, cost, chosen_idx, bound = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            budget_exceeded = True
-            break
+            return nodes, True, incumbent
         if forced_cost + cost + bound >= threshold:
             continue
         branch_pos = None
-        for p in branch_order:
+        for p in res.order:
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
-        coverer_mask, idx = coverers_of(branch_pos)
+        coverer_mask, idx = res.coverers_of(branch_pos)
         # Price every admissible child at once; a child's bound is this
         # node's bound less the price of what the child newly covers.  The
         # admissible children are the block's coverers less the excluded
         # ones; often none of them is excluded.
         dropped = coverer_mask & excluded
         batch = mask_positions(coverer_mask ^ dropped) if dropped else idx
-        child_bound = bound - price_of([active[ci].covered & uncovered for ci in batch])
+        child_bound = bound - res.price_of([active[ci].covered & uncovered for ci in batch])
         child_lower = forced_cost + (cost + cost_of[batch]) + child_bound
         children = []
         for j in np.flatnonzero(child_lower < threshold).tolist():
@@ -440,13 +464,11 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             child_cost = cost + c.cost
             child_uncovered = uncovered & ~c.covered
             if child_uncovered == 0:
-                total = forced_cost + child_cost
-                cand_ids = tuple(sorted([active[i].cid for i in chosen_idx] + [c.cid] + [f.cid for f in forced]))
-                key = (total, len(chosen_idx) + 1 + len(forced), cand_ids)
+                chosen = forced + [active[i] for i in chosen_idx] + [c]
+                key = _plan_key(chosen)
                 if key < inc_key:
-                    incumbent = list(forced) + [active[i] for i in chosen_idx] + [c]
-                    inc_cost, inc_key = total, key
-                    threshold = prune_at()
+                    incumbent, inc_key = chosen, key
+                    threshold = _prune_at(inc_key[0])
                 continue
             # The incumbent may have improved at an earlier sibling.
             if child_lower[j] >= threshold:
@@ -457,10 +479,196 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
             children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
+    return nodes, False, incumbent
 
+
+def _lagrangian(active: list, remaining: int, n: int, start: np.ndarray, forced: list, incumbent: list) -> tuple:
+    """Subgradient Lagrangian of covering the blocks of ``remaining`` with
+    ``active``, with a primal heuristic and reduced-cost fixing (Beasley,
+    1990; Caprara, Fischetti and Toth, 1999).  Returns ``(bound, keep,
+    incumbent)``.
+
+    Multipliers u >= 0 on the blocks, starting from ``start`` (one price per
+    position of the ``n``), give reduced costs rc = c - A^T u and the bound
+    L(u) = sum(u) + sum(min(0, rc)) on the cost of every such cover.  Each
+    of ``_LAGRANGE_STEPS`` projected subgradient steps moves u by
+    lambda (1.01 UB - L) / |g|^2 along g = 1 - A x, x the candidates with
+    rc < 0, where UB is the incumbent's cost net of the ``forced`` ones;
+    lambda starts at 2 and shrinks by 0.7 after 50 steps without a better L.
+    The steps stop early once L proves the incumbent or g vanishes.  Every
+    10 steps the candidates with rc < 0, completed by the greedy and rid of
+    redundant ones costliest first, are a plan that replaces ``incumbent``,
+    a plan over the whole universe, when less by :func:`_plan_key`.
+
+    ``bound`` is the best L; ``keep`` flags the candidates whose rc at its
+    u leaves L + max(0, rc) within the prune slack of UB, the only ones a
+    plan costing no more than the incumbent can hold, and those of the
+    incumbent.  Column j's rows are a slice of one int32 array of row
+    indices, filled from masks unpacked a chunk of candidates at a time;
+    A^T u and A x are taken over chunks as well, so no temporary spans the
+    whole incidence."""
+    rows = np.flatnonzero(mask_to_bools(remaining, n))
+    m = len(rows)
+    sizes = np.array([(c.covered & remaining).bit_count() for c in active])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    incidence = np.empty(int(ends[-1]), dtype=np.int32)
+    # The work below takes up to 12 bytes per incidence entry where the
+    # root's passes take 1 per cell, so its chunks are a quarter as large.
+    step = max(1, _CHUNK_CELLS // 4 // n)
+    for a in range(0, len(active), step):
+        b = min(a + step, len(active))
+        at = np.flatnonzero(_unpack(active[a:b], n)[:, rows])
+        incidence[starts[a] : ends[b - 1]] = np.remainder(at, m, out=at)
+
+    def hits_of(cols: list) -> np.ndarray:
+        """How many of the candidates ``cols`` cover each row."""
+        hits = np.zeros(m, dtype=np.intp)
+        for i in range(0, len(cols), step):
+            hits += np.bincount(np.concatenate([incidence[starts[j] : ends[j]] for j in cols[i : i + step]]), minlength=m)
+        return hits
+
+    cost = np.array([c.cost for c in active])
+    position = {c.cid: j for j, c in enumerate(active)}
+    forced_cost = math.fsum(c.cost for c in forced)
+    inc_key = _plan_key(incumbent)
+
+    # A^T u goes over runs of candidates with at most a chunk's worth of
+    # entries each: a run's rows, and where each candidate's start in them.
+    runs = []
+    a = 0
+    while a < len(active):
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _CHUNK_CELLS // 4, side="right")))
+        runs.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
+        a = b
+
+    def reduced(u: np.ndarray) -> np.ndarray:
+        rc = cost.copy()
+        for cols, rows_in, at in runs:
+            rc[cols] -= np.add.reduceat(u[rows_in], at)
+        return rc
+
+    def heuristic(picked: list) -> list:
+        covered = 0
+        for j in picked:
+            covered |= active[j].covered
+        picked = picked + [position[c.cid] for c in _greedy_cover(active, remaining & ~covered)]
+        hits = hits_of(picked)
+        kept = []
+        for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
+            seg = incidence[starts[j] : ends[j]]
+            if hits[seg].min() > 1:
+                hits[seg] -= 1
+            else:
+                kept.append(active[j])
+        return forced + kept
+
+    u = start[rows].astype(np.float64)
+    ub = inc_key[0] - forced_cost
+    lam, best, best_u, stall = 2.0, -math.inf, u, 0
+    for it in range(_LAGRANGE_STEPS):
+        rc = reduced(u)
+        neg = np.flatnonzero(rc < 0.0)
+        value = float(u.sum() + rc[neg].sum())
+        if value > best:
+            best, best_u, stall = value, u, 0
+        else:
+            stall += 1
+            if stall == 50:
+                lam, stall = lam * 0.7, 0
+        if it % 10 == 0:
+            plan = heuristic(neg.tolist())
+            key = _plan_key(plan)
+            if key < inc_key:
+                incumbent, inc_key = plan, key
+                ub = key[0] - forced_cost
+        if best >= ub - _PRUNE_REL * max(1.0, abs(ub)):
+            break
+        g = 1.0 - hits_of(neg.tolist())
+        g[(g < 0.0) & (u == 0.0)] = 0.0
+        norm = float(g @ g)
+        if norm == 0.0:
+            break
+        u = np.maximum(u + (lam * (1.01 * ub - value) / norm) * g, 0.0)
+
+    keep = best + np.maximum(reduced(best_u), 0.0) <= _prune_at(ub)
+    for c in incumbent:
+        j = position.get(c.cid)
+        if j is not None:
+            keep[j] = True
+    return best, keep, incumbent
+
+
+def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
+    """Cost-minimal placement via depth-first branch and bound.
+
+    The root drops every candidate beaten at its own site (see
+    :func:`_drop_site_dominated`), then duplicate covered sets, and forces
+    the unique coverer of every block that has one; the greedy solution of
+    the residual seeds the incumbent.  The same-site rule is a proof, unlike
+    the type-level :func:`dominance_filter`: it removes only candidates that
+    no minimum-cost plan holds, so the least-key plan survives it.
+
+    The lower bound is a per-block cheapest-share sum: each block is priced
+    at the least ``cost / |covered & residual|`` among its coverers, found
+    by visiting candidates in ascending share until every block is priced.
+    Each node branches on the uncovered block with the fewest covering
+    candidates, trying coverers in order of marginal cost per newly covered
+    block; sibling subtrees exclude the coverers already tried so the search
+    partitions the space; the counts are taken once, from masks unpacked a
+    chunk at a time, when a residual is left.  A block's coverers and a
+    node's excluded candidates are bitmasks over the residual candidates; a
+    node that excludes none of its block's coverers takes their cached
+    index list as is.  Each stack entry carries its bound; a node prices all
+    its children in one batched pass, takes each child's bound as its own
+    less the price of what the child newly covers, and drops the children
+    that cannot beat the incumbent before any per-child work.  Leaves are
+    ranked by :func:`_plan_key`, so the plan is the least one by (fsum cost,
+    size, cids).
+
+    When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
+    on top of one node per residual candidate, at one node-time per
+    ``_CANDIDATES_PER_NODE`` candidates a step, the search first runs as a
+    probe of one node per residual candidate.  A probe that ends on its
+    budget is followed by a dual ascent from the static prices (see
+    :func:`_dual_ascent`), a Lagrangian from the ascent's prices (see
+    :func:`_lagrangian`), which may improve the incumbent, and reduced-cost
+    fixing.  The kept candidates are forced again and searched as a core
+    with the rest of the budget, a fresh share price and branch order, and
+    the best incumbent so far.  Every plan costing no more than the
+    incumbent lies in the core, so a core search that ends on its own
+    proves the plan.  Otherwise the search runs once with the whole budget.
+
+    ``nodes_explored`` adds the probe's nodes to the core's, and is at most
+    ``node_budget + 1``.  Exceeding ``node_budget`` returns the incumbent
+    with proven_optimal=False.  ``root_lower_bound`` is the best bound the
+    root computed: the static bound and, after a probe or search stopped by
+    its budget, the forced cost plus the dual ascent's and the Lagrangian's
+    bounds.  A bound found on the core holds only for plans inside it and is
+    not reported.
+    """
+    _check_coverable(instance)
+    n = instance.n_elements
+    active, n_dupes = _dedup_identical(_drop_site_dominated(instance.candidates))
+    forced, active, remaining = _force(active, instance.full_mask)
+    root = _Residual(active, remaining, forced, n)
+    incumbent = forced + _greedy_cover(active, remaining)
+    root_lower = root.forced_cost + root.bound
+
+    probe = len(active)
+    lagrange = _LAGRANGE_STEPS * probe <= _CANDIDATES_PER_NODE * (node_budget - probe)
+    nodes, budget_exceeded, incumbent = _search(root, incumbent, probe if lagrange else node_budget)
     if budget_exceeded:
-        dual = _dual_ascent(active, price, price_of, branch_order, lambda p: coverers_of(p)[1])
-        root_lower = max(root_lower, forced_cost + math.fsum(dual.tolist()))
+        dual = _dual_ascent(active, root.price, root.price_of, root.order, lambda p: root.coverers_of(p)[1])
+        root_lower = max(root_lower, root.forced_cost + math.fsum(dual.tolist()))
+        if lagrange:
+            bound, keep, incumbent = _lagrangian(active, remaining, n, dual, forced, incumbent)
+            root_lower = max(root_lower, root.forced_cost + bound)
+            more, core, left = _force([c for c, k in zip(active, keep.tolist()) if k], remaining)
+            core_nodes, budget_exceeded, incumbent = _search(
+                _Residual(core, left, forced + more, n), incumbent, node_budget - probe
+            )
+            nodes = probe + core_nodes
 
     return _make_plan(
         incumbent,
@@ -503,6 +711,9 @@ def dominance_filter(instance: PlacementInstance, catalog: SensorCatalog) -> Pla
     A type is removed when another admitted type reaches at least as far, detects
     at least as well on every terrain, and equips a 360-degree site at no higher
     cost per unit of reachable area, with at least one of those strict.
+    The rule compares catalog specs, not covered sets, so it can drop every
+    candidate of a minimum-cost plan; the same-site rule ``solve_exact``
+    applies on every solve compares covered sets and costs and cannot.
     """
     present = sorted({c.sensor for c in instance.candidates if c.sensor is not None})
     specs = {name: catalog.get(name) for name in present}

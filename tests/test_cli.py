@@ -212,6 +212,19 @@ def test_catalog_integer_past_the_float_range_names_its_field(bundle, capsys, fi
     assert not (bundle / "out").exists()
 
 
+def test_catalog_integer_past_the_digit_limit_names_the_file(bundle, capsys):
+    # json.loads refuses an integer of more than 4 300 digits with a
+    # ValueError that is not a JSONDecodeError; json.dumps cannot write one.
+    name = _rf_catalog(bundle, range_km="BIG")
+    path = bundle / name
+    path.write_text(path.read_text(encoding="utf-8").replace('"BIG"', "1" + "0" * 5000), encoding="utf-8")
+    assert main(["validate", str(scenario_with(bundle, catalog=name))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PARSE_ERROR"
+    assert err["message"].startswith(f"invalid catalog JSON in {path}: ")
+    assert not (bundle / "out").exists()
+
+
 def test_plan_budget_exceeded_exits_4(bundle):
     scn = scenario_with(bundle, sensor_filter=["Acoustic"], solver={"mode": "exact", "node_budget": 1})
     assert main(["plan", str(scn)]) == 4

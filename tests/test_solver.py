@@ -376,6 +376,186 @@ def test_budget_stopped_bound_is_dual_feasible_and_below_the_optimum(dual_ascent
     assert exits >= 40
 
 
+FLOAT_TIE_COSTS = (0.1, 0.2, 0.3, 0.7, 1.5, 2.25, 3.0)
+
+
+def float_tie_instances():
+    """The shapes of :func:`tied_integer_instances` with costs whose sums
+    agree in one order and split by an ulp in another."""
+    rng = random.Random(3400)
+    for _ in range(400):
+        n_el = rng.randint(1, 150)
+        universe = list(range(n_el))
+        sets = [(f"c{i:02d}", rng.sample(universe, rng.randint(1, n_el)), rng.choice(FLOAT_TIE_COSTS)) for i in range(rng.randint(1, 15))]
+        sets.append(("zz", universe, 3.0 + rng.choice(FLOAT_TIE_COSTS)))
+        yield inst_from(universe, sets)
+
+
+def test_exact_matches_brute_on_float_ties():
+    for inst in float_tie_instances():
+        exact, brute = solve_exact(inst), solve_brute(inst)
+        key = (brute.total_cost, len(brute.chosen), tuple(c.cid for c in brute.chosen))
+        assert (exact.total_cost, len(exact.chosen), tuple(c.cid for c in exact.chosen)) == key
+        # The set-algebra oracle checks the brute solver's own tie rule.
+        if len(inst.candidates) <= 7:
+            assert key == enumerate_optimum(inst)
+
+
+def test_equal_fsum_totals_tie_on_size():
+    # Summed in search order, 0.2 + 0.2 + 1.5 + 1.5 can come out an ulp below
+    # 0.2 + 0.2 + 3.0; both fsum to 3.4, so the plan of three wins.
+    sets = [
+        ("c00", [0], 0.2),
+        ("c01", [1, 2, 5], 0.2),
+        ("c02", [0, 2], 1.5),
+        ("c03", [4, 5], 1.5),
+        ("c04", [1, 2, 3, 4], 3.0),
+        ("c05", [2], 1.5),
+        ("c06", [1, 3, 5], 1.5),
+    ]
+    inst = inst_from(range(6), sets)
+    assert math.fsum([0.2, 0.2, 1.5, 1.5]) == math.fsum([0.2, 0.2, 3.0]) == 3.4
+    for plan in (solve_exact(inst), solve_brute(inst)):
+        assert [c.cid for c in plan.chosen] == ["c00", "c01", "c04"]
+        assert plan.total_cost == 3.4
+
+
+@pytest.mark.parametrize("instances", [tied_integer_instances, float_cost_instances])
+def test_lagrangian_bound_and_fixing_keep_the_optimum(instances):
+    fixed = 0
+    for inst in instances():
+        n, full = inst.n_elements, inst.full_mask
+        active = list(inst.candidates)
+        greedy = solver._greedy_cover(active, full)
+        bound, keep, incumbent = solver._lagrangian(active, full, n, solver._share_price(active, full, n), [], greedy)
+        brute = solve_brute(inst)
+        assert bound <= brute.total_cost * (1 + 1e-9)
+        kept = {c.cid for c, k in zip(active, keep) if k}
+        assert {c.cid for c in brute.chosen} <= kept
+        # The heuristic's plan covers, and never costs more than the greedy's.
+        union = 0
+        for c in incumbent:
+            union |= c.covered
+        assert union == full
+        assert math.fsum(c.cost for c in incumbent) <= math.fsum(c.cost for c in greedy)
+        fixed += len(active) - len(kept)
+    assert fixed >= 1000
+
+
+def test_same_site_dominance_keeps_the_plan():
+    # Without sites no candidate is beaten at its own site, so the root keeps
+    # them all; the plan must be the same either way.
+    rng = random.Random(90)
+    catalog = default_catalog().filtered(["Acoustic", "OpticalCamera", "Radar", "RF"])
+    dropped = 0
+    for _ in range(30):
+        bx, by = rng.randint(2, 5), rng.randint(2, 5)
+        codes = [[rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(bx)] for _ in range(by)]
+        codes[0][0] = 0
+        names = rng.sample(catalog.names, rng.randint(2, 4))
+        try:
+            table = build_coverage(rect_mesh(bx, by, codes), catalog.filtered(names), rng.choice([0.9, 0.98]))
+        except InfeasibleCoverage:
+            continue
+        inst = PlacementInstance.from_coverage(table)
+        siteless = PlacementInstance(inst.universe, tuple(replace(c, site=None) for c in inst.candidates))
+        dropped += len(inst.candidates) - len(solver._drop_site_dominated(inst.candidates))
+        assert solver._drop_site_dominated(siteless.candidates) == list(siteless.candidates)
+        one, two = solve_exact(inst), solve_exact(siteless)
+        assert one.proven_optimal and two.proven_optimal
+        assert (one.total_cost, [c.cid for c in one.chosen]) == (two.total_cost, [c.cid for c in two.chosen])
+    assert dropped >= 50
+
+
+def search_like_instance():
+    """A 20x20 mesh whose rows each shuffle 10 open, 6 neighborhood, 1 hill
+    and 3 commercial blocks, under Radar, Acoustic and OpticalCamera at
+    r = 0.98: about a thousand residual candidates after the root's
+    reductions, and an optimum the search alone does not prove in 20 000
+    nodes."""
+    rng = random.Random(0)
+    row = [0] * 10 + [2] * 6 + [3] + [4] * 3
+    mesh = square_mesh(20, [rng.sample(row, len(row)) for _ in range(20)])
+    table = build_coverage(mesh, default_catalog().filtered(["Radar", "Acoustic", "OpticalCamera"]), 0.98)
+    return PlacementInstance.from_coverage(table)
+
+
+@pytest.fixture()
+def lagrangians(monkeypatch):
+    """Number of root Lagrangians ``solve_exact`` runs, in a one-item list."""
+    seen = [0]
+    relax = solver._lagrangian
+
+    def relax_and_count(*args):
+        seen[0] += 1
+        return relax(*args)
+
+    monkeypatch.setattr(solver, "_lagrangian", relax_and_count)
+    return seen
+
+
+@pytest.mark.parametrize("node_budget", [0, 5, 300, 2000])
+def test_lagrangian_skipped_when_the_budget_cannot_pay_for_it(lagrangians, node_budget):
+    rng = random.Random(0)
+    codes = [[rng.choice([0, 0, 2, 2, 3, 4]) for _ in range(16)] for _ in range(16)]
+    table = build_coverage(square_mesh(16, codes), default_catalog().filtered(["Radar", "Acoustic", "OpticalCamera"]), 0.98)
+    plan = solve_exact(PlacementInstance.from_coverage(table), node_budget=node_budget)
+    assert plan.metadata["budget_exceeded"] is True
+    assert plan.nodes_explored == node_budget + 1
+    assert lagrangians == [0]
+
+
+def test_search_like_instance_is_proven_on_the_core(lagrangians):
+    """The probe stops on its budget, the Lagrangian and fixing leave a core,
+    and the core search proves the plan: the pinned plan is the least key,
+    at other sites than the probe's incumbent of equal cost."""
+    inst = search_like_instance()
+    plan = solve_exact(inst, node_budget=20_000)
+    assert lagrangians == [1]
+    assert plan.proven_optimal
+    assert plan.metadata["budget_exceeded"] is False
+    assert plan.total_cost == 840000.0
+    assert [c.cid for c in plan.chosen] == ["Radar@000000", "Radar@000093", "Radar@000264", "Radar@000294"]
+    assert plan.nodes_explored == 13799
+    assert repr(plan.metadata["root_lower_bound"]) == "820869.0351556332"
+
+
+def branching_instances():
+    """60 instances of 19 random sets over 40 elements, each element in a
+    set with odds 1 in 4, and a costly set for what they miss: most
+    searches outlast a probe of one node per candidate."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        sets = [(f"c{i:02d}", [e for e in range(40) if rng.random() < 0.25], rng.choice([2.0, 3.0, 5.0, 7.5])) for i in range(19)]
+        sets.append(("lone", [e for e in range(40) if not any(e in s[1] for s in sets)] + [0], 9.0))
+        yield inst_from(range(40), sets)
+
+
+def test_probe_lagrangian_and_core_on_oracle_instances(lagrangians):
+    # At 120 nodes the gate holds for up to 20 residual candidates, so the
+    # probe, the Lagrangian and the core search all run, on instances small
+    # enough for the oracle.
+    for inst in branching_instances():
+        plan = solve_exact(inst, node_budget=120)
+        brute = solve_brute(inst)
+        assert plan.nodes_explored <= 121
+        assert plan.proven_optimal
+        assert [c.cid for c in plan.chosen] == [c.cid for c in brute.chosen]
+        assert plan.metadata["root_lower_bound"] <= brute.total_cost * (1 + 1e-9)
+    assert lagrangians[0] >= 40
+
+
+def test_core_search_stopped_by_the_budget(lagrangians):
+    # The gate holds at 6 000 nodes, but the core needs more than is left.
+    inst = search_like_instance()
+    plan = solve_exact(inst, node_budget=6000)
+    assert lagrangians == [1]
+    assert not plan.proven_optimal
+    assert plan.nodes_explored == 6001
+    assert plan.total_cost == 840000.0
+    assert 607457.6271186441 < plan.metadata["root_lower_bound"] <= plan.total_cost
+
+
 def root_pass_oracle(active, remaining, n):
     """The root pass as one loop over the candidates, each mask unpacked to
     price its blocks and count their coverers: the static price and the

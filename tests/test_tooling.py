@@ -85,3 +85,21 @@ def test_input_checks_accept_every_benchmark_scenario(monkeypatch, tmp_path, cap
     for name, workload in inputs.WORKLOADS.items():
         scenario = inputs.write_inputs(workload, 1, tmp_path / name)
         assert cli.main(["validate", str(scenario)]) == 0, capsys.readouterr().err
+
+
+def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
+    # The benchmark's search-bound workload at seed 1 must be proven, not
+    # stopped by its node budget: the root's Lagrangian and reduced-cost
+    # fixing leave a core the search exhausts.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    from gridwatch.pipeline import run_plan
+    from gridwatch.scenario import load_scenario
+
+    workload = inputs.WORKLOADS["search-400"]
+    plan = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))).plan
+    assert plan.proven_optimal
+    assert plan.metadata["budget_exceeded"] is False
+    assert plan.total_cost == 840_000.0
+    assert plan.nodes_explored <= workload.node_budget == 20_000
