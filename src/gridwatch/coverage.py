@@ -5,11 +5,17 @@ lie within the sensor's range, the mean detection probability over that set,
 and the number of sensor units needed at the site to push the
 at-least-one-detection probability up to the required level.  Sites are
 block centres, so each type's covered sets come from one stencil of block
-offsets, checked against :func:`covered_blocks`.
+offsets, checked against :func:`covered_blocks`.  Every stencil row is one
+contiguous run of columns and blocks are numbered row by row, so a site's
+covered set is one range of mask bits per grid row it reaches.
 
-:func:`build_coverage` runs in two stages.  A walk over the stencils gives
-every pair's covered-set mask and mean detection probability, and the blocks
-no pair covers; none of that depends on the required detection probability.
+:func:`build_coverage` runs in two stages.  A walk over the sites, a chunk at
+a time, lays each type's stencil rows at the sites as those bit ranges.  A
+site whose ranges equal the previous site's takes that site's mask and mean
+detection probability; the sets of the others are built a group at a time.
+The walk gives every pair's covered-set mask and mean detection probability,
+and the blocks no pair covers; none of that depends on the required
+detection probability.
 Pricing then turns each pair into a :class:`Candidate` at one requirement:
 unit counts from :func:`redundancy`, then costs; a returned table is feasible.
 A sweep over the requirement walks once; later points price the last table.
@@ -19,13 +25,14 @@ here to the solver.  A covered set is a Python-int bitmask over in-area
 positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
-stays integer AND/OR/popcount work.  The three conversions between masks,
-boolean arrays and positions are defined here and nowhere else.  The table
+stays integer AND/OR/popcount work.  The conversions between masks, boolean
+arrays and positions are defined here and nowhere else.  The table
 is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -137,11 +144,6 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     return units
 
 
-def bools_to_mask(flags: np.ndarray) -> int:
-    """Bitmask with bit i set where ``flags[i]`` is true."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
     """Boolean array of length ``n`` with ``True`` at the set bits of ``mask``."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -179,13 +181,29 @@ class CoverageTable:
     entries: tuple = field(repr=False)
 
 
+# The walk takes sites in chunks of at most _CHUNK_CELLS (site, stencil row)
+# runs, and builds new covered sets in groups of at most _GROUP_ENTRIES
+# covered blocks and _GROUP_CELLS (site, in-area block) flags: its arrays stay
+# small beside the table it returns, whatever the number of sites.
+_CHUNK_CELLS = 2**10
+_GROUP_ENTRIES = 2**14
+_GROUP_CELLS = 2**17
+
+
 def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     """The stencil walk of :func:`build_coverage`: ``(cid, spec, site,
     covered, mean_detect)`` for every (sensor type, candidate site) pair that
     covers a block, in sensor-name then site order, and the in-area blocks no
     pair covers.  When sensor types x candidate sites x in-area blocks exceeds
     ``MAX_COVERAGE_WORK``, :class:`TooLarge` is raised before any footprint
-    is computed."""
+    is computed.
+
+    Every stencil row is one run of columns, so a site's covered set is one
+    range of mask bits per grid row it reaches (see :func:`_site_runs`).  A
+    site whose ranges equal the previous site's takes that site's covered set
+    and mean detection probability; only the others are built, a group at a
+    time (see :func:`_covered_sets`).  A type that reaches every block from
+    every site thus builds one set.  Equal covered sets share one int."""
     in_area = mesh.in_area
     n_in_area = int(np.count_nonzero(in_area))
     work = len(catalog) * len(mesh.candidate_sites) * n_in_area
@@ -195,35 +213,105 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
             f"{n_in_area} in-area block(s) = {work:.3g} exceeds the limit of {MAX_COVERAGE_WORK:.0e}"
         )
     bx, by = mesh.blocks_x, mesh.blocks_y
-    # In-area position of every block, the masks' bit order; -1 outside the area.
-    position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
+    # Blocks are numbered row-major, so the in-area blocks of grid row r,
+    # columns a..b, are the mask bits start[r*bx + a] up to start[r*bx + b + 1].
+    start = np.concatenate(([0], np.cumsum(in_area)))
+    sites = mesh.candidate_sites
+    blocks = np.array([site.block for site in sites], dtype=np.int64)
     omegas = block_detection(mesh, catalog)
     pairs = []
     # Equal covered sets share one int: a type that reaches every block from
     # every site would otherwise store one copy of the full mask per site.
     shared = {}
-    union = np.zeros(n_in_area, dtype=bool)
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
         stencil = _footprint(spec.range_km, mesh.block_side, max(bx, by))
         n = stencil.shape[0] // 2
-        for site in mesh.candidate_sites:
-            j, k = divmod(site.block, bx)
-            j_lo, j_hi, k_lo, k_hi = max(0, j - n), min(by, j + n + 1), max(0, k - n), min(bx, k + n + 1)
-            window = position[j_lo:j_hi, k_lo:k_hi]
-            part = stencil[j_lo - j + n : j_hi - j + n, k_lo - k + n : k_hi - k + n]
-            # Row-major over the window, so ascending: zeta sums in mask order.
-            covered = window[part & (window >= 0)]
-            if not covered.size:
-                continue
-            flags = np.zeros(n_in_area, dtype=bool)
-            flags[covered] = True
-            union |= flags
-            zeta = float(omega[covered].mean())
-            mask = bools_to_mask(flags)
-            mask = shared.setdefault(mask, mask)
-            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, mask, zeta))
-    return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
+        # Stencil row n + d is the run of offsets |dk| <= half[n + d]; -1 when empty.
+        half = stencil[:, n:].sum(axis=1) - 1
+        rows = min(2 * n + 1, by)
+        step = max(1, _CHUNK_CELLS // rows)
+        # A row of runs no site has: the first site of a type is always built.
+        last_runs, last = np.full(2 * rows, -1), None
+        for c in range(0, len(blocks), step):
+            lo, hi = _site_runs(blocks[c : c + step], half, start, bx, by, rows)
+            runs = np.concatenate((lo, hi), axis=1)
+            same = (runs == np.concatenate((last_runs[None], runs[:-1]))).all(axis=1)
+            last_runs = runs[-1]
+            size = (hi - lo).sum(axis=1)
+            fresh = ~same & (size > 0)
+            built = iter(_covered_sets(lo[fresh], hi[fresh], size[fresh], omega, n_in_area))
+            for site, reuse, covers in zip(sites[c : c + step], same.tolist(), size.tolist()):
+                if not reuse:
+                    last = None
+                    if covers:
+                        mask, zeta = next(built)
+                        last = (shared.setdefault(mask, mask), zeta)
+                if last is not None:
+                    pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, *last))
+    union = 0
+    for mask in shared:
+        union |= mask
+    reached = mask_to_bools(union, n_in_area)
+    return pairs, tuple(np.flatnonzero(in_area)[~reached].tolist())
+
+
+def _site_runs(blocks: np.ndarray, half: np.ndarray, start: np.ndarray, bx: int, by: int, rows: int) -> tuple:
+    """Mask bit ranges ``[lo, hi)`` of the stencil with row half-widths
+    ``half`` laid at each of ``blocks``: one row per site and one column per
+    grid row from the first the stencil reaches, ``rows`` in all.  A column
+    past the stencil or the grid, or whose run is empty, reads ``lo = hi = 0``,
+    so sites with equal covered sets in each grid row have equal rows."""
+    n = len(half) // 2
+    j, k = np.divmod(blocks, bx)
+    j, k = j[:, None], k[:, None]
+    r = np.maximum(j - n, 0) + np.arange(rows)
+    h = np.where(r <= np.minimum(j + n, by - 1), half[np.minimum(r - j + n, 2 * n)], -1)
+    # Rows past the grid are read at its last row; like every run with
+    # h = -1 or with no in-area block, they come out with hi <= lo.
+    base = np.minimum(r, by - 1) * bx
+    lo = start[base + np.maximum(k - h, 0)]
+    hi = start[base + np.minimum(k + h, bx - 1) + 1]
+    empty = hi <= lo
+    lo[empty] = 0
+    hi[empty] = 0
+    return lo, hi
+
+
+def _covered_sets(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, omega: np.ndarray, n_in_area: int) -> list:
+    """``(mask, mean_detect)`` of each site's covered set, given as its row of
+    runs ``lo`` to ``hi`` (see :func:`_site_runs`) holding ``size`` blocks;
+    the mean is over ``omega`` at the covered positions."""
+    out = []
+    sizes = size.tolist()
+    first = 0
+    while first < len(sizes):
+        # One site at least, then as many as the group limits take.
+        last, entries = first + 1, sizes[first]
+        while (
+            last < len(sizes)
+            and entries + sizes[last] <= _GROUP_ENTRIES
+            and (last + 1 - first) * n_in_area <= _GROUP_CELLS
+        ):
+            entries += sizes[last]
+            last += 1
+        group_lo, group_hi = lo[first:last].ravel(), hi[first:last].ravel()
+        length = group_hi - group_lo
+        # Every covered position: its run's first bit plus its offset in the run.
+        positions = np.arange(entries) + np.repeat(group_lo - (np.cumsum(length) - length), length)
+        flags = np.zeros((last - first) * n_in_area, dtype=bool)
+        flags[positions + np.repeat(np.arange(0, len(flags), n_in_area), sizes[first:last])] = True
+        # Each set's values are one contiguous slice, summed pairwise as
+        # ``omega[covered].mean()`` sums them; ``np.add.reduceat`` sums in
+        # order and can differ in the last bit.
+        values = omega[positions]
+        packed = np.packbits(flags.reshape(-1, n_in_area), axis=1, bitorder="little")
+        a = 0
+        for row, b in zip(packed, itertools.accumulate(sizes[first:last])):
+            out.append((int.from_bytes(row.tobytes(), "little"), float(np.add.reduce(values[a:b])) / (b - a)))
+            a = b
+        first = last
+    return out
 
 
 def build_coverage(

@@ -639,17 +639,19 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     incumbent lies in the core, so a core search that ends on its own
     proves the plan.  Otherwise the search runs once with the whole budget.
 
-    ``nodes_explored`` adds the probe's nodes to the core's, and is at most
-    ``node_budget + 1``.  Exceeding ``node_budget`` returns the incumbent
-    with proven_optimal=False.  ``root_lower_bound`` is the best bound the
-    root computed: the static bound and, after a probe or search stopped by
-    its budget, the forced cost plus the dual ascent's and the Lagrangian's
-    bounds.  A bound found on the core holds only for plans inside it and is
-    not reported.
+    ``site_dominated`` and ``dedup_removed`` count the candidates the root's
+    two reductions drop.  ``nodes_explored`` adds the probe's nodes to the
+    core's, and is at most ``node_budget + 1``.  Exceeding ``node_budget``
+    returns the incumbent with proven_optimal=False.  ``root_lower_bound``
+    is the best bound the root computed: the static bound and, after a probe
+    or search stopped by its budget, the forced cost plus the dual ascent's
+    and the Lagrangian's bounds.  A bound found on the core holds only for
+    plans inside it and is not reported.
     """
     _check_coverable(instance)
     n = instance.n_elements
-    active, n_dupes = _dedup_identical(_drop_site_dominated(instance.candidates))
+    undominated = _drop_site_dominated(instance.candidates)
+    active, n_dupes = _dedup_identical(undominated)
     forced, active, remaining = _force(active, instance.full_mask)
     root = _Residual(active, remaining, forced, n)
     incumbent = forced + _greedy_cover(active, remaining)
@@ -676,6 +678,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
         nodes=nodes,
         proven=not budget_exceeded,
         metadata={
+            "site_dominated": len(instance.candidates) - len(undominated),
             "dedup_removed": n_dupes,
             "forced": len(forced),
             "budget_exceeded": budget_exceeded,

@@ -1,11 +1,14 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs, plus plan and dual feasibility checks."""
+small synthetic meshes/specs, plus plan and dual feasibility checks and the
+per-site coverage walk that the run walk is checked against."""
 
 import math
 
 import numpy as np
 
 from gridwatch.catalog import SensorSpec
+from gridwatch.coverage import MAX_COVERAGE_WORK, _footprint, block_detection
+from gridwatch.errors import TooLarge
 from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint
 from gridwatch.mesh import DETECTABLE_TERRAINS, build_mesh
 
@@ -86,3 +89,47 @@ def dual_violations(instance, prices, rel=1e-9):
         if math.fsum(held) > c.cost * (1 + rel):
             over.append(c.cid)
     return over
+
+
+def footprints_oracle(mesh, catalog):
+    """``coverage._footprints`` as a walk of one window per site: the stencil
+    cut to the grid around the site, its in-area positions, a fresh mask and
+    mean for every pair."""
+    in_area = mesh.in_area
+    n_in_area = int(np.count_nonzero(in_area))
+    work = len(catalog) * len(mesh.candidate_sites) * n_in_area
+    if work > MAX_COVERAGE_WORK:
+        raise TooLarge(
+            f"coverage of {len(catalog)} sensor type(s) x {len(mesh.candidate_sites)} candidate site(s) x "
+            f"{n_in_area} in-area block(s) = {work:.3g} exceeds the limit of {MAX_COVERAGE_WORK:.0e}"
+        )
+    bx, by = mesh.blocks_x, mesh.blocks_y
+    # In-area position of every block, the masks' bit order; -1 outside the area.
+    position = np.where(in_area, np.cumsum(in_area) - 1, -1).reshape(by, bx)
+    omegas = block_detection(mesh, catalog)
+    pairs = []
+    # Equal covered sets share one int: a type that reaches every block from
+    # every site would otherwise store one copy of the full mask per site.
+    shared = {}
+    union = np.zeros(n_in_area, dtype=bool)
+    for spec in sorted(catalog, key=lambda s: s.name):
+        omega = omegas[spec.name][in_area]
+        stencil = _footprint(spec.range_km, mesh.block_side, max(bx, by))
+        n = stencil.shape[0] // 2
+        for site in mesh.candidate_sites:
+            j, k = divmod(site.block, bx)
+            j_lo, j_hi, k_lo, k_hi = max(0, j - n), min(by, j + n + 1), max(0, k - n), min(bx, k + n + 1)
+            window = position[j_lo:j_hi, k_lo:k_hi]
+            part = stencil[j_lo - j + n : j_hi - j + n, k_lo - k + n : k_hi - k + n]
+            # Row-major over the window, so ascending: zeta sums in mask order.
+            covered = window[part & (window >= 0)]
+            if not covered.size:
+                continue
+            flags = np.zeros(n_in_area, dtype=bool)
+            flags[covered] = True
+            union |= flags
+            zeta = float(omega[covered].mean())
+            mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+            mask = shared.setdefault(mask, mask)
+            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, mask, zeta))
+    return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())

@@ -1,11 +1,12 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
-from helpers import make_spec, site_for_block, square_mesh
-from hypothesis import given
+from helpers import footprints_oracle, make_spec, rect_mesh, site_for_block, square_mesh
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
@@ -13,6 +14,7 @@ from gridwatch import coverage
 from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, redundancy
 from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
+from gridwatch.mesh import DETECTABLE_TERRAINS
 
 
 # -- detection probabilities ---------------------------------------------------
@@ -312,3 +314,86 @@ def test_priced_footprints_match_a_fresh_table():
             assert reused.entries == fresh.entries != like.entries
             assert reused.mesh is like.mesh
             assert all(e.covered is f.covered for e, f in zip(reused.entries, like.entries))
+
+
+# -- the run walk ------------------------------------------------------------------
+
+
+@st.composite
+def walk_layouts(draw):
+    """A grid of 1-9 by 1-9 blocks, square or not, of random terrain with
+    OUTSIDE_AREA and WATER cells and at least one land block, and one to three
+    sensor types with their own detection probability per terrain, whose
+    ranges run from below half a block's diagonal (no block) to past the
+    grid's diagonal (every block from every site)."""
+    blocks_x, blocks_y = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    codes = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4]), min_size=blocks_x, max_size=blocks_x),
+            min_size=blocks_y,
+            max_size=blocks_y,
+        )
+    )
+    codes[draw(st.integers(0, blocks_y - 1))][draw(st.integers(0, blocks_x - 1))] = 0
+    block_side = draw(st.sampled_from([0.3, 0.25, 1.3]))
+    reaches = draw(st.lists(st.one_of(st.floats(0.2, 14.0), st.just(1e3)), min_size=1, max_size=3))
+    specs = tuple(
+        make_spec(
+            name=f"T{i}",
+            range_km=reach * block_side,
+            detect={t: draw(st.floats(0.05, 0.95)) for t in DETECTABLE_TERRAINS},
+        )
+        for i, reach in enumerate(reaches)
+    )
+    return blocks_x, blocks_y, codes, block_side, specs
+
+
+def _walk_record(walk):
+    pairs, unreached = walk
+    return [(cid, spec, site, covered, repr(zeta)) for cid, spec, site, covered, zeta in pairs], unreached
+
+
+@pytest.mark.parametrize("limit", [None, 1, 20])
+@given(layout=walk_layouts())
+@example(layout=(7, 4, [[0, 1, -1, 2, 3, 4, 0]] * 4, 0.3, (make_spec(name="All", range_km=321.87),)))
+# At a limit of 20, the first site of the second chunk of six has the runs of
+# the first site of the first chunk but not of the site just before it.
+@example(layout=(3, 3, [[2, 1, 2], [2, 0, 0], [0, 0, -1]], 0.3, (make_spec(name="Mid", range_km=1.04),)))
+def test_run_walk_matches_the_per_site_walk(layout, limit):
+    """The same pairs in the same order, equal masks, bit-equal means and the
+    same unreached blocks as one window per site, with the chunk and group
+    limits at their defaults, at 1 (every site its own chunk and group, so a
+    repeated set is carried from one chunk to the next) and at 20 (chunks and
+    groups of a few sites)."""
+    blocks_x, blocks_y, codes, block_side, specs = layout
+    mesh = rect_mesh(blocks_x, blocks_y, codes, block_side=block_side)
+    catalog = SensorCatalog(specs)
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            for name in ("_CHUNK_CELLS", "_GROUP_ENTRIES", "_GROUP_CELLS"):
+                mp.setattr(coverage, name, limit)
+        walk = coverage._footprints(mesh, catalog)
+    assert _walk_record(walk) == _walk_record(footprints_oracle(mesh, catalog))
+    masks = [covered for _, _, _, covered, _ in walk[0]]
+    assert len({id(m) for m in masks}) == len(set(masks))
+
+
+def test_walk_transient_memory_stays_small():
+    # A sweep-r-sized map: 30x30 blocks with water, under every type that
+    # tracks non-cooperative aircraft.  The walk's arrays come in bounded
+    # chunks and groups, so what it allocates beyond the result it returns is
+    # about 0.4 MB; the per-site walk it replaced took about 0.2 MB.
+    rng = random.Random(30)
+    codes = [[rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(30)] for _ in range(30)]
+    catalog = default_catalog()
+    catalog = catalog.filtered([s.name for s in catalog if s.tracks_noncooperative])
+    mesh = square_mesh(30, codes, min_range=catalog.min_range_km)
+    coverage._footprints(mesh, catalog)
+    tracemalloc.start()
+    try:
+        walk = coverage._footprints(mesh, catalog)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(walk[0]) == 4 * len(mesh.candidate_sites)
+    assert peak - retained < 2**20

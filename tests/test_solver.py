@@ -71,7 +71,7 @@ def test_forced_single_candidate():
     # Forcing alone proves the plan: no node is searched, and the plan still
     # reports every key of an exact plan, its bound being the forced cost.
     plan = solve_exact(inst)
-    assert set(plan.metadata) == {"dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
+    assert set(plan.metadata) == {"site_dominated", "dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
     assert plan.metadata["root_lower_bound"] == plan.total_cost
     assert plan.metadata["forced"] == 1
     assert plan.metadata["budget_exceeded"] is False
@@ -169,7 +169,7 @@ def test_empty_universe_yields_empty_plan():
             assert plan.chosen == ()
             assert plan.total_cost == 0.0
         plan = solve_exact(inst)
-        assert set(plan.metadata) == {"dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
+        assert set(plan.metadata) == {"site_dominated", "dedup_removed", "forced", "budget_exceeded", "root_lower_bound"}
         assert plan.metadata["root_lower_bound"] == plan.total_cost
         assert plan.nodes_explored == 0
         assert plan.proven_optimal
@@ -459,10 +459,12 @@ def test_same_site_dominance_keeps_the_plan():
             continue
         inst = PlacementInstance.from_coverage(table)
         siteless = PlacementInstance(inst.universe, tuple(replace(c, site=None) for c in inst.candidates))
-        dropped += len(inst.candidates) - len(solver._drop_site_dominated(inst.candidates))
+        beaten = len(inst.candidates) - len(solver._drop_site_dominated(inst.candidates))
+        dropped += beaten
         assert solver._drop_site_dominated(siteless.candidates) == list(siteless.candidates)
         one, two = solve_exact(inst), solve_exact(siteless)
         assert one.proven_optimal and two.proven_optimal
+        assert (one.metadata["site_dominated"], two.metadata["site_dominated"]) == (beaten, 0)
         assert (one.total_cost, [c.cid for c in one.chosen]) == (two.total_cost, [c.cid for c in two.chosen])
     assert dropped >= 50
 

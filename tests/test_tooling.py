@@ -1,5 +1,6 @@
 """Checks that tie the benchmark under ``perfbench/`` to the package it measures."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -101,5 +102,31 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     plan = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))).plan
     assert plan.proven_optimal
     assert plan.metadata["budget_exceeded"] is False
+    # The root drops the candidates beaten at their own site and says how many.
+    assert plan.metadata["site_dominated"] == 202
     assert plan.total_cost == 840_000.0
     assert plan.nodes_explored <= workload.node_budget == 20_000
+
+
+def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
+    # The run walk must give the table the per-site walk gave: these are the
+    # bytes of city-10k's coverage.csv at seed 1 from one window per site.
+    # ADS-B reaches every block from each of its 9 000 sites, so all of its
+    # entries hold one int.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    from gridwatch.coverage import build_coverage
+    from gridwatch.mesh import build_mesh
+    from gridwatch.pipeline import write_coverage_csv
+    from gridwatch.scenario import load_scenario
+
+    scenario = load_scenario(inputs.write_inputs(inputs.WORKLOADS["city-10k"], 1, tmp_path / "inputs"))
+    mesh = build_mesh(scenario.corners, scenario.block_side_km, scenario.terrain, scenario.catalog.min_range_km)
+    table = build_coverage(mesh, scenario.catalog, scenario.required_detection, scenario.rounding)
+    write_coverage_csv(tmp_path / "coverage.csv", table)
+    digest = hashlib.sha256((tmp_path / "coverage.csv").read_bytes()).hexdigest()
+    assert digest == "90149a21d8df8b5e8727ccbede0fbeb650959a1bc42c6d3e3db8122e59c18f81"
+    adsb = [e for e in table.entries if e.sensor == "ADS-B"]
+    assert len(adsb) == 9_000
+    assert len({id(e.covered) for e in adsb}) == 1
