@@ -25,9 +25,9 @@ here to the solver.  A covered set is a Python-int bitmask over in-area
 positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
-stays integer AND/OR/popcount work.  The conversions between masks, boolean
-arrays and positions are defined here and nowhere else.  The table
-is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
+stays integer AND/OR/popcount work.  The conversions between masks, their
+bytes, boolean arrays and positions are defined here and nowhere else.  The
+table is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -148,6 +148,18 @@ def mask_to_bools(mask: int, n: int) -> np.ndarray:
     """Boolean array of length ``n`` with ``True`` at the set bits of ``mask``."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
+def masks_to_bytes(masks: list, n: int) -> np.ndarray:
+    """The masks over ``n`` positions as rows of their little-endian bytes."""
+    n_bytes = (n + 7) // 8
+    raw = b"".join([m.to_bytes(n_bytes, "little") for m in masks])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), n_bytes)
+
+
+def masks_to_flags(masks: list, n: int) -> np.ndarray:
+    """The masks over ``n`` positions as rows of 0/1 bytes."""
+    return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
 
 
 def mask_positions(mask: int) -> list:

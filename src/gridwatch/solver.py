@@ -16,11 +16,11 @@ exclude none of them.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
-branch and bound on the residual.  The root prices each block at the least
-cost share among its coverers by visiting candidates in ascending share
-until every block is priced, so most masks are never unpacked.  When a
-residual is left to search, it counts each block's coverers for the branch
-order from masks unpacked a chunk of candidates at a time.
+branch and bound on the residual.  A residual is one record, built once
+and read by every search, bound and fixing pass over it.  Building it
+makes one pass over its masks, unpacked a chunk of candidates at a time in
+ascending cost share: the pass prices each block at the share of its first
+coverer, the least, and counts each block's coverers for the branch order.
 
 When the node budget can pay for it, the search first runs as a short
 probe.  A probe stopped by its budget is followed by a dual-ascent bound
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, mask_positions, mask_to_bools
+from .coverage import Candidate, CoverageTable, mask_positions, mask_to_bools, masks_to_bytes, masks_to_flags
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -275,43 +275,22 @@ def _batch_pricer(price: np.ndarray):
     skipped: what one candidate newly covers is a small part of a large
     universe, so work and temporaries follow the covered sets, not the
     universe size times the number of masks."""
-    n_bytes = (len(price) + 7) // 8
+    n = len(price)
+    n_bytes = (n + 7) // 8
     padded = np.zeros(8 * n_bytes)
-    padded[: len(price)] = price
+    padded[:n] = price
     table = np.zeros((n_bytes, 256))
     for b in range(8):
         np.add(table[:, : 1 << b], padded[b::8, None], out=table[:, 1 << b : 2 << b])
     table = table.ravel()
 
     def price_of(masks: list) -> np.ndarray:
-        raw = np.frombuffer(b"".join([m.to_bytes(n_bytes, "little") for m in masks]), dtype=np.uint8)
+        raw = masks_to_bytes(masks, n).ravel()
         at = np.flatnonzero(raw)
         row, col = np.divmod(at, n_bytes)
         return np.bincount(row, weights=table[256 * col + raw[at]], minlength=len(masks))
 
     return price_of
-
-
-def _share_price(active: Sequence[Candidate], remaining: int, n: int) -> np.ndarray:
-    """Static price of each of the ``n`` positions: over ``remaining``, the
-    least share ``cost / |covered & remaining|`` among the block's coverers
-    in ``active``; 0 elsewhere.
-
-    Candidates are visited in ascending share (a stable sort), so a block
-    takes the share of the first candidate that covers it; only a candidate
-    that prices a new block has its mask unpacked, and the pass stops once
-    every block is priced."""
-    shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
-    price = np.zeros(n)
-    unpriced = remaining
-    for ci in np.argsort(shares, kind="stable").tolist():
-        new = active[ci].covered & unpriced
-        if new:
-            price[mask_to_bools(new, n)] = shares[ci]
-            unpriced ^= new
-            if not unpriced:
-                break
-    return price
 
 
 def _chunk_rows(n: int) -> int:
@@ -321,95 +300,70 @@ def _chunk_rows(n: int) -> int:
     return max(1, min(255, _CHUNK_CELLS // n))
 
 
-def _unpack(candidates: Sequence[Candidate], n: int) -> np.ndarray:
-    """The masks of ``candidates`` over ``n`` blocks as rows of 0/1 bytes."""
-    n_bytes = (n + 7) // 8
-    raw = b"".join([c.covered.to_bytes(n_bytes, "little") for c in candidates])
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes), axis=1, count=n, bitorder="little")
-
-
-def _branch_order(active: Sequence[Candidate], remaining: int, n: int) -> list:
-    """Positions of ``remaining`` by ascending (number of coverers in
-    ``active``, position): the order in which the search picks the block it
-    branches on.  The coverers are counted from the masks unpacked a chunk
-    of candidates at a time."""
+def _root_pass(active: Sequence[Candidate], shares: np.ndarray, rows: np.ndarray, n: int) -> tuple:
+    """``(price, order)`` of the blocks at positions ``rows`` from one pass
+    over the masks of ``active``, unpacked a chunk of candidates at a time
+    in ascending ``shares`` (a stable sort).  ``price`` is 0 off ``rows``
+    and, on them, the share of the block's first coverer in that order, the
+    least; once every block is priced the chunks only count.  ``order`` is
+    ``rows`` by ascending (number of coverers, position), the order in
+    which the search picks the block it branches on."""
+    price = np.zeros(n)
+    unpriced = np.zeros(n, dtype=bool)
+    unpriced[rows] = True
+    left = len(rows)
     counts = np.zeros(n, dtype=np.int64)
+    by_share = np.argsort(shares, kind="stable")
     step = _chunk_rows(n)
     for i in range(0, len(active), step):
-        counts += np.add.reduce(_unpack(active[i : i + step], n), axis=0, dtype=np.uint8)
-    rows = np.flatnonzero(mask_to_bools(remaining, n))
-    return rows[np.argsort(counts[rows], kind="stable")].tolist()
+        chunk = by_share[i : i + step]
+        flags = masks_to_flags([active[ci].covered for ci in chunk.tolist()], n)
+        hits = np.add.reduce(flags, axis=0, dtype=np.uint8)
+        counts += hits
+        if left:
+            new = np.flatnonzero(unpriced & (hits > 0))
+            price[new] = shares[chunk[flags[:, new].argmax(axis=0)]]
+            unpriced[new] = False
+            left -= len(new)
+    return price, rows[np.argsort(counts[rows], kind="stable")].tolist()
 
 
-def _dual_ascent(active: Sequence[Candidate], price: np.ndarray, price_of, rows, coverers_of) -> np.ndarray:
-    """Block prices raised from ``price`` by Beasley's dual ascent: a feasible
-    point of the covering LP's dual over ``active``, so their sum bounds the
-    cost of every cover of the priced blocks.
-
-    ``price`` must itself be dual feasible, as the static share price is, and
-    ``price_of`` must price masks by it.  A candidate's slack is its cost
-    less the price of its blocks, clamped at 0; it is computed a chunk of
-    masks at a time.  Each row of ``rows`` that no tight candidate covers
-    is then raised by the least slack among its coverers, ``coverers_of``
-    (a list of indices into ``active``), and each of them gives up that much."""
-    prices = price.copy()
-    step = _chunk_rows(len(price))
-    slack = np.array([c.cost for c in active])
-    for i in range(0, len(active), step):
-        slack[i : i + step] -= price_of([c.covered for c in active[i : i + step]])
-    np.maximum(slack, 0.0, out=slack)
-    # The blocks of every tight candidate: raising one of them gains nothing.
-    dead = 0
-    for ci in np.flatnonzero(slack == 0.0).tolist():
-        dead |= active[ci].covered
-    for p in rows:
-        if (dead >> p) & 1:
-            continue
-        idx = coverers_of(p)
-        left = slack[idx]
-        rise = left.min()
-        prices[p] += rise
-        left -= rise
-        slack[idx] = left
-        for j in np.flatnonzero(left == 0.0).tolist():
-            dead |= active[idx[j]].covered
-    return prices
-
-
-def _force(candidates: Sequence[Candidate], remaining: int) -> tuple:
-    """``(forced, active, remaining)``: the unique coverers of the blocks of
-    ``remaining`` that have one, the candidates that still cover a block
-    once they are taken, and the blocks left.
+class _Residual:
+    """A residual problem, built once and read by every search, bound and
+    fixing pass over it.  To ``forced`` it adds the unique coverer in
+    ``candidates`` of each block of ``remaining`` that has one.  It holds
+    ``forced`` and their cost; the candidates ``active`` that still cover a
+    block, with their ``cost`` and ``sizes`` (blocks left covered); the
+    blocks left, ``remaining``, at positions ``rows``; the share price of
+    :func:`_root_pass`, its sum ``bound`` and a batch pricer by it; the
+    branch order; and each branch block's coverers, found on first use.
 
     Forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
     forced candidate covers the block and each of its coverers touches the
-    blocks left and so survives the filter."""
-    once = twice = 0
-    for c in candidates:
-        twice |= once & c.covered
-        once |= c.covered
-    singles = once & ~twice & remaining
-    forced = [c for c in candidates if c.covered & singles]
-    for c in forced:
-        remaining &= ~c.covered
-    return forced, [c for c in candidates if c.covered & remaining], remaining
+    blocks left and so stays active."""
 
-
-class _Residual:
-    """What a search over one residual problem needs, built once: the
-    candidates ``active`` left after taking ``forced``, the blocks
-    ``remaining`` they must cover, the static share price and its sum
-    ``bound``, a batch pricer by that price, the branch order, and each
-    branch block's coverers, found on first use."""
-
-    def __init__(self, active: list, remaining: int, forced: list, n: int):
-        self.active, self.remaining, self.forced = active, remaining, forced
-        self.forced_cost = math.fsum(c.cost for c in forced)
-        self.price = _share_price(active, remaining, n)
-        self.bound = float(self.price[mask_to_bools(remaining, n)].sum())
+    def __init__(self, candidates: list, remaining: int, forced: list, n: int):
+        once = twice = 0
+        for c in candidates:
+            twice |= once & c.covered
+            once |= c.covered
+        singles = once & ~twice & remaining
+        more = [c for c in candidates if c.covered & singles]
+        for c in more:
+            remaining &= ~c.covered
+        self.forced = forced + more
+        self.forced_cost = math.fsum(c.cost for c in self.forced)
+        self.active = [c for c in candidates if c.covered & remaining]
+        self.remaining = remaining
+        self.cost = np.array([c.cost for c in self.active])
+        self.sizes = np.array([(c.covered & remaining).bit_count() for c in self.active])
+        self.rows = np.flatnonzero(mask_to_bools(remaining, n))
+        # With no block left there is nothing to price or order, and on an
+        # empty universe ``_chunk_rows(0)`` would divide by zero.
+        self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n) if remaining else (np.zeros(n), [])
+        self.bound = float(self.price[self.rows].sum())
         self.price_of = _batch_pricer(self.price)
-        self.order = _branch_order(active, remaining, n) if remaining else []
         self._coverers = {}
 
     def coverers_of(self, p: int) -> tuple:
@@ -423,6 +377,42 @@ class _Residual:
         return found
 
 
+def _dual_ascent(res: _Residual) -> np.ndarray:
+    """Block prices raised from the static share price of ``res`` by
+    Beasley's dual ascent: a feasible point of the covering LP's dual over
+    its candidates, so their sum bounds the cost of every cover of its
+    blocks.
+
+    The share price is itself dual feasible.  A candidate's slack is its
+    cost less the price of its blocks, clamped at 0; it is computed a chunk
+    of masks at a time.  Each block, in branch order, that no tight
+    candidate covers is then raised by the least slack among its coverers,
+    and each of them gives up that much."""
+    active = res.active
+    prices = res.price.copy()
+    step = _chunk_rows(len(prices))
+    slack = res.cost.copy()
+    for i in range(0, len(active), step):
+        slack[i : i + step] -= res.price_of([c.covered for c in active[i : i + step]])
+    np.maximum(slack, 0.0, out=slack)
+    # The blocks of every tight candidate: raising one of them gains nothing.
+    dead = 0
+    for ci in np.flatnonzero(slack == 0.0).tolist():
+        dead |= active[ci].covered
+    for p in res.order:
+        if (dead >> p) & 1:
+            continue
+        idx = res.coverers_of(p)[1]
+        left = slack[idx]
+        rise = left.min()
+        prices[p] += rise
+        left -= rise
+        slack[idx] = left
+        for j in np.flatnonzero(left == 0.0).tolist():
+            dead |= active[idx[j]].covered
+    return prices
+
+
 def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     """Depth-first branch and bound over ``res`` from ``incumbent``, a plan
     over the whole universe; returns ``(nodes, budget_exceeded, incumbent)``,
@@ -431,7 +421,6 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
     inc_key = _plan_key(incumbent)
     threshold = _prune_at(inc_key[0])
-    cost_of = np.array([c.cost for c in active])
     nodes = 0
     # A stack entry: (uncovered, excluded, cost, chosen_idx, bound), where
     # bound is the price of ``uncovered``.
@@ -456,7 +445,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         dropped = coverer_mask & excluded
         batch = mask_positions(coverer_mask ^ dropped) if dropped else idx
         child_bound = bound - res.price_of([active[ci].covered & uncovered for ci in batch])
-        child_lower = forced_cost + (cost + cost_of[batch]) + child_bound
+        child_lower = forced_cost + (cost + res.cost[batch]) + child_bound
         children = []
         for j in np.flatnonzero(child_lower < threshold).tolist():
             ci = batch[j]
@@ -482,18 +471,18 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     return nodes, False, incumbent
 
 
-def _lagrangian(active: list, remaining: int, n: int, start: np.ndarray, forced: list, incumbent: list) -> tuple:
-    """Subgradient Lagrangian of covering the blocks of ``remaining`` with
-    ``active``, with a primal heuristic and reduced-cost fixing (Beasley,
+def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
+    """Subgradient Lagrangian of covering the blocks of ``res`` with its
+    candidates, with a primal heuristic and reduced-cost fixing (Beasley,
     1990; Caprara, Fischetti and Toth, 1999).  Returns ``(bound, keep,
     incumbent)``.
 
     Multipliers u >= 0 on the blocks, starting from ``start`` (one price per
-    position of the ``n``), give reduced costs rc = c - A^T u and the bound
-    L(u) = sum(u) + sum(min(0, rc)) on the cost of every such cover.  Each
+    position of the universe), give reduced costs rc = c - A^T u and the
+    bound L(u) = sum(u) + sum(min(0, rc)) on the cost of every such cover.  Each
     of ``_LAGRANGE_STEPS`` projected subgradient steps moves u by
     lambda (1.01 UB - L) / |g|^2 along g = 1 - A x, x the candidates with
-    rc < 0, where UB is the incumbent's cost net of the ``forced`` ones;
+    rc < 0, where UB is the incumbent's cost net of the forced ones;
     lambda starts at 2 and shrinks by 0.7 after 50 steps without a better L.
     The steps stop early once L proves the incumbent or g vanishes.  Every
     10 steps the candidates with rc < 0, completed by the greedy and rid of
@@ -507,18 +496,17 @@ def _lagrangian(active: list, remaining: int, n: int, start: np.ndarray, forced:
     indices, filled from masks unpacked a chunk of candidates at a time;
     A^T u and A x are taken over chunks as well, so no temporary spans the
     whole incidence."""
-    rows = np.flatnonzero(mask_to_bools(remaining, n))
-    m = len(rows)
-    sizes = np.array([(c.covered & remaining).bit_count() for c in active])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    active, rows, cost, forced, forced_cost = res.active, res.rows, res.cost, res.forced, res.forced_cost
+    n, m = len(start), len(rows)
+    ends = np.cumsum(res.sizes)
+    starts = ends - res.sizes
     incidence = np.empty(int(ends[-1]), dtype=np.int32)
     # The work below takes up to 12 bytes per incidence entry where the
     # root's passes take 1 per cell, so its chunks are a quarter as large.
     step = max(1, _CHUNK_CELLS // 4 // n)
     for a in range(0, len(active), step):
         b = min(a + step, len(active))
-        at = np.flatnonzero(_unpack(active[a:b], n)[:, rows])
+        at = np.flatnonzero(masks_to_flags([c.covered for c in active[a:b]], n)[:, rows])
         incidence[starts[a] : ends[b - 1]] = np.remainder(at, m, out=at)
 
     def hits_of(cols: list) -> np.ndarray:
@@ -528,9 +516,7 @@ def _lagrangian(active: list, remaining: int, n: int, start: np.ndarray, forced:
             hits += np.bincount(np.concatenate([incidence[starts[j] : ends[j]] for j in cols[i : i + step]]), minlength=m)
         return hits
 
-    cost = np.array([c.cost for c in active])
     position = {c.cid: j for j, c in enumerate(active)}
-    forced_cost = math.fsum(c.cost for c in forced)
     inc_key = _plan_key(incumbent)
 
     # A^T u goes over runs of candidates with at most a chunk's worth of
@@ -552,7 +538,7 @@ def _lagrangian(active: list, remaining: int, n: int, start: np.ndarray, forced:
         covered = 0
         for j in picked:
             covered |= active[j].covered
-        picked = picked + [position[c.cid] for c in _greedy_cover(active, remaining & ~covered)]
+        picked = picked + [position[c.cid] for c in _greedy_cover(active, res.remaining & ~covered)]
         hits = hits_of(picked)
         kept = []
         for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
@@ -609,22 +595,23 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     the type-level :func:`dominance_filter`: it removes only candidates that
     no minimum-cost plan holds, so the least-key plan survives it.
 
-    The lower bound is a per-block cheapest-share sum: each block is priced
-    at the least ``cost / |covered & residual|`` among its coverers, found
-    by visiting candidates in ascending share until every block is priced.
-    Each node branches on the uncovered block with the fewest covering
-    candidates, trying coverers in order of marginal cost per newly covered
-    block; sibling subtrees exclude the coverers already tried so the search
-    partitions the space; the counts are taken once, from masks unpacked a
-    chunk at a time, when a residual is left.  A block's coverers and a
-    node's excluded candidates are bitmasks over the residual candidates; a
-    node that excludes none of its block's coverers takes their cached
-    index list as is.  Each stack entry carries its bound; a node prices all
-    its children in one batched pass, takes each child's bound as its own
-    less the price of what the child newly covers, and drops the children
-    that cannot beat the incumbent before any per-child work.  Leaves are
-    ranked by :func:`_plan_key`, so the plan is the least one by (fsum cost,
-    size, cids).
+    The residual is one :class:`_Residual` record, built in one pass over
+    its masks, unpacked a chunk at a time in ascending share.  The lower
+    bound is a per-block cheapest-share sum: each block is priced at the
+    least ``cost / |covered & residual|`` among its coverers, the share of
+    its first coverer in that order.  Each node branches on the uncovered
+    block with the fewest covering candidates, counted in the same pass,
+    trying coverers in order of marginal cost per newly covered block;
+    sibling subtrees exclude the coverers already tried so the search
+    partitions the space.  A block's coverers and a node's excluded
+    candidates are bitmasks over the residual candidates; a node that
+    excludes none of its block's coverers takes their cached index list as
+    is.  Each stack entry carries its bound; a node prices all its children
+    in one batched pass, takes each child's bound as its own less the price
+    of what the child newly covers, and drops the children that cannot beat
+    the incumbent before any per-child work.  Leaves are ranked by
+    :func:`_plan_key`, so the plan is the least one by (fsum cost, size,
+    cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per
@@ -633,11 +620,11 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     budget is followed by a dual ascent from the static prices (see
     :func:`_dual_ascent`), a Lagrangian from the ascent's prices (see
     :func:`_lagrangian`), which may improve the incumbent, and reduced-cost
-    fixing.  The kept candidates are forced again and searched as a core
-    with the rest of the budget, a fresh share price and branch order, and
-    the best incumbent so far.  Every plan costing no more than the
-    incumbent lies in the core, so a core search that ends on its own
-    proves the plan.  Otherwise the search runs once with the whole budget.
+    fixing, all three reading the root's record.  The kept candidates make
+    the core, a residual of its own, forced again and searched with the
+    rest of the budget and the best incumbent so far.  Every plan costing
+    no more than the incumbent lies in the core, so a core search that ends
+    on its own proves the plan.  Otherwise the search runs once with the whole budget.
 
     ``site_dominated`` and ``dedup_removed`` count the candidates the root's
     two reductions drop.  ``nodes_explored`` adds the probe's nodes to the
@@ -651,25 +638,22 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     _check_coverable(instance)
     n = instance.n_elements
     undominated = _drop_site_dominated(instance.candidates)
-    active, n_dupes = _dedup_identical(undominated)
-    forced, active, remaining = _force(active, instance.full_mask)
-    root = _Residual(active, remaining, forced, n)
-    incumbent = forced + _greedy_cover(active, remaining)
+    kept, n_dupes = _dedup_identical(undominated)
+    root = _Residual(kept, instance.full_mask, [], n)
+    incumbent = root.forced + _greedy_cover(root.active, root.remaining)
     root_lower = root.forced_cost + root.bound
 
-    probe = len(active)
+    probe = len(root.active)
     lagrange = _LAGRANGE_STEPS * probe <= _CANDIDATES_PER_NODE * (node_budget - probe)
     nodes, budget_exceeded, incumbent = _search(root, incumbent, probe if lagrange else node_budget)
     if budget_exceeded:
-        dual = _dual_ascent(active, root.price, root.price_of, root.order, lambda p: root.coverers_of(p)[1])
+        dual = _dual_ascent(root)
         root_lower = max(root_lower, root.forced_cost + math.fsum(dual.tolist()))
         if lagrange:
-            bound, keep, incumbent = _lagrangian(active, remaining, n, dual, forced, incumbent)
+            bound, keep, incumbent = _lagrangian(root, dual, incumbent)
             root_lower = max(root_lower, root.forced_cost + bound)
-            more, core, left = _force([c for c, k in zip(active, keep.tolist()) if k], remaining)
-            core_nodes, budget_exceeded, incumbent = _search(
-                _Residual(core, left, forced + more, n), incumbent, node_budget - probe
-            )
+            core = _Residual([c for c, k in zip(root.active, keep.tolist()) if k], root.remaining, root.forced, n)
+            core_nodes, budget_exceeded, incumbent = _search(core, incumbent, node_budget - probe)
             nodes = probe + core_nodes
 
     return _make_plan(
@@ -680,7 +664,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
         metadata={
             "site_dominated": len(instance.candidates) - len(undominated),
             "dedup_removed": n_dupes,
-            "forced": len(forced),
+            "forced": len(root.forced),
             "budget_exceeded": budget_exceeded,
             "root_lower_bound": root_lower,
         },

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -339,8 +340,8 @@ def dual_ascents(monkeypatch):
     seen = []
     ascend = solver._dual_ascent
 
-    def ascend_and_keep(active, price, *args):
-        seen.append((price, ascend(active, price, *args)))
+    def ascend_and_keep(res):
+        seen.append((res.price, ascend(res)))
         return seen[-1][1]
 
     monkeypatch.setattr(solver, "_dual_ascent", ascend_and_keep)
@@ -424,14 +425,17 @@ def test_equal_fsum_totals_tie_on_size():
 def test_lagrangian_bound_and_fixing_keep_the_optimum(instances):
     fixed = 0
     for inst in instances():
-        n, full = inst.n_elements, inst.full_mask
-        active = list(inst.candidates)
-        greedy = solver._greedy_cover(active, full)
-        bound, keep, incumbent = solver._lagrangian(active, full, n, solver._share_price(active, full, n), [], greedy)
+        full = inst.full_mask
+        res = solver._Residual(list(inst.candidates), full, [], inst.n_elements)
+        if not res.remaining:
+            continue
+        greedy = res.forced + solver._greedy_cover(res.active, res.remaining)
+        bound, keep, incumbent = solver._lagrangian(res, res.price, greedy)
         brute = solve_brute(inst)
-        assert bound <= brute.total_cost * (1 + 1e-9)
-        kept = {c.cid for c, k in zip(active, keep) if k}
-        assert {c.cid for c in brute.chosen} <= kept
+        assert res.forced_cost + bound <= brute.total_cost * (1 + 1e-9)
+        active = {c.cid for c in res.active}
+        kept = {c.cid for c, k in zip(res.active, keep) if k}
+        assert {c.cid for c in brute.chosen} & active <= kept
         # The heuristic's plan covers, and never costs more than the greedy's.
         union = 0
         for c in incumbent:
@@ -574,6 +578,12 @@ def root_pass_oracle(active, remaining, n):
     return price, sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
 
 
+def root_pass(active, remaining, n):
+    """``solver._root_pass`` on the shares and positions of ``remaining``."""
+    shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
+    return solver._root_pass(active, shares, np.flatnonzero(mask_to_bools(remaining, n)), n)
+
+
 @pytest.mark.parametrize("chunk_cells", [solver._CHUNK_CELLS, 100, 1])
 def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
     # Integer costs make shares tie.  Small chunks split the candidates, down
@@ -588,12 +598,43 @@ def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
             cands.append(Candidate("all", (1 << n) - 1, float(rng.randint(1, 3 * n))))
             active = [c for c in cands if c.covered & remaining]
             price, order = root_pass_oracle(active, remaining, n)
-            assert np.array_equal(solver._share_price(active, remaining, n), price)
-            assert solver._branch_order(active, remaining, n) == order
+            got_price, got_order = root_pass(active, remaining, n)
+            assert np.array_equal(got_price, price)
+            assert got_order == order
     # Block 0 has 300 coverers and block 1 has 100: counted in one byte, 300
     # would read 44 and reverse the order.
     active = [Candidate(f"d{i:03d}", 0b01 | (0b10 if i < 100 else 0), 1.0) for i in range(300)]
-    assert solver._branch_order(active, 0b11, 2) == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+    assert root_pass(active, 0b11, 2)[1] == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+
+
+def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
+    unpacked = []
+    unpack = solver.masks_to_flags
+
+    def unpack_and_keep(masks, n):
+        unpacked.extend(masks)
+        return unpack(masks, n)
+
+    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep)
+    search = search_like_instance()
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(search.candidates))
+    # Block 0 has one coverer, "a"; the blocks it leaves need a search.
+    forcing = inst_from(range(12), [
+        ("a", [0, 1], 5.0),
+        ("b", [1, 2, 3, 4], 2.0),
+        ("c", [3, 4, 5, 6], 2.0),
+        ("d", [5, 6, 7, 8], 2.0),
+        ("e", [7, 8, 9, 10, 11], 3.0),
+        ("f", [2, 4, 6, 8, 10], 3.0),
+        ("g", [1, 9, 11], 2.0),
+    ])
+    for candidates, inst in ((kept, search), (list(forcing.candidates), forcing)):
+        unpacked.clear()
+        res = solver._Residual(candidates, inst.full_mask, [], inst.n_elements)
+        assert res.remaining
+        assert Counter(unpacked) == Counter(c.covered for c in res.active)
+    assert len(kept) > 4 * solver._chunk_rows(search.n_elements)
+    assert [c.cid for c in res.forced] == ["a"]
 
 
 def test_root_proven_instance_explores_only_the_root():

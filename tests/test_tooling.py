@@ -1,5 +1,7 @@
-"""Checks that tie the benchmark under ``perfbench/`` to the package it measures."""
+"""Checks that tie the benchmark under ``perfbench/`` to the package it
+measures, and that keep the package's dependencies to what it declares."""
 
+import ast
 import hashlib
 import json
 import os
@@ -8,6 +10,26 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_package_imports_only_the_stdlib_and_numpy():
+    # numpy is the one declared dependency.  scipy is often installed beside
+    # it, but importing scipy.optimize alone costs more memory than a whole
+    # search-400 plan, so nothing may pull it, or any other package, in.
+    imported = {}
+    for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], set()).add(path.name)
+    assert "numpy" in imported
+    foreign = {name: sorted(files) for name, files in imported.items() if name not in sys.stdlib_module_names | {"numpy", "gridwatch"}}
+    assert foreign == {}
 
 
 def test_perfbench_traced_names_exist():
