@@ -146,8 +146,7 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
 
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
     """Boolean array of length ``n`` with ``True`` at the set bits of ``mask``."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+    return masks_to_flags([mask], n)[0].astype(bool)
 
 
 def masks_to_bytes(masks: list, n: int) -> np.ndarray:
@@ -214,8 +213,9 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     range of mask bits per grid row it reaches (see :func:`_site_runs`).  A
     site whose ranges equal the previous site's takes that site's covered set
     and mean detection probability; only the others are built, a group at a
-    time (see :func:`_covered_sets`).  A type that reaches every block from
-    every site thus builds one set.  Equal covered sets share one int."""
+    time (see :func:`_covered_sets`).  Consecutive sites with equal runs
+    thus share one int, and a type that reaches every block from every site
+    builds one set."""
     in_area = mesh.in_area
     n_in_area = int(np.count_nonzero(in_area))
     work = len(catalog) * len(mesh.candidate_sites) * n_in_area
@@ -232,9 +232,7 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     blocks = np.array([site.block for site in sites], dtype=np.int64)
     omegas = block_detection(mesh, catalog)
     pairs = []
-    # Equal covered sets share one int: a type that reaches every block from
-    # every site would otherwise store one copy of the full mask per site.
-    shared = {}
+    union = 0
     for spec in sorted(catalog, key=lambda s: s.name):
         omega = omegas[spec.name][in_area]
         stencil = _footprint(spec.range_km, mesh.block_side, max(bx, by))
@@ -257,13 +255,10 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
                 if not reuse:
                     last = None
                     if covers:
-                        mask, zeta = next(built)
-                        last = (shared.setdefault(mask, mask), zeta)
+                        last = next(built)
+                        union |= last[0]
                 if last is not None:
                     pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, *last))
-    union = 0
-    for mask in shared:
-        union |= mask
     reached = mask_to_bools(union, n_in_area)
     return pairs, tuple(np.flatnonzero(in_area)[~reached].tolist())
 

@@ -11,8 +11,8 @@ entries, sorted by cid.  Node expansion is integer AND/OR work plus one
 batched pricing pass per node: the blocks each child newly covers are priced
 together by looking up the bytes of their masks in a table of block prices.
 A block's coverers are a bitmask too, over indices into the residual
-candidates, kept beside the same indices as a list for the nodes that
-exclude none of them.
+candidates, kept beside the same indices as a list; a node filters that
+list by its excluded bits.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -214,20 +214,17 @@ def solve_brute(instance: PlacementInstance) -> PlacementPlan:
     if not instance.universe:
         return _make_plan((), mode="brute", nodes=1, proven=True)
 
-    words = (instance.n_elements + 63) // 64
-
-    def words_of(mask: int) -> np.ndarray:
-        return np.frombuffer(mask.to_bytes(8 * words, "little"), "<u8")
+    rows = masks_to_bytes([c.covered for c in instance.candidates] + [instance.full_mask], instance.n_elements)
 
     # Subset tables by doubling: after candidate i, the upper half of each
     # table is the lower half with candidate i added, so bit i of a row index
     # says whether candidate i is picked, and costs are summed in index order.
     cost = np.zeros(1, dtype=np.float64)
-    cover = np.zeros((1, words), dtype=np.uint64)
-    for c in instance.candidates:
+    cover = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for c, row in zip(instance.candidates, rows):
         cost = np.concatenate([cost, cost + c.cost])
-        cover = np.concatenate([cover, cover | words_of(c.covered)])
-    feasible = (cover == words_of(instance.full_mask)).all(axis=1)
+        cover = np.concatenate([cover, cover | row])
+    feasible = (cover == rows[-1]).all(axis=1)
     best_cost = cost[feasible].min()
     # Index-order sums can split equal totals by an ulp: the subsets within
     # the prune slack of the least are compared on their fsum totals.
@@ -297,7 +294,7 @@ def _chunk_rows(n: int) -> int:
     """Candidates per chunk of the root's passes over masks of ``n`` blocks:
     ``_CHUNK_CELLS`` cells, and at most 255, so that a chunk's coverer
     count of a block fits a byte."""
-    return max(1, min(255, _CHUNK_CELLS // n))
+    return max(1, min(255, _CHUNK_CELLS // max(n, 1)))
 
 
 def _root_pass(active: Sequence[Candidate], shares: np.ndarray, rows: np.ndarray, n: int) -> tuple:
@@ -359,9 +356,7 @@ class _Residual:
         self.cost = np.array([c.cost for c in self.active])
         self.sizes = np.array([(c.covered & remaining).bit_count() for c in self.active])
         self.rows = np.flatnonzero(mask_to_bools(remaining, n))
-        # With no block left there is nothing to price or order, and on an
-        # empty universe ``_chunk_rows(0)`` would divide by zero.
-        self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n) if remaining else (np.zeros(n), [])
+        self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n)
         self.bound = float(self.price[self.rows].sum())
         self.price_of = _batch_pricer(self.price)
         self._coverers = {}
@@ -443,15 +438,16 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         # admissible children are the block's coverers less the excluded
         # ones; often none of them is excluded.
         dropped = coverer_mask & excluded
-        batch = mask_positions(coverer_mask ^ dropped) if dropped else idx
-        child_bound = bound - res.price_of([active[ci].covered & uncovered for ci in batch])
+        batch = [ci for ci in idx if not (dropped >> ci) & 1] if dropped else idx
+        newly = [active[ci].covered & uncovered for ci in batch]
+        child_bound = bound - res.price_of(newly)
         child_lower = forced_cost + (cost + res.cost[batch]) + child_bound
         children = []
         for j in np.flatnonzero(child_lower < threshold).tolist():
             ci = batch[j]
             c = active[ci]
             child_cost = cost + c.cost
-            child_uncovered = uncovered & ~c.covered
+            child_uncovered = uncovered ^ newly[j]
             if child_uncovered == 0:
                 chosen = forced + [active[i] for i in chosen_idx] + [c]
                 key = _plan_key(chosen)
@@ -464,7 +460,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
                 continue
             # Siblings earlier in ``batch`` are excluded below this child.
             child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
-            ratio = c.cost / (c.covered & uncovered).bit_count()
+            ratio = c.cost / newly[j].bit_count()
             children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
@@ -493,44 +489,36 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     u leaves L + max(0, rc) within the prune slack of UB, the only ones a
     plan costing no more than the incumbent can hold, and those of the
     incumbent.  Column j's rows are a slice of one int32 array of row
-    indices, filled from masks unpacked a chunk of candidates at a time;
-    A^T u and A x are taken over chunks as well, so no temporary spans the
-    whole incidence."""
-    active, rows, cost, forced, forced_cost = res.active, res.rows, res.cost, res.forced, res.forced_cost
+    indices, filled from masks unpacked a chunk of ``_chunk_rows(n)``
+    candidates at a time; A^T u and A x walk the same chunks, so no
+    temporary spans the whole incidence."""
+    active, rows, cost, sizes, forced, forced_cost = res.active, res.rows, res.cost, res.sizes, res.forced, res.forced_cost
     n, m = len(start), len(rows)
-    ends = np.cumsum(res.sizes)
-    starts = ends - res.sizes
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     incidence = np.empty(int(ends[-1]), dtype=np.int32)
-    # The work below takes up to 12 bytes per incidence entry where the
-    # root's passes take 1 per cell, so its chunks are a quarter as large.
-    step = max(1, _CHUNK_CELLS // 4 // n)
+    # A chunk: its candidates, their rows, and where each one's rows start.
+    chunks = []
+    step = _chunk_rows(n)
     for a in range(0, len(active), step):
         b = min(a + step, len(active))
         at = np.flatnonzero(masks_to_flags([c.covered for c in active[a:b]], n)[:, rows])
         incidence[starts[a] : ends[b - 1]] = np.remainder(at, m, out=at)
+        chunks.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
 
-    def hits_of(cols: list) -> np.ndarray:
-        """How many of the candidates ``cols`` cover each row."""
+    def hits_of(x: np.ndarray) -> np.ndarray:
+        """How many of the candidates flagged in ``x`` cover each row."""
         hits = np.zeros(m, dtype=np.intp)
-        for i in range(0, len(cols), step):
-            hits += np.bincount(np.concatenate([incidence[starts[j] : ends[j]] for j in cols[i : i + step]]), minlength=m)
+        for cols, rows_in, _ in chunks:
+            hits += np.bincount(rows_in[np.repeat(x[cols], sizes[cols])], minlength=m)
         return hits
 
     position = {c.cid: j for j, c in enumerate(active)}
     inc_key = _plan_key(incumbent)
 
-    # A^T u goes over runs of candidates with at most a chunk's worth of
-    # entries each: a run's rows, and where each candidate's start in them.
-    runs = []
-    a = 0
-    while a < len(active):
-        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _CHUNK_CELLS // 4, side="right")))
-        runs.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
-        a = b
-
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
-        for cols, rows_in, at in runs:
+        for cols, rows_in, at in chunks:
             rc[cols] -= np.add.reduceat(u[rows_in], at)
         return rc
 
@@ -539,7 +527,9 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         for j in picked:
             covered |= active[j].covered
         picked = picked + [position[c.cid] for c in _greedy_cover(active, res.remaining & ~covered)]
-        hits = hits_of(picked)
+        x = np.zeros(len(active), dtype=bool)
+        x[picked] = True
+        hits = hits_of(x)
         kept = []
         for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
             seg = incidence[starts[j] : ends[j]]
@@ -570,7 +560,7 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
                 ub = key[0] - forced_cost
         if best >= ub - _PRUNE_REL * max(1.0, abs(ub)):
             break
-        g = 1.0 - hits_of(neg.tolist())
+        g = 1.0 - hits_of(rc < 0.0)
         g[(g < 0.0) & (u == 0.0)] = 0.0
         norm = float(g @ g)
         if norm == 0.0:
@@ -604,14 +594,13 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     trying coverers in order of marginal cost per newly covered block;
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
-    candidates are bitmasks over the residual candidates; a node that
-    excludes none of its block's coverers takes their cached index list as
-    is.  Each stack entry carries its bound; a node prices all its children
-    in one batched pass, takes each child's bound as its own less the price
-    of what the child newly covers, and drops the children that cannot beat
-    the incumbent before any per-child work.  Leaves are ranked by
-    :func:`_plan_key`, so the plan is the least one by (fsum cost, size,
-    cids).
+    candidates are bitmasks over the residual candidates; a node filters
+    its block's cached coverer list by its excluded bits.  Each stack entry
+    carries its bound; a node prices all its children in one batched pass,
+    takes each child's bound as its own less the price of what the child
+    newly covers, and drops the children that cannot beat the incumbent
+    before any per-child work.  Leaves are ranked by :func:`_plan_key`, so
+    the plan is the least one by (fsum cost, size, cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
-from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, redundancy
+from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, mask_to_bools, redundancy
 from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.mesh import DETECTABLE_TERRAINS
@@ -259,6 +259,21 @@ def test_equal_covered_sets_share_one_int(tmp_path):
     assert digest == "6bce6230ee89c6db2a268003ec366d14093cdf17b5e50b80de3153ad2d28aa72"
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_mask_helpers_match_a_bit_loop(n):
+    # Mask 0, the full mask, the top bit alone and random masks with and
+    # without the top bit, on both sides of byte and 64-bit word boundaries.
+    rng = random.Random(n)
+    top = 1 << n - 1 if n else 0
+    masks = [0, (1 << n) - 1, top] + [rng.getrandbits(n) for _ in range(10)] + [rng.getrandbits(n) | top for _ in range(10)]
+    for mask in masks:
+        bits = [(mask >> i) & 1 for i in range(n)]
+        flags = mask_to_bools(mask, n)
+        assert flags.dtype == bool
+        assert flags.tolist() == [bool(b) for b in bits]
+        assert mask_positions(mask) == [i for i, b in enumerate(bits) if b]
+
+
 def test_required_detection_validated():
     mesh = square_mesh(1, min_range=0.3)
     with pytest.raises(ValidationError):
@@ -374,8 +389,6 @@ def test_run_walk_matches_the_per_site_walk(layout, limit):
                 mp.setattr(coverage, name, limit)
         walk = coverage._footprints(mesh, catalog)
     assert _walk_record(walk) == _walk_record(footprints_oracle(mesh, catalog))
-    masks = [covered for _, _, _, covered, _ in walk[0]]
-    assert len({id(m) for m in masks}) == len(set(masks))
 
 
 def test_walk_transient_memory_stays_small():

@@ -607,6 +607,50 @@ def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
     assert root_pass(active, 0b11, 2)[1] == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
 
 
+def forcing_instance():
+    """12 blocks where block 0 has one coverer, "a", and the blocks it
+    leaves need a search."""
+    return inst_from(range(12), [
+        ("a", [0, 1], 5.0),
+        ("b", [1, 2, 3, 4], 2.0),
+        ("c", [3, 4, 5, 6], 2.0),
+        ("d", [5, 6, 7, 8], 2.0),
+        ("e", [7, 8, 9, 10, 11], 3.0),
+        ("f", [2, 4, 6, 8, 10], 3.0),
+        ("g", [1, 9, 11], 2.0),
+    ])
+
+
+def root_relaxations(inst):
+    """The root's dual-ascent prices, and its Lagrangian's ``repr(bound)``,
+    ``keep`` flags and incumbent cids from the ascent's prices and the greedy
+    incumbent."""
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+    prices = solver._dual_ascent(res)
+    greedy = res.forced + solver._greedy_cover(res.active, res.remaining)
+    bound, keep, incumbent = solver._lagrangian(res, prices, greedy)
+    return prices, repr(bound), keep, sorted(c.cid for c in incumbent)
+
+
+@pytest.mark.parametrize(
+    "instance, chunk_cells",
+    [(search_like_instance, solver._CHUNK_CELLS), (search_like_instance, 1000), (forcing_instance, 1)],
+)
+def test_root_relaxations_do_not_depend_on_the_chunk_size(monkeypatch, instance, chunk_cells):
+    # At 1 000 cells a chunk of the search-like instance holds two of its
+    # 400-block masks; at 1 cell every chunk is one candidate.
+    inst = instance()
+    prices, bound, keep, cids = root_relaxations(inst)
+    monkeypatch.setattr(solver, "_CHUNK_CELLS", chunk_cells)
+    got_prices, got_bound, got_keep, got_cids = root_relaxations(inst)
+    assert np.array_equal(got_prices, prices)
+    assert (got_bound, got_cids) == (bound, cids)
+    assert np.array_equal(got_keep, keep)
+    if instance is search_like_instance:
+        assert (got_bound, int(got_keep.sum())) == ("820869.0351556332", 233)
+
+
 def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
     unpacked = []
     unpack = solver.masks_to_flags
@@ -618,16 +662,7 @@ def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
     monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep)
     search = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(search.candidates))
-    # Block 0 has one coverer, "a"; the blocks it leaves need a search.
-    forcing = inst_from(range(12), [
-        ("a", [0, 1], 5.0),
-        ("b", [1, 2, 3, 4], 2.0),
-        ("c", [3, 4, 5, 6], 2.0),
-        ("d", [5, 6, 7, 8], 2.0),
-        ("e", [7, 8, 9, 10, 11], 3.0),
-        ("f", [2, 4, 6, 8, 10], 3.0),
-        ("g", [1, 9, 11], 2.0),
-    ])
+    forcing = forcing_instance()
     for candidates, inst in ((kept, search), (list(forcing.candidates), forcing)):
         unpacked.clear()
         res = solver._Residual(candidates, inst.full_mask, [], inst.n_elements)

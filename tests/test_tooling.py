@@ -32,6 +32,22 @@ def test_package_imports_only_the_stdlib_and_numpy():
     assert foreign == {}
 
 
+def test_only_coverage_converts_masks():
+    # coverage.py's docstring says the conversions between masks, their
+    # bytes, boolean arrays and positions are defined there and nowhere else.
+    packers = {"to_bytes", "from_bytes", "frombuffer", "packbits", "unpackbits"}
+    calls = []
+    for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
+        if path.name == "coverage.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name in packers:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
 def test_perfbench_traced_names_exist():
     # perfbench wraps pipeline functions by name to time each layer; a renamed
     # or removed name must fail here, not only in a traced benchmark run.
