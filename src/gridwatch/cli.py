@@ -4,14 +4,14 @@ Commands: ``plan`` (mesh + coverage + placement + artifacts), ``econ``
 (cash-flow series for an existing plan), ``sweep`` (sensitivity tables), and
 ``validate`` (check a scenario and its referenced files without solving).
 ``validate`` checks everything ``plan`` checks before it builds coverage: the
-scenario and every file it names, the sensor filter, the heatmap sensor and
-the mesh.
+scenario and every file it names, the sensor filter, the catalog scaled by
+``detection_scale``, the heatmap sensor and the mesh.
 
 Exit codes: 0 success, 2 input or validation failure (an output path that
-cannot be written included), 3 infeasible coverage, 4 no proven optimum:
-the node budget ran out, or the dominance filter removed a sensor type, which
-is a rule and not a proof.  Validation failures print a machine-readable JSON
-object on stderr.
+cannot be written included), 3 infeasible coverage, 4 no proven optimum: the
+plan came from the greedy solver, the node budget ran out, or the dominance
+filter removed a sensor type, which is a rule and not a proof.  Validation
+failures print a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import GridwatchError, Infeasible, InfeasibleCoverage, ParseError, ValidationError, read_input
-from .mesh import build_mesh
-from .pipeline import run_econ, run_plan, sweep, write_cashflow_csv, write_plan_artifacts, write_sweep_csv
+from .pipeline import run_econ, run_plan, scenario_mesh, sweep, write_cashflow_csv, write_plan_artifacts, write_sweep_csv
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -105,7 +104,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
-    mesh = build_mesh(scenario.corners, scenario.block_side_km, scenario.terrain, scenario.catalog.min_range_km)
+    mesh = scenario_mesh(scenario)
     print(
         f"{scenario.name}: ok ({mesh.blocks_x}x{mesh.blocks_y} blocks, "
         f"{len(mesh.candidate_sites)} candidate sites, sensors: {'+'.join(sorted(scenario.catalog.names))})"

@@ -26,7 +26,7 @@ positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
 stays integer AND/OR/popcount work.  The conversions between masks, their
-bytes, boolean arrays and positions are defined here and nowhere else.  The
+bytes, 0/1 flags and positions are defined here and nowhere else.  The
 table is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
@@ -144,11 +144,6 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     return units
 
 
-def mask_to_bools(mask: int, n: int) -> np.ndarray:
-    """Boolean array of length ``n`` with ``True`` at the set bits of ``mask``."""
-    return masks_to_flags([mask], n)[0].astype(bool)
-
-
 def masks_to_bytes(masks: list, n: int) -> np.ndarray:
     """The masks over ``n`` positions as rows of their little-endian bytes."""
     n_bytes = (n + 7) // 8
@@ -163,7 +158,7 @@ def masks_to_flags(masks: list, n: int) -> np.ndarray:
 
 def mask_positions(mask: int) -> list:
     """Indices of the set bits of ``mask``, ascending."""
-    return np.flatnonzero(mask_to_bools(mask, mask.bit_length())).tolist()
+    return np.flatnonzero(masks_to_flags([mask], mask.bit_length())[0]).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,8 +254,8 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
                         union |= last[0]
                 if last is not None:
                     pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, *last))
-    reached = mask_to_bools(union, n_in_area)
-    return pairs, tuple(np.flatnonzero(in_area)[~reached].tolist())
+    unreached = masks_to_flags([union], n_in_area)[0] == 0
+    return pairs, tuple(np.flatnonzero(in_area)[unreached].tolist())
 
 
 def _site_runs(blocks: np.ndarray, half: np.ndarray, start: np.ndarray, bx: int, by: int, rows: int) -> tuple:

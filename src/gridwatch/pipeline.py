@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .catalog import SensorCatalog, scale_detection
+from .catalog import SensorCatalog
 from .coverage import CoverageTable, block_detection, build_coverage
 from .econ import ScenarioEconomics
 from .errors import ValidationError
@@ -41,7 +41,7 @@ SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 @dataclass(frozen=True)
 class PlanResult:
     scenario: Scenario
-    catalog: SensorCatalog  # the admitted sensors, scaled by detection_scale
+    catalog: SensorCatalog  # scenario.scaled_catalog
     mesh: AreaMesh
     coverage: CoverageTable
     instance: PlacementInstance
@@ -55,20 +55,23 @@ class PlanResult:
 _sweep_table: ContextVar[Optional[list]] = ContextVar("sweep_table", default=None)
 
 
-def run_plan(scenario: Scenario) -> PlanResult:
-    """Build mesh and coverage for a scenario and solve the placement problem.
-    An r :func:`sweep`'s later points reuse the previous point's mesh and table."""
-    catalog = scenario.catalog
-    if scenario.detection_scale != 1.0:
-        catalog = scale_detection(catalog, scenario.detection_scale)
-    held = _sweep_table.get()
-    # No local keeps the previous table: it is freed once this one replaces it.
-    mesh = held[0].mesh if held else build_mesh(
+def scenario_mesh(scenario: Scenario) -> AreaMesh:
+    """The scenario's block mesh, checked against its shortest sensor range."""
+    return build_mesh(
         corners=scenario.corners,
         block_side=scenario.block_side_km,
         terrain_grid=scenario.terrain,
-        min_sensor_range=catalog.min_range_km,
+        min_sensor_range=scenario.scaled_catalog.min_range_km,
     )
+
+
+def run_plan(scenario: Scenario) -> PlanResult:
+    """Build mesh and coverage for a scenario and solve the placement problem.
+    An r :func:`sweep`'s later points reuse the previous point's mesh and table."""
+    catalog = scenario.scaled_catalog
+    held = _sweep_table.get()
+    # No local keeps the previous table: it is freed once this one replaces it.
+    mesh = held[0].mesh if held else scenario_mesh(scenario)
     coverage = build_coverage(
         mesh, catalog, scenario.required_detection, scenario.rounding, like=held[0] if held else None
     )

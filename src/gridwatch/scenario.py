@@ -11,14 +11,15 @@ file.  It reads, each once and each through :func:`errors.read_input`:
   ``econ.traffic``.
 
 The :class:`Scenario` carries them parsed: the terrain as an int array, the
-catalog cut to the sensors ``sensor_filter`` admits (de-duplicated, not yet
-scaled by ``detection_scale``), the heatmap sensor resolved and checked
+catalog cut to the sensors ``sensor_filter`` admits (de-duplicated), the same
+catalog scaled by ``detection_scale``, the heatmap sensor resolved and checked
 against it, and the pricing and traffic objects in :class:`econ.EconConfig`.
 
 Each object checks itself when it is built, so ``replace`` in a sweep re-runs
-the same checks: :class:`Scenario` its own scalars, :class:`econ.EconConfig`
-every econ field and then the float range of a zero-cost plan's cash flows,
-the catalog, pricing and traffic objects their content.
+the same checks: :class:`Scenario` its own scalars and its scaled catalog,
+:class:`econ.EconConfig` every econ field and then the float range of a
+zero-cost plan's cash flows, the catalog, pricing and traffic objects their
+content.
 :func:`load_scenario` checks the sensor filter, the heatmap sensor and that
 ``output_dir`` is not under a file.  The econ config is built before the
 :class:`Scenario`, so an econ fault is reported before a fault in the
@@ -53,7 +54,8 @@ Error codes it raises:
 * ``VOLUME_ABOVE_TOP_TIER``: from :class:`econ.EconConfig`, when traffic
   outgrows the top ingest tier of a pricing policy that has no overflow rate;
 * ``INVARIANT_VIOLATION``: catalog, pricing or traffic content breaks an
-  invariant of the object it builds (e.g. a detection probability of 1).
+  invariant of the object it builds (e.g. a detection probability of 1), or
+  ``detection_scale`` scales a detection probability to 0.
 
 Relative paths inside a scenario (terrain grid, catalog, pricing, traffic) are
 resolved against the scenario file's own directory, so scenario bundles can be
@@ -71,7 +73,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import SensorCatalog, default_catalog, load_catalog
+from .catalog import SensorCatalog, default_catalog, load_catalog, scale_detection
 from .coverage import ROUNDING_MODES
 from .econ import EconConfig, load_pricing, load_traffic
 from .errors import ParseError, ValidationError, read_field, read_input
@@ -100,6 +102,9 @@ class Scenario:
     node_budget: int
     econ: EconConfig
     output_dir: Path
+    # The catalog planned with.  A scale of exactly 1 keeps ``catalog``
+    # itself, so no probability is clamped to MAX_DETECTION.
+    scaled_catalog: SensorCatalog = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.detection_scale) and self.detection_scale > 0):
@@ -112,6 +117,8 @@ class Scenario:
             raise ValidationError(f"solver mode must be one of {SOLVER_MODES}, got {self.solver_mode!r}")
         if self.node_budget < 1:
             raise ValidationError(f"node_budget must be at least 1, got {self.node_budget}")
+        scaled = self.catalog if self.detection_scale == 1.0 else scale_detection(self.catalog, self.detection_scale)
+        object.__setattr__(self, "scaled_catalog", scaled)
 
 
 def _input_file(base: Path, value: str, label: str) -> Path:
@@ -225,7 +232,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
 
 def with_overrides(scenario: Scenario, **kwargs) -> Scenario:
     """Checked copy of the scenario with scalar fields replaced (used by sweeps):
-    ``replace`` re-runs both the scenario's and the econ config's checks."""
+    ``replace`` re-runs both the scenario's and the econ config's checks and
+    scales the catalog again."""
     econ_names = {f.name for f in fields(EconConfig)}
     econ = replace(scenario.econ, **{k: v for k, v in kwargs.items() if k in econ_names})
     return replace(scenario, econ=econ, **{k: v for k, v in kwargs.items() if k not in econ_names})

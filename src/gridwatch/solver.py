@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, mask_positions, mask_to_bools, masks_to_bytes, masks_to_flags
+from .coverage import Candidate, CoverageTable, mask_positions, masks_to_bytes, masks_to_flags
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -268,7 +268,7 @@ def _batch_pricer(price: np.ndarray):
 
     Row j of the table holds the price sum of every subset of positions
     8j..8j+7, indexed by that subset's byte, so pricing a mask is one lookup
-    per nonzero byte instead of unpacking it to booleans.  Zero bytes are
+    per nonzero byte instead of unpacking it to flags.  Zero bytes are
     skipped: what one candidate newly covers is a small part of a large
     universe, so work and temporaries follow the covered sets, not the
     universe size times the number of masks."""
@@ -355,7 +355,7 @@ class _Residual:
         self.remaining = remaining
         self.cost = np.array([c.cost for c in self.active])
         self.sizes = np.array([(c.covered & remaining).bit_count() for c in self.active])
-        self.rows = np.flatnonzero(mask_to_bools(remaining, n))
+        self.rows = np.array(mask_positions(remaining), dtype=np.intp)
         self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n)
         self.bound = float(self.price[self.rows].sum())
         self.price_of = _batch_pricer(self.price)
@@ -660,27 +660,6 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     )
 
 
-def _site_cost_rate(spec) -> float:
-    # Cost of a full 360-degree install per unit of reachable area.
-    return spec.unit_price_usd * spec.fov_multiplier / (spec.range_km ** 2)
-
-
-def _dominates(v, u) -> bool:
-    if v.range_km < u.range_km:
-        return False
-    if any(v.detect[t] < u.detect[t] for t in DETECTABLE_TERRAINS):
-        return False
-    if _site_cost_rate(v) > _site_cost_rate(u):
-        return False
-    strict = (
-        v.range_km > u.range_km
-        or any(v.detect[t] > u.detect[t] for t in DETECTABLE_TERRAINS)
-        or _site_cost_rate(v) < _site_cost_rate(u)
-    )
-    # Identical specs under different names: keep the lexicographically first.
-    return strict or v.name < u.name
-
-
 def dominance_filter(instance: PlacementInstance, catalog: SensorCatalog) -> PlacementInstance:
     """Drop candidates of sensor types strictly beaten on range, detection, and cost rate.
 
@@ -692,10 +671,17 @@ def dominance_filter(instance: PlacementInstance, catalog: SensorCatalog) -> Pla
     applies on every solve compares covered sets and costs and cannot.
     """
     present = sorted({c.sensor for c in instance.candidates if c.sensor is not None})
-    specs = {name: catalog.get(name) for name in present}
+    merit = {}
+    for name in present:
+        spec = catalog.get(name)
+        # The cost rate of a full 360-degree install per unit of reachable area,
+        # negated so that every place of the tuple is better when larger.
+        rate = spec.unit_price_usd * spec.fov_multiplier / (spec.range_km ** 2)
+        merit[name] = (spec.range_km, *(spec.detect[t] for t in DETECTABLE_TERRAINS), -rate)
+    # Identical merits under different names: keep the lexicographically first.
     removed = {
         u for u in present
-        if any(v != u and _dominates(specs[v], specs[u]) for v in present)
+        if any(all(a >= b for a, b in zip(merit[v], merit[u])) and (merit[v] != merit[u] or v < u) for v in present)
     }
     kept = tuple(c for c in instance.candidates if c.sensor is None or c.sensor not in removed)
     return PlacementInstance(instance.universe, kept)

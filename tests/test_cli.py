@@ -12,6 +12,7 @@ import pytest
 from gridwatch import cli, coverage, pipeline
 from gridwatch.catalog import DETECT_KEYS
 from gridwatch.cli import main
+from gridwatch.errors import InvariantViolation, ValidationError
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario, with_overrides
 
@@ -188,8 +189,10 @@ def test_counts_and_costs_past_the_float_range_exit_2_before_writing(bundle, cap
         ({"range_km": math.inf}, {"sensor_filter": ["RF"]}, {}, "INVARIANT_VIOLATION"),
         # The span over the block side is an infinite block count.
         ({}, {}, {"block_side_km": 5e-324}, "VALIDATION_ERROR"),
+        # The scale takes every detection probability under one half to 0.0.
+        ({}, {"detection_scale": 5e-324}, {}, "INVARIANT_VIOLATION"),
     ],
-    ids=["rf-fov", "rf-fov-dominance", "rf-range-square", "rf-range-inf", "block-side"],
+    ids=["rf-fov", "rf-fov-dominance", "rf-range-square", "rf-range-inf", "block-side", "detection-scale"],
 )
 def test_catalog_and_mesh_past_the_float_range_exit_2_before_writing(bundle, capsys, command, rf, changes, area, code):
     area = json.loads((bundle / "minicity.json").read_text(encoding="utf-8"))["area"] | area
@@ -230,6 +233,19 @@ def test_plan_budget_exceeded_exits_4(bundle):
     assert main(["plan", str(scn)]) == 4
 
 
+def test_greedy_plan_claims_no_optimum(bundle, capsys):
+    scn = scenario_with(bundle, solver={"mode": "greedy"})
+    plan = run_plan(load_scenario(scn)).plan
+    assert (plan.mode, plan.proven_optimal) == ("greedy", False)
+    assert main(["plan", str(scn)]) == 4
+    assert "proven_optimal=false" in capsys.readouterr().out
+    doc = json.loads((bundle / "out" / "plan.geojson").read_text(encoding="utf-8"))
+    assert doc["properties"]["solver_mode"] == "greedy"
+    assert doc["properties"]["total_cost_usd"] == plan.total_cost
+    for name in ("mesh.geojson", "heatmap.csv", "summary.csv", "coverage.csv"):
+        assert (bundle / "out" / name).is_file(), name
+
+
 @pytest.mark.parametrize(
     "sensors,apply_filter,left,code,cost,proven",
     [
@@ -264,6 +280,16 @@ def test_missing_terrain_file_exits_2(bundle, capsys):
     })
     assert main(["plan", str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+
+
+@pytest.mark.parametrize("text", ["0,0\n0,x\n", "\n  \n"], ids=["non-integer", "empty"])
+def test_malformed_terrain_csv_is_a_parse_error(bundle, capsys, text):
+    (bundle / "bad.csv").write_text(text, encoding="utf-8")
+    area = json.loads((bundle / "minicity.json").read_text(encoding="utf-8"))["area"] | {"terrain_grid": "bad.csv"}
+    assert main(["validate", str(scenario_with(bundle, area=area))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PARSE_ERROR"
+    assert err["message"].startswith(str(bundle / "bad.csv"))
 
 
 # -- econ ---------------------------------------------------------------------
@@ -379,6 +405,16 @@ def test_sweep_detection_scale_cost_nonincreasing(bundle):
     _, rows = read_csv(bundle / "out" / "sweep.csv")
     costs = [float(r["total_cost_usd"]) for r in rows]
     assert costs[0] >= costs[1] >= costs[2]
+
+
+def test_detection_scale_sweep_checks_every_scaled_catalog_before_solving(bundle, monkeypatch):
+    solves = []
+    solve_exact = pipeline.solve_exact
+    monkeypatch.setattr(pipeline, "solve_exact", lambda *a, **kw: solves.append(a) or solve_exact(*a, **kw))
+    scenario = load_scenario(scenario_with(bundle, sensor_filter=["Acoustic"]))
+    with pytest.raises(InvariantViolation, match="Acoustic: detect"):
+        sweep(scenario, "detection_scale", [1.0, 5e-324])
+    assert len(solves) == 0
 
 
 def test_sweep_empty_values_exits_2(bundle, capsys):
@@ -561,6 +597,25 @@ def test_validate_rejects_bad_rounding(bundle, capsys):
     scn = scenario_with(bundle, rounding="sideways")
     assert main(["validate", str(scn)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION_ERROR"
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"required_detection": 0.0}, "required_detection"),
+        ({"required_detection": 1.0}, "required_detection"),
+        ({"solver": {"mode": "fastest"}}, "solver mode"),
+        ({"solver": {"node_budget": 0}}, "node_budget"),
+    ],
+    ids=["r-zero", "r-one", "solver-mode", "node-budget"],
+)
+def test_scenario_scalar_out_of_range_exits_2(bundle, capsys, command, changes, field):
+    assert main([command, str(scenario_with(bundle, **changes))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "VALIDATION_ERROR"
+    assert err["message"].startswith(f"{field} must be")
+    assert not (bundle / "out").exists()
 
 
 def test_cli_overrides_r_and_out(bundle):
@@ -891,6 +946,22 @@ def test_unwritable_output_path_exits_2(bundle, capsys, monkeypatch, command, su
     assert err["message"].startswith(f"cannot write {out}")
     assert blocker.read_text(encoding="utf-8") == "not a directory"
     assert not list(bundle.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("target", ["under-file", "directory"])
+def test_write_that_fails_is_a_validation_error_and_leaves_no_tmp(tmp_path, target):
+    # Under a regular file the parent cannot be made; over a directory the
+    # written .tmp cannot be moved into place and must be removed.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    path = blocker / "doc.json" if target == "under-file" else tmp_path / "doc.json"
+    if target == "directory":
+        path.mkdir()
+    with pytest.raises(ValidationError) as raised:
+        pipeline.write_json(path, {"a": 1})
+    assert str(raised.value).startswith(f"cannot write {path}: ")
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize(

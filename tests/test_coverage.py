@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from helpers import footprints_oracle, make_spec, rect_mesh, site_for_block, square_mesh
 from hypothesis import example, given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
-from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, mask_to_bools, redundancy
+from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, masks_to_flags, redundancy
 from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.mesh import DETECTABLE_TERRAINS
@@ -268,9 +269,9 @@ def test_mask_helpers_match_a_bit_loop(n):
     masks = [0, (1 << n) - 1, top] + [rng.getrandbits(n) for _ in range(10)] + [rng.getrandbits(n) | top for _ in range(10)]
     for mask in masks:
         bits = [(mask >> i) & 1 for i in range(n)]
-        flags = mask_to_bools(mask, n)
-        assert flags.dtype == bool
-        assert flags.tolist() == [bool(b) for b in bits]
+        flags = masks_to_flags([mask], n)[0]
+        assert flags.dtype == np.uint8
+        assert flags.tolist() == bits
         assert mask_positions(mask) == [i for i, b in enumerate(bits) if b]
 
 

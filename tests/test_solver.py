@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage, solver
-from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, mask_to_bools
+from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, masks_to_flags
 from gridwatch.errors import Infeasible, InfeasibleCoverage, TooLarge, ValidationError
+from gridwatch.mesh import DETECTABLE_TERRAINS
 from gridwatch.solver import (
     Candidate,
     PlacementInstance,
@@ -571,7 +572,7 @@ def root_pass_oracle(active, remaining, n):
     for c in active:
         eff = c.covered & remaining
         share = c.cost / eff.bit_count()
-        flags = mask_to_bools(eff, n)
+        flags = masks_to_flags([eff], n)[0].astype(bool)
         price[flags] = np.minimum(price[flags], share)
         counts += flags
     price = np.where(np.isfinite(price), price, 0.0)
@@ -581,7 +582,7 @@ def root_pass_oracle(active, remaining, n):
 def root_pass(active, remaining, n):
     """``solver._root_pass`` on the shares and positions of ``remaining``."""
     shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
-    return solver._root_pass(active, shares, np.flatnonzero(mask_to_bools(remaining, n)), n)
+    return solver._root_pass(active, shares, np.flatnonzero(masks_to_flags([remaining], n)[0]), n)
 
 
 @pytest.mark.parametrize("chunk_cells", [solver._CHUNK_CELLS, 100, 1])
@@ -692,7 +693,7 @@ def test_batch_pricer_matches_boolean_sum():
     for n in (1, 7, 8, 9, 63, 64, 65, 150, 401):
         price = np.array([rng.uniform(0.0, 10.0) for _ in range(n)])
         masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
-        expected = [price[mask_to_bools(m, n)].sum() for m in masks]
+        expected = [price[masks_to_flags([m], n)[0].astype(bool)].sum() for m in masks]
         assert _batch_pricer(price)(masks) == pytest.approx(expected, rel=1e-12, abs=1e-12)
     assert _batch_pricer(np.ones(5))([]).shape == (0,)
 
@@ -814,6 +815,40 @@ def test_dominance_identical_specs_keeps_lexicographic_first():
     cat = SensorCatalog((twin_a, twin_b))
     out = dominance_filter(_instance_with_sensors(["AlphaTwin", "BetaTwin"]), cat)
     assert {c.sensor for c in out.candidates} == {"AlphaTwin"}
+
+
+def _beats(v, u) -> bool:
+    """The filter's rule, one comparison at a time: v reaches as far, detects as
+    well everywhere and costs no more per reachable area, strictly in one of
+    them or, tied in all, with the earlier name."""
+    rate_v, rate_u = (s.unit_price_usd * s.fov_multiplier / s.range_km ** 2 for s in (v, u))
+    if v.range_km < u.range_km or rate_v > rate_u or any(v.detect[t] < u.detect[t] for t in v.detect):
+        return False
+    strict = v.range_km > u.range_km or rate_v < rate_u or any(v.detect[t] > u.detect[t] for t in v.detect)
+    return strict or v.name < u.name
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1.0, 2.0]),
+            st.sampled_from([1000.0, 2000.0, 4000.0]),
+            st.sampled_from([1, 2]),
+            st.lists(st.sampled_from([0.3, 0.6]), min_size=5, max_size=5),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_dominance_matches_the_pairwise_rule(draws):
+    # Few values per field, so types tie in some places and in all of them.
+    specs = [
+        make_spec(name=f"T{i}", range_km=r, price=price, fov=fov, detect=dict(zip(DETECTABLE_TERRAINS, ps)))
+        for i, (r, price, fov, ps) in enumerate(draws)
+    ]
+    filtered = dominance_filter(_instance_with_sensors([s.name for s in specs]), SensorCatalog(tuple(specs)))
+    kept = {c.sensor for c in filtered.candidates}
+    assert kept == {u.name for u in specs if not any(v is not u and _beats(v, u) for v in specs)}
 
 
 def test_dominance_preserves_optimal_cost_on_mini_mesh():

@@ -34,7 +34,7 @@ def test_package_imports_only_the_stdlib_and_numpy():
 
 def test_only_coverage_converts_masks():
     # coverage.py's docstring says the conversions between masks, their
-    # bytes, boolean arrays and positions are defined there and nowhere else.
+    # bytes, 0/1 flags and positions are defined there and nowhere else.
     packers = {"to_bytes", "from_bytes", "frombuffer", "packbits", "unpackbits"}
     calls = []
     for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
@@ -45,6 +45,36 @@ def test_only_coverage_converts_masks():
                 name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
                 if name in packers:
                     calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
+def _calls(tree) -> list:
+    """(innermost enclosing function name or None, called name, line) of every call in ``tree``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = child.func.attr if isinstance(child.func, ast.Attribute) else getattr(child.func, "id", None)
+                found.append((func, name, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_each_derived_scenario_fact_has_one_owner():
+    # validate must check the mesh and the scaled catalog that plan uses, so
+    # each is derived in one place: the mesh in pipeline.scenario_mesh (which
+    # perfbench times through pipeline.build_mesh), the scaled catalog by the
+    # Scenario in scenario.py.
+    calls = []
+    for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
+        for func, name, line in _calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (name == "build_mesh" and (path.name, func) != ("pipeline.py", "scenario_mesh")) or (
+                name == "scale_detection" and path.name != "scenario.py"
+            ):
+                calls.append(f"{path.name}:{line} {name}")
     assert calls == []
 
 
