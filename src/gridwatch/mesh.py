@@ -7,8 +7,9 @@ row-major integer grid (row 0 = southernmost block row); a code of -1 marks
 blocks outside the irregular area boundary.  Every in-area, non-water block is
 one candidate sensor site, at its center: a site is its block, and
 :meth:`AreaMesh.block_center` gives the center.  Only ``coverage.covered_blocks``
-and ``pipeline.mesh_to_geojson``, which formats the mesh as ``mesh.geojson``,
-walk the block corners.
+and ``pipeline.write_mesh_geojson``, which formats the mesh as ``mesh.geojson``,
+walk the block corners (``pipeline.mesh_to_geojson``, the writer's test oracle,
+builds the same document as a dict).
 """
 
 from __future__ import annotations

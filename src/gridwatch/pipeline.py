@@ -6,6 +6,12 @@ Writers are deterministic: repeated runs of the same scenario produce
 byte-identical files (sorted JSON keys, repr-formatted floats, no timestamps).
 A writer that fails leaves the file it was replacing intact, and an output
 path that cannot be written is a :class:`ValidationError`.
+
+``mesh.geojson``, the largest artifact, is formatted from a per-feature
+template by :func:`write_mesh_geojson`, which never builds the document; its
+bytes are those of :func:`write_json` on :func:`mesh_to_geojson`, which stays
+as the oracle the tests compare it with.  The other JSON artifacts go through
+:func:`write_json`.
 """
 
 from __future__ import annotations
@@ -128,6 +134,43 @@ def mesh_to_geojson(mesh: AreaMesh) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+# One feature of ``json.dumps(mesh_to_geojson(mesh), sort_keys=True, indent=2)``:
+# ring corners as (lon, lat) pairs SW, SE, NE, NW, SW, then the id and the
+# terrain's properties lines.
+_CORNER = "            [\n              %s,\n              %s\n            ]"
+_MESH_FEATURE = (
+    '    {\n      "geometry": {\n        "coordinates": [\n          [\n'
+    + ",\n".join([_CORNER] * 5)
+    + '\n          ]\n        ],\n        "type": "Polygon"\n      },\n      "id": %d,\n'
+    '      "properties": {\n%s\n      },\n      "type": "Feature"\n    }'
+)
+
+
+def write_mesh_geojson(path, mesh: AreaMesh) -> None:
+    """Write ``mesh.geojson`` one feature at a time, byte for byte what
+    :func:`write_json` makes of :func:`mesh_to_geojson`, without building the
+    document: the lattice's coordinates and each terrain's properties are
+    formatted once, by ``json`` itself, and dropped into :data:`_MESH_FEATURE`."""
+    L, origin = mesh.block_side, mesh.origin
+    lon = [json.dumps(unproject(PlanePoint(mesh.x0 + k * L, mesh.y0), origin).lon) for k in range(mesh.blocks_x + 1)]
+    lat = [json.dumps(unproject(PlanePoint(mesh.x0, mesh.y0 + j * L), origin).lat) for j in range(mesh.blocks_y + 1)]
+    properties = {
+        t.value: f'        "in_area": {json.dumps(t != Terrain.OUTSIDE_AREA)},\n'
+        f'        "terrain": {json.dumps(t.label)}'
+        for t in Terrain
+    }
+    with _atomic_open(path) as fp:
+        fp.write('{\n  "features": [\n')
+        for z, code in enumerate(mesh.terrain.tolist()):
+            j, k = divmod(z, mesh.blocks_x)
+            west, east, south, north = lon[k], lon[k + 1], lat[j], lat[j + 1]
+            if z:
+                fp.write(",\n")
+            ring = (west, south, east, south, east, north, west, north, west, south)
+            fp.write(_MESH_FEATURE % (*ring, z, properties[code]))
+        fp.write('\n  ],\n  "type": "FeatureCollection"\n}\n')
+
+
 def plan_to_geojson(plan: PlacementPlan, mesh: AreaMesh) -> dict:
     """Chosen sites as a GeoJSON FeatureCollection of points."""
     features = []
@@ -222,7 +265,7 @@ def write_plan_artifacts(result: PlanResult, outdir) -> dict:
         "summary": outdir / "summary.csv",
         "coverage": outdir / "coverage.csv",
     }
-    write_json(paths["mesh"], mesh_to_geojson(result.mesh))
+    write_mesh_geojson(paths["mesh"], result.mesh)
     write_json(paths["plan"], plan_to_geojson(result.plan, result.mesh))
     write_heatmap_csv(paths["heatmap"], result.mesh, result.catalog, result.scenario.heatmap_sensor)
     write_summary_csv(paths["summary"], result)

@@ -114,9 +114,9 @@ class Scenario:
         if self.rounding not in ROUNDING_MODES:
             raise ValidationError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
         if self.solver_mode not in SOLVER_MODES:
-            raise ValidationError(f"solver mode must be one of {SOLVER_MODES}, got {self.solver_mode!r}")
+            raise ValidationError(f"solver.mode must be one of {SOLVER_MODES}, got {self.solver_mode!r}")
         if self.node_budget < 1:
-            raise ValidationError(f"node_budget must be at least 1, got {self.node_budget}")
+            raise ValidationError(f"solver.node_budget must be at least 1, got {self.node_budget}")
         scaled = self.catalog if self.detection_scale == 1.0 else scale_detection(self.catalog, self.detection_scale)
         object.__setattr__(self, "scaled_catalog", scaled)
 

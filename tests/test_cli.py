@@ -5,8 +5,10 @@ import json
 import math
 import shutil
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridwatch import cli, coverage, pipeline
@@ -557,8 +559,22 @@ def _json_then_failure(bundle):
     return path, lambda: pipeline.write_json(path, {"features": features + [object()]}), TypeError
 
 
+def _mesh_geojson_then_failure(bundle):
+    # A terrain code with no label fails a few hundred features in, after the
+    # writer has flushed the first of them to the .tmp file.
+    from helpers import square_mesh
+
+    mesh = square_mesh(15)
+    path = bundle / "mesh.geojson"
+    pipeline.write_mesh_geojson(path, mesh)
+    broken = replace(mesh, terrain=np.append(mesh.terrain[:-1], 99))
+    return path, lambda: pipeline.write_mesh_geojson(path, broken), KeyError
+
+
 @pytest.mark.parametrize(
-    "make_failure", [_sweep_csv_then_failure, _json_then_failure], ids=["write_sweep_csv", "write_json"]
+    "make_failure",
+    [_sweep_csv_then_failure, _json_then_failure, _mesh_geojson_then_failure],
+    ids=["write_sweep_csv", "write_json", "write_mesh_geojson"],
 )
 def test_failed_sweep_write_keeps_previous_file(bundle, make_failure):
     path, write_then_fail, error = make_failure(bundle)
@@ -605,8 +621,8 @@ def test_validate_rejects_bad_rounding(bundle, capsys):
     [
         ({"required_detection": 0.0}, "required_detection"),
         ({"required_detection": 1.0}, "required_detection"),
-        ({"solver": {"mode": "fastest"}}, "solver mode"),
-        ({"solver": {"node_budget": 0}}, "node_budget"),
+        ({"solver": {"mode": "fastest"}}, "solver.mode"),
+        ({"solver": {"node_budget": 0}}, "solver.node_budget"),
     ],
     ids=["r-zero", "r-one", "solver-mode", "node-budget"],
 )
@@ -647,6 +663,29 @@ def wide_area(bundle):
     terrain = "0,0,2,1,1,-1,-1\n0,2,4,4,1,0,-1\n3,2,4,4,2,0,0\n3,3,2,0,2,1,0\n-1,3,0,0,0,1,0\n"
     (bundle / "wide.csv").write_text(terrain, encoding="utf-8")
     return {"corners": [[c.lon, c.lat] for c in corners_for(2.1, 1.5)], "block_side_km": 0.3, "terrain_grid": "wide.csv"}
+
+
+def test_plan_artifacts_format_the_mesh_without_its_oracle(bundle, monkeypatch):
+    """mesh.geojson comes from the template writer, not from mesh_to_geojson
+    and json.dump, so the oracle the writer is checked against stays apart."""
+    result = run_plan(load_scenario(scenario_with(bundle, area=wide_area(bundle))))
+    expected = json.dumps(pipeline.mesh_to_geojson(result.mesh), sort_keys=True, indent=2) + "\n"
+    dumped = []
+    real_dump = json.dump
+
+    def spy_dump(doc, fp, **kwargs):
+        dumped.append(Path(fp.name).name)
+        real_dump(doc, fp, **kwargs)
+
+    def no_oracle(mesh):
+        raise AssertionError("mesh_to_geojson called while writing artifacts")
+
+    monkeypatch.setattr(pipeline, "mesh_to_geojson", no_oracle)
+    monkeypatch.setattr(json, "dump", spy_dump)
+    paths = pipeline.write_plan_artifacts(result, bundle / "out")
+    monkeypatch.undo()
+    assert dumped == ["plan.geojson.tmp"]
+    assert paths["mesh"].read_text(encoding="utf-8") == expected
 
 
 def test_artifact_bytes_are_pinned(bundle):

@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import corners_for, square_mesh
+from helpers import corners_for, rect_mesh, square_mesh
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gridwatch.errors import DimensionMismatch, ParseError, RangeTooSmall
 from gridwatch.mesh import Terrain, build_mesh, load_terrain_grid
-from gridwatch.pipeline import mesh_to_geojson
+from gridwatch.pipeline import mesh_to_geojson, write_mesh_geojson
 
 
 def test_city_scale_block_grid():
@@ -118,6 +121,48 @@ def test_geojson_export_is_deterministic():
     one = mesh_to_geojson(build_mesh(corners_for(0.6, 0.6), 0.3, codes, 0.4))
     two = mesh_to_geojson(build_mesh(corners_for(0.6, 0.6), 0.3, codes, 0.4))
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+
+def oracle_bytes(mesh):
+    return (json.dumps(mesh_to_geojson(mesh), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+@st.composite
+def mixed_meshes(draw):
+    """Meshes of 1 to 9 blocks a side, any mix of terrain codes, anywhere on
+    the globe away from the poles."""
+    bx, by = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    codes = draw(st.lists(st.sampled_from([t.value for t in Terrain]), min_size=bx * by, max_size=bx * by))
+    side = draw(st.sampled_from([0.3, 0.25, 1.7]))
+    lon0 = draw(st.floats(-179.0, 170.0))
+    lat0 = draw(st.floats(-80.0, 79.0))
+    corners = corners_for(bx * side, by * side, lon0=lon0, lat0=lat0)
+    return build_mesh(corners, side, np.array(codes).reshape(by, bx), side)
+
+
+@given(mesh=mixed_meshes())
+@example(mesh=rect_mesh(1, 1, [[-1]]))
+@example(mesh=rect_mesh(1, 6, [[1], [0], [-1], [2], [3], [4]]))
+@example(mesh=rect_mesh(6, 1, [[4, 3, 2, -1, 0, 1]]))
+def test_mesh_writer_matches_the_oracle_byte_for_byte(tmp_path_factory, mesh):
+    path = tmp_path_factory.getbasetemp() / "mesh.geojson"
+    write_mesh_geojson(path, mesh)
+    assert path.read_bytes() == oracle_bytes(mesh)
+
+
+def test_mesh_writer_streams(tmp_path):
+    # The document of a 100x100 mesh takes about 11 MB to build and format;
+    # the writer holds one feature's text and the lattice's strings.
+    mesh = square_mesh(100, np.resize([0, 1, 2, 3, 4, -1], (100, 100)))
+    path = tmp_path / "mesh.geojson"
+    tracemalloc.start()
+    try:
+        write_mesh_geojson(path, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert path.read_bytes() == oracle_bytes(mesh)
 
 
 def test_points_row_major_from_southwest():
