@@ -25,9 +25,10 @@ here to the solver.  A covered set is a Python-int bitmask over in-area
 positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
-stays integer AND/OR/popcount work.  The conversions between masks, their
-bytes, 0/1 flags and positions are defined here and nowhere else.  The
-table is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
+stays integer AND/OR/popcount work.  The conversions from masks to their
+bytes, 0/1 flags, runs of set bits and positions are defined here and
+nowhere else.  The table is written out as ``coverage.csv`` by
+``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -117,15 +118,21 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     per ``rounding`` (near-integer ratios are snapped first), clamped to at
     least 1, then multiplied by the 360-degree field-of-view multiplier.
     """
-    if mean_detect >= 1.0:
-        raise DegenerateDetection(f"mean detection probability {mean_detect} leaves zero misdetection")
-    if not 0.0 < mean_detect < 1.0:
-        raise ValidationError(f"mean detection probability must be in (0, 1), got {mean_detect}")
     if not 0.0 < required < 1.0:
         raise ValidationError(f"required detection probability must be in (0, 1), got {required}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-    raw = math.log1p(-required) / math.log1p(-mean_detect)
+    return _units(mean_detect, math.log1p(-required), fov, rounding)
+
+
+def _units(mean_detect: float, log_miss: float, fov: int, rounding: str) -> int:
+    """:func:`redundancy` at a requirement whose ``log1p(-required)`` is
+    ``log_miss``, the requirement and ``rounding`` already checked."""
+    if mean_detect >= 1.0:
+        raise DegenerateDetection(f"mean detection probability {mean_detect} leaves zero misdetection")
+    if not 0.0 < mean_detect < 1.0:
+        raise ValidationError(f"mean detection probability must be in (0, 1), got {mean_detect}")
+    raw = log_miss / math.log1p(-mean_detect)
     if not math.isfinite(raw * fov):
         raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
     nearest_int = round(raw)
@@ -154,6 +161,21 @@ def masks_to_bytes(masks: list, n: int) -> np.ndarray:
 def masks_to_flags(masks: list, n: int) -> np.ndarray:
     """The masks over ``n`` positions as rows of 0/1 bytes."""
     return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
+
+
+def masks_to_runs(masks: list, n: int) -> tuple:
+    """The maximal runs of set bits of the masks over ``n`` positions:
+    ``(runs, offsets)``, where ``runs`` holds one int32 ``[lo, hi)`` row per
+    run, mask by mask and ascending, and the runs of mask i are rows
+    ``offsets[i]`` to ``offsets[i + 1]``.
+
+    A run starts and ends where a bit differs from the one below it, so the
+    set bits of ``m ^ (m << 1)`` over ``n + 1`` positions are its bounds,
+    alternately lo and hi."""
+    row, at = np.nonzero(masks_to_flags([m ^ (m << 1) for m in masks], n + 1))
+    offsets = np.zeros(len(masks) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=len(masks)) // 2, out=offsets[1:])
+    return at.astype(np.int32).reshape(-1, 2), offsets
 
 
 def mask_positions(mask: int) -> list:
@@ -346,9 +368,10 @@ def build_coverage(
     else:
         specs = {spec.name: spec for spec in catalog}
         pairs = ((e.cid, specs[e.sensor], e.site, e.covered, e.mean_detect) for e in like.entries)
+    log_miss = math.log1p(-required_detection)
     entries = []
     for cid, spec, site, covered, zeta in pairs:
-        units = redundancy(zeta, required_detection, spec.fov_multiplier, rounding)
+        units = _units(zeta, log_miss, spec.fov_multiplier, rounding)
         entries.append(
             Candidate(
                 cid=cid,

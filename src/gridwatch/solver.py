@@ -8,11 +8,13 @@ defines, whose covered sets are Python-int bitmasks over positions in the
 instance's universe tuple.  For an instance built from a coverage table the
 universe is ``mesh.in_area_blocks`` and the candidates are the table's own
 entries, sorted by cid.  Node expansion is integer AND/OR work plus one
-batched pricing pass per node: the blocks each child newly covers are priced
-together by looking up the bytes of their masks in a table of block prices.
-A block's coverers are a bitmask too, over indices into the residual
-candidates, kept beside the same indices as a list; a node filters that
-list by its excluded bits.
+pricing pass per node: the node's uncovered blocks are unpacked once into a
+prefix sum of their prices, and what each child newly covers is priced by
+differences of that sum over the runs of set bits of the child's mask.  A
+block's coverers are a bitmask too, over indices into the residual
+candidates, kept beside the same indices as a list, and their runs and costs
+are cached beside them on the block's first branching; a node skips its
+excluded coverers among the children that pass the bound.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -43,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, mask_positions, masks_to_bytes, masks_to_flags
+from .coverage import Candidate, CoverageTable, mask_positions, masks_to_bytes, masks_to_flags, masks_to_runs
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -55,8 +57,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # by more than accumulated float drift could explain.  Equal-cost subtrees are
 # therefore explored, which also lets the incumbent improve its tie-break key.
 # The drift includes that of the incremental child bound: a child's bound is
-# its parent's less the price of what it newly covers, so at depth d it is off
-# from a fresh sum by about d ulps of the root bound, far below this slack.
+# its parent's less the price of what it newly covers, a difference of prefix
+# sums off by a few ulps of the parent's bound, so at depth d it is off from a
+# fresh sum by a few d ulps of the root bound, far below this slack.
 _PRUNE_REL = 1e-9
 
 #: Most candidates :func:`solve_brute` takes; it scans all 2^n subsets.
@@ -269,9 +272,9 @@ def _batch_pricer(price: np.ndarray):
     Row j of the table holds the price sum of every subset of positions
     8j..8j+7, indexed by that subset's byte, so pricing a mask is one lookup
     per nonzero byte instead of unpacking it to flags.  Zero bytes are
-    skipped: what one candidate newly covers is a small part of a large
-    universe, so work and temporaries follow the covered sets, not the
-    universe size times the number of masks."""
+    skipped, so work and temporaries follow the covered sets, not the
+    universe size times the number of masks.  The dual ascent's slack pass
+    prices the residual's masks with it."""
     n = len(price)
     n_bytes = (n + 7) // 8
     padded = np.zeros(8 * n_bytes)
@@ -332,8 +335,9 @@ class _Residual:
     ``forced`` and their cost; the candidates ``active`` that still cover a
     block, with their ``cost`` and ``sizes`` (blocks left covered); the
     blocks left, ``remaining``, at positions ``rows``; the share price of
-    :func:`_root_pass`, its sum ``bound`` and a batch pricer by it; the
-    branch order; and each branch block's coverers, found on first use.
+    :func:`_root_pass` and its sum ``bound``; the branch order; each branch
+    block's coverers, found on first use; and, for the search alone, their
+    runs of set bits and costs, also found on first use.
 
     Forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
@@ -358,8 +362,8 @@ class _Residual:
         self.rows = np.array(mask_positions(remaining), dtype=np.intp)
         self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n)
         self.bound = float(self.price[self.rows].sum())
-        self.price_of = _batch_pricer(self.price)
         self._coverers = {}
+        self._runs = {}
 
     def coverers_of(self, p: int) -> tuple:
         """The mask with bit ci set for each coverer ``active[ci]`` of block
@@ -370,6 +374,40 @@ class _Residual:
             idx = [ci for ci, c in enumerate(self.active) if c.covered & bit]
             found = self._coverers[p] = (sum(1 << ci for ci in idx), idx)
         return found
+
+    def runs_of(self, p: int) -> tuple:
+        """``(runs, first, cost)`` of the coverers of block ``p``, in the
+        order of :meth:`coverers_of`: the runs of set bits of their masks
+        (see :func:`masks_to_runs`), the row of each coverer's first run and
+        their costs.  Found on first use, a chunk of ``_chunk_rows(n + 1)``
+        coverers at a time, so no temporary spans the block's coverers."""
+        found = self._runs.get(p)
+        if found is None:
+            idx = self.coverers_of(p)[1]
+            n = len(self.price)
+            step = _chunk_rows(n + 1)
+            runs, first, at = [], [], 0
+            for i in range(0, len(idx), step):
+                chunk, offsets = masks_to_runs([self.active[ci].covered for ci in idx[i : i + step]], n)
+                runs.append(chunk)
+                first.append(offsets[:-1] + at)
+                at += len(chunk)
+            found = self._runs[p] = (np.concatenate(runs), np.concatenate(first), self.cost[idx])
+        return found
+
+    def children_of(self, p: int, uncovered: int) -> tuple:
+        """``(cost, newly)`` of the coverers of block ``p``, in the order of
+        :meth:`coverers_of`: their costs, and the price of the blocks of
+        ``uncovered`` each one covers.  A coverer's price is a sum over the
+        runs of its mask of differences of one prefix sum of the prices of
+        ``uncovered``, so each is off by a few ulps of the price of
+        ``uncovered``, far below the prune slack."""
+        runs, first, cost = self.runs_of(p)
+        n = len(self.price)
+        prefix = np.zeros(n + 1)
+        np.cumsum(self.price * masks_to_flags([uncovered], n)[0], out=prefix[1:])
+        ends = prefix.take(runs)
+        return cost, np.add.reduceat(ends[:, 1] - ends[:, 0], first)
 
 
 def _dual_ascent(res: _Residual) -> np.ndarray:
@@ -386,9 +424,10 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
     active = res.active
     prices = res.price.copy()
     step = _chunk_rows(len(prices))
+    price_of = _batch_pricer(res.price)
     slack = res.cost.copy()
     for i in range(0, len(active), step):
-        slack[i : i + step] -= res.price_of([c.covered for c in active[i : i + step]])
+        slack[i : i + step] -= price_of([c.covered for c in active[i : i + step]])
     np.maximum(slack, 0.0, out=slack)
     # The blocks of every tight candidate: raising one of them gains nothing.
     dead = 0
@@ -433,21 +472,22 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
                 branch_pos = p
                 break
         coverer_mask, idx = res.coverers_of(branch_pos)
-        # Price every admissible child at once; a child's bound is this
-        # node's bound less the price of what the child newly covers.  The
-        # admissible children are the block's coverers less the excluded
-        # ones; often none of them is excluded.
+        # A child's bound is this node's bound less the price of what the
+        # child newly covers.  Every coverer's child is priced at once, and
+        # the excluded ones are skipped among those that pass the bound.
+        costs, newly_price = res.children_of(branch_pos, uncovered)
+        child_bound = bound - newly_price
+        child_lower = forced_cost + (cost + costs) + child_bound
         dropped = coverer_mask & excluded
-        batch = [ci for ci in idx if not (dropped >> ci) & 1] if dropped else idx
-        newly = [active[ci].covered & uncovered for ci in batch]
-        child_bound = bound - res.price_of(newly)
-        child_lower = forced_cost + (cost + res.cost[batch]) + child_bound
         children = []
         for j in np.flatnonzero(child_lower < threshold).tolist():
-            ci = batch[j]
+            ci = idx[j]
+            if (dropped >> ci) & 1:
+                continue
             c = active[ci]
             child_cost = cost + c.cost
-            child_uncovered = uncovered ^ newly[j]
+            newly = c.covered & uncovered
+            child_uncovered = uncovered ^ newly
             if child_uncovered == 0:
                 chosen = forced + [active[i] for i in chosen_idx] + [c]
                 key = _plan_key(chosen)
@@ -458,9 +498,9 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             # The incumbent may have improved at an earlier sibling.
             if child_lower[j] >= threshold:
                 continue
-            # Siblings earlier in ``batch`` are excluded below this child.
+            # Siblings earlier in ``idx`` are excluded below this child.
             child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
-            ratio = c.cost / newly[j].bit_count()
+            ratio = c.cost / newly.bit_count()
             children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
@@ -594,13 +634,14 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     trying coverers in order of marginal cost per newly covered block;
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
-    candidates are bitmasks over the residual candidates; a node filters
-    its block's cached coverer list by its excluded bits.  Each stack entry
-    carries its bound; a node prices all its children in one batched pass,
-    takes each child's bound as its own less the price of what the child
-    newly covers, and drops the children that cannot beat the incumbent
-    before any per-child work.  Leaves are ranked by :func:`_plan_key`, so
-    the plan is the least one by (fsum cost, size, cids).
+    candidates are bitmasks over the residual candidates.  Each stack entry
+    carries its bound.  A node unpacks its uncovered blocks once into a
+    prefix sum of their prices, prices every coverer of its block by
+    differences of that sum over the runs of set bits of the coverer's mask,
+    cached per block, and takes each child's bound as its own less that
+    price.  It drops the children that cannot beat the incumbent before any
+    per-child work, then skips the excluded ones.  Leaves are ranked by
+    :func:`_plan_key`, so the plan is the least one by (fsum cost, size, cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
-from gridwatch.coverage import block_detection, build_coverage, covered_blocks, mask_positions, masks_to_flags, redundancy
+from gridwatch.coverage import (
+    block_detection,
+    build_coverage,
+    covered_blocks,
+    mask_positions,
+    masks_to_flags,
+    masks_to_runs,
+    redundancy,
+)
 from gridwatch.pipeline import write_coverage_csv
 from gridwatch.errors import DegenerateDetection, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.mesh import DETECTABLE_TERRAINS
@@ -274,6 +282,34 @@ def test_mask_helpers_match_a_bit_loop(n):
         assert flags.tolist() == bits
         assert mask_positions(mask) == [i for i, b in enumerate(bits) if b]
 
+
+
+def masks_over(n):
+    """Up to 8 masks over ``n`` positions: 0, single bits, the full mask and random ones."""
+    mask = st.one_of(
+        st.just(0),
+        st.just((1 << n) - 1),
+        st.integers(0, max(n - 1, 0)).map(lambda k: 1 << k if n else 0),
+        st.integers(0, (1 << n) - 1),
+    )
+    return st.tuples(st.just(n), st.lists(mask, max_size=8))
+
+
+@given(st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129]), st.integers(0, 300)).flatmap(masks_over))
+@example((8, [0, 0xFF, 1, 0x80]))
+@example((64, [0, (1 << 64) - 1, 1 << 63, 0x5555_5555_5555_5555]))
+@example((65, [(1 << 65) - 1, 1 << 64, 1 << 63, 0]))
+def test_masks_to_runs_match_positions(case):
+    n, masks = case
+    runs, offsets = masks_to_runs(masks, n)
+    assert runs.dtype == np.int32 and runs.shape == (offsets[-1], 2)
+    assert offsets[0] == 0 and len(offsets) == len(masks) + 1
+    for i, mask in enumerate(masks):
+        own = runs[offsets[i] : offsets[i + 1]].tolist()
+        assert [p for lo, hi in own for p in range(lo, hi)] == mask_positions(mask)
+        # Maximal runs: none is empty, and a gap of at least one bit separates two.
+        assert all(lo < hi for lo, hi in own)
+        assert all(a[1] < b[0] for a, b in zip(own, own[1:]))
 
 def test_required_detection_validated():
     mesh = square_mesh(1, min_range=0.3)

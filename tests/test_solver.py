@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -861,3 +862,65 @@ def test_dominance_preserves_optimal_cost_on_mini_mesh():
     unfiltered = solve_exact(inst)
     filtered = solve_exact(dominance_filter(inst, cat))
     assert filtered.total_cost == unfiltered.total_cost
+
+
+def run_pricing_residuals():
+    """Residuals of random instances whose masks scatter over the universe,
+    so a mask holds many runs, with sizes on both sides of byte and 64-bit
+    word boundaries; then the search-like stencil instance's."""
+    rng = random.Random(23)
+    for n in (1, 7, 8, 9, 63, 64, 65, 200, 401):
+        sets = [(f"c{i:02d}", [e for e in range(n) if rng.random() < 0.5], rng.uniform(1.0, 10.0)) for i in range(30)]
+        sets.append(("all", range(n), 10.0 * n))
+        inst = inst_from(range(n), sets)
+        yield solver._Residual(list(inst.candidates), inst.full_mask, [], n)
+    inst = search_like_instance()
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    yield solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+
+
+def test_run_pricing_matches_boolean_sum():
+    # A node prices its children by prefix sums over their masks' runs; the
+    # oracle sums ``price`` over each child's newly covered flags.
+    rng = random.Random(5)
+    for res in run_pricing_residuals():
+        n = len(res.price)
+        for p in res.order[:: max(1, len(res.order) // 10)]:
+            for _ in range(5):
+                uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
+                cost, newly = res.children_of(p, uncovered)
+                idx = res.coverers_of(p)[1]
+                flags = masks_to_flags([res.active[ci].covered & uncovered for ci in idx], n).astype(bool)
+                assert newly.tolist() == pytest.approx([res.price[f].sum() for f in flags], rel=1e-12)
+                assert cost.tolist() == [res.active[ci].cost for ci in idx]
+
+
+def test_run_cache_build_memory_stays_small():
+    # A city-10k-like map: 100x100 blocks with water and blocks outside the
+    # area, under ADS-B, RF and RemoteID.  The block with the most coverers
+    # has about 700; its runs are built a chunk of coverers at a time, where
+    # unpacking all their masks at once would peak at about 7.6 MB.
+    rng = random.Random(100)
+    codes = [[rng.choice([-1, 0, 0, 0, 1, 2, 2, 2, 3, 4, 4]) for _ in range(100)] for _ in range(100)]
+    catalog = default_catalog().filtered(["ADS-B", "RF", "RemoteID"])
+    inst = PlacementInstance.from_coverage(build_coverage(square_mesh(100, codes, min_range=catalog.min_range_km), catalog, 0.98))
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+    p = res.order[-1]
+    assert len(res.coverers_of(p)[1]) > 600
+    tracemalloc.start()
+    try:
+        res.runs_of(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_dual_ascent_builds_no_runs():
+    # The ascent reads a block's coverer list; the runs are the search's.
+    inst = search_like_instance()
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+    solver._dual_ascent(res)
+    assert res._coverers and not res._runs

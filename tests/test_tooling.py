@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -174,6 +176,51 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     assert plan.metadata["site_dominated"] == 202
     assert plan.total_cost == 840_000.0
     assert plan.nodes_explored <= workload.node_budget == 20_000
+
+
+# Each sweep-r point at seed 1: (total_cost, root_lower_bound, cids).  The
+# greedy already has every point's cost; the 300 nodes pick the least-key
+# plan among its ties, so the cids pin the search's path, not only its result.
+_SWEEP_R_PLANS = [
+    (210_000.0, 119481.19325551197, ["RF@000324", "RF@000341", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000271", "RF@000348", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000240", "RF@000348", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000240", "RF@000348", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000262", "RF@000341", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000203", "RF@000341", "RF@000734"]),
+    (210_000.0, 119481.19325551197, ["RF@000028", "RF@000341", "RF@000735"]),
+    (315_000.0, 179221.7898832682, ["RF@000262", "RF@000341", "RF@000734"]),
+]
+
+
+def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
+    # The benchmark's r sweep at seed 1: every point stops on its 300-node
+    # budget, and each one's plan and bound must not move with the search's
+    # pricing.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    from gridwatch import pipeline
+    from gridwatch.scenario import load_scenario
+
+    workload = inputs.WORKLOADS["sweep-r"]
+    scenario = load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))
+    plans = []
+    run_plan = pipeline.run_plan
+
+    def run_and_keep(varied):
+        result = run_plan(varied)
+        plans.append(result.plan)
+        return result
+
+    monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
+    pipeline.sweep(scenario, "r", workload.sweep_values)
+    assert len(plans) == len(_SWEEP_R_PLANS)
+    for plan, (cost, bound, cids) in zip(plans, _SWEEP_R_PLANS):
+        assert plan.total_cost == cost
+        assert plan.nodes_explored == workload.node_budget + 1
+        assert [c.cid for c in plan.chosen] == cids
+        assert plan.metadata["root_lower_bound"] == pytest.approx(bound, rel=1e-12)
 
 
 def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
