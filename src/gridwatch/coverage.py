@@ -17,8 +17,11 @@ The walk gives every pair's covered-set mask and mean detection probability,
 and the blocks no pair covers; none of that depends on the required
 detection probability.
 Pricing then turns each pair into a :class:`Candidate` at one requirement:
-unit counts from :func:`redundancy`, then costs; a returned table is feasible.
-A sweep over the requirement walks once; later points price the last table.
+the unit rule of :func:`redundancy` runs over one sensor type's mean
+detection probabilities as an array, then costs follow; a returned table is
+feasible.  A sweep over the requirement walks once; later points price the
+last table's entries again and keep each one whose unit count and cost are
+unchanged as the same object, so only the others are built anew.
 
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
@@ -116,39 +119,56 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
 
     The real-valued unit count log(1-required)/log(1-mean_detect) is rounded
     per ``rounding`` (near-integer ratios are snapped first), clamped to at
-    least 1, then multiplied by the 360-degree field-of-view multiplier.
+    least 1, then multiplied by the 360-degree field-of-view multiplier.  It
+    is the unit rule :func:`build_coverage` applies to a whole type at once,
+    here on a single value.
     """
     if not 0.0 < required < 1.0:
         raise ValidationError(f"required detection probability must be in (0, 1), got {required}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-    return _units(mean_detect, math.log1p(-required), fov, rounding)
+    return _unit_counts(np.array([mean_detect], dtype=np.float64), math.log1p(-required), fov, rounding)[0]
 
 
-def _units(mean_detect: float, log_miss: float, fov: int, rounding: str) -> int:
-    """:func:`redundancy` at a requirement whose ``log1p(-required)`` is
-    ``log_miss``, the requirement and ``rounding`` already checked."""
-    if mean_detect >= 1.0:
-        raise DegenerateDetection(f"mean detection probability {mean_detect} leaves zero misdetection")
-    if not 0.0 < mean_detect < 1.0:
-        raise ValidationError(f"mean detection probability must be in (0, 1), got {mean_detect}")
-    raw = log_miss / math.log1p(-mean_detect)
-    if not math.isfinite(raw * fov):
-        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
-    nearest_int = round(raw)
-    if abs(raw - nearest_int) <= _SNAP_REL * max(1.0, abs(raw)):
-        n = int(nearest_int)
-    elif rounding == "ceil":
-        n = math.ceil(raw)
-    elif rounding == "floor":
-        n = math.floor(raw)
-    else:
-        n = math.floor(raw + 0.5)
-    # Rounding up can carry a finite raw * fov past the float range.
-    units = max(1, n) * fov
-    if units > sys.float_info.max:
-        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
-    return units
+def _unit_counts(mean_detect: np.ndarray, log_miss: float, fov: int, rounding: str) -> list:
+    """:func:`redundancy` of each of ``mean_detect``, as Python ints, at a
+    requirement whose ``log1p(-required)`` is ``log_miss``, the requirement
+    and ``rounding`` already checked.  The first value whose count cannot be
+    computed raises: :class:`DegenerateDetection` for a value of 1 or more
+    or a count past the float range, :class:`ValidationError` for any other
+    value outside (0, 1).
+
+    Each step is one IEEE operation per value, so the counts are those of
+    the formula taken one value at a time.  The denominators come from
+    ``math.log1p``: numpy's ``log1p`` differs from it in the last bit on
+    some inputs, which can move a ratio across a rounding boundary."""
+    valid = (mean_detect > 0.0) & (mean_detect < 1.0)
+    # Values outside (0, 1) are priced at 0.5 and raise below.
+    den = np.fromiter(map(math.log1p, -np.where(valid, mean_detect, 0.5)), dtype=np.float64, count=len(mean_detect))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = log_miss / den
+        finite = np.isfinite(raw * float(fov))
+        nearest = np.rint(raw)
+        snapped = np.abs(raw - nearest) <= _SNAP_REL * np.maximum(1.0, np.abs(raw))
+        if rounding == "ceil":
+            rounded = np.ceil(raw)
+        elif rounding == "floor":
+            rounded = np.floor(raw)
+        else:
+            rounded = np.floor(raw + 0.5)
+        n = np.maximum(np.where(snapped, nearest, rounded), 1.0)
+        # A count past 2**1023 is checked exactly below: rounding up can carry
+        # a finite raw * fov past the float range.
+        flagged = np.flatnonzero(~valid | ~finite | (n * float(fov) > 2.0**1023))
+    for i in flagged.tolist():
+        zeta = mean_detect[i].item()
+        if zeta >= 1.0:
+            raise DegenerateDetection(f"mean detection probability {zeta} leaves zero misdetection")
+        if not 0.0 < zeta < 1.0:
+            raise ValidationError(f"mean detection probability must be in (0, 1), got {zeta}")
+        if not finite[i] or int(n[i]) * fov > sys.float_info.max:
+            raise DegenerateDetection(f"mean detection probability {zeta} needs more units than a float can count")
+    return [int(k) * fov for k in n]
 
 
 def masks_to_bytes(masks: list, n: int) -> np.ndarray:
@@ -163,6 +183,13 @@ def masks_to_flags(masks: list, n: int) -> np.ndarray:
     return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
 
 
+# The set bits of each byte value v, ascending, are
+# _BYTE_BITS[_BYTE_FIRST[v] : _BYTE_FIRST[v] + _BYTE_COUNT[v]].
+_BYTE_VALUES, _BYTE_BITS = np.nonzero(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"))
+_BYTE_COUNT = np.bincount(_BYTE_VALUES, minlength=256)
+_BYTE_FIRST = np.cumsum(_BYTE_COUNT) - _BYTE_COUNT
+
+
 def masks_to_runs(masks: list, n: int) -> tuple:
     """The maximal runs of set bits of the masks over ``n`` positions:
     ``(runs, offsets)``, where ``runs`` holds one int32 ``[lo, hi)`` row per
@@ -171,11 +198,19 @@ def masks_to_runs(masks: list, n: int) -> tuple:
 
     A run starts and ends where a bit differs from the one below it, so the
     set bits of ``m ^ (m << 1)`` over ``n + 1`` positions are its bounds,
-    alternately lo and hi."""
-    row, at = np.nonzero(masks_to_flags([m ^ (m << 1) for m in masks], n + 1))
-    offsets = np.zeros(len(masks) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=len(masks)) // 2, out=offsets[1:])
-    return at.astype(np.int32).reshape(-1, 2), offsets
+    alternately lo and hi.  Only the nonzero bytes of those are expanded,
+    each to its set bits from a table of all 256 byte values."""
+    data = masks_to_bytes([m ^ (m << 1) for m in masks], n + 1)
+    at = np.flatnonzero(data)
+    value = data.reshape(-1)[at]
+    count = _BYTE_COUNT[value]
+    row, col = np.divmod(at, data.shape[1])
+    # ends[j] bounds lie in the nonzero bytes before the j-th.
+    ends = np.concatenate(([0], np.cumsum(count)))
+    bits = _BYTE_BITS[np.arange(ends[-1]) + np.repeat(_BYTE_FIRST[value] - ends[:-1], count)]
+    bounds = bits + np.repeat(col * 8, count)
+    offsets = ends[np.searchsorted(row, np.arange(len(masks) + 1))] // 2
+    return bounds.astype(np.int32).reshape(-1, 2), offsets
 
 
 def mask_positions(mask: int) -> list:
@@ -338,6 +373,70 @@ def _covered_sets(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, omega: np.nd
     return out
 
 
+def _priced(pairs: list, log_miss: float, rounding: str) -> list:
+    """A :class:`Candidate` for each of the walk's ``(cid, spec, site,
+    covered, mean_detect)`` pairs at a requirement whose
+    ``log1p(-required)`` is ``log_miss``, priced a sensor type at a time."""
+    entries = []
+    for _, group in itertools.groupby(pairs, key=lambda pair: pair[1].name):
+        group = list(group)
+        spec = group[0][1]
+        units = _unit_counts(
+            np.fromiter((pair[4] for pair in group), dtype=np.float64, count=len(group)),
+            log_miss,
+            spec.fov_multiplier,
+            rounding,
+        )
+        entries.extend(
+            Candidate(
+                cid=cid,
+                covered=covered,
+                cost=n * spec.unit_price_usd,
+                sensor=spec.name,
+                site=site,
+                units=n,
+                mean_detect=zeta,
+            )
+            for (cid, _, site, covered, zeta), n in zip(group, units)
+        )
+    return entries
+
+
+def _repriced(old: tuple, catalog: SensorCatalog, log_miss: float, rounding: str) -> list:
+    """``old``, a table's entries, priced again as :func:`_priced` prices
+    the walk, each with the spec of ``catalog`` that its sensor names.  An
+    entry whose unit count and cost come out unchanged is kept as it is:
+    every other field is its own."""
+    specs = {spec.name: spec for spec in catalog}
+    entries = []
+    for name, group in itertools.groupby(old, key=lambda e: e.sensor):
+        group = list(group)
+        spec = specs[name]
+        units = _unit_counts(
+            np.fromiter((e.mean_detect for e in group), dtype=np.float64, count=len(group)),
+            log_miss,
+            spec.fov_multiplier,
+            rounding,
+        )
+        for e, n in zip(group, units):
+            cost = n * spec.unit_price_usd
+            if e.units == n and e.cost == cost:
+                entries.append(e)
+            else:
+                entries.append(
+                    Candidate(
+                        cid=e.cid,
+                        covered=e.covered,
+                        cost=cost,
+                        sensor=name,
+                        site=e.site,
+                        units=n,
+                        mean_detect=e.mean_detect,
+                    )
+                )
+    return entries
+
+
 def build_coverage(
     mesh: AreaMesh,
     catalog: SensorCatalog,
@@ -352,37 +451,31 @@ def build_coverage(
     that cannot be computed, :class:`ValidationError` for install costs that
     sum past the float range, :class:`InfeasibleCoverage` for blocks no pair covers.
 
+    Unit counts are priced one sensor type at a time, as an array (see
+    :func:`_unit_counts`); the first pair in table order whose count cannot
+    be computed raises.
+
     ``like``, when given, is a table over ``mesh`` and an equal catalog at any
     requirement and rounding.  Its entries' cids, sites, covered sets and mean
     detection probabilities are priced again, each with the spec of
-    ``catalog`` that its sensor names, in place of walking the stencils.
-    Otherwise the walk runs here, with its :class:`TooLarge` guard.
+    ``catalog`` that its sensor names, in place of walking the stencils.  An
+    entry whose unit count and cost come out unchanged is kept: the new table
+    holds that very object, and builds a new :class:`Candidate` only for the
+    others.  Otherwise the walk runs here, with its :class:`TooLarge` guard.
     """
     if not 0.0 < required_detection < 1.0:
         raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
+    log_miss = math.log1p(-required_detection)
     uncovered = ()
+    # Each type's lists die with the pricing helper's frame, so none of them
+    # is alive beside the table's tuple at the peak of this call.
     if like is None:
         pairs, uncovered = _footprints(mesh, catalog)
+        entries = _priced(pairs, log_miss, rounding)
     else:
-        specs = {spec.name: spec for spec in catalog}
-        pairs = ((e.cid, specs[e.sensor], e.site, e.covered, e.mean_detect) for e in like.entries)
-    log_miss = math.log1p(-required_detection)
-    entries = []
-    for cid, spec, site, covered, zeta in pairs:
-        units = _units(zeta, log_miss, spec.fov_multiplier, rounding)
-        entries.append(
-            Candidate(
-                cid=cid,
-                covered=covered,
-                cost=units * spec.unit_price_usd,
-                sensor=spec.name,
-                site=site,
-                units=units,
-                mean_detect=zeta,
-            )
-        )
+        entries = _repriced(like.entries, catalog, log_miss, rounding)
     # A finite sum bounds every plan's cost, so no plan total can overflow.
     if not math.isfinite(sum(e.cost for e in entries)):
         raise ValidationError("install costs of the coverage table sum past the float range")

@@ -339,8 +339,11 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> list:
     in the requirement alone, so every point has the same map and catalog,
     and each point after the first reuses the previous point's mesh and
     prices its coverage table (covered sets, mean detection probabilities)
-    again; only unit counts and costs are recomputed.  The table is held
-    until this call returns or raises, and never shared with another call.
+    again: unit counts are recomputed as one array per sensor type, and an
+    entry whose count and cost are unchanged is carried over as the same
+    object, so only entries whose count changed are built anew.  The table
+    is held until this call returns or raises, and never shared with another
+    call.
     A detection_scale sweep changes the mean detection at every point, so
     each point builds its own table."""
     if parameter not in SWEEP_PARAMETERS:

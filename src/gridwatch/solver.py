@@ -249,8 +249,11 @@ def _drop_site_dominated(candidates: Sequence[Candidate]) -> list:
     beaten = set()
     for group in by_site.values():
         for c in group:
-            if any(d.cost < c.cost and not c.covered & ~d.covered for d in group):
-                beaten.add(c.cid)
+            covered = c.covered
+            for d in group:
+                if d.cost < c.cost and covered & d.covered == covered:
+                    beaten.add(c.cid)
+                    break
     return [c for c in candidates if c.cid not in beaten]
 
 

@@ -1,14 +1,16 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs, plus plan and dual feasibility checks and the
-per-site coverage walk that the run walk is checked against."""
+small synthetic meshes/specs, plus plan and dual feasibility checks, and the
+one-at-a-time oracles that array code is checked against: the per-site
+coverage walk, the scalar unit-count rule and the same-site dominance rule."""
 
 import math
+import sys
 
 import numpy as np
 
 from gridwatch.catalog import SensorSpec
-from gridwatch.coverage import MAX_COVERAGE_WORK, _footprint, block_detection
-from gridwatch.errors import TooLarge
+from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection
+from gridwatch.errors import DegenerateDetection, TooLarge, ValidationError
 from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint
 from gridwatch.mesh import DETECTABLE_TERRAINS, build_mesh
 
@@ -133,3 +135,44 @@ def footprints_oracle(mesh, catalog):
             mask = shared.setdefault(mask, mask)
             pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, mask, zeta))
     return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
+
+
+def units_oracle(mean_detect, log_miss, fov, rounding):
+    """``coverage._unit_counts`` of one value, a scalar step at a time: the
+    units at a requirement whose ``log1p(-required)`` is ``log_miss``."""
+    if mean_detect >= 1.0:
+        raise DegenerateDetection(f"mean detection probability {mean_detect} leaves zero misdetection")
+    if not 0.0 < mean_detect < 1.0:
+        raise ValidationError(f"mean detection probability must be in (0, 1), got {mean_detect}")
+    raw = log_miss / math.log1p(-mean_detect)
+    if not math.isfinite(raw * fov):
+        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
+    nearest_int = round(raw)
+    if abs(raw - nearest_int) <= _SNAP_REL * max(1.0, abs(raw)):
+        n = int(nearest_int)
+    elif rounding == "ceil":
+        n = math.ceil(raw)
+    elif rounding == "floor":
+        n = math.floor(raw)
+    else:
+        n = math.floor(raw + 0.5)
+    units = max(1, n) * fov
+    if units > sys.float_info.max:
+        raise DegenerateDetection(f"mean detection probability {mean_detect} needs more units than a float can count")
+    return units
+
+
+def drop_site_dominated_oracle(candidates):
+    """``solver._drop_site_dominated`` by set complement: a sited candidate is
+    dropped when another at its site costs strictly less and leaves none of
+    its blocks uncovered."""
+    by_site = {}
+    for c in candidates:
+        if c.site is not None:
+            by_site.setdefault(c.site, []).append(c)
+    beaten = set()
+    for group in by_site.values():
+        for c in group:
+            if any(d.cost < c.cost and not c.covered & ~d.covered for d in group):
+                beaten.add(c.cid)
+    return [c for c in candidates if c.cid not in beaten]

@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from helpers import footprints_oracle, make_spec, rect_mesh, site_for_block, square_mesh
+from helpers import footprints_oracle, make_spec, rect_mesh, site_for_block, square_mesh, units_oracle
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -176,6 +176,65 @@ def test_redundancy_monotone_in_requirement(zeta):
     assert units == sorted(units)
 
 
+def _outcome(units, *args):
+    """What ``units(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return units(*args)
+    except (DegenerateDetection, ValidationError) as err:
+        return type(err), str(err)
+
+
+def _snapped_pair(pk):
+    # (1 - p)**k == 1 - r in exact arithmetic: log(1 - r) / log(1 - p) is the integer k.
+    p, k = pk
+    return p, 1.0 - (1.0 - p) ** k
+
+
+_mean_detects = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-300),
+    st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53),
+    st.sampled_from([-0.5, 0.0, 1.0, 1.5, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(
+    cases=st.lists(
+        st.one_of(
+            st.tuples(_mean_detects, st.floats(0.01, 0.999)),
+            st.tuples(st.floats(0.01, 0.99), st.integers(1, 40)).map(_snapped_pair),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    fov=st.sampled_from([1, 2, 3, 4]),
+    rounding=st.sampled_from(coverage.ROUNDING_MODES),
+)
+@example(cases=[(0.8, 0.96)], fov=1, rounding="floor")
+# The ratio is 2.5 to within an ulp: numpy's log1p(-0.45), an ulp off
+# math.log1p's, would round it to 2 units where the scalar rule gives 3.
+@example(cases=[(0.45, 0.7756599957653562)], fov=1, rounding="nearest")
+@example(cases=[(0.85, 0.98)], fov=6 * 10**307, rounding="ceil")
+@example(cases=[(0.85, 0.98)], fov=8 * 10**307, rounding="floor")
+@example(cases=[(0.5, 0.9), (2.5e-308, 0.98), (0.0, 0.9)], fov=2, rounding="ceil")
+def test_unit_counts_match_the_scalar_rule(cases, fov, rounding):
+    # At one requirement, the array rule gives each value the scalar rule's
+    # count, and raises what the scalar rule raises at the first value that
+    # fails; as redundancy(), each value on its own gives the same.
+    for _, required in cases:
+        if not 0.0 < required < 1.0:
+            continue
+        log_miss = math.log1p(-required)
+        one_by_one = [_outcome(units_oracle, zeta, log_miss, fov, rounding) for zeta, _ in cases]
+        failed = [o for o in one_by_one if isinstance(o, tuple)]
+        zetas = np.array([zeta for zeta, _ in cases], dtype=np.float64)
+        assert _outcome(coverage._unit_counts, zetas, log_miss, fov, rounding) == (failed[0] if failed else one_by_one)
+    for zeta, required in cases:
+        if 0.0 < required < 1.0:
+            expected = _outcome(units_oracle, zeta, math.log1p(-required), fov, rounding)
+            assert _outcome(redundancy, zeta, required, fov, rounding) == expected
+
+
 # -- coverage table ---------------------------------------------------------------
 
 
@@ -299,6 +358,11 @@ def masks_over(n):
 @example((8, [0, 0xFF, 1, 0x80]))
 @example((64, [0, (1 << 64) - 1, 1 << 63, 0x5555_5555_5555_5555]))
 @example((65, [(1 << 65) - 1, 1 << 64, 1 << 63, 0]))
+@example((0, []))
+@example((13, []))
+@example((13, [0]))
+@example((16, [(1 << 16) - 1, 1 << 15]))
+@example((23, [(1 << 23) - 1, 1 << 22, 0]))
 def test_masks_to_runs_match_positions(case):
     n, masks = case
     runs, offsets = masks_to_runs(masks, n)
@@ -359,6 +423,7 @@ def test_priced_footprints_match_a_fresh_table():
     mesh = square_mesh(5, [[0, 1, 2, 3, 4]] * 5, min_range=0.4)
     catalog = default_catalog().filtered(["Radar", "RF", "Acoustic"])
     like = build_coverage(mesh, catalog, 0.5, "floor")
+    kept_in_all = []
     for r in (0.9, 0.98):
         for rounding in coverage.ROUNDING_MODES:
             reused = build_coverage(mesh, catalog, r, rounding, like=like)
@@ -366,6 +431,11 @@ def test_priced_footprints_match_a_fresh_table():
             assert reused.entries == fresh.entries != like.entries
             assert reused.mesh is like.mesh
             assert all(e.covered is f.covered for e, f in zip(reused.entries, like.entries))
+            # An entry whose unit count holds is the ``like`` entry itself.
+            kept = [e is f for e, f in zip(reused.entries, like.entries)]
+            assert kept == [e.units == f.units for e, f in zip(reused.entries, like.entries)]
+            kept_in_all += kept
+    assert 0 < sum(kept_in_all) < len(kept_in_all)
 
 
 # -- the run walk ------------------------------------------------------------------

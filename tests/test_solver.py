@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import covers, dual_violations, make_spec, rect_mesh, square_mesh
+from helpers import covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -446,6 +446,22 @@ def test_lagrangian_bound_and_fixing_keep_the_optimum(instances):
         assert math.fsum(c.cost for c in incumbent) <= math.fsum(c.cost for c in greedy)
         fixed += len(active) - len(kept)
     assert fixed >= 1000
+
+
+@given(
+    n=st.integers(1, 8),
+    specs=st.lists(
+        st.tuples(st.integers(0, 255), st.sampled_from([1.0, 2.0, 2.0, 3.0]), st.sampled_from([None, 0, 1, 2])),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_same_site_dominance_matches_the_complement_rule(n, specs):
+    # Tied and unequal costs, shared and distinct sites, subsets, supersets and equal sets.
+    sets = [(f"c{i:02d}", [p for p in range(n) if bits >> p & 1], cost) for i, (bits, cost, _) in enumerate(specs)]
+    inst = inst_from(range(n), sets)
+    sited = [replace(c, site=site) for c, (_, _, site) in zip(inst.candidates, specs)]
+    assert solver._drop_site_dominated(sited) == drop_site_dominated_oracle(sited)
 
 
 def test_same_site_dominance_keeps_the_plan():
