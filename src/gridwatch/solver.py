@@ -7,14 +7,24 @@ install cost.  Candidates are the :class:`Candidate` records ``coverage.py``
 defines, whose covered sets are Python-int bitmasks over positions in the
 instance's universe tuple.  For an instance built from a coverage table the
 universe is ``mesh.in_area_blocks`` and the candidates are the table's own
-entries, sorted by cid.  Node expansion is integer AND/OR work plus one
-pricing pass per node: the node's uncovered blocks are unpacked once into a
-prefix sum of their prices, and what each child newly covers is priced by
-differences of that sum over the runs of set bits of the child's mask.  A
-block's coverers are a bitmask too, over indices into the residual
-candidates, kept beside the same indices as a list, and their runs and costs
-are cached beside them on the block's first branching; a node skips its
-excluded coverers among the children that pass the bound.
+entries, sorted by cid.  Node expansion is integer AND/OR work plus at
+most one pricing pass per node: the node's uncovered blocks are unpacked
+once into a prefix sum of their prices, and what each child newly covers is
+priced by differences of that sum over the runs of set bits of the child's
+mask.  A block's coverers are a bitmask too, over indices into the residual
+candidates, kept beside the same indices as a list and their least cost;
+their runs and costs are cached beside them on the block's first pricing; a
+node skips its excluded coverers among the children that pass the bound.
+
+Before pricing, a node tries two lower bounds on every child: each adds a
+coverer of the branch block, so costs at least the least of their costs
+more, and each that does not finish the cover leaves a block priced at
+least the residual's least price.  When the first bound, or the second with
+no coverer that covers every uncovered block, reaches one prune slack past
+the pruning threshold, no child could pass, and the node is not priced.
+The node is still counted, as the bounds are tried at expansion and not at
+push: the same nodes are explored, within any budget, and the same plan is
+found.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -59,7 +69,11 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # The drift includes that of the incremental child bound: a child's bound is
 # its parent's less the price of what it newly covers, a difference of prefix
 # sums off by a few ulps of the parent's bound, so at depth d it is off from a
-# fresh sum by a few d ulps of the root bound, far below this slack.
+# fresh sum by a few d ulps of the root bound, far below this slack.  The same
+# drift backs the search's skip of a node's pricing: a node is left unpriced
+# only when its children's lower bounds reach one slack past the threshold,
+# so a child bound that drifted below its exact value, even below zero, still
+# could not have passed the threshold.
 _PRUNE_REL = 1e-9
 
 #: Most candidates :func:`solve_brute` takes; it scans all 2^n subsets.
@@ -338,9 +352,12 @@ class _Residual:
     ``forced`` and their cost; the candidates ``active`` that still cover a
     block, with their ``cost`` and ``sizes`` (blocks left covered); the
     blocks left, ``remaining``, at positions ``rows``; the share price of
-    :func:`_root_pass` and its sum ``bound``; the branch order; each branch
-    block's coverers, found on first use; and, for the search alone, their
-    runs of set bits and costs, also found on first use.
+    :func:`_root_pass`, its sum ``bound`` and its least ``least_price``; the
+    branch order; each branch block's coverers and their least cost, found
+    on first use; and, for the search alone, their runs of set bits and
+    costs, also found on first use.  The search skips pricing a node none
+    of whose children could pass by two bounds on these least values; both
+    start from :meth:`least_cost_of`.
 
     Forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
@@ -365,18 +382,26 @@ class _Residual:
         self.rows = np.array(mask_positions(remaining), dtype=np.intp)
         self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n)
         self.bound = float(self.price[self.rows].sum())
+        self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
         self._coverers = {}
         self._runs = {}
 
     def coverers_of(self, p: int) -> tuple:
         """The mask with bit ci set for each coverer ``active[ci]`` of block
-        ``p``, and the same coverers as an ascending index list."""
+        ``p``, the same coverers as an ascending index list, and the least
+        of their costs."""
         found = self._coverers.get(p)
         if found is None:
             bit = 1 << p
             idx = [ci for ci, c in enumerate(self.active) if c.covered & bit]
-            found = self._coverers[p] = (sum(1 << ci for ci in idx), idx)
+            found = self._coverers[p] = (sum(1 << ci for ci in idx), idx, min(self.active[ci].cost for ci in idx))
         return found
+
+    def least_cost_of(self, p: int) -> float:
+        """The least cost among the coverers of block ``p``, excluded ones
+        too: every child of a node branching on ``p`` adds at least this
+        much.  Both of the search's skip bounds read it."""
+        return self.coverers_of(p)[2]
 
     def runs_of(self, p: int) -> tuple:
         """``(runs, first, cost)`` of the coverers of block ``p``, in the
@@ -454,10 +479,25 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     """Depth-first branch and bound over ``res`` from ``incumbent``, a plan
     over the whole universe; returns ``(nodes, budget_exceeded, incumbent)``,
     where ``incumbent`` is the least by :func:`_plan_key` of the plans seen
-    and ``nodes`` is ``node_budget + 1`` when the budget stopped the search."""
+    and ``nodes`` is ``node_budget + 1`` when the budget stopped the search.
+
+    A node counted and not pruned on its own bound picks its branch block,
+    then tries two lower bounds on its children before it prices them.
+    Every child adds a coverer of the block, so it costs at least
+    ``forced_cost + (cost + least)``, ``least`` the least cost among the
+    block's coverers, excluded ones too.  A child that does not finish the
+    cover also leaves a block priced at least ``res.least_price``.  When the
+    first sum, or the second with no coverer that covers every uncovered
+    block (an exact test on the masks), reaches ``skip_at``, one prune slack
+    past ``threshold``, no child can pass even with its bound drifted (see
+    ``_PRUNE_REL``), so the node pushes and ranks nothing and is not priced.
+    The bounds are tried here, at expansion, and not when the node is
+    pushed: a node skipped at push would not be counted, and a budgeted
+    search would then reach other nodes."""
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
     inc_key = _plan_key(incumbent)
     threshold = _prune_at(inc_key[0])
+    skip_at = _prune_at(threshold)
     nodes = 0
     # A stack entry: (uncovered, excluded, cost, chosen_idx, bound), where
     # bound is the price of ``uncovered``.
@@ -474,7 +514,15 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             if (uncovered >> p) & 1:
                 branch_pos = p
                 break
-        coverer_mask, idx = res.coverers_of(branch_pos)
+        coverer_mask, idx, _ = res.coverers_of(branch_pos)
+        # Every child adds a coverer of the branch block, and one that does
+        # not finish the cover leaves a block priced at least ``least_price``:
+        # when these bounds reach ``skip_at``, pricing would pass no child.
+        least_child = forced_cost + (cost + res.least_cost_of(branch_pos))
+        if least_child >= skip_at:
+            continue
+        if least_child + res.least_price >= skip_at and not any(uncovered & active[ci].covered == uncovered for ci in idx):
+            continue
         # A child's bound is this node's bound less the price of what the
         # child newly covers.  Every coverer's child is priced at once, and
         # the excluded ones are skipped among those that pass the bound.
@@ -497,6 +545,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
                 if key < inc_key:
                     incumbent, inc_key = chosen, key
                     threshold = _prune_at(inc_key[0])
+                    skip_at = _prune_at(threshold)
                 continue
             # The incumbent may have improved at an earlier sibling.
             if child_lower[j] >= threshold:
@@ -638,13 +687,19 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
     candidates are bitmasks over the residual candidates.  Each stack entry
-    carries its bound.  A node unpacks its uncovered blocks once into a
-    prefix sum of their prices, prices every coverer of its block by
-    differences of that sum over the runs of set bits of the coverer's mask,
-    cached per block, and takes each child's bound as its own less that
-    price.  It drops the children that cannot beat the incumbent before any
-    per-child work, then skips the excluded ones.  Leaves are ranked by
-    :func:`_plan_key`, so the plan is the least one by (fsum cost, size, cids).
+    carries its bound.  A node first tries two cheap lower bounds on all its
+    children: the least cost among its block's coverers, and that plus the
+    least block price when no coverer finishes the cover.  When they reach
+    one prune slack past the threshold, no child can pass and the node is
+    counted but not priced; checked at expansion and not at push, this keeps
+    the nodes explored and the plan found.  Otherwise it unpacks its
+    uncovered blocks once into a prefix sum of their prices, prices every
+    coverer of its block by differences of that sum over the runs of set
+    bits of the coverer's mask, cached per block, and takes each child's
+    bound as its own less that price.  It drops the children that cannot
+    beat the incumbent before any per-child work, then skips the excluded
+    ones.  Leaves are ranked by :func:`_plan_key`, so the plan is the least
+    one by (fsum cost, size, cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per

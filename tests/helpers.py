@@ -1,6 +1,6 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs, plus plan and dual feasibility checks, and the
-one-at-a-time oracles that array code is checked against: the per-site
+small synthetic meshes/specs, plus plan and dual feasibility checks, a spy on
+the search's pricing passes, and the one-at-a-time oracles that array code is checked against: the per-site
 coverage walk, the scalar unit-count rule and the same-site dominance rule."""
 
 import math
@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from gridwatch import solver
 from gridwatch.catalog import SensorSpec
 from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection
 from gridwatch.errors import DegenerateDetection, TooLarge, ValidationError
@@ -91,6 +92,20 @@ def dual_violations(instance, prices, rel=1e-9):
         if math.fsum(held) > c.cost * (1 + rel):
             over.append(c.cid)
     return over
+
+
+def count_pricing_passes(monkeypatch):
+    """How many times the search prices a node's children from now on, in a
+    one-item list, counted through ``monkeypatch``."""
+    calls = [0]
+    children_of = solver._Residual.children_of
+
+    def count(self, p, uncovered):
+        calls[0] += 1
+        return children_of(self, p, uncovered)
+
+    monkeypatch.setattr(solver._Residual, "children_of", count)
+    return calls
 
 
 def footprints_oracle(mesh, catalog):

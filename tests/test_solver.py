@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
+from helpers import count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -931,6 +931,55 @@ def test_run_cache_build_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def solve_both_ways(inst, node_budget):
+    """``solve_exact`` with the search's two skip bounds, then with both
+    turned off through their one seam, and how often each priced a node."""
+    solved = []
+    for least_cost_of in (solver._Residual.least_cost_of, lambda self, p: -math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver._Residual, "least_cost_of", least_cost_of)
+            priced = count_pricing_passes(mp)
+            plan = solve_exact(inst, node_budget=node_budget)
+        search = ([c.cid for c in plan.chosen], plan.nodes_explored, plan.metadata["budget_exceeded"])
+        solved.append((search + (repr(plan.metadata["root_lower_bound"]),), priced[0]))
+    return solved
+
+
+@pytest.mark.parametrize("instances", [tied_integer_instances, float_cost_instances, float_tie_instances])
+@pytest.mark.parametrize("node_budget", [1, 5, 30, solver.DEFAULT_NODE_BUDGET])
+def test_skipping_unpriced_nodes_changes_no_search(instances, node_budget):
+    # A node is left unpriced only when no child could pass the bound, so the
+    # search explores the same nodes and returns the same plan and bound.
+    # Every instance is solved: the bounds skip pricing in about one solve
+    # in four, so a sample would check few of them.  A one-node search
+    # prices its root.
+    skipped = 0
+    for inst in instances():
+        (with_bounds, priced), (without, priced_all) = solve_both_ways(inst, node_budget)
+        assert with_bounds == without
+        skipped += priced < priced_all
+    assert skipped > 0 or node_budget == 1
+
+
+def test_a_child_leaving_a_block_under_the_mean_price_is_priced():
+    # The greedy picks w, then x: 10.2.  The root branches on block 0, and
+    # its child x leaves only block 3, priced 1/3 by w's share, so x passes
+    # at 9.2 + 1/3 and leads to d + x.  The incumbent is 1.0 above x's cost,
+    # under the mean block price of about 1.02: a skip bound that took the
+    # mean price in place of the least would leave the root unpriced.
+    sets = [("w", [1, 2, 3], 1.0), ("x", [0, 1, 2], 9.2), ("y", [0], 9.8), ("z", [1, 2], 8.0), ("d", [3], 0.5)]
+    plan = solve_exact(inst_from(range(4), sets))
+    assert (plan.total_cost, [c.cid for c in plan.chosen], plan.nodes_explored) == (9.7, ["d", "x"], 2)
+
+
+@pytest.mark.parametrize("node_budget", [1, 5, 30, solver.DEFAULT_NODE_BUDGET])
+def test_skipping_unpriced_nodes_changes_no_search_like_search(node_budget):
+    (with_bounds, priced), (without, priced_all) = solve_both_ways(search_like_instance(), node_budget)
+    assert with_bounds == without
+    if node_budget == solver.DEFAULT_NODE_BUDGET:
+        assert priced < priced_all
 
 
 def test_dual_ascent_builds_no_runs():

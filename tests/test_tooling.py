@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import count_pricing_passes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -194,6 +195,7 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     from gridwatch.scenario import load_scenario
 
     workload = inputs.WORKLOADS["search-400"]
+    priced = count_pricing_passes(monkeypatch)
     plan = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))).plan
     assert plan.proven_optimal
     assert plan.metadata["budget_exceeded"] is False
@@ -201,6 +203,9 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     assert plan.metadata["site_dominated"] == 202
     assert plan.total_cost == 840_000.0
     assert plan.nodes_explored <= workload.node_budget == 20_000
+    # Of the 13 631 nodes the search expands, only these are priced: the
+    # others have no child that could pass the bound.
+    assert priced == [3520]
 
 
 # Each sweep-r point at seed 1: (total_cost, root_lower_bound, cids).  The
@@ -239,6 +244,7 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
         return result
 
     monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
+    priced = count_pricing_passes(monkeypatch)
     pipeline.sweep(scenario, "r", workload.sweep_values)
     assert len(plans) == len(_SWEEP_R_PLANS)
     for plan, (cost, bound, cids) in zip(plans, _SWEEP_R_PLANS):
@@ -246,6 +252,8 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
         assert plan.nodes_explored == workload.node_budget + 1
         assert [c.cid for c in plan.chosen] == cids
         assert plan.metadata["root_lower_bound"] == pytest.approx(bound, rel=1e-12)
+    # Of the 8 x 300 nodes the points expand, only these are priced.
+    assert priced == [714]
 
 
 def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
