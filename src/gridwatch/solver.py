@@ -80,7 +80,9 @@ _PRUNE_REL = 1e-9
 MAX_BRUTE_CANDIDATES = 20
 
 # Most cells (candidates x blocks) the root unpacks or prices at once, so
-# that a chunk's temporaries stay well under a megabyte at any size.
+# that a chunk's temporaries stay well under a megabyte at any size.  It also
+# caps the nonzeros of a span of the Lagrangian's steps, and so the width of
+# their reused index buffer, unless one candidate alone covers more blocks.
 _CHUNK_CELLS = 1 << 16
 
 #: Subgradient steps of the root's Lagrangian: a fixed count, never a time
@@ -482,6 +484,9 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     and ``nodes`` is ``node_budget + 1`` when the budget stopped the search.
 
     A node counted and not pruned on its own bound picks its branch block,
+    the first of its uncovered blocks in ``res.order``.  The walk along the
+    order resumes past its parent's branch block: the child covers that
+    block, and its uncovered blocks are a subset of its parent's.  The node
     then tries two lower bounds on its children before it prices them.
     Every child adds a coverer of the block, so it costs at least
     ``forced_cost + (cost + least)``, ``least`` the least cost among the
@@ -499,21 +504,21 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     threshold = _prune_at(inc_key[0])
     skip_at = _prune_at(threshold)
     nodes = 0
-    # A stack entry: (uncovered, excluded, cost, chosen_idx, bound), where
-    # bound is the price of ``uncovered``.
-    stack = [(res.remaining, 0, 0.0, (), res.bound)] if res.remaining else []
+    order = res.order
+    # A stack entry: (uncovered, excluded, cost, chosen_idx, bound, at),
+    # where bound is the price of ``uncovered`` and ``order[:at]`` holds none
+    # of its blocks.
+    stack = [(res.remaining, 0, 0.0, (), res.bound, 0)] if res.remaining else []
     while stack:
-        uncovered, excluded, cost, chosen_idx, bound = stack.pop()
+        uncovered, excluded, cost, chosen_idx, bound, at = stack.pop()
         nodes += 1
         if nodes > node_budget:
             return nodes, True, incumbent
         if forced_cost + cost + bound >= threshold:
             continue
-        branch_pos = None
-        for p in res.order:
-            if (uncovered >> p) & 1:
-                branch_pos = p
-                break
+        while not (uncovered >> order[at]) & 1:
+            at += 1
+        branch_pos = order[at]
         coverer_mask, idx, _ = res.coverers_of(branch_pos)
         # Every child adds a coverer of the branch block, and one that does
         # not finish the cover leaves a block priced at least ``least_price``:
@@ -553,7 +558,9 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             # Siblings earlier in ``idx`` are excluded below this child.
             child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
             ratio = c.cost / newly.bit_count()
-            children.append(((ratio, c.cid), (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]))))
+            # The child covers the branch block and every block before it.
+            child = (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]), at + 1)
+            children.append(((ratio, c.cid), child))
         children.sort(key=lambda item: item[0], reverse=True)
         stack.extend(node for _, node in children)
     return nodes, False, incumbent
@@ -580,29 +587,44 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     ``bound`` is the best L; ``keep`` flags the candidates whose rc at its
     u leaves L + max(0, rc) within the prune slack of UB, the only ones a
     plan costing no more than the incumbent can hold, and those of the
-    incumbent.  Column j's rows are a slice of one int32 array of row
-    indices, filled from masks unpacked a chunk of ``_chunk_rows(n)``
-    candidates at a time; A^T u and A x walk the same chunks, so no
-    temporary spans the whole incidence."""
+    incumbent.
+
+    The incidence is stored as int32, column j's rows a slice of one array of
+    row indices, filled from masks unpacked a chunk of ``_chunk_rows(n)``
+    candidates at a time.  The steps walk it in spans of whole consecutive
+    columns, each holding at most ``_CHUNK_CELLS`` nonzeros, or one column
+    that alone holds more.  A^T u copies a span's rows into one reused intp
+    buffer, the width of the widest span, gathers u at them and sums each
+    column by ``np.add.reduceat``: every column's sum is a reduction over the
+    same values in the same order whatever the spans, so the bound does not
+    depend on their width.  A x counts the rows of a span's flagged columns,
+    skipping spans with none, and is exact."""
     active, rows, cost, sizes, forced, forced_cost = res.active, res.rows, res.cost, res.sizes, res.forced, res.forced_cost
     n, m = len(start), len(rows)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     incidence = np.empty(int(ends[-1]), dtype=np.int32)
-    # A chunk: its candidates, their rows, and where each one's rows start.
-    chunks = []
     step = _chunk_rows(n)
     for a in range(0, len(active), step):
         b = min(a + step, len(active))
         at = np.flatnonzero(masks_to_flags([c.covered for c in active[a:b]], n)[:, rows])
         incidence[starts[a] : ends[b - 1]] = np.remainder(at, m, out=at)
-        chunks.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
+    # A span: its columns, their rows, and where each one's rows start.
+    spans = []
+    a = 0
+    while a < len(active):
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _CHUNK_CELLS, side="right")))
+        spans.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
+        a = b
+    index = np.empty(max(len(rows_in) for _, rows_in, _ in spans), dtype=np.intp)
 
     def hits_of(x: np.ndarray) -> np.ndarray:
         """How many of the candidates flagged in ``x`` cover each row."""
         hits = np.zeros(m, dtype=np.intp)
-        for cols, rows_in, _ in chunks:
-            hits += np.bincount(rows_in[np.repeat(x[cols], sizes[cols])], minlength=m)
+        for cols, rows_in, _ in spans:
+            flagged = x[cols]
+            if flagged.any():
+                hits += np.bincount(rows_in[np.repeat(flagged, sizes[cols])], minlength=m)
         return hits
 
     position = {c.cid: j for j, c in enumerate(active)}
@@ -610,8 +632,10 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
 
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
-        for cols, rows_in, at in chunks:
-            rc[cols] -= np.add.reduceat(u[rows_in], at)
+        for cols, rows_in, at in spans:
+            idx = index[: len(rows_in)]
+            np.copyto(idx, rows_in)
+            rc[cols] -= np.add.reduceat(u.take(idx), at)
         return rc
 
     def heuristic(picked: list) -> list:
@@ -624,7 +648,7 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         hits = hits_of(x)
         kept = []
         for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
-            seg = incidence[starts[j] : ends[j]]
+            seg = incidence[starts[j] : ends[j]].astype(np.intp)
             if hits[seg].min() > 1:
                 hits[seg] -= 1
             else:
@@ -687,7 +711,8 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
     candidates are bitmasks over the residual candidates.  Each stack entry
-    carries its bound.  A node first tries two cheap lower bounds on all its
+    carries its bound and where its walk along the branch order resumes,
+    past its parent's branch block.  A node first tries two cheap lower bounds on all its
     children: the least cost among its block's coverers, and that plus the
     least block price when no coverer finishes the cover.  When they reach
     one prune slack past the threshold, no child can pass and the node is

@@ -669,6 +669,29 @@ def test_root_relaxations_do_not_depend_on_the_chunk_size(monkeypatch, instance,
         assert (got_bound, int(got_keep.sum())) == ("820869.0351556332", 233)
 
 
+def test_the_lagrangian_does_not_depend_on_the_span_width(monkeypatch):
+    # A^T u sums each column over the same rows in the same order whatever
+    # the spans: at 100 cells most of these instances split into several
+    # spans, and at 1 cell every span holds one column.  100 steps keep the
+    # loop short and still shrink the step size and call the heuristic.
+    monkeypatch.setattr(solver, "_LAGRANGE_STEPS", 100)
+    default, split = solver._CHUNK_CELLS, 0
+    for inst in itertools.chain(tied_integer_instances(), float_cost_instances()):
+        kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+        res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+        if not res.remaining:
+            continue
+        split += int(res.sizes.sum()) > 100
+        results = []
+        for span_cells in (default, 100, 1):
+            monkeypatch.setattr(solver, "_CHUNK_CELLS", span_cells)
+            _, bound, keep, cids = root_relaxations(inst)
+            results.append((bound, keep.tolist(), cids))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+    assert split >= 400
+
+
 def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
     unpacked = []
     unpack = solver.masks_to_flags

@@ -203,6 +203,10 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     assert plan.metadata["site_dominated"] == 202
     assert plan.total_cost == 840_000.0
     assert plan.nodes_explored <= workload.node_budget == 20_000
+    # The proof's path: float drift in the root's Lagrangian would move the
+    # core, and so the node count and the bound, before it moved the cost.
+    assert plan.nodes_explored == 13_632
+    assert repr(plan.metadata["root_lower_bound"]) == "820087.4718272432"
     # Of the 13 631 nodes the search expands, only these are priced: the
     # others have no child that could pass the bound.
     assert priced == [3520]
