@@ -20,8 +20,9 @@ Pricing then turns each pair into a :class:`Candidate` at one requirement:
 the unit rule of :func:`redundancy` runs over one sensor type's mean
 detection probabilities as an array, then costs follow; a returned table is
 feasible.  A sweep over the requirement walks once; later points price the
-last table's entries again and keep each one whose unit count and cost are
-unchanged as the same object, so only the others are built anew.
+last table's entries again, by the same function, and keep each one whose
+unit count and cost are unchanged as the same object, so only the others
+are built anew.
 
 This module owns the covered-set format and the candidate record used from
 here to the solver.  A covered set is a Python-int bitmask over in-area
@@ -38,9 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -123,11 +125,17 @@ def redundancy(mean_detect: float, required: float, fov: int = 1, rounding: str 
     is the unit rule :func:`build_coverage` applies to a whole type at once,
     here on a single value.
     """
+    return _unit_counts(np.array([mean_detect], dtype=np.float64), _log_miss(required, rounding), fov, rounding)[0]
+
+
+def _log_miss(required: float, rounding: str) -> float:
+    """``log1p(-required)``, once ``required`` is checked to lie in (0, 1)
+    and ``rounding`` to be one of ``ROUNDING_MODES``."""
     if not 0.0 < required < 1.0:
         raise ValidationError(f"required detection probability must be in (0, 1), got {required}")
     if rounding not in ROUNDING_MODES:
         raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-    return _unit_counts(np.array([mean_detect], dtype=np.float64), math.log1p(-required), fov, rounding)[0]
+    return math.log1p(-required)
 
 
 def _unit_counts(mean_detect: np.ndarray, log_miss: float, fov: int, rounding: str) -> list:
@@ -254,12 +262,12 @@ _GROUP_CELLS = 2**17
 
 
 def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
-    """The stencil walk of :func:`build_coverage`: ``(cid, spec, site,
-    covered, mean_detect)`` for every (sensor type, candidate site) pair that
-    covers a block, in sensor-name then site order, and the in-area blocks no
-    pair covers.  When sensor types x candidate sites x in-area blocks exceeds
-    ``MAX_COVERAGE_WORK``, :class:`TooLarge` is raised before any footprint
-    is computed.
+    """The stencil walk of :func:`build_coverage`: the row ``(cid, sensor,
+    site, covered, mean_detect, None)`` that :func:`_priced` takes for every
+    (sensor type, candidate site) pair that covers a block, in sensor-name
+    then site order, and the in-area blocks no pair covers.  When sensor
+    types x candidate sites x in-area blocks exceeds ``MAX_COVERAGE_WORK``,
+    :class:`TooLarge` is raised before any footprint is computed.
 
     Every stencil row is one run of columns, so a site's covered set is one
     range of mask bits per grid row it reaches (see :func:`_site_runs`).  A
@@ -310,7 +318,7 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
                         last = next(built)
                         union |= last[0]
                 if last is not None:
-                    pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, *last))
+                    pairs.append((f"{spec.name}@{site.block:06d}", spec.name, site.block, *last, None))
     unreached = masks_to_flags([union], n_in_area)[0] == 0
     return pairs, tuple(np.flatnonzero(in_area)[unreached].tolist())
 
@@ -373,66 +381,30 @@ def _covered_sets(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, omega: np.nd
     return out
 
 
-def _priced(pairs: list, log_miss: float, rounding: str) -> list:
-    """A :class:`Candidate` for each of the walk's ``(cid, spec, site,
-    covered, mean_detect)`` pairs at a requirement whose
-    ``log1p(-required)`` is ``log_miss``, priced a sensor type at a time."""
+def _priced(rows: Iterable[tuple], catalog: SensorCatalog, log_miss: float, rounding: str) -> list:
+    """A :class:`Candidate` for each of ``rows``, ``(cid, sensor, site,
+    covered, mean_detect, old)`` in sensor-name order, at a requirement whose
+    ``log1p(-required)`` is ``log_miss``, priced a sensor type at a time with
+    the spec of ``catalog`` that ``sensor`` names.  ``old`` is a priced entry
+    or None; where its unit count and cost come out unchanged it is returned
+    itself, and every other row is built anew."""
     entries = []
-    for _, group in itertools.groupby(pairs, key=lambda pair: pair[1].name):
+    for name, group in itertools.groupby(rows, key=operator.itemgetter(1)):
         group = list(group)
-        spec = group[0][1]
+        spec = catalog.get(name)
         units = _unit_counts(
-            np.fromiter((pair[4] for pair in group), dtype=np.float64, count=len(group)),
+            np.fromiter(map(operator.itemgetter(4), group), dtype=np.float64, count=len(group)),
             log_miss,
             spec.fov_multiplier,
             rounding,
         )
-        entries.extend(
-            Candidate(
-                cid=cid,
-                covered=covered,
-                cost=n * spec.unit_price_usd,
-                sensor=spec.name,
-                site=site,
-                units=n,
-                mean_detect=zeta,
-            )
-            for (cid, _, site, covered, zeta), n in zip(group, units)
-        )
-    return entries
-
-
-def _repriced(old: tuple, catalog: SensorCatalog, log_miss: float, rounding: str) -> list:
-    """``old``, a table's entries, priced again as :func:`_priced` prices
-    the walk, each with the spec of ``catalog`` that its sensor names.  An
-    entry whose unit count and cost come out unchanged is kept as it is:
-    every other field is its own."""
-    specs = {spec.name: spec for spec in catalog}
-    entries = []
-    for name, group in itertools.groupby(old, key=lambda e: e.sensor):
-        group = list(group)
-        spec = specs[name]
-        units = _unit_counts(
-            np.fromiter((e.mean_detect for e in group), dtype=np.float64, count=len(group)),
-            log_miss,
-            spec.fov_multiplier,
-            rounding,
-        )
-        for e, n in zip(group, units):
+        for (cid, _, site, covered, zeta, old), n in zip(group, units):
             cost = n * spec.unit_price_usd
-            if e.units == n and e.cost == cost:
-                entries.append(e)
+            if old is not None and old.units == n and old.cost == cost:
+                entries.append(old)
             else:
                 entries.append(
-                    Candidate(
-                        cid=e.cid,
-                        covered=e.covered,
-                        cost=cost,
-                        sensor=name,
-                        site=e.site,
-                        units=n,
-                        mean_detect=e.mean_detect,
-                    )
+                    Candidate(cid=cid, covered=covered, cost=cost, sensor=name, site=site, units=n, mean_detect=zeta)
                 )
     return entries
 
@@ -463,19 +435,15 @@ def build_coverage(
     holds that very object, and builds a new :class:`Candidate` only for the
     others.  Otherwise the walk runs here, with its :class:`TooLarge` guard.
     """
-    if not 0.0 < required_detection < 1.0:
-        raise ValidationError(f"required detection must be in (0, 1), got {required_detection}")
-    if rounding not in ROUNDING_MODES:
-        raise ValidationError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
-    log_miss = math.log1p(-required_detection)
+    log_miss = _log_miss(required_detection, rounding)
     uncovered = ()
+    if like is None:
+        rows, uncovered = _footprints(mesh, catalog)
+    else:
+        rows = ((e.cid, e.sensor, e.site, e.covered, e.mean_detect, e) for e in like.entries)
     # Each type's lists die with the pricing helper's frame, so none of them
     # is alive beside the table's tuple at the peak of this call.
-    if like is None:
-        pairs, uncovered = _footprints(mesh, catalog)
-        entries = _priced(pairs, log_miss, rounding)
-    else:
-        entries = _repriced(like.entries, catalog, log_miss, rounding)
+    entries = _priced(rows, catalog, log_miss, rounding)
     # A finite sum bounds every plan's cost, so no plan total can overflow.
     if not math.isfinite(sum(e.cost for e in entries)):
         raise ValidationError("install costs of the coverage table sum past the float range")

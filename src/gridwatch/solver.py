@@ -16,15 +16,9 @@ candidates, kept beside the same indices as a list and their least cost;
 their runs and costs are cached beside them on the block's first pricing; a
 node skips its excluded coverers among the children that pass the bound.
 
-Before pricing, a node tries two lower bounds on every child: each adds a
-coverer of the branch block, so costs at least the least of their costs
-more, and each that does not finish the cover leaves a block priced at
-least the residual's least price.  When the first bound, or the second with
-no coverer that covers every uncovered block, reaches one prune slack past
-the pruning threshold, no child could pass, and the node is not priced.
-The node is still counted, as the bounds are tried at expansion and not at
-push: the same nodes are explored, within any budget, and the same plan is
-found.
+Before pricing, a node tries two cheap lower bounds on its children, and
+is counted but not priced when they show no child could pass (see
+:func:`_search`).
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -89,9 +83,12 @@ _CHUNK_CELLS = 1 << 16
 #: limit, so that repeated runs stay byte-identical.
 _LAGRANGE_STEPS = 500
 
-# A Lagrangian step prices every residual candidate: measured, it costs
-# about as much as one search node per this many candidates, or fewer (a
-# step took 6.2 node-times on 998 candidates and 13.3 on 1 805).
+# A Lagrangian step prices every residual candidate; the gate charges it one
+# search node per this many.  Measured at seed 1 (median of 100 steps from
+# the ascent's prices, the heuristic excluded, over the mean node of a
+# probe), a step costs 11 node-times on search-400's 998 candidates (52 k
+# nonzeros) but 40 on the 1 805 of sweep-r's r = 0.98 point (389 k): the
+# step follows the nonzeros, not the candidates.
 _CANDIDATES_PER_NODE = 100
 
 
@@ -357,9 +354,8 @@ class _Residual:
     :func:`_root_pass`, its sum ``bound`` and its least ``least_price``; the
     branch order; each branch block's coverers and their least cost, found
     on first use; and, for the search alone, their runs of set bits and
-    costs, also found on first use.  The search skips pricing a node none
-    of whose children could pass by two bounds on these least values; both
-    start from :meth:`least_cost_of`.
+    costs, also found on first use.  The search's two skip bounds (see
+    :func:`_search`) start from :meth:`least_cost_of`.
 
     Forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
@@ -520,9 +516,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             at += 1
         branch_pos = order[at]
         coverer_mask, idx, _ = res.coverers_of(branch_pos)
-        # Every child adds a coverer of the branch block, and one that does
-        # not finish the cover leaves a block priced at least ``least_price``:
-        # when these bounds reach ``skip_at``, pricing would pass no child.
+        # The two skip bounds of the docstring.
         least_child = forced_cost + (cost + res.least_cost_of(branch_pos))
         if least_child >= skip_at:
             continue
@@ -712,19 +706,15 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     partitions the space.  A block's coverers and a node's excluded
     candidates are bitmasks over the residual candidates.  Each stack entry
     carries its bound and where its walk along the branch order resumes,
-    past its parent's branch block.  A node first tries two cheap lower bounds on all its
-    children: the least cost among its block's coverers, and that plus the
-    least block price when no coverer finishes the cover.  When they reach
-    one prune slack past the threshold, no child can pass and the node is
-    counted but not priced; checked at expansion and not at push, this keeps
-    the nodes explored and the plan found.  Otherwise it unpacks its
-    uncovered blocks once into a prefix sum of their prices, prices every
-    coverer of its block by differences of that sum over the runs of set
-    bits of the coverer's mask, cached per block, and takes each child's
-    bound as its own less that price.  It drops the children that cannot
-    beat the incumbent before any per-child work, then skips the excluded
-    ones.  Leaves are ranked by :func:`_plan_key`, so the plan is the least
-    one by (fsum cost, size, cids).
+    past its parent's branch block.  A node whose children the two skip
+    bounds of :func:`_search` show cannot pass is counted but not priced.
+    Otherwise it unpacks its uncovered blocks once into a prefix sum of
+    their prices, prices every coverer of its block by differences of that
+    sum over the runs of set bits of the coverer's mask, cached per block,
+    and takes each child's bound as its own less that price.  It drops the
+    children that cannot beat the incumbent before any per-child work, then
+    skips the excluded ones.  Leaves are ranked by :func:`_plan_key`, so the
+    plan is the least one by (fsum cost, size, cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per

@@ -148,7 +148,7 @@ def footprints_oracle(mesh, catalog):
             zeta = float(omega[covered].mean())
             mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
             mask = shared.setdefault(mask, mask)
-            pairs.append((f"{spec.name}@{site.block:06d}", spec, site.block, mask, zeta))
+            pairs.append((f"{spec.name}@{site.block:06d}", spec.name, site.block, mask, zeta, None))
     return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
 
 

@@ -470,7 +470,7 @@ def footprint_builds(monkeypatch):
 
 def shares_covered(entries, pairs) -> bool:
     """Whether ``entries`` hold the very covered-set ints of ``pairs``, a walk's
-    ``(cid, spec, site, covered, mean_detect)`` tuples, in order."""
+    ``(cid, sensor, site, covered, mean_detect, None)`` rows, in order."""
     return len(entries) == len(pairs) and all(e.covered is p[3] for e, p in zip(entries, pairs))
 
 

@@ -377,10 +377,12 @@ def test_masks_to_runs_match_positions(case):
 
 def test_required_detection_validated():
     mesh = square_mesh(1, min_range=0.3)
-    with pytest.raises(ValidationError):
-        build_coverage(mesh, default_catalog(), 1.0)
-    with pytest.raises(ValidationError):
-        build_coverage(mesh, default_catalog(), 0.98, rounding="sideways")
+    like = build_coverage(mesh, default_catalog(), 0.98)
+    for held in (None, like):
+        with pytest.raises(ValidationError):
+            build_coverage(mesh, default_catalog(), 1.0, like=held)
+        with pytest.raises(ValidationError):
+            build_coverage(mesh, default_catalog(), 0.98, rounding="sideways", like=held)
 
 
 def test_size_guard_raises_before_any_footprint(monkeypatch):
@@ -417,6 +419,14 @@ def test_costs_past_the_float_range_are_reported_before_uncovered_blocks():
     assert redundancy(0.9, 0.98) == 2
     with pytest.raises(ValidationError, match="sum past the float range"):
         build_coverage(mesh, catalog, 0.98)
+    # One site at 1e308 a unit: one unit at r = 0.5 is a finite table, and
+    # the two it needs at 0.98 cost past the float range when it is repriced.
+    mesh = square_mesh(1)
+    catalog = SensorCatalog((make_spec(range_km=0.3, price=1e308),))
+    like = build_coverage(mesh, catalog, 0.5)
+    assert [e.units for e in like.entries] == [1]
+    with pytest.raises(ValidationError, match="sum past the float range"):
+        build_coverage(mesh, catalog, 0.98, like=like)
 
 
 def test_priced_footprints_match_a_fresh_table():
@@ -472,7 +482,7 @@ def walk_layouts(draw):
 
 def _walk_record(walk):
     pairs, unreached = walk
-    return [(cid, spec, site, covered, repr(zeta)) for cid, spec, site, covered, zeta in pairs], unreached
+    return [(cid, sensor, site, covered, repr(zeta), old) for cid, sensor, site, covered, zeta, old in pairs], unreached
 
 
 @pytest.mark.parametrize("limit", [None, 1, 20])

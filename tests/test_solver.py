@@ -795,10 +795,10 @@ def test_from_coverage_masks_match_covered_blocks(layout):
     universe = mesh.in_area_blocks
     reached = {(spec.name, s.block): covered_blocks(mesh, spec, s) for spec in cat for s in mesh.candidate_sites}
     pairs, _ = coverage._footprints(mesh, cat)
-    for _, spec, site, covered, _ in pairs:
-        assert tuple(u for p, u in enumerate(universe) if (covered >> p) & 1) == reached[spec.name, site]
+    for _, sensor, site, covered, _, _ in pairs:
+        assert tuple(u for p, u in enumerate(universe) if (covered >> p) & 1) == reached[sensor, site]
     # Every site whose footprint is non-empty keeps its pair, and no other.
-    assert {(spec.name, site) for _, spec, site, _, _ in pairs} == {key for key, blocks in reached.items() if blocks}
+    assert {(sensor, site) for _, sensor, site, _, _, _ in pairs} == {key for key, blocks in reached.items() if blocks}
     unreached = tuple(z for z in universe if not any(z in blocks for blocks in reached.values()))
     if unreached:
         with pytest.raises(InfeasibleCoverage) as err:

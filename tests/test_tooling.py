@@ -76,19 +76,44 @@ def test_no_log1p_is_taken_from_numpy():
     assert found == []
 
 
-def _calls(tree) -> list:
-    """(innermost enclosing function name or None, called name, line) of every call in ``tree``."""
+def _enclosed(tree) -> list:
+    """(innermost enclosing function name or None, node) of every node in ``tree``."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                name = child.func.attr if isinstance(child.func, ast.Attribute) else getattr(child.func, "id", None)
-                found.append((func, name, child.lineno))
+            found.append((func, child))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
 
     visit(tree, None)
     return found
+
+
+def _calls(tree) -> list:
+    """(innermost enclosing function name or None, called name, line) of every call in ``tree``."""
+    return [
+        (func, node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None), node.lineno)
+        for func, node in _enclosed(tree)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
+    # The unit rule is applied by one pricing function, whether its pairs come
+    # from the stencil walk or from the held table an r sweep prices again,
+    # and one helper checks the requirement and rounding for every caller.
+    nodes = _enclosed(ast.parse((ROOT / "src" / "gridwatch" / "coverage.py").read_text(encoding="utf-8")))
+    builders = {func for func, node in nodes if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Candidate"}
+    checkers = set()
+    for func, node in nodes:
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Name) and x.id.startswith("required") for x in operands) and any(
+                isinstance(x, ast.Constant) and x.value in (0, 1) for x in operands
+            ):
+                checkers.add(func)
+    assert len(builders) == 1, builders
+    assert len(checkers) == 1, checkers
 
 
 def test_each_derived_scenario_fact_has_one_owner():
