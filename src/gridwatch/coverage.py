@@ -256,7 +256,7 @@ class CoverageTable:
 # runs, and builds new covered sets in groups of at most _GROUP_ENTRIES
 # covered blocks and _GROUP_CELLS (site, in-area block) flags: its arrays stay
 # small beside the table it returns, whatever the number of sites.
-_CHUNK_CELLS = 2**10
+_CHUNK_CELLS = 2**11
 _GROUP_ENTRIES = 2**14
 _GROUP_CELLS = 2**17
 

@@ -18,7 +18,10 @@ node skips its excluded coverers among the children that pass the bound.
 
 Before pricing, a node tries two cheap lower bounds on its children, and
 is counted but not priced when they show no child could pass (see
-:func:`_search`).
+:func:`_search`).  The second one needs to know whether some coverer of the
+branch block covers every uncovered block.  It first checks the union of the
+coverers' masks, cached per block; only when that union holds every
+uncovered block are the coverers scanned.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -37,7 +40,9 @@ runs again on the core of candidates that fixing keeps, which holds every
 plan costing no more than the incumbent.  A search stopped by its node
 budget reports as its root bound the best of the static share bound and the
 root's dual-ascent and Lagrangian bounds.  Plans are ranked by (fsum cost,
-size, cids).  ``solve_brute`` is the oracle it is tested against.
+size, cids).  The residual's candidates are in cid order, so the search
+ranks a leaf by its sorted indices into them in place of its cids, in the
+same order.  ``solve_brute`` is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -349,13 +354,17 @@ class _Residual:
     fixing pass over it.  To ``forced`` it adds the unique coverer in
     ``candidates`` of each block of ``remaining`` that has one.  It holds
     ``forced`` and their cost; the candidates ``active`` that still cover a
-    block, with their ``cost`` and ``sizes`` (blocks left covered); the
-    blocks left, ``remaining``, at positions ``rows``; the share price of
-    :func:`_root_pass`, its sum ``bound`` and its least ``least_price``; the
-    branch order; each branch block's coverers and their least cost, found
-    on first use; and, for the search alone, their runs of set bits and
-    costs, also found on first use.  The search's two skip bounds (see
-    :func:`_search`) start from :meth:`least_cost_of`.
+    block, in the order of ``candidates``, with their ``cost`` and ``sizes``
+    (blocks left covered); the blocks left, ``remaining``, at positions
+    ``rows``; the share price of :func:`_root_pass`, its sum ``bound`` and
+    its least ``least_price``; the branch order; each branch block's
+    coverers and their least cost, found on first use; and, for the search
+    alone, their runs of set bits and costs and the union of their masks,
+    the block's reach, also found on first use.  The search's two skip
+    bounds (see :func:`_search`) start from :meth:`least_cost_of`, and the
+    second one reads :meth:`completes`.  ``solve_exact`` builds every
+    residual from candidates in cid order, so ``active`` is in cid order
+    too, as the search's leaf ranking needs.
 
     Forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
@@ -382,6 +391,7 @@ class _Residual:
         self.bound = float(self.price[self.rows].sum())
         self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
         self._coverers = {}
+        self._reach = {}
         self._runs = {}
 
     def coverers_of(self, p: int) -> tuple:
@@ -400,6 +410,29 @@ class _Residual:
         too: every child of a node branching on ``p`` adds at least this
         much.  Both of the search's skip bounds read it."""
         return self.coverers_of(p)[2]
+
+    def reach_of(self, p: int) -> int:
+        """The blocks some coverer of block ``p`` covers: the union of their
+        masks.  :meth:`completes` finds it on first use and caches it."""
+        reach = 0
+        for ci in self.coverers_of(p)[1]:
+            reach |= self.active[ci].covered
+        return reach
+
+    def completes(self, p: int, uncovered: int) -> bool:
+        """Whether some coverer of block ``p`` covers every block of
+        ``uncovered``.  A block of ``uncovered`` out of :meth:`reach_of`
+        answers no at once; otherwise the coverers are scanned."""
+        reach = self._reach.get(p)
+        if reach is None:
+            reach = self._reach[p] = self.reach_of(p)
+        if uncovered & ~reach:
+            return False
+        active = self.active
+        for ci in self.coverers_of(p)[1]:
+            if uncovered & active[ci].covered == uncovered:
+                return True
+        return False
 
     def runs_of(self, p: int) -> tuple:
         """``(runs, first, cost)`` of the coverers of block ``p``, in the
@@ -473,6 +506,25 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
     return prices
 
 
+def _leaf_key(forced_costs: list, costs: list, picks: tuple) -> tuple:
+    """``(fsum cost, size, sorted picks)`` of the plan of the forced
+    candidates, of costs ``forced_costs``, and the active candidates
+    ``picks``, of costs ``costs``.  With the active candidates in cid order,
+    it orders such plans as :func:`_plan_key` does."""
+    return (math.fsum(forced_costs + [costs[i] for i in picks]), len(picks), tuple(sorted(picks)))
+
+
+def _picks_of(res: _Residual, plan: list):
+    """The sorted indices into ``res.active`` of the candidates of ``plan``
+    when ``plan`` is ``res.forced`` plus those candidates, else None."""
+    position = {c.cid: i for i, c in enumerate(res.active)}
+    cids = {c.cid for c in plan}
+    picks = sorted(position[cid] for cid in cids if cid in position)
+    if len(picks) + len(res.forced) == len(plan) and all(c.cid in cids for c in res.forced):
+        return tuple(picks)
+    return None
+
+
 def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     """Depth-first branch and bound over ``res`` from ``incumbent``, a plan
     over the whole universe; returns ``(nodes, budget_exceeded, incumbent)``,
@@ -489,14 +541,37 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     block's coverers, excluded ones too.  A child that does not finish the
     cover also leaves a block priced at least ``res.least_price``.  When the
     first sum, or the second with no coverer that covers every uncovered
-    block (an exact test on the masks), reaches ``skip_at``, one prune slack
-    past ``threshold``, no child can pass even with its bound drifted (see
-    ``_PRUNE_REL``), so the node pushes and ranks nothing and is not priced.
-    The bounds are tried here, at expansion, and not when the node is
-    pushed: a node skipped at push would not be counted, and a budgeted
-    search would then reach other nodes."""
+    block, reaches ``skip_at``, one prune slack past ``threshold``, no child
+    can pass even with its bound drifted (see ``_PRUNE_REL``), so the node
+    pushes and ranks nothing and is not priced.  The bounds are tried here,
+    at expansion, and not when the node is pushed: a node skipped at push
+    would not be counted, and a budgeted search would then reach other
+    nodes.  Whether a coverer covers every uncovered block is an exact test
+    on the masks (see :meth:`_Residual.completes`).  An uncovered block out
+    of the branch block's reach answers it without a scan: on search-400 it
+    answers about two tests in three.
+
+    Every leaf is ``res.forced`` plus ``active[picks]``, with ``active`` in
+    cid order.  Two leaves of equal fsum cost and size share the forced
+    candidates, so the least cid of their symmetric difference decides them
+    under :func:`_plan_key`, and that is the least index: comparing their
+    sorted picks gives the same order (see :func:`_leaf_key`).  The costs
+    are summed from the candidates, and a leaf's plan list is built only
+    when it becomes the incumbent.  An incumbent that is not the forced
+    candidates plus picks (a core search can start from one that holds a
+    candidate neither forced nor active in the core) is compared by
+    :func:`_plan_key` until a leaf replaces it."""
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
-    inc_key = _plan_key(incumbent)
+    forced_costs, active_costs = [c.cost for c in forced], [c.cost for c in active]
+
+    def best_plan() -> list:
+        return incumbent if best is None else forced + [active[i] for i in best]
+
+    # ``best`` holds the incumbent's picks once it is ``forced`` plus
+    # ``active[best]``, and ``inc_key`` its leaf key; until then, the
+    # incumbent's :func:`_plan_key`.
+    best = _picks_of(res, incumbent)
+    inc_key = _plan_key(incumbent) if best is None else _leaf_key(forced_costs, active_costs, best)
     threshold = _prune_at(inc_key[0])
     skip_at = _prune_at(threshold)
     nodes = 0
@@ -509,7 +584,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         uncovered, excluded, cost, chosen_idx, bound, at = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            return nodes, True, incumbent
+            return nodes, True, best_plan()
         if forced_cost + cost + bound >= threshold:
             continue
         while not (uncovered >> order[at]) & 1:
@@ -520,7 +595,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         least_child = forced_cost + (cost + res.least_cost_of(branch_pos))
         if least_child >= skip_at:
             continue
-        if least_child + res.least_price >= skip_at and not any(uncovered & active[ci].covered == uncovered for ci in idx):
+        if least_child + res.least_price >= skip_at and not res.completes(branch_pos, uncovered):
             continue
         # A child's bound is this node's bound less the price of what the
         # child newly covers.  Every coverer's child is priced at once, and
@@ -535,14 +610,17 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             if (dropped >> ci) & 1:
                 continue
             c = active[ci]
-            child_cost = cost + c.cost
             newly = c.covered & uncovered
             child_uncovered = uncovered ^ newly
             if child_uncovered == 0:
-                chosen = forced + [active[i] for i in chosen_idx] + [c]
-                key = _plan_key(chosen)
-                if key < inc_key:
-                    incumbent, inc_key = chosen, key
+                picks = chosen_idx + (ci,)
+                key = _leaf_key(forced_costs, active_costs, picks)
+                if best is None:
+                    wins = _plan_key(forced + [active[i] for i in picks]) < inc_key
+                else:
+                    wins = key < inc_key
+                if wins:
+                    best, inc_key = key[2], key
                     threshold = _prune_at(inc_key[0])
                     skip_at = _prune_at(threshold)
                 continue
@@ -551,13 +629,13 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
                 continue
             # Siblings earlier in ``idx`` are excluded below this child.
             child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
-            ratio = c.cost / newly.bit_count()
             # The child covers the branch block and every block before it.
-            child = (child_uncovered, child_excluded, child_cost, chosen_idx + (ci,), float(child_bound[j]), at + 1)
-            children.append(((ratio, c.cid), child))
-        children.sort(key=lambda item: item[0], reverse=True)
-        stack.extend(node for _, node in children)
-    return nodes, False, incumbent
+            child = (child_uncovered, child_excluded, cost + c.cost, chosen_idx + (ci,), float(child_bound[j]), at + 1)
+            # Ties on the ratio go by index, which is cid order.
+            children.append((c.cost / newly.bit_count(), ci, child))
+        children.sort(reverse=True)
+        stack.extend(node for _, _, node in children)
+    return nodes, False, best_plan()
 
 
 def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
@@ -642,7 +720,7 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         hits = hits_of(x)
         kept = []
         for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
-            seg = incidence[starts[j] : ends[j]].astype(np.intp)
+            seg = incidence[starts[j] : ends[j]]
             if hits[seg].min() > 1:
                 hits[seg] -= 1
             else:
@@ -713,8 +791,9 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     sum over the runs of set bits of the coverer's mask, cached per block,
     and takes each child's bound as its own less that price.  It drops the
     children that cannot beat the incumbent before any per-child work, then
-    skips the excluded ones.  Leaves are ranked by :func:`_plan_key`, so the
-    plan is the least one by (fsum cost, size, cids).
+    skips the excluded ones.  Leaves are ranked as :func:`_plan_key` ranks
+    them (see :func:`_search`), so the plan is the least one by (fsum cost,
+    size, cids).
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per

@@ -1006,9 +1006,174 @@ def test_skipping_unpriced_nodes_changes_no_search_like_search(node_budget):
 
 
 def test_dual_ascent_builds_no_runs():
-    # The ascent reads a block's coverer list; the runs are the search's.
+    # The ascent reads a block's coverer list; the runs and the reach masks
+    # are the search's.
     inst = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
     solver._dual_ascent(res)
-    assert res._coverers and not res._runs
+    assert res._coverers and not res._runs and not res._reach
+
+
+def solve_recording_completion_tests(inst, node_budget, reach_of):
+    """``solve_exact`` with ``_Residual.reach_of`` replaced by ``reach_of``:
+    its search (cids, nodes, budget exit, bound, pricing passes) and, for
+    each completion test, (its answer, the coverer scan's answer, whether
+    the reach mask answered it)."""
+    tests = []
+    completes = solver._Residual.completes
+
+    def record(self, p, uncovered):
+        answer = completes(self, p, uncovered)
+        scan = any(uncovered & self.active[ci].covered == uncovered for ci in self.coverers_of(p)[1])
+        tests.append((answer, scan, bool(uncovered & ~self.reach_of(p))))
+        return answer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Residual, "reach_of", reach_of)
+        mp.setattr(solver._Residual, "completes", record)
+        priced = count_pricing_passes(mp)
+        plan = solve_exact(inst, node_budget=node_budget)
+    search = ([c.cid for c in plan.chosen], plan.nodes_explored, plan.metadata["budget_exceeded"])
+    return search + (repr(plan.metadata["root_lower_bound"]), priced[0]), tests
+
+
+def no_reach(self, p):
+    """A reach mask holding every block: it answers no completion test."""
+    return -1
+
+
+def check_reach_mask(inst, node_budget) -> int:
+    """How many completion tests the reach mask answers on ``inst``, having
+    checked that each is answered as the coverer scan answers it and that
+    the search is the same without the mask."""
+    with_mask, tests = solve_recording_completion_tests(inst, node_budget, solver._Residual.reach_of)
+    without, unmasked = solve_recording_completion_tests(inst, node_budget, no_reach)
+    assert with_mask == without
+    assert all(answer == scan for answer, scan, _ in tests)
+    assert not any(masked for _, _, masked in unmasked)
+    assert len(tests) == len(unmasked)
+    return sum(masked for _, _, masked in tests)
+
+
+@pytest.mark.parametrize(
+    "instances", [tied_integer_instances, float_cost_instances, float_tie_instances, branching_instances]
+)
+@pytest.mark.parametrize("node_budget", [5, solver.DEFAULT_NODE_BUDGET])
+def test_reach_mask_answers_as_the_coverer_scan(instances, node_budget):
+    # A block of the node's uncovered set that no coverer of the branch
+    # block reaches answers the completion test at once; the other tests
+    # scan the coverers.  Same answers, so the same search.  In the first
+    # three families a set covers every block, so no reach mask misses one.
+    answered = sum(check_reach_mask(inst, node_budget) for inst in instances())
+    assert (answered > 0) == (instances is branching_instances)
+
+
+@pytest.mark.parametrize("node_budget", [300, solver.DEFAULT_NODE_BUDGET])
+def test_reach_mask_answers_as_the_coverer_scan_on_the_search_like_instance(node_budget):
+    assert check_reach_mask(search_like_instance(), node_budget) > 0
+
+
+@given(data=st.data())
+@example(data=None)
+def test_leaf_keys_rank_plans_as_plan_keys(data):
+    """Over candidates in cid order, split into forced and active ones, a
+    leaf's key on its pick indices orders plans as ``_plan_key`` orders the
+    forced candidates plus the picked ones.  Two of the pick sets hold the
+    same costs, so their fsums and sizes tie and the least cid of their
+    symmetric difference decides."""
+    if data is None:
+        # Cids whose string order is not their length order, and a forced
+        # candidate between the two active ones.
+        cids, costs, is_forced = ["a", "a0", "b"], [0.1, 0.3, 0.1], [False, True, False]
+        picks = [(0,), (1,), (0, 1)]
+    else:
+        cids = sorted(data.draw(st.sets(st.text("ab@0", min_size=1, max_size=3), min_size=1, max_size=12)))
+        n = len(cids)
+        costs = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.5]), min_size=n, max_size=n))
+        is_forced = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        active_costs = [cost for cost, f in zip(costs, is_forced) if not f]
+        one = data.draw(st.permutations(range(len(active_costs))))[: data.draw(st.integers(0, len(active_costs)))]
+        # As many picks of each cost as ``one``, taken elsewhere.
+        two = []
+        for cost in sorted(set(active_costs)):
+            same = [i for i, c in enumerate(active_costs) if c == cost]
+            two += data.draw(st.permutations(same))[: sum(active_costs[i] == cost for i in one)]
+        other = data.draw(st.lists(st.integers(0, max(0, len(active_costs) - 1)), unique=True, max_size=len(active_costs)))
+        picks = [tuple(one), tuple(two), tuple(other)]
+    cands = [Candidate(cid=cid, covered=1, cost=cost) for cid, cost in zip(cids, costs)]
+    forced = [c for c, f in zip(cands, is_forced) if f]
+    active = [c for c, f in zip(cands, is_forced) if not f]
+    forced_costs = [c.cost for c in forced]
+    leaf = [solver._leaf_key(forced_costs, [c.cost for c in active], p) for p in picks]
+    plan = [solver._plan_key(forced + [active[i] for i in p]) for p in picks]
+    for a, b in itertools.product(range(len(picks)), repeat=2):
+        assert (leaf[a] < leaf[b], leaf[a] == leaf[b]) == (plan[a] < plan[b], plan[a] == plan[b])
+        assert leaf[a][0] == plan[a][0]
+    if data is not None:
+        assert leaf[0][:2] == leaf[1][:2]
+
+
+@pytest.fixture()
+def searched(monkeypatch):
+    """The cids of ``res.active`` of every search ``solve_exact`` runs, in order."""
+    seen = []
+    search = solver._search
+
+    def keep_and_search(res, incumbent, node_budget):
+        seen.append([c.cid for c in res.active])
+        return search(res, incumbent, node_budget)
+
+    monkeypatch.setattr(solver, "_search", keep_and_search)
+    return seen
+
+
+def test_root_and_core_searches_take_active_candidates_in_cid_order(searched):
+    # The leaf rule ranks picks by index, which ranks them by cid only when
+    # ``active`` is in cid order: the root sorts, and forcing and fixing keep
+    # the order.  The candidates are handed over in reverse.
+    inst = search_like_instance()
+    backwards = PlacementInstance(inst.universe, inst.candidates[::-1])
+    plan = solve_exact(backwards, node_budget=20_000)
+    assert [c.cid for c in plan.chosen] == ["Radar@000000", "Radar@000093", "Radar@000264", "Radar@000294"]
+    assert len(searched) == 2, "a probe and a core search"
+    assert all(cids == sorted(cids) for cids in searched)
+    assert len(searched[1]) < len(searched[0])
+
+
+def test_core_search_from_an_incumbent_off_its_forced_and_active_candidates(monkeypatch):
+    """The root forces b, and the core, without y, forces a as well; x then
+    covers nothing left and is neither forced nor active, so the incumbent
+    a + b + x + h is not the forced candidates plus picks.  Leaves are then
+    ranked by ``_plan_key`` until one replaces it: the first, a + b + f,
+    ties it on fsum and wins on size.  From there leaves are ranked by their
+    picks: a + b + g wins on cost, and a + b + h loses.  The plan is the
+    oracle's."""
+    sets = [
+        ("a", [0, 1, 2], 2.0),
+        ("b", [3, 4, 5], 2.0),
+        ("f", [3, 6, 7], 1.5),
+        ("g", [6, 7, 1], 0.75),
+        ("h", [6, 7], 1.0),
+        ("x", [1, 2], 0.5),
+        ("y", [0, 3, 6], 4.0),
+    ]
+    inst = inst_from(range(8), sets)
+    by_cid = {c.cid: c for c in inst.candidates}
+    root = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
+    core = solver._Residual([by_cid[cid] for cid in "abfghx"], root.remaining, root.forced, inst.n_elements)
+    assert [c.cid for c in root.forced] == ["b"]
+    assert [c.cid for c in core.forced] == ["b", "a"]
+    assert [c.cid for c in core.active] == ["f", "g", "h"]
+    incumbent = [by_cid[cid] for cid in "abxh"]
+    assert solver._picks_of(core, incumbent) is None
+    plan_keyed, leaf_keyed = [], []
+    plan_key, leaf_key = solver._plan_key, solver._leaf_key
+    monkeypatch.setattr(solver, "_plan_key", lambda plan: plan_keyed.append(sorted(c.cid for c in plan)) or plan_key(plan))
+    monkeypatch.setattr(solver, "_leaf_key", lambda *args: leaf_keyed.append(args[2]) or leaf_key(*args))
+    nodes, exceeded, plan = solver._search(core, incumbent, solver.DEFAULT_NODE_BUDGET)
+    assert (nodes, exceeded) == (1, False)
+    assert plan_keyed == [["a", "b", "h", "x"], ["a", "b", "f"]]
+    assert leaf_keyed == [(0,), (1,), (2,)]
+    assert sorted(c.cid for c in plan) == ["a", "b", "g"]
+    assert plan_key(plan) == plan_key(solve_brute(inst).chosen)
