@@ -40,9 +40,11 @@ runs again on the core of candidates that fixing keeps, which holds every
 plan costing no more than the incumbent.  A search stopped by its node
 budget reports as its root bound the best of the static share bound and the
 root's dual-ascent and Lagrangian bounds.  Plans are ranked by (fsum cost,
-size, cids).  The residual's candidates are in cid order, so the search
-ranks a leaf by its sorted indices into them in place of its cids, in the
-same order.  ``solve_brute`` is the oracle it is tested against.
+size, cids).  The residual's candidates are in cid order, so the search and
+the Lagrangian hold a plan as the forced candidates plus its picks, sorted
+indices into the residual's candidates, and rank picks in place of cids, in
+the same order.  Only ``solve_brute``, the oracle they are tested against,
+ranks plans by their candidates.
 """
 
 from __future__ import annotations
@@ -199,25 +201,26 @@ def _check_coverable(instance: PlacementInstance) -> None:
 
 def _greedy_cover(candidates: Sequence[Candidate], uncovered: int) -> list:
     """Repeatedly pick the candidate with the lowest (cost per newly covered
-    element, cid) until ``uncovered`` is empty; returns the picks in order."""
-    chosen = []
+    element, cid) until ``uncovered`` is empty; returns the indices of the
+    picks into ``candidates``, in the order picked."""
+    picks = []
     while uncovered:
         best, best_key = None, None
-        for c in candidates:
+        for i, c in enumerate(candidates):
             gain = (c.covered & uncovered).bit_count()
             if gain:
                 key = (c.cost / gain, c.cid)
                 if best_key is None or key < best_key:
-                    best, best_key = c, key
-        chosen.append(best)
-        uncovered &= ~best.covered
-    return chosen
+                    best, best_key = i, key
+        picks.append(best)
+        uncovered &= ~candidates[best].covered
+    return picks
 
 
 def solve_greedy(instance: PlacementInstance) -> PlacementPlan:
     """Repeatedly pick the candidate with the lowest cost per newly covered block."""
     _check_coverable(instance)
-    chosen = _greedy_cover(instance.candidates, instance.full_mask)
+    chosen = [instance.candidates[i] for i in _greedy_cover(instance.candidates, instance.full_mask)]
     return _make_plan(chosen, mode="greedy", nodes=0, proven=False)
 
 
@@ -514,22 +517,25 @@ def _leaf_key(forced_costs: list, costs: list, picks: tuple) -> tuple:
     return (math.fsum(forced_costs + [costs[i] for i in picks]), len(picks), tuple(sorted(picks)))
 
 
-def _picks_of(res: _Residual, plan: list):
-    """The sorted indices into ``res.active`` of the candidates of ``plan``
-    when ``plan`` is ``res.forced`` plus those candidates, else None."""
-    position = {c.cid: i for i, c in enumerate(res.active)}
+def _picks_of(res: _Residual, plan: list) -> tuple:
+    """The sorted indices into ``res.active`` of the candidates of ``plan``.
+
+    ``plan`` must cover the universe and hold ``res.forced``.  A member that
+    is neither forced nor active then covers only blocks the forced ones
+    cover, so ``res.forced`` plus ``active[picks]`` is a plan too, ranked no
+    later by :func:`_plan_key`."""
     cids = {c.cid for c in plan}
-    picks = sorted(position[cid] for cid in cids if cid in position)
-    if len(picks) + len(res.forced) == len(plan) and all(c.cid in cids for c in res.forced):
-        return tuple(picks)
-    return None
+    return tuple(i for i, c in enumerate(res.active) if c.cid in cids)
 
 
 def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     """Depth-first branch and bound over ``res`` from ``incumbent``, a plan
-    over the whole universe; returns ``(nodes, budget_exceeded, incumbent)``,
-    where ``incumbent`` is the least by :func:`_plan_key` of the plans seen
-    and ``nodes`` is ``node_budget + 1`` when the budget stopped the search.
+    that covers the whole universe and holds ``res.forced``; returns
+    ``(nodes, budget_exceeded, incumbent)``, where ``incumbent`` is the least
+    by :func:`_plan_key` of the plans seen and ``nodes`` is ``node_budget +
+    1`` when the budget stopped the search.  The search starts from the
+    incumbent's picks (see :func:`_picks_of`), so a member of it that is
+    neither forced nor active is dropped.
 
     A node counted and not pruned on its own bound picks its branch block,
     the first of its uncovered blocks in ``res.order``.  The walk along the
@@ -555,23 +561,12 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     cid order.  Two leaves of equal fsum cost and size share the forced
     candidates, so the least cid of their symmetric difference decides them
     under :func:`_plan_key`, and that is the least index: comparing their
-    sorted picks gives the same order (see :func:`_leaf_key`).  The costs
-    are summed from the candidates, and a leaf's plan list is built only
-    when it becomes the incumbent.  An incumbent that is not the forced
-    candidates plus picks (a core search can start from one that holds a
-    candidate neither forced nor active in the core) is compared by
-    :func:`_plan_key` until a leaf replaces it."""
+    sorted picks gives the same order (see :func:`_leaf_key`).  The
+    incumbent is held as its leaf key, and its plan list is built on
+    return."""
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
     forced_costs, active_costs = [c.cost for c in forced], [c.cost for c in active]
-
-    def best_plan() -> list:
-        return incumbent if best is None else forced + [active[i] for i in best]
-
-    # ``best`` holds the incumbent's picks once it is ``forced`` plus
-    # ``active[best]``, and ``inc_key`` its leaf key; until then, the
-    # incumbent's :func:`_plan_key`.
-    best = _picks_of(res, incumbent)
-    inc_key = _plan_key(incumbent) if best is None else _leaf_key(forced_costs, active_costs, best)
+    inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
     threshold = _prune_at(inc_key[0])
     skip_at = _prune_at(threshold)
     nodes = 0
@@ -584,7 +579,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         uncovered, excluded, cost, chosen_idx, bound, at = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            return nodes, True, best_plan()
+            break
         if forced_cost + cost + bound >= threshold:
             continue
         while not (uncovered >> order[at]) & 1:
@@ -615,12 +610,8 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             if child_uncovered == 0:
                 picks = chosen_idx + (ci,)
                 key = _leaf_key(forced_costs, active_costs, picks)
-                if best is None:
-                    wins = _plan_key(forced + [active[i] for i in picks]) < inc_key
-                else:
-                    wins = key < inc_key
-                if wins:
-                    best, inc_key = key[2], key
+                if key < inc_key:
+                    inc_key = key
                     threshold = _prune_at(inc_key[0])
                     skip_at = _prune_at(threshold)
                 continue
@@ -635,7 +626,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             children.append((c.cost / newly.bit_count(), ci, child))
         children.sort(reverse=True)
         stack.extend(node for _, _, node in children)
-    return nodes, False, best_plan()
+    return nodes, nodes > node_budget, forced + [active[i] for i in inc_key[2]]
 
 
 def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
@@ -653,13 +644,15 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     lambda starts at 2 and shrinks by 0.7 after 50 steps without a better L.
     The steps stop early once L proves the incumbent or g vanishes.  Every
     10 steps the candidates with rc < 0, completed by the greedy and rid of
-    redundant ones costliest first, are a plan that replaces ``incumbent``,
-    a plan over the whole universe, when less by :func:`_plan_key`.
+    redundant ones costliest first, are picks that replace the incumbent's
+    when less by :func:`_leaf_key`.  ``incumbent`` must cover the universe
+    and hold ``res.forced``; it is held as its picks (see :func:`_picks_of`),
+    and the plan returned is ``res.forced`` plus the best picks.
 
     ``bound`` is the best L; ``keep`` flags the candidates whose rc at its
     u leaves L + max(0, rc) within the prune slack of UB, the only ones a
-    plan costing no more than the incumbent can hold, and those of the
-    incumbent.
+    plan costing no more than the incumbent can hold, and the incumbent's
+    picks.
 
     The incidence is stored as int32, column j's rows a slice of one array of
     row indices, filled from masks unpacked a chunk of ``_chunk_rows(n)``
@@ -699,8 +692,8 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
                 hits += np.bincount(rows_in[np.repeat(flagged, sizes[cols])], minlength=m)
         return hits
 
-    position = {c.cid: j for j, c in enumerate(active)}
-    inc_key = _plan_key(incumbent)
+    forced_costs, active_costs = [c.cost for c in forced], cost.tolist()
+    inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
 
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
@@ -710,22 +703,23 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
             rc[cols] -= np.add.reduceat(u.take(idx), at)
         return rc
 
-    def heuristic(picked: list) -> list:
+    def heuristic(picked: list) -> tuple:
         covered = 0
         for j in picked:
             covered |= active[j].covered
-        picked = picked + [position[c.cid] for c in _greedy_cover(active, res.remaining & ~covered)]
+        picked = picked + _greedy_cover(active, res.remaining & ~covered)
         x = np.zeros(len(active), dtype=bool)
         x[picked] = True
         hits = hits_of(x)
         kept = []
-        for j in sorted(picked, key=lambda j: (-cost[j], active[j].cid)):
+        # Costliest first; ties go by index, which is cid order.
+        for j in sorted(picked, key=lambda j: (-cost[j], j)):
             seg = incidence[starts[j] : ends[j]]
             if hits[seg].min() > 1:
                 hits[seg] -= 1
             else:
-                kept.append(active[j])
-        return forced + kept
+                kept.append(j)
+        return tuple(sorted(kept))
 
     u = start[rows].astype(np.float64)
     ub = inc_key[0] - forced_cost
@@ -741,10 +735,9 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
             if stall == 50:
                 lam, stall = lam * 0.7, 0
         if it % 10 == 0:
-            plan = heuristic(neg.tolist())
-            key = _plan_key(plan)
+            key = _leaf_key(forced_costs, active_costs, heuristic(neg.tolist()))
             if key < inc_key:
-                incumbent, inc_key = plan, key
+                inc_key = key
                 ub = key[0] - forced_cost
         if best >= ub - _PRUNE_REL * max(1.0, abs(ub)):
             break
@@ -756,11 +749,8 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         u = np.maximum(u + (lam * (1.01 * ub - value) / norm) * g, 0.0)
 
     keep = best + np.maximum(reduced(best_u), 0.0) <= _prune_at(ub)
-    for c in incumbent:
-        j = position.get(c.cid)
-        if j is not None:
-            keep[j] = True
-    return best, keep, incumbent
+    keep[list(inc_key[2])] = True
+    return best, keep, forced + [active[j] for j in inc_key[2]]
 
 
 def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementPlan:
@@ -793,7 +783,12 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     children that cannot beat the incumbent before any per-child work, then
     skips the excluded ones.  Leaves are ranked as :func:`_plan_key` ranks
     them (see :func:`_search`), so the plan is the least one by (fsum cost,
-    size, cids).
+    size, cids).  The search and the Lagrangian hand on their incumbent as
+    a plan, and each takes the one it is given as the forced candidates
+    plus its picks into its own residual (see :func:`_picks_of`).  Every
+    plan handed on meets the precondition: it covers the universe, and a
+    core's newly forced candidate is the only core coverer of some block,
+    so any cover drawn from the core holds it.
 
     When the node budget can pay for ``_LAGRANGE_STEPS`` Lagrangian steps
     on top of one node per residual candidate, at one node-time per
@@ -822,7 +817,7 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     undominated = _drop_site_dominated(instance.candidates)
     kept, n_dupes = _dedup_identical(undominated)
     root = _Residual(kept, instance.full_mask, [], n)
-    incumbent = root.forced + _greedy_cover(root.active, root.remaining)
+    incumbent = root.forced + [root.active[i] for i in _greedy_cover(root.active, root.remaining)]
     root_lower = root.forced_cost + root.bound
 
     probe = len(root.active)

@@ -431,7 +431,7 @@ def test_lagrangian_bound_and_fixing_keep_the_optimum(instances):
         res = solver._Residual(list(inst.candidates), full, [], inst.n_elements)
         if not res.remaining:
             continue
-        greedy = res.forced + solver._greedy_cover(res.active, res.remaining)
+        greedy = res.forced + [res.active[i] for i in solver._greedy_cover(res.active, res.remaining)]
         bound, keep, incumbent = solver._lagrangian(res, res.price, greedy)
         brute = solve_brute(inst)
         assert res.forced_cost + bound <= brute.total_cost * (1 + 1e-9)
@@ -646,7 +646,7 @@ def root_relaxations(inst):
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
     prices = solver._dual_ascent(res)
-    greedy = res.forced + solver._greedy_cover(res.active, res.remaining)
+    greedy = res.forced + [res.active[i] for i in solver._greedy_cover(res.active, res.remaining)]
     bound, keep, incumbent = solver._lagrangian(res, prices, greedy)
     return prices, repr(bound), keep, sorted(c.cid for c in incumbent)
 
@@ -1141,14 +1141,64 @@ def test_root_and_core_searches_take_active_candidates_in_cid_order(searched):
     assert len(searched[1]) < len(searched[0])
 
 
+@pytest.fixture()
+def handed_plans(monkeypatch):
+    """Counts, by function, of the plans ``solve_exact`` hands to ``_search``
+    and ``_lagrangian``, each checked on the way in: it covers the universe
+    and holds the residual's forced candidates, and it is exactly those
+    plus the active candidates of its picks, so that taking the picks drops
+    nothing."""
+    seen = Counter()
+
+    def check(name, res, plan):
+        union = 0
+        for c in plan:
+            union |= c.covered
+        cids = sorted(c.cid for c in plan)
+        assert union == (1 << len(res.price)) - 1, "the plan covers the universe"
+        assert {c.cid for c in res.forced} <= set(cids)
+        assert cids == sorted(c.cid for c in res.forced + [res.active[i] for i in solver._picks_of(res, plan)])
+        seen[name] += 1
+
+    search, relax = solver._search, solver._lagrangian
+
+    def checked_search(res, incumbent, node_budget):
+        check("search", res, incumbent)
+        return search(res, incumbent, node_budget)
+
+    def checked_lagrangian(res, start, incumbent):
+        check("lagrangian", res, incumbent)
+        return relax(res, start, incumbent)
+
+    monkeypatch.setattr(solver, "_search", checked_search)
+    monkeypatch.setattr(solver, "_lagrangian", checked_lagrangian)
+    return seen
+
+
+@pytest.mark.parametrize("node_budget", [1, 5, 30, solver.DEFAULT_NODE_BUDGET])
+def test_plans_handed_on_are_forced_plus_picks(handed_plans, node_budget):
+    for instances in (tied_integer_instances, float_cost_instances, float_tie_instances, branching_instances):
+        for inst in instances():
+            solve_exact(inst, node_budget=node_budget)
+    # One search per instance, and a core search after each Lagrangian.  Up
+    # to 30 nodes the gate holds for at most 5 residual candidates, and every
+    # such probe ends on its own.
+    assert handed_plans["search"] == 1260 + handed_plans["lagrangian"]
+    assert (handed_plans["lagrangian"] >= 60) == (node_budget == solver.DEFAULT_NODE_BUDGET)
+
+
+def test_plans_handed_on_are_forced_plus_picks_on_the_search_like_instance(handed_plans):
+    solve_exact(search_like_instance(), node_budget=20_000)
+    assert handed_plans == {"search": 2, "lagrangian": 1}
+
+
 def test_core_search_from_an_incumbent_off_its_forced_and_active_candidates(monkeypatch):
     """The root forces b, and the core, without y, forces a as well; x then
-    covers nothing left and is neither forced nor active, so the incumbent
-    a + b + x + h is not the forced candidates plus picks.  Leaves are then
-    ranked by ``_plan_key`` until one replaces it: the first, a + b + f,
-    ties it on fsum and wins on size.  From there leaves are ranked by their
-    picks: a + b + g wins on cost, and a + b + h loses.  The plan is the
-    oracle's."""
+    covers nothing left and is neither forced nor active, so the search
+    starts from the incumbent a + b + x + h trimmed to its pick of h,
+    a + b + h.  That bound cuts a + b + f, which ties the untrimmed
+    incumbent on fsum; a + b + g wins on cost, and a + b + h loses.  The
+    plan is the oracle's."""
     sets = [
         ("a", [0, 1, 2], 2.0),
         ("b", [3, 4, 5], 2.0),
@@ -1166,14 +1216,23 @@ def test_core_search_from_an_incumbent_off_its_forced_and_active_candidates(monk
     assert [c.cid for c in core.forced] == ["b", "a"]
     assert [c.cid for c in core.active] == ["f", "g", "h"]
     incumbent = [by_cid[cid] for cid in "abxh"]
-    assert solver._picks_of(core, incumbent) is None
-    plan_keyed, leaf_keyed = [], []
-    plan_key, leaf_key = solver._plan_key, solver._leaf_key
-    monkeypatch.setattr(solver, "_plan_key", lambda plan: plan_keyed.append(sorted(c.cid for c in plan)) or plan_key(plan))
+    assert solver._picks_of(core, incumbent) == (2,)
+    leaf_keyed = []
+    leaf_key = solver._leaf_key
     monkeypatch.setattr(solver, "_leaf_key", lambda *args: leaf_keyed.append(args[2]) or leaf_key(*args))
     nodes, exceeded, plan = solver._search(core, incumbent, solver.DEFAULT_NODE_BUDGET)
     assert (nodes, exceeded) == (1, False)
-    assert plan_keyed == [["a", "b", "h", "x"], ["a", "b", "f"]]
-    assert leaf_keyed == [(0,), (1,), (2,)]
+    # The trimmed incumbent's key, then the leaves g and h.
+    assert leaf_keyed == [(2,), (1,), (2,)]
     assert sorted(c.cid for c in plan) == ["a", "b", "g"]
-    assert plan_key(plan) == plan_key(solve_brute(inst).chosen)
+    assert solver._plan_key(plan) == solver._plan_key(solve_brute(inst).chosen)
+
+
+def test_search_of_a_residual_with_nothing_left_returns_the_forced_candidates():
+    # a and b are forced and cover every block, so the one plan left is a + b:
+    # the search trims x off the incumbent although it expands no node.
+    inst = inst_from(range(6), [("a", [0, 1, 2], 2.0), ("b", [3, 4, 5], 2.0), ("x", [1, 2], 0.5)])
+    a, b, x = inst.candidates
+    res = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
+    assert (res.forced, res.active, res.remaining) == ([a, b], [], 0)
+    assert solver._search(res, [a, b, x], 100) == (0, False, [a, b])

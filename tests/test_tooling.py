@@ -116,6 +116,15 @@ def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
     assert len(checkers) == 1, checkers
 
 
+def test_only_the_oracle_ranks_plans_by_plan_key():
+    # The exact solver holds every incumbent as sorted picks into its
+    # residual's active candidates and ranks them by _leaf_key, so
+    # _plan_key is left to solve_brute, the oracle it is tested against.
+    path = ROOT / "src" / "gridwatch" / "solver.py"
+    callers = {func for func, name, _ in _calls(ast.parse(path.read_text(encoding="utf-8"))) if name == "_plan_key"}
+    assert callers == {"solve_brute"}
+
+
 def test_each_derived_scenario_fact_has_one_owner():
     # validate must check the mesh and the scaled catalog that plan uses, so
     # each is derived in one place: the mesh in pipeline.scenario_mesh (which
