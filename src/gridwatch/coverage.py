@@ -31,8 +31,10 @@ tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
 stays integer AND/OR/popcount work.  The conversions from masks to their
 bytes, 0/1 flags, runs of set bits and positions are defined here and
-nowhere else.  The table is written out as ``coverage.csv`` by
-``pipeline.write_coverage_csv``.
+nowhere else; :func:`mask_flags` takes one mask to its flags without the
+list and row of :func:`masks_to_flags`, for callers such as the search's
+pricing pass that unpack one mask at a time.  The table is written out as
+``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -191,6 +193,12 @@ def masks_to_flags(masks: list, n: int) -> np.ndarray:
     return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
 
 
+def mask_flags(mask: int, n: int) -> np.ndarray:
+    """One mask over ``n`` positions as 0/1 bytes: ``masks_to_flags([mask],
+    n)[0]`` without the list, the join and the row."""
+    return np.unpackbits(np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8), count=n, bitorder="little")
+
+
 # The set bits of each byte value v, ascending, are
 # _BYTE_BITS[_BYTE_FIRST[v] : _BYTE_FIRST[v] + _BYTE_COUNT[v]].
 _BYTE_VALUES, _BYTE_BITS = np.nonzero(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"))
@@ -223,7 +231,7 @@ def masks_to_runs(masks: list, n: int) -> tuple:
 
 def mask_positions(mask: int) -> list:
     """Indices of the set bits of ``mask``, ascending."""
-    return np.flatnonzero(masks_to_flags([mask], mask.bit_length())[0]).tolist()
+    return np.flatnonzero(mask_flags(mask, mask.bit_length())).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,7 +327,7 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
                         union |= last[0]
                 if last is not None:
                     pairs.append((f"{spec.name}@{site.block:06d}", spec.name, site.block, *last, None))
-    unreached = masks_to_flags([union], n_in_area)[0] == 0
+    unreached = mask_flags(union, n_in_area) == 0
     return pairs, tuple(np.flatnonzero(in_area)[unreached].tolist())
 
 
@@ -403,9 +411,8 @@ def _priced(rows: Iterable[tuple], catalog: SensorCatalog, log_miss: float, roun
             if old is not None and old.units == n and old.cost == cost:
                 entries.append(old)
             else:
-                entries.append(
-                    Candidate(cid=cid, covered=covered, cost=cost, sensor=name, site=site, units=n, mean_detect=zeta)
-                )
+                # Positional, in field order: keywords cost about a third more a build.
+                entries.append(Candidate(cid, covered, cost, name, site, n, zeta))
     return entries
 
 

@@ -1,6 +1,7 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
-small synthetic meshes/specs, plus plan and dual feasibility checks, a spy on
-the search's pricing passes, and the one-at-a-time oracles that array code is checked against: the per-site
+small synthetic meshes/specs, plus plan and dual feasibility checks, spies on
+the search's pricing passes and the exact solver's leaf keys, and the
+one-at-a-time oracles that array code is checked against: the per-site
 coverage walk, the scalar unit-count rule and the same-site dominance rule."""
 
 import math
@@ -105,6 +106,20 @@ def count_pricing_passes(monkeypatch):
         return children_of(self, p, uncovered)
 
     monkeypatch.setattr(solver._Residual, "children_of", count)
+    return calls
+
+
+def count_leaf_keys(monkeypatch):
+    """How many leaf keys the exact solver computes from now on, in a
+    one-item list, counted through ``monkeypatch``."""
+    calls = [0]
+    leaf_key = solver._leaf_key
+
+    def count(*args):
+        calls[0] += 1
+        return leaf_key(*args)
+
+    monkeypatch.setattr(solver, "_leaf_key", count)
     return calls
 
 

@@ -16,6 +16,7 @@ from gridwatch.coverage import (
     block_detection,
     build_coverage,
     covered_blocks,
+    mask_flags,
     mask_positions,
     masks_to_flags,
     masks_to_runs,
@@ -341,6 +342,18 @@ def test_mask_helpers_match_a_bit_loop(n):
         assert flags.tolist() == bits
         assert mask_positions(mask) == [i for i, b in enumerate(bits) if b]
 
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 13, 63, 64, 65, 130, 401])
+def test_mask_flags_matches_masks_to_flags(n):
+    # The one-mask form the search's pricing pass unpacks with: mask 0, the
+    # top bit alone and with others, and random masks, over n on both sides
+    # of byte and 64-bit word boundaries.
+    rng = random.Random(n)
+    top = 1 << n - 1 if n else 0
+    for mask in [0, top, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n) | top]:
+        flags, expected = mask_flags(mask, n), masks_to_flags([mask], n)[0]
+        assert flags.dtype == expected.dtype and flags.shape == (n,)
+        assert flags.tobytes() == expected.tobytes()
 
 
 def masks_over(n):

@@ -7,13 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
+from helpers import count_leaf_keys, count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage, solver
-from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, masks_to_flags
+from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, masks_to_flags, masks_to_runs
 from gridwatch.errors import Infeasible, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.mesh import DETECTABLE_TERRAINS
 from gridwatch.solver import (
@@ -934,6 +934,41 @@ def test_run_pricing_matches_boolean_sum():
                 assert cost.tolist() == [res.active[ci].cost for ci in idx]
 
 
+def test_pricing_passes_match_a_fresh_prefix_sum_bit_for_bit():
+    # A pass unpacks its mask alone, writes its product and prefix sum into
+    # the residual's buffers and reads the cached runs as rows of bounds; its
+    # prices are, bit for bit, those of a product and prefix sum built anew
+    # and read at the coverers' runs found anew.  A later pass leaves the
+    # arrays an earlier one returned as they were.
+    inst = search_like_instance()
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+    n = len(res.price)
+    rng = random.Random(29)
+    returned = []
+    for p in res.order[::10]:
+        runs, offsets = masks_to_runs([res.active[ci].covered for ci in res.coverers_of(p)[1]], n)
+        for uncovered in (res.remaining, (res.remaining & rng.getrandbits(n)) | 1 << p, 1 << p):
+            prefix = np.zeros(n + 1)
+            np.cumsum(res.price * masks_to_flags([uncovered], n)[0], out=prefix[1:])
+            ends = prefix.take(runs)
+            expected = np.add.reduceat(ends[:, 1] - ends[:, 0], offsets[:-1])
+            cost, newly = res.children_of(p, uncovered)
+            assert newly.tobytes() == expected.tobytes()
+            returned.append((cost, newly, cost.copy(), newly.copy()))
+    assert all(a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes() for a, b, c, d in returned)
+
+
+def test_every_coverer_list_is_ascending():
+    # The search keys one leaf child of each cost, the first it reaches;
+    # that one is the least by picks only if a block's coverers come in
+    # ascending index.
+    for res in run_pricing_residuals():
+        for p in res.rows.tolist():
+            idx = res.coverers_of(p)[1]
+            assert idx == sorted(set(idx))
+
+
 def test_run_cache_build_memory_stays_small():
     # A city-10k-like map: 100x100 blocks with water and blocks outside the
     # area, under ADS-B, RF and RemoteID.  The block with the most coverers
@@ -1236,3 +1271,62 @@ def test_search_of_a_residual_with_nothing_left_returns_the_forced_candidates():
     res = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
     assert (res.forced, res.active, res.remaining) == ([a, b], [], 0)
     assert solver._search(res, [a, b, x], 100) == (0, False, [a, b])
+
+
+def every_leaf(seen, cost):
+    """A leaf rule that keys every leaf child."""
+    return True
+
+
+def solve_keying(inst, node_budget, first_leaf_of_its_cost):
+    """``solve_exact`` with ``solver._first_leaf_of_its_cost``, the search's
+    one seam for its leaf rule, replaced: its search (cids, nodes, budget
+    exit, bound, pricing passes) and how many leaf keys it computed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_first_leaf_of_its_cost", first_leaf_of_its_cost)
+        priced = count_pricing_passes(mp)
+        keyed = count_leaf_keys(mp)
+        plan = solve_exact(inst, node_budget=node_budget)
+    search = ([c.cid for c in plan.chosen], plan.nodes_explored, plan.metadata["budget_exceeded"])
+    return search + (repr(plan.metadata["root_lower_bound"]), priced[0]), keyed[0]
+
+
+@pytest.mark.parametrize("node_budget", [1, 5, 30, solver.DEFAULT_NODE_BUDGET])
+def test_keying_one_leaf_per_cost_changes_no_search(node_budget):
+    # A later leaf child of a node that costs what an earlier one did ties
+    # it on fsum cost and size and loses on picks, so keying only the first
+    # leaves the same search: the same plan, nodes, bound and pricing passes.
+    skipped = 0
+    for instances in (tied_integer_instances, float_cost_instances, float_tie_instances, branching_instances):
+        for inst in instances():
+            once, keyed = solve_keying(inst, node_budget, solver._first_leaf_of_its_cost)
+            every, keyed_all = solve_keying(inst, node_budget, every_leaf)
+            assert once == every
+            assert keyed <= keyed_all
+            skipped += keyed < keyed_all
+    # A one-node search's leaves are root children that cover every block
+    # left, and here no two of them share a cost.
+    assert skipped > 0 or node_budget == 1
+
+
+def test_a_node_keys_one_leaf_child_per_cost():
+    # a, b and c cover every block at 2.0, and d, the incumbent, at 3.0, so
+    # the root's four children are leaves.  a is keyed and becomes the
+    # incumbent; b and c tie it on cost and size and lose on picks, so they
+    # are not keyed.  d, of another cost, is.
+    inst = inst_from(range(3), [(cid, [0, 1, 2], 2.0) for cid in "abc"] + [("d", [0, 1, 2], 3.0)])
+    res = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
+    assert res.coverers_of(res.order[0])[1] == [0, 1, 2, 3]
+    leaf_key = solver._leaf_key
+    for first_leaf_of_its_cost, keys in (
+        (solver._first_leaf_of_its_cost, [(3,), (0,), (3,)]),
+        (every_leaf, [(3,), (0,), (1,), (2,), (3,)]),
+    ):
+        keyed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_first_leaf_of_its_cost", first_leaf_of_its_cost)
+            mp.setattr(solver, "_leaf_key", lambda *args: keyed.append(args[2]) or leaf_key(*args))
+            nodes, exceeded, plan = solver._search(res, [inst.candidates[3]], solver.DEFAULT_NODE_BUDGET)
+        # The incumbent's own key comes first.
+        assert keyed == keys
+        assert (nodes, exceeded, [c.cid for c in plan]) == (1, False, ["a"])

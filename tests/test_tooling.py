@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import count_pricing_passes
+from helpers import count_leaf_keys, count_pricing_passes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,6 +230,7 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
 
     workload = inputs.WORKLOADS["search-400"]
     priced = count_pricing_passes(monkeypatch)
+    keyed = count_leaf_keys(monkeypatch)
     plan = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))).plan
     assert plan.proven_optimal
     assert plan.metadata["budget_exceeded"] is False
@@ -244,6 +245,10 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     # Of the 13 631 nodes the search expands, only these are priced: the
     # others have no child that could pass the bound.
     assert priced == [3520]
+    # The search keys one leaf child of each cost per node, of 25 802 it
+    # reaches; the Lagrangian's heuristic and each search's incumbent are
+    # keyed too.
+    assert keyed == [2514]
 
 
 # Each sweep-r point at seed 1: (total_cost, root_lower_bound, cids).  The
@@ -283,6 +288,7 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "run_plan", run_and_keep)
     priced = count_pricing_passes(monkeypatch)
+    keyed = count_leaf_keys(monkeypatch)
     pipeline.sweep(scenario, "r", workload.sweep_values)
     assert len(plans) == len(_SWEEP_R_PLANS)
     for plan, (cost, bound, cids) in zip(plans, _SWEEP_R_PLANS):
@@ -290,8 +296,10 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
         assert plan.nodes_explored == workload.node_budget + 1
         assert [c.cid for c in plan.chosen] == cids
         assert plan.metadata["root_lower_bound"] == pytest.approx(bound, rel=1e-12)
-    # Of the 8 x 300 nodes the points expand, only these are priced.
+    # Of the 8 x 300 nodes the points expand, only these are priced, and
+    # of the 14 027 leaves they reach, only one of each cost per node is keyed.
     assert priced == [714]
+    assert keyed == [575]
 
 
 def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
