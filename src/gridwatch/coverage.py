@@ -30,11 +30,16 @@ positions, where bit i is the i-th block of ``mesh.in_area_blocks``.  That
 tuple is also the placement instance's universe, and the instance's
 candidates are the table's own :class:`Candidate` entries, so set algebra
 stays integer AND/OR/popcount work.  The conversions from masks to their
-bytes, 0/1 flags, runs of set bits and positions are defined here and
-nowhere else; :func:`mask_flags` takes one mask to its flags without the
-list and row of :func:`masks_to_flags`, for callers such as the search's
-pricing pass that unpack one mask at a time.  The table is written out as
-``coverage.csv`` by ``pipeline.write_coverage_csv``.
+bytes, 0/1 flags, nonzero bytes, set-bit positions and runs of set bits
+are defined here and nowhere else.  :func:`masks_to_bytes` is the one
+packer: :func:`masks_to_flags` unpacks its rows, and
+:func:`masks_to_nonzero_bytes` is the one scan of them for nonzero bytes.
+:func:`masks_to_positions` alone expands those bytes to their set bits, and
+:func:`masks_to_runs` takes the set bits of each mask's run bounds from it.
+:func:`mask_flags` takes one mask to its flags without the list and row of
+:func:`masks_to_flags`, for callers such as the search's pricing pass that
+unpack one mask at a time.  The table is written out as ``coverage.csv`` by
+``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -199,11 +204,37 @@ def mask_flags(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8), count=n, bitorder="little")
 
 
+def masks_to_nonzero_bytes(masks: list, n: int) -> tuple:
+    """``(mask, byte, value)`` of each nonzero byte of the masks over ``n``
+    positions, mask by mask and ascending: the mask's index, the byte's
+    index in it and its value.  Zero bytes are skipped, so the arrays
+    follow the covered sets, not the number of masks times ``n``."""
+    data = masks_to_bytes(masks, n)
+    at = np.flatnonzero(data)
+    mask, byte = np.divmod(at, data.shape[1])
+    return mask, byte, data.reshape(-1)[at]
+
+
 # The set bits of each byte value v, ascending, are
 # _BYTE_BITS[_BYTE_FIRST[v] : _BYTE_FIRST[v] + _BYTE_COUNT[v]].
 _BYTE_VALUES, _BYTE_BITS = np.nonzero(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"))
 _BYTE_COUNT = np.bincount(_BYTE_VALUES, minlength=256)
 _BYTE_FIRST = np.cumsum(_BYTE_COUNT) - _BYTE_COUNT
+
+
+def masks_to_positions(masks: list, n: int) -> tuple:
+    """The set bits of the masks over ``n`` positions: ``(positions,
+    offsets)``, where ``positions`` holds them mask by mask and ascending,
+    and those of mask i are ``positions[offsets[i] : offsets[i + 1]]``.
+
+    Each nonzero byte of :func:`masks_to_nonzero_bytes` is expanded to its
+    set bits from a table of all 256 byte values."""
+    mask, byte, value = masks_to_nonzero_bytes(masks, n)
+    count = _BYTE_COUNT[value]
+    # ends[j] set bits lie in the nonzero bytes before the j-th.
+    ends = np.concatenate(([0], np.cumsum(count)))
+    bits = _BYTE_BITS[np.arange(ends[-1]) + np.repeat(_BYTE_FIRST[value] - ends[:-1], count)]
+    return bits + np.repeat(byte * 8, count), ends[np.searchsorted(mask, np.arange(len(masks) + 1))]
 
 
 def masks_to_runs(masks: list, n: int) -> tuple:
@@ -214,19 +245,9 @@ def masks_to_runs(masks: list, n: int) -> tuple:
 
     A run starts and ends where a bit differs from the one below it, so the
     set bits of ``m ^ (m << 1)`` over ``n + 1`` positions are its bounds,
-    alternately lo and hi.  Only the nonzero bytes of those are expanded,
-    each to its set bits from a table of all 256 byte values."""
-    data = masks_to_bytes([m ^ (m << 1) for m in masks], n + 1)
-    at = np.flatnonzero(data)
-    value = data.reshape(-1)[at]
-    count = _BYTE_COUNT[value]
-    row, col = np.divmod(at, data.shape[1])
-    # ends[j] bounds lie in the nonzero bytes before the j-th.
-    ends = np.concatenate(([0], np.cumsum(count)))
-    bits = _BYTE_BITS[np.arange(ends[-1]) + np.repeat(_BYTE_FIRST[value] - ends[:-1], count)]
-    bounds = bits + np.repeat(col * 8, count)
-    offsets = ends[np.searchsorted(row, np.arange(len(masks) + 1))] // 2
-    return bounds.astype(np.int32).reshape(-1, 2), offsets
+    alternately lo and hi (see :func:`masks_to_positions`)."""
+    bounds, offsets = masks_to_positions([m ^ (m << 1) for m in masks], n + 1)
+    return bounds.astype(np.int32).reshape(-1, 2), offsets // 2
 
 
 def mask_positions(mask: int) -> list:

@@ -58,7 +58,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, mask_flags, mask_positions, masks_to_bytes, masks_to_flags, masks_to_runs
+from .coverage import Candidate, CoverageTable, mask_flags, mask_positions, masks_to_bytes, masks_to_flags, masks_to_nonzero_bytes
+from .coverage import masks_to_positions, masks_to_runs
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -297,10 +298,11 @@ def _batch_pricer(price: np.ndarray):
 
     Row j of the table holds the price sum of every subset of positions
     8j..8j+7, indexed by that subset's byte, so pricing a mask is one lookup
-    per nonzero byte instead of unpacking it to flags.  Zero bytes are
-    skipped, so work and temporaries follow the covered sets, not the
-    universe size times the number of masks.  The dual ascent's slack pass
-    prices the residual's masks with it."""
+    per nonzero byte, as :func:`masks_to_nonzero_bytes` gives them, instead
+    of unpacking it to flags.  Zero bytes are skipped, so work and
+    temporaries follow the covered sets, not the universe size times the
+    number of masks.  The dual ascent's slack pass prices the residual's
+    masks with it."""
     n = len(price)
     n_bytes = (n + 7) // 8
     padded = np.zeros(8 * n_bytes)
@@ -311,10 +313,8 @@ def _batch_pricer(price: np.ndarray):
     table = table.ravel()
 
     def price_of(masks: list) -> np.ndarray:
-        raw = masks_to_bytes(masks, n).ravel()
-        at = np.flatnonzero(raw)
-        row, col = np.divmod(at, n_bytes)
-        return np.bincount(row, weights=table[256 * col + raw[at]], minlength=len(masks))
+        row, col, value = masks_to_nonzero_bytes(masks, n)
+        return np.bincount(row, weights=table[256 * col + value], minlength=len(masks))
 
     return price_of
 
@@ -693,25 +693,29 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     picks.
 
     The incidence is stored as int32, column j's rows a slice of one array of
-    row indices, filled from masks unpacked a chunk of ``_chunk_rows(n)``
-    candidates at a time.  The steps walk it in spans of whole consecutive
-    columns, each holding at most ``_CHUNK_CELLS`` nonzeros, or one column
-    that alone holds more.  A^T u copies a span's rows into one reused intp
-    buffer, the width of the widest span, gathers u at them and sums each
-    column by ``np.add.reduceat``: every column's sum is a reduction over the
-    same values in the same order whatever the spans, so the bound does not
-    depend on their width.  A x counts the rows of a span's flagged columns,
-    skipping spans with none, and is exact."""
+    row indices.  It is filled a chunk of ``_chunk_rows(n)`` candidates at a
+    time from the set bits of their masks cut to ``res.remaining`` (see
+    :func:`masks_to_positions`), each position taken to its row by one map,
+    so no mask is unpacked to flags a second time after the root pass.  The
+    steps walk it in spans of whole consecutive columns, each holding at most
+    ``_CHUNK_CELLS`` nonzeros, or one column that alone holds more.  A^T u
+    copies a span's rows into one reused intp buffer, the width of the
+    widest span, gathers u at them and sums each column by
+    ``np.add.reduceat``: every column's sum is a reduction over the same
+    values in the same order whatever the spans, so the bound does not
+    depend on their width.  A x counts the rows of a span's flagged
+    columns, skipping spans with none, and is exact."""
     active, rows, cost, sizes, forced, forced_cost = res.active, res.rows, res.cost, res.sizes, res.forced, res.forced_cost
     n, m = len(start), len(rows)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     incidence = np.empty(int(ends[-1]), dtype=np.int32)
+    row_of = np.empty(n, dtype=np.int32)
+    row_of[rows] = np.arange(m, dtype=np.int32)
     step = _chunk_rows(n)
     for a in range(0, len(active), step):
-        b = min(a + step, len(active))
-        at = np.flatnonzero(masks_to_flags([c.covered for c in active[a:b]], n)[:, rows])
-        incidence[starts[a] : ends[b - 1]] = np.remainder(at, m, out=at)
+        positions, _ = masks_to_positions([c.covered & res.remaining for c in active[a : a + step]], n)
+        incidence[starts[a] : starts[a] + len(positions)] = row_of[positions]
     # A span: its columns, their rows, and where each one's rows start.
     spans = []
     a = 0

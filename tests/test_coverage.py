@@ -19,6 +19,8 @@ from gridwatch.coverage import (
     mask_flags,
     mask_positions,
     masks_to_flags,
+    masks_to_nonzero_bytes,
+    masks_to_positions,
     masks_to_runs,
     redundancy,
 )
@@ -354,6 +356,32 @@ def test_mask_flags_matches_masks_to_flags(n):
         flags, expected = mask_flags(mask, n), masks_to_flags([mask], n)[0]
         assert flags.dtype == expected.dtype and flags.shape == (n,)
         assert flags.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 401])
+def test_nonzero_bytes_and_positions_match_a_bit_loop(n):
+    # Mask 0, the top bit alone, the full mask and random masks, on both
+    # sides of byte and 64-bit word boundaries, in one list.
+    rng = random.Random(n)
+    masks = [0, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    expected_bytes = [
+        (i, b, (mask >> 8 * b) & 0xFF) for i, mask in enumerate(masks) for b in range((n + 7) // 8) if (mask >> 8 * b) & 0xFF
+    ]
+    mask, byte, value = masks_to_nonzero_bytes(masks, n)
+    assert value.dtype == np.uint8
+    assert list(zip(mask.tolist(), byte.tolist(), value.tolist())) == expected_bytes
+    positions, offsets = masks_to_positions(masks, n)
+    assert offsets[0] == 0 and len(offsets) == len(masks) + 1
+    for i, m in enumerate(masks):
+        assert positions[offsets[i] : offsets[i + 1]].tolist() == [p for p in range(n) if (m >> p) & 1]
+    assert offsets[-1] == len(positions)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 401])
+def test_nonzero_bytes_and_positions_of_no_masks_are_empty(n):
+    assert [a.tolist() for a in masks_to_nonzero_bytes([], n)] == [[], [], []]
+    positions, offsets = masks_to_positions([], n)
+    assert positions.tolist() == [] and offsets.tolist() == [0]
 
 
 def masks_over(n):

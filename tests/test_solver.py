@@ -713,6 +713,55 @@ def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
     assert [c.cid for c in res.forced] == ["a"]
 
 
+def test_a_solve_unpacks_each_residuals_active_masks_once(monkeypatch, lagrangians):
+    # The probe stops on its budget, so the dual ascent, the Lagrangian and
+    # the core search run too.  Only building the root and the core unpacks
+    # masks to flags: the ascent reads their nonzero bytes and the
+    # Lagrangian their set bits.
+    unpacked, residuals = [], []
+    unpack, init = solver.masks_to_flags, solver._Residual.__init__
+
+    def unpack_and_keep(masks, n):
+        unpacked.extend(masks)
+        return unpack(masks, n)
+
+    def init_and_keep(self, *args):
+        init(self, *args)
+        residuals.append(self)
+
+    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep)
+    monkeypatch.setattr(solver._Residual, "__init__", init_and_keep)
+    solve_exact(search_like_instance(), node_budget=20_000)
+    assert lagrangians == [1]
+    assert len(residuals) == 2
+    assert Counter(unpacked) == Counter(c.covered for res in residuals for c in res.active)
+
+
+def test_the_lagrangian_reads_only_the_blocks_left():
+    # The incidence holds the set bits of each active mask cut to the blocks
+    # left, so cutting the masks beforehand must change nothing.  Forcing
+    # leaves active masks that reach blocks the forced candidates cover: on
+    # the forcing instance and on most branching instances, but on none of
+    # the tied-integer or float-cost ones, whose residuals force nothing.
+    reaching = 0
+    families = (tied_integer_instances(), float_cost_instances(), branching_instances())
+    for inst in itertools.chain([forcing_instance()], *families):
+        kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+        res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+        if not res.remaining:
+            continue
+        prices = solver._dual_ascent(res)
+        greedy = res.forced + [res.active[i] for i in solver._greedy_cover(res.active, res.remaining)]
+        results = []
+        reaching += any(c.covered & ~res.remaining for c in res.active)
+        for active in (res.active, [replace(c, covered=c.covered & res.remaining) for c in res.active]):
+            res.active = active
+            bound, keep, incumbent = solver._lagrangian(res, prices, greedy)
+            results.append((repr(bound), keep.tolist(), [c.cid for c in incumbent]))
+        assert results[1] == results[0]
+    assert reaching >= 30
+
+
 def test_root_proven_instance_explores_only_the_root():
     # No block has one coverer, and "a"'s share prices every block at the
     # greedy plan's cost.  The root still branches, and none of its children

@@ -98,6 +98,22 @@ def _calls(tree) -> list:
     ]
 
 
+def test_one_scan_reads_mask_bytes_and_one_expansion_reads_the_byte_tables():
+    # coverage.py's converters are the only readers of the packed bytes,
+    # besides the exhaustive oracle: nonzero bytes come from one scan, and
+    # only the set-bit expansion reads the 256-value byte tables.
+    packed, tables = set(), set()
+    for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        packed |= {(path.name, func) for func, name, _ in _calls(tree) if name == "masks_to_bytes"}
+        for func, node in _enclosed(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+            if isinstance(name, str) and name.startswith("_BYTE_") and (path.name, func) != ("coverage.py", None):
+                tables.add((path.name, func))
+    assert packed == {("coverage.py", "masks_to_flags"), ("coverage.py", "masks_to_nonzero_bytes"), ("solver.py", "solve_brute")}
+    assert tables == {("coverage.py", "masks_to_positions")}
+
+
 def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
     # The unit rule is applied by one pricing function, whether its pairs come
     # from the stencil walk or from the held table an r sweep prices again,
