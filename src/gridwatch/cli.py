@@ -10,8 +10,10 @@ scenario and every file it names, the sensor filter, the catalog scaled by
 Exit codes: 0 success, 2 input or validation failure (an output path that
 cannot be written included), 3 infeasible coverage, 4 no proven optimum: the
 plan came from the greedy solver, the node budget ran out, or the dominance
-filter removed a sensor type, which is a rule and not a proof.  Validation
-failures print a machine-readable JSON object on stderr.
+filter removed a sensor type, which is a rule and not a proof.  When such a
+plan carries a root lower bound, ``plan`` prints it on its summary line with
+the gap, (cost - bound) / cost.  Validation failures print a
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -48,10 +50,15 @@ def cmd_plan(args) -> int:
     result = run_plan(scenario)
     paths = write_plan_artifacts(result, scenario.output_dir)
     plan = result.plan
-    print(
+    summary = (
         f"{scenario.name}: {plan.n_sites} site(s), {plan.total_units} sensor unit(s), "
         f"${plan.total_cost:,.2f}, proven_optimal={str(plan.proven_optimal).lower()}"
     )
+    bound = plan.metadata.get("root_lower_bound")
+    if not plan.proven_optimal and bound is not None:
+        gap = max(0.0, (plan.total_cost - bound) / plan.total_cost)
+        summary += f", lower_bound=${bound:,.2f}, gap={gap:.2%}"
+    print(summary)
     for key in ("mesh", "plan", "heatmap", "summary", "coverage"):
         print(f"  {key}: {paths[key]}")
     return EXIT_OK if plan.proven_optimal else EXIT_BUDGET

@@ -38,8 +38,10 @@ packer: :func:`masks_to_flags` unpacks its rows, and
 :func:`masks_to_runs` takes the set bits of each mask's run bounds from it.
 :func:`mask_flags` takes one mask to its flags without the list and row of
 :func:`masks_to_flags`, for callers such as the search's pricing pass that
-unpack one mask at a time.  The table is written out as ``coverage.csv`` by
-``pipeline.write_coverage_csv``.
+unpack one mask at a time.  :func:`flags_to_masks` is the one way back from
+rows of flags to masks: the walk packs its covered sets with it, and the
+solver the bit planes of its hit counts.  The table is written out as
+``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations
@@ -196,6 +198,15 @@ def masks_to_bytes(masks: list, n: int) -> np.ndarray:
 def masks_to_flags(masks: list, n: int) -> np.ndarray:
     """The masks over ``n`` positions as rows of 0/1 bytes."""
     return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
+
+
+def flags_to_masks(flags: np.ndarray) -> list:
+    """Rows of 0/1 flags as masks, bit i of mask r set where ``flags[r, i]``
+    is: the inverse of :func:`masks_to_flags`."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
 
 
 def mask_flags(mask: int, n: int) -> np.ndarray:
@@ -401,10 +412,9 @@ def _covered_sets(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, omega: np.nd
         # ``omega[covered].mean()`` sums them; ``np.add.reduceat`` sums in
         # order and can differ in the last bit.
         values = omega[positions]
-        packed = np.packbits(flags.reshape(-1, n_in_area), axis=1, bitorder="little")
         a = 0
-        for row, b in zip(packed, itertools.accumulate(sizes[first:last])):
-            out.append((int.from_bytes(row.tobytes(), "little"), float(np.add.reduce(values[a:b])) / (b - a)))
+        for mask, b in zip(flags_to_masks(flags.reshape(-1, n_in_area)), itertools.accumulate(sizes[first:last])):
+            out.append((mask, float(np.add.reduce(values[a:b])) / (b - a)))
             a = b
         first = last
     return out

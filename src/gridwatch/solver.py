@@ -58,8 +58,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, mask_flags, mask_positions, masks_to_bytes, masks_to_flags, masks_to_nonzero_bytes
-from .coverage import masks_to_positions, masks_to_runs
+from .coverage import Candidate, CoverageTable, flags_to_masks, mask_flags, mask_positions, masks_to_bytes, masks_to_flags
+from .coverage import masks_to_nonzero_bytes, masks_to_positions, masks_to_runs
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
 
@@ -667,6 +667,61 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     return nodes, nodes > node_budget, forced + [active[i] for i in inc_key[2]]
 
 
+def _drop_redundant(masks: list, counts: np.ndarray) -> list:
+    """The indices, ascending, of the ``masks`` kept when each in turn is
+    dropped if every position it holds is counted more than once, and
+    lowers those counts when it is.  ``counts`` is each position's count
+    to start from, at least the number of ``masks`` holding it.
+
+    The counts are held as bit planes, Python-int masks whose plane k holds
+    bit k of each count, so a drop is a subtraction of the mask with a
+    borrow through the planes, not a pass over its positions.  A mask that
+    holds a bit of count 1, one of ``singles``, is kept.  ``high``, the OR
+    of planes 2 and up, tells a count of 2 from counts of 6, 10 and so on;
+    it changes only when a borrow reaches plane 2."""
+    planes = flags_to_masks((counts >> np.arange(max(3, int(counts.max(initial=0)).bit_length()))[:, None]) & 1)
+    high = 0
+    for plane in planes[2:]:
+        high |= plane
+    singles = planes[0] & ~planes[1] & ~high
+    kept = []
+    for i, mask in enumerate(masks):
+        if mask & singles:
+            kept.append(i)
+            continue
+        # Bits counted twice are counted once when this mask goes.  Here
+        # and below, x ^ (x & y) and x & (y ^ x) stand for x & ~y: ~y is a
+        # negative int, and with it the pass took twice as long on masks
+        # of 10^4 blocks.
+        twos = mask & planes[1]
+        twos ^= twos & planes[0]
+        singles |= twos ^ (twos & high)
+        borrow, k = mask, 0
+        while borrow:
+            # The borrow goes on past the bits that were 0 in this plane.
+            plane = planes[k] ^ borrow
+            planes[k] = plane
+            borrow &= plane
+            k += 1
+        if k > 2:
+            high = 0
+            for plane in planes[2:]:
+                high |= plane
+    return kept
+
+
+def _untried(tried: set, flags: np.ndarray) -> bool:
+    """Whether the Lagrangian's heuristic has not yet run on the candidates
+    ``flags`` flags, the sets it ran on being ``tried``; adds them.  The
+    heuristic runs only when this holds (see :func:`_lagrangian`).  A set
+    is kept as a mask, one bit a candidate whatever the set's size."""
+    key = flags_to_masks(flags[None])[0]
+    if key in tried:
+        return False
+    tried.add(key)
+    return True
+
+
 def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     """Subgradient Lagrangian of covering the blocks of ``res`` with its
     candidates, with a primal heuristic and reduced-cost fixing (Beasley,
@@ -683,9 +738,16 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     The steps stop early once L proves the incumbent or g vanishes.  Every
     10 steps the candidates with rc < 0, completed by the greedy and rid of
     redundant ones costliest first, are picks that replace the incumbent's
-    when less by :func:`_leaf_key`.  ``incumbent`` must cover the universe
-    and hold ``res.forced``; it is held as its picks (see :func:`_picks_of`),
-    and the plan returned is ``res.forced`` plus the best picks.
+    when less by :func:`_leaf_key`.  This heuristic is a function of the
+    set it starts from, so a set it has tried is skipped (see
+    :func:`_untried`): its key already lost to the incumbent or became it.
+    Oscillating steps often leave the same set, most often an empty one;
+    on search-400 at seed 1, 11 of 50 runs were repeats.  The redundant
+    picks are found over bit planes of their hit counts, the counts A x
+    gives (see :func:`_drop_redundant`).  ``incumbent`` must cover the
+    universe and hold ``res.forced``; it is held as its picks (see
+    :func:`_picks_of`), and the plan returned is ``res.forced`` plus the
+    best picks.
 
     ``bound`` is the best L; ``keep`` flags the candidates whose rc at its
     u leaves L + max(0, rc) within the prune slack of UB, the only ones a
@@ -736,6 +798,8 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
 
     forced_costs, active_costs = [c.cost for c in forced], cost.tolist()
     inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
+    # The heuristic's hit count of each position, 0 off ``rows``.
+    counts = np.zeros(n, dtype=np.intp)
 
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
@@ -752,23 +816,20 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         picked = picked + _greedy_cover(active, res.remaining & ~covered)
         x = np.zeros(len(active), dtype=bool)
         x[picked] = True
-        hits = hits_of(x)
-        kept = []
+        counts[rows] = hits_of(x)
         # Costliest first; ties go by index, which is cid order.
-        for j in sorted(picked, key=lambda j: (-cost[j], j)):
-            seg = incidence[starts[j] : ends[j]]
-            if hits[seg].min() > 1:
-                hits[seg] -= 1
-            else:
-                kept.append(j)
-        return tuple(sorted(kept))
+        picked.sort(key=lambda j: (-active_costs[j], j))
+        kept = _drop_redundant([active[j].covered & res.remaining for j in picked], counts)
+        return tuple(sorted(picked[i] for i in kept))
 
     u = start[rows].astype(np.float64)
     ub = inc_key[0] - forced_cost
     lam, best, best_u, stall = 2.0, -math.inf, u, 0
+    tried = set()
     for it in range(_LAGRANGE_STEPS):
         rc = reduced(u)
-        neg = np.flatnonzero(rc < 0.0)
+        x = rc < 0.0
+        neg = np.flatnonzero(x)
         value = float(u.sum() + rc[neg].sum())
         if value > best:
             best, best_u, stall = value, u, 0
@@ -776,14 +837,14 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
             stall += 1
             if stall == 50:
                 lam, stall = lam * 0.7, 0
-        if it % 10 == 0:
+        if it % 10 == 0 and _untried(tried, x):
             key = _leaf_key(forced_costs, active_costs, heuristic(neg.tolist()))
             if key < inc_key:
                 inc_key = key
                 ub = key[0] - forced_cost
         if best >= ub - _PRUNE_REL * max(1.0, abs(ub)):
             break
-        g = 1.0 - hits_of(rc < 0.0)
+        g = 1.0 - hits_of(x)
         g[(g < 0.0) & (u == 0.0)] = 0.0
         norm = float(g @ g)
         if norm == 0.0:

@@ -1,8 +1,9 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
 small synthetic meshes/specs, plus plan and dual feasibility checks, spies on
-the search's pricing passes and the exact solver's leaf keys, and the
-one-at-a-time oracles that array code is checked against: the per-site
-coverage walk, the scalar unit-count rule and the same-site dominance rule."""
+the search's pricing passes and the exact solver's leaf keys and greedy
+covers, and the one-at-a-time oracles that array code is checked against:
+the per-site coverage walk, the scalar unit-count rule, the same-site
+dominance rule and the per-position redundancy pass."""
 
 import math
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 
 from gridwatch import solver
 from gridwatch.catalog import SensorSpec
-from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection
+from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection, mask_positions
 from gridwatch.errors import DegenerateDetection, TooLarge, ValidationError
 from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint
 from gridwatch.mesh import DETECTABLE_TERRAINS, build_mesh
@@ -121,6 +122,36 @@ def count_leaf_keys(monkeypatch):
 
     monkeypatch.setattr(solver, "_leaf_key", count)
     return calls
+
+
+def count_greedy_covers(monkeypatch):
+    """How many greedy covers the exact solver runs from now on, the root's
+    incumbent and each run of the Lagrangian's heuristic, in a one-item
+    list, counted through ``monkeypatch``."""
+    calls = [0]
+    greedy_cover = solver._greedy_cover
+
+    def count(*args):
+        calls[0] += 1
+        return greedy_cover(*args)
+
+    monkeypatch.setattr(solver, "_greedy_cover", count)
+    return calls
+
+
+def redundancy_oracle(masks, counts):
+    """``solver._drop_redundant`` as a hit count per position: each of
+    ``masks`` in turn is dropped, and its positions' counts lowered, when
+    every position it holds is counted more than once; the indices kept."""
+    hits = np.array(counts, dtype=np.int64)
+    kept = []
+    for i, mask in enumerate(masks):
+        seg = mask_positions(mask)
+        if (hits[seg] > 1).all():
+            hits[seg] -= 1
+        else:
+            kept.append(i)
+    return kept
 
 
 def footprints_oracle(mesh, catalog):

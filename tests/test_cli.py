@@ -230,9 +230,18 @@ def test_catalog_integer_past_the_digit_limit_names_the_file(bundle, capsys):
     assert not (bundle / "out").exists()
 
 
-def test_plan_budget_exceeded_exits_4(bundle):
+def test_plan_budget_exceeded_exits_4(bundle, capsys):
+    # The summary line says how far from proven the plan stopped.
     scn = scenario_with(bundle, sensor_filter=["Acoustic"], solver={"mode": "exact", "node_budget": 1})
     assert main(["plan", str(scn)]) == 4
+    captured = capsys.readouterr()
+    plan = run_plan(load_scenario(scn)).plan
+    bound = plan.metadata["root_lower_bound"]
+    assert 0.0 < bound < plan.total_cost
+    gap = (plan.total_cost - bound) / plan.total_cost
+    summary = captured.out.splitlines()[0]
+    assert summary.endswith(f", proven_optimal=false, lower_bound=${bound:,.2f}, gap={100 * gap:.2f}%")
+    assert captured.err == ""
 
 
 def test_greedy_plan_claims_no_optimum(bundle, capsys):
@@ -240,7 +249,8 @@ def test_greedy_plan_claims_no_optimum(bundle, capsys):
     plan = run_plan(load_scenario(scn)).plan
     assert (plan.mode, plan.proven_optimal) == ("greedy", False)
     assert main(["plan", str(scn)]) == 4
-    assert "proven_optimal=false" in capsys.readouterr().out
+    # A greedy plan has no bound, so no gap is printed.
+    assert capsys.readouterr().out.splitlines()[0].endswith(", proven_optimal=false")
     doc = json.loads((bundle / "out" / "plan.geojson").read_text(encoding="utf-8"))
     assert doc["properties"]["solver_mode"] == "greedy"
     assert doc["properties"]["total_cost_usd"] == plan.total_cost
@@ -257,7 +267,7 @@ def test_greedy_plan_claims_no_optimum(bundle, capsys):
     ],
     ids=["filter", "plain", "filter-removes-nothing"],
 )
-def test_dominance_filter_claims_no_optimum(bundle, sensors, apply_filter, left, code, cost, proven):
+def test_dominance_filter_claims_no_optimum(bundle, capsys, sensors, apply_filter, left, code, cost, proven):
     # On one open block the filter drops Acoustic for Radar, and the filtered
     # optimum costs nearly eight times the scenario's: the filter proves nothing.
     # A filter that removes no candidate leaves the proof standing.
@@ -267,6 +277,9 @@ def test_dominance_filter_claims_no_optimum(bundle, sensors, apply_filter, left,
     area = {"corners": [[c.lon, c.lat] for c in corners_for(0.3, 0.3)], "block_side_km": 0.3, "terrain_grid": "one.csv"}
     scn = scenario_with(bundle, area=area, sensor_filter=sensors, apply_dominance_filter=apply_filter)
     assert main(["plan", str(scn)]) == code
+    # The filtered plan's bound holds only for the filtered instance, so
+    # no gap is printed.
+    assert "lower_bound=" not in capsys.readouterr().out
     _, rows = read_csv(bundle / "out" / "summary.csv")
     assert (float(rows[0]["total_cost_usd"]), rows[0]["proven_optimal"]) == (cost, proven)
     result = run_plan(load_scenario(scn))

@@ -16,6 +16,7 @@ from gridwatch.coverage import (
     block_detection,
     build_coverage,
     covered_blocks,
+    flags_to_masks,
     mask_flags,
     mask_positions,
     masks_to_flags,
@@ -382,6 +383,23 @@ def test_nonzero_bytes_and_positions_of_no_masks_are_empty(n):
     assert [a.tolist() for a in masks_to_nonzero_bytes([], n)] == [[], [], []]
     positions, offsets = masks_to_positions([], n)
     assert positions.tolist() == [] and offsets.tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 401])
+def test_flags_to_masks_matches_a_bit_loop(n):
+    # All-zero rows, the top bit alone, the full mask and random rows, on
+    # both sides of byte and 64-bit word boundaries, as bool and as 0/1
+    # bytes; masks_to_flags takes the masks back to the same rows.
+    rng = random.Random(n)
+    rows = [[0] * n, [0] * (n - 1) + [1], [1] * n] + [[rng.getrandbits(1) for _ in range(n)] for _ in range(20)] + [[0] * n]
+    expected = [sum(bit << i for i, bit in enumerate(row)) for row in rows]
+    for dtype in (bool, np.uint8):
+        flags = np.array(rows, dtype=dtype)
+        masks = flags_to_masks(flags)
+        assert masks == expected
+        assert all(type(m) is int for m in masks)
+        assert masks_to_flags(masks, n).tolist() == flags.astype(np.uint8).tolist()
+    assert flags_to_masks(np.zeros((0, n), dtype=np.uint8)) == []
 
 
 def masks_over(n):

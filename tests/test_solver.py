@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import count_leaf_keys, count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec, rect_mesh, square_mesh
+from helpers import count_greedy_covers, count_leaf_keys, count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec
+from helpers import rect_mesh, redundancy_oracle, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -1379,3 +1380,87 @@ def test_a_node_keys_one_leaf_child_per_cost():
         # The incumbent's own key comes first.
         assert keyed == keys
         assert (nodes, exceeded, [c.cid for c in plan]) == (1, False, ["a"])
+
+
+@st.composite
+def redundancy_cases(draw):
+    """Masks in drop order and a hit count per position at least the number
+    of them holding it: repeats of a few masks and of subsets nested in
+    them, so that counts reach 9 and more, with or without counts from
+    masks not in the list."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]))
+    bases = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4))
+    nested = [b & draw(st.integers(0, (1 << n) - 1)) for b in bases]
+    masks = draw(st.lists(st.sampled_from(bases + nested), max_size=40))
+    extra = draw(st.one_of(st.just([0] * n), st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    return masks, [e + sum((m >> p) & 1 for m in masks) for p, e in enumerate(extra)]
+
+
+@given(redundancy_cases())
+@example(([], [0, 0, 0]))
+@example(([0b101], [1, 0, 1]))
+@example(([0b11, 0b11, 0b01], [2, 3]))
+# A count of 4 falls to 3: the borrow clears plane 2, so the OR of the higher
+# planes must be taken again for the count's fall from 2 to 1 to show.
+@example(([1] * 4, [4]))
+# A count of 6 falls to 5: it is held twice in plane 1 alone but not twice
+# in all, so it must not join the counts of 1.
+@example(([1] * 2, [6]))
+# Counts of 9 and 17 borrow through plane 3 and 4.
+@example(([1] * 9 + [3] * 8, [17, 8]))
+def test_drop_redundant_matches_the_per_position_loop(case):
+    masks, counts = case
+    held = np.array(counts, dtype=np.intp)
+    assert solver._drop_redundant(masks, held) == redundancy_oracle(masks, counts)
+    assert held.tolist() == counts
+
+
+def heuristic_runs(inst, untried):
+    """``root_relaxations`` of ``inst`` less its prices, with
+    ``solver._untried``, the Lagrangian's check that its heuristic has not
+    run on a set of picks yet, replaced by ``untried``; and the picks of
+    each run of the heuristic, as the bytes of their flags."""
+    runs = []
+
+    def spy(tried, flags):
+        if untried(tried, flags):
+            runs.append(flags.tobytes())
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_untried", spy)
+        greedy_covers = count_greedy_covers(mp)
+        _, bound, keep, cids = root_relaxations(inst)
+    # The root's greedy, then one greedy completion a run.
+    assert greedy_covers == [1 + len(runs)]
+    return (bound, keep.tolist(), cids), runs
+
+
+def has_residual(inst):
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    return solver._Residual(kept, inst.full_mask, [], inst.n_elements).remaining != 0
+
+
+def skip_counts(inst):
+    """Runs of the heuristic in the Lagrangian of ``inst``'s root with the
+    skip of tried picks and without it, once both are checked to give the
+    same Lagrangian and the skip to run each set of picks once."""
+    once, runs = heuristic_runs(inst, solver._untried)
+    every, runs_all = heuristic_runs(inst, lambda tried, flags: True)
+    assert once == every
+    assert len(set(runs)) == len(runs)
+    assert set(runs) == set(runs_all)
+    return len(runs), len(runs_all)
+
+
+def test_skipping_tried_picks_changes_no_lagrangian():
+    # The heuristic is a function of its picks, so a repeat gives the key
+    # that already lost to the incumbent or became it.
+    families = (tied_integer_instances(), float_cost_instances(), branching_instances())
+    counts = [skip_counts(inst) for inst in filter(has_residual, itertools.chain(*families))]
+    assert sum(once < every for once, every in counts) >= 300
+
+
+def test_skipping_tried_picks_changes_no_lagrangian_on_the_search_like_instance():
+    assert skip_counts(search_like_instance()) == (38, 50)

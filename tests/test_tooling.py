@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import count_leaf_keys, count_pricing_passes
+from helpers import count_greedy_covers, count_leaf_keys, count_pricing_passes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -247,6 +247,7 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     workload = inputs.WORKLOADS["search-400"]
     priced = count_pricing_passes(monkeypatch)
     keyed = count_leaf_keys(monkeypatch)
+    greedy_covers = count_greedy_covers(monkeypatch)
     plan = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs"))).plan
     assert plan.proven_optimal
     assert plan.metadata["budget_exceeded"] is False
@@ -264,7 +265,10 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     # The search keys one leaf child of each cost per node, of 25 802 it
     # reaches; the Lagrangian's heuristic and each search's incumbent are
     # keyed too.
-    assert keyed == [2514]
+    assert keyed == [2503]
+    # The root's greedy, then the Lagrangian's heuristic every 10 steps on
+    # picks it has not tried: 11 of its 50 calls repeat picks.
+    assert greedy_covers == [40]
 
 
 # Each sweep-r point at seed 1: (total_cost, root_lower_bound, cids).  The
