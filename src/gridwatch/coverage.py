@@ -36,12 +36,13 @@ packer: :func:`masks_to_flags` unpacks its rows, and
 :func:`masks_to_nonzero_bytes` is the one scan of them for nonzero bytes.
 :func:`masks_to_positions` alone expands those bytes to their set bits, and
 :func:`masks_to_runs` takes the set bits of each mask's run bounds from it.
-:func:`mask_flags` takes one mask to its flags without the list and row of
-:func:`masks_to_flags`, for callers such as the search's pricing pass that
-unpack one mask at a time.  :func:`flags_to_masks` is the one way back from
-rows of flags to masks: the walk packs its covered sets with it, and the
-solver the bit planes of its hit counts.  The table is written out as
-``coverage.csv`` by ``pipeline.write_coverage_csv``.
+The package unpacks no list of masks to flags: :func:`masks_to_flags` is
+kept as the tests' oracle, and the callers that need flags, such as the
+search's pricing pass and the solver's share prices, unpack one mask at a
+time with :func:`mask_flags`.  :func:`flags_to_masks` is the one way back
+from rows of flags to masks: the walk packs its covered sets with it, and
+the Lagrangian each set of candidates its heuristic has tried.  The table
+is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
 """
 
 from __future__ import annotations

@@ -29,9 +29,11 @@ uncovered block are the coverers scanned.
 at their own site, duplicate covered sets, forced unique coverers), then
 branch and bound on the residual.  A residual is one record, built once
 and read by every search, bound and fixing pass over it.  Building it
-makes one pass over its masks, unpacked a chunk of candidates at a time in
-ascending cost share: the pass prices each block at the share of its first
-coverer, the least, and counts each block's coverers for the branch order.
+counts each block's coverers in one pass over its candidates' masks, into
+bit planes of the counts: the blocks with one coverer are forced, and the
+counts order the rest for branching.  A walk over the candidates left in
+ascending cost share then prices each block at the share of its first
+coverer, the least, and stops once every block is priced.
 
 When the node budget can pay for it, the search first runs as a short
 probe.  A probe stopped by its budget is followed by a dual-ascent bound
@@ -58,7 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import SensorCatalog
-from .coverage import Candidate, CoverageTable, flags_to_masks, mask_flags, mask_positions, masks_to_bytes, masks_to_flags
+from .coverage import Candidate, CoverageTable, flags_to_masks, mask_flags, mask_positions, masks_to_bytes
 from .coverage import masks_to_nonzero_bytes, masks_to_positions, masks_to_runs
 from .errors import Infeasible, TooLarge, ValidationError
 from .mesh import DETECTABLE_TERRAINS
@@ -83,8 +85,9 @@ _PRUNE_REL = 1e-9
 #: Most candidates :func:`solve_brute` takes; it scans all 2^n subsets.
 MAX_BRUTE_CANDIDATES = 20
 
-# Most cells (candidates x blocks) the root unpacks or prices at once, so
-# that a chunk's temporaries stay well under a megabyte at any size.  It also
+# Most cells (candidates x blocks) the ascent's slack pass, the Lagrangian's
+# incidence and a block's runs take from the masks at once, so that a chunk's
+# temporaries stay well under a megabyte at any size.  It also
 # caps the nonzeros of a span of the Lagrangian's steps, and so the width of
 # their reused index buffer, unless one candidate alone covers more blocks.
 _CHUNK_CELLS = 1 << 16
@@ -321,37 +324,35 @@ def _batch_pricer(price: np.ndarray):
 
 def _chunk_rows(n: int) -> int:
     """Candidates per chunk of the root's passes over masks of ``n`` blocks:
-    ``_CHUNK_CELLS`` cells, and at most 255, so that a chunk's coverer
-    count of a block fits a byte."""
-    return max(1, min(255, _CHUNK_CELLS // max(n, 1)))
+    ``_CHUNK_CELLS`` cells, and at least one."""
+    return max(1, _CHUNK_CELLS // max(n, 1))
 
 
-def _root_pass(active: Sequence[Candidate], shares: np.ndarray, rows: np.ndarray, n: int) -> tuple:
-    """``(price, order)`` of the blocks at positions ``rows`` from one pass
-    over the masks of ``active``, unpacked a chunk of candidates at a time
-    in ascending ``shares`` (a stable sort).  ``price`` is 0 off ``rows``
-    and, on them, the share of the block's first coverer in that order, the
-    least; once every block is priced the chunks only count.  ``order`` is
-    ``rows`` by ascending (number of coverers, position), the order in
-    which the search picks the block it branches on."""
+def _root_pass(active: Sequence[Candidate], shares: np.ndarray, remaining: int, n: int) -> np.ndarray:
+    """The share price of the blocks of ``remaining``: 0 off them and, on
+    each, the share of its first coverer among ``active`` in ascending
+    ``shares`` (a stable sort), the least.  The walk prices the blocks each
+    candidate covers that no earlier one did, and stops once every block
+    is priced."""
     price = np.zeros(n)
-    unpriced = np.zeros(n, dtype=bool)
-    unpriced[rows] = True
-    left = len(rows)
-    counts = np.zeros(n, dtype=np.int64)
-    by_share = np.argsort(shares, kind="stable")
-    step = _chunk_rows(n)
-    for i in range(0, len(active), step):
-        chunk = by_share[i : i + step]
-        flags = masks_to_flags([active[ci].covered for ci in chunk.tolist()], n)
-        hits = np.add.reduce(flags, axis=0, dtype=np.uint8)
-        counts += hits
-        if left:
-            new = np.flatnonzero(unpriced & (hits > 0))
-            price[new] = shares[chunk[flags[:, new].argmax(axis=0)]]
-            unpriced[new] = False
-            left -= len(new)
-    return price, rows[np.argsort(counts[rows], kind="stable")].tolist()
+    unpriced, share_of = remaining, shares.tolist()
+    for ci in np.argsort(shares, kind="stable").tolist():
+        new = active[ci].covered & unpriced
+        if new:
+            price[mask_flags(new, n).view(bool)] = share_of[ci]
+            unpriced ^= new
+            if not unpriced:
+                break
+    return price
+
+
+def _branch_order(planes: list, rows: np.ndarray, n: int) -> list:
+    """``rows`` by ascending (number of coverers, position), the order in
+    which the search picks the block it branches on.  Plane k of ``planes``
+    holds bit k of each position's number of coverers (see
+    :func:`_bit_planes`)."""
+    counts = sum(mask_flags(plane, n).astype(np.int64) << k for k, plane in enumerate(planes))
+    return rows[np.argsort(counts[rows], kind="stable")].tolist()
 
 
 class _Residual:
@@ -362,26 +363,27 @@ class _Residual:
     block, in the order of ``candidates``, with their ``cost`` and ``sizes``
     (blocks left covered); the blocks left, ``remaining``, at positions
     ``rows``; the share price of :func:`_root_pass`, its sum ``bound`` and
-    its least ``least_price``; the branch order; each branch block's
-    coverers and their least cost, found on first use; and, for the search
-    alone, their runs of set bits and costs and the union of their masks,
+    its least ``least_price``; the branch order of :func:`_branch_order`;
+    each branch block's coverers and their least cost, found on first use;
+    and, for the search alone, their runs of set bits and costs and the union of their masks,
     the block's reach, also found on first use.  The search's two skip
     bounds (see :func:`_search`) start from :meth:`least_cost_of`, and the
     second one reads :meth:`completes`.  ``solve_exact`` builds every
     residual from candidates in cid order, so ``active`` is in cid order
     too, as the search's leaf ranking needs.
 
-    Forcing leaves no new singleton behind: on a block left uncovered, the
+    Each block's coverers in ``candidates`` are counted once, into the bit
+    planes of :func:`_bit_planes`, and the blocks with one coverer are read
+    off them by :func:`_counted_once`.  The same counts give the branch
+    order, as
+    forcing leaves no new singleton behind: on a block left uncovered, the
     number of coverers in ``active`` equals the count before forcing, as no
     forced candidate covers the block and each of its coverers touches the
     blocks left and so stays active."""
 
     def __init__(self, candidates: list, remaining: int, forced: list, n: int):
-        once = twice = 0
-        for c in candidates:
-            twice |= once & c.covered
-            once |= c.covered
-        singles = once & ~twice & remaining
+        planes = _bit_planes([c.covered for c in candidates])
+        singles = _counted_once(planes, remaining)
         more = [c for c in candidates if c.covered & singles]
         for c in more:
             remaining &= ~c.covered
@@ -392,7 +394,8 @@ class _Residual:
         self.cost = np.array([c.cost for c in self.active])
         self.sizes = np.array([(c.covered & remaining).bit_count() for c in self.active])
         self.rows = np.array(mask_positions(remaining), dtype=np.intp)
-        self.price, self.order = _root_pass(self.active, self.cost / self.sizes, self.rows, n)
+        self.price = _root_pass(self.active, self.cost / self.sizes, remaining, n)
+        self.order = _branch_order(planes, self.rows, n)
         self.bound = float(self.price[self.rows].sum())
         self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
         self._coverers = {}
@@ -667,46 +670,65 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     return nodes, nodes > node_budget, forced + [active[i] for i in inc_key[2]]
 
 
-def _drop_redundant(masks: list, counts: np.ndarray) -> list:
+def _bit_planes(masks: list) -> list:
+    """How many of ``masks`` hold each position, as bit planes: Python-int
+    masks whose plane k holds bit k of each position's count.  Plane 0 is
+    always there, and no zero plane is above it.  The masks are added two
+    at a time with a carry through the planes, so the work follows the
+    planes the carries reach, not the positions."""
+    planes = [0]
+    pairs = iter(masks)
+    for a in pairs:
+        b = next(pairs, 0)
+        # a + b is (a ^ b) + 2 (a & b).  Adding a ^ b to plane 0 carries
+        # only where a & b holds no bit, so one mask carries into plane 1.
+        carry, both = a ^ b, a & b
+        for k, plane in enumerate(planes):
+            planes[k], carry, both = plane ^ carry, (plane & carry) | both, 0
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _counted_once(planes: list, mask: int) -> int:
+    """The positions of ``mask`` whose count is 1 in the bit planes
+    ``planes`` (see :func:`_bit_planes`): those of plane 0 in no higher
+    plane.  x ^ (x & y) stands for x & ~y here: ~y is a negative int, and
+    with it the redundancy pass took twice as long on masks of 10^4
+    blocks."""
+    mask &= planes[0]
+    for plane in planes[1:]:
+        mask ^= mask & plane
+    return mask
+
+
+def _drop_redundant(masks: list, planes: list) -> list:
     """The indices, ascending, of the ``masks`` kept when each in turn is
     dropped if every position it holds is counted more than once, and
-    lowers those counts when it is.  ``counts`` is each position's count
-    to start from, at least the number of ``masks`` holding it.
+    lowers those counts when it is.  ``planes`` holds each position's count
+    to start from, at least the number of ``masks`` holding it, as the bit
+    planes of :func:`_bit_planes`; the list is not changed.
 
-    The counts are held as bit planes, Python-int masks whose plane k holds
-    bit k of each count, so a drop is a subtraction of the mask with a
-    borrow through the planes, not a pass over its positions.  A mask that
-    holds a bit of count 1, one of ``singles``, is kept.  ``high``, the OR
-    of planes 2 and up, tells a count of 2 from counts of 6, 10 and so on;
-    it changes only when a borrow reaches plane 2."""
-    planes = flags_to_masks((counts >> np.arange(max(3, int(counts.max(initial=0)).bit_length()))[:, None]) & 1)
-    high = 0
-    for plane in planes[2:]:
-        high |= plane
-    singles = planes[0] & ~planes[1] & ~high
+    A drop is a subtraction of the mask with a borrow through the planes,
+    not a pass over its positions.  A mask that holds a position counted
+    once, one of ``singles``, is kept; after a drop, the positions of the
+    mask whose count fell to 1 join them."""
+    planes = list(planes)
+    singles = _counted_once(planes, planes[0])
     kept = []
     for i, mask in enumerate(masks):
         if mask & singles:
             kept.append(i)
             continue
-        # Bits counted twice are counted once when this mask goes.  Here
-        # and below, x ^ (x & y) and x & (y ^ x) stand for x & ~y: ~y is a
-        # negative int, and with it the pass took twice as long on masks
-        # of 10^4 blocks.
-        twos = mask & planes[1]
-        twos ^= twos & planes[0]
-        singles |= twos ^ (twos & high)
         borrow, k = mask, 0
         while borrow:
             # The borrow goes on past the bits that were 0 in this plane.
-            plane = planes[k] ^ borrow
-            planes[k] = plane
-            borrow &= plane
+            planes[k] ^= borrow
+            borrow &= planes[k]
             k += 1
-        if k > 2:
-            high = 0
-            for plane in planes[2:]:
-                high |= plane
+        singles |= _counted_once(planes, mask)
     return kept
 
 
@@ -743,11 +765,11 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     :func:`_untried`): its key already lost to the incumbent or became it.
     Oscillating steps often leave the same set, most often an empty one;
     on search-400 at seed 1, 11 of 50 runs were repeats.  The redundant
-    picks are found over bit planes of their hit counts, the counts A x
-    gives (see :func:`_drop_redundant`).  ``incumbent`` must cover the
-    universe and hold ``res.forced``; it is held as its picks (see
-    :func:`_picks_of`), and the plan returned is ``res.forced`` plus the
-    best picks.
+    picks are found over the bit planes of their masks cut to the blocks
+    left (see :func:`_bit_planes` and :func:`_drop_redundant`).
+    ``incumbent`` must cover the universe and hold ``res.forced``; it is
+    held as its picks (see :func:`_picks_of`), and the plan returned is
+    ``res.forced`` plus the best picks.
 
     ``bound`` is the best L; ``keep`` flags the candidates whose rc at its
     u leaves L + max(0, rc) within the prune slack of UB, the only ones a
@@ -758,15 +780,15 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     row indices.  It is filled a chunk of ``_chunk_rows(n)`` candidates at a
     time from the set bits of their masks cut to ``res.remaining`` (see
     :func:`masks_to_positions`), each position taken to its row by one map,
-    so no mask is unpacked to flags a second time after the root pass.  The
-    steps walk it in spans of whole consecutive columns, each holding at most
-    ``_CHUNK_CELLS`` nonzeros, or one column that alone holds more.  A^T u
-    copies a span's rows into one reused intp buffer, the width of the
-    widest span, gathers u at them and sums each column by
-    ``np.add.reduceat``: every column's sum is a reduction over the same
-    values in the same order whatever the spans, so the bound does not
-    depend on their width.  A x counts the rows of a span's flagged
-    columns, skipping spans with none, and is exact."""
+    so no mask is unpacked to flags.  The steps walk it in spans of whole
+    consecutive columns, each holding at most ``_CHUNK_CELLS`` nonzeros, or
+    one column that alone holds more.  A^T u copies a span's rows into one
+    reused intp buffer, the width of the widest span, gathers u at them and
+    sums each column by ``np.add.reduceat``: every column's sum is a
+    reduction over the same values in the same order whatever the spans,
+    so the bound does not depend on their width.  A x, which only the
+    step's subgradient reads, counts the rows of a span's flagged columns,
+    skipping spans with none, and is exact."""
     active, rows, cost, sizes, forced, forced_cost = res.active, res.rows, res.cost, res.sizes, res.forced, res.forced_cost
     n, m = len(start), len(rows)
     ends = np.cumsum(sizes)
@@ -798,8 +820,6 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
 
     forced_costs, active_costs = [c.cost for c in forced], cost.tolist()
     inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
-    # The heuristic's hit count of each position, 0 off ``rows``.
-    counts = np.zeros(n, dtype=np.intp)
 
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
@@ -814,12 +834,10 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         for j in picked:
             covered |= active[j].covered
         picked = picked + _greedy_cover(active, res.remaining & ~covered)
-        x = np.zeros(len(active), dtype=bool)
-        x[picked] = True
-        counts[rows] = hits_of(x)
         # Costliest first; ties go by index, which is cid order.
         picked.sort(key=lambda j: (-active_costs[j], j))
-        kept = _drop_redundant([active[j].covered & res.remaining for j in picked], counts)
+        masks = [active[j].covered & res.remaining for j in picked]
+        kept = _drop_redundant(masks, _bit_planes(masks))
         return tuple(sorted(picked[i] for i in kept))
 
     u = start[rows].astype(np.float64)
@@ -866,12 +884,12 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     the type-level :func:`dominance_filter`: it removes only candidates that
     no minimum-cost plan holds, so the least-key plan survives it.
 
-    The residual is one :class:`_Residual` record, built in one pass over
-    its masks, unpacked a chunk at a time in ascending share.  The lower
-    bound is a per-block cheapest-share sum: each block is priced at the
-    least ``cost / |covered & residual|`` among its coverers, the share of
-    its first coverer in that order.  Each node branches on the uncovered
-    block with the fewest covering candidates, counted in the same pass,
+    The residual is one :class:`_Residual` record, which counts each
+    block's coverers in one pass over its masks.  The lower bound is a
+    per-block cheapest-share sum: each block is priced at the least
+    ``cost / |covered & residual|`` among its coverers, the share of its
+    first coverer in ascending share.  Each node branches on the uncovered
+    block with the fewest covering candidates, as counted in that pass,
     trying coverers in order of marginal cost per newly covered block;
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded

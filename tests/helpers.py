@@ -154,6 +154,13 @@ def redundancy_oracle(masks, counts):
     return kept
 
 
+def count_planes(counts):
+    """A count per position as ``solver._bit_planes`` holds it: plane k the
+    mask of the positions whose count has bit k set, from plane 0 to the top
+    bit of the largest count."""
+    return [sum(((c >> k) & 1) << p for p, c in enumerate(counts)) for k in range(max(1, max(counts, default=0).bit_length()))]
+
+
 def footprints_oracle(mesh, catalog):
     """``coverage._footprints`` as a walk of one window per site: the stencil
     cut to the grid around the site, its in-area positions, a fresh mask and

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import count_greedy_covers, count_leaf_keys, count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec
-from helpers import rect_mesh, redundancy_oracle, square_mesh
+from helpers import count_planes, rect_mesh, redundancy_oracle, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -598,16 +598,20 @@ def root_pass_oracle(active, remaining, n):
 
 
 def root_pass(active, remaining, n):
-    """``solver._root_pass`` on the shares and positions of ``remaining``."""
+    """``solver._root_pass`` on the shares of the blocks of ``remaining``,
+    and their ``solver._branch_order`` from the bit planes of the masks of
+    ``active``."""
     shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
-    return solver._root_pass(active, shares, np.flatnonzero(masks_to_flags([remaining], n)[0]), n)
+    rows = np.flatnonzero(masks_to_flags([remaining], n)[0])
+    planes = solver._bit_planes([c.covered for c in active])
+    return solver._root_pass(active, shares, remaining, n), solver._branch_order(planes, rows, n)
 
 
 @pytest.mark.parametrize("chunk_cells", [solver._CHUNK_CELLS, 100, 1])
 def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
-    # Integer costs make shares tie.  Small chunks split the candidates, down
-    # to one per chunk; up to 700 candidates give blocks more coverers than
-    # a chunk's byte counts hold.
+    # Integer costs make shares tie.  Up to 700 candidates give blocks more
+    # coverers than a byte counts.  The root pass takes no chunks: its price
+    # and order stay the loop's whatever chunk size the other passes use.
     monkeypatch.setattr(solver, "_CHUNK_CELLS", chunk_cells)
     rng = random.Random(1416)
     for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200):
@@ -622,8 +626,89 @@ def test_root_pass_matches_the_per_candidate_loop(monkeypatch, chunk_cells):
             assert got_order == order
     # Block 0 has 300 coverers and block 1 has 100: counted in one byte, 300
     # would read 44 and reverse the order.
-    active = [Candidate(f"d{i:03d}", 0b01 | (0b10 if i < 100 else 0), 1.0) for i in range(300)]
+    active = three_hundred_and_one_hundred_coverers()
     assert root_pass(active, 0b11, 2)[1] == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+
+
+def three_hundred_and_one_hundred_coverers():
+    """300 candidates over two blocks: all cover block 0, the first 100
+    block 1."""
+    return [Candidate(f"d{i:03d}", 0b01 | (0b10 if i < 100 else 0), 1.0) for i in range(300)]
+
+
+@given(
+    st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]).flatmap(
+        lambda n: st.lists(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1), max_size=80)
+    )
+)
+@example([])
+@example([0, 0, 0])
+# Counts of 7 and 8 on either side of a carry into plane 3, added in pairs
+# and with one mask left over.
+@example([1] * 7)
+@example([1] * 8)
+@example([0b11] * 255 + [0b01])
+def test_bit_planes_count_each_position(masks):
+    # Full masks among up to 80 make counts carry past 63 into plane 6.
+    counts = [sum((m >> p) & 1 for m in masks) for p in range(max((m.bit_length() for m in masks), default=0))]
+    assert solver._bit_planes(masks) == count_planes(counts)
+
+
+def forcing_oracle(candidates, remaining):
+    """The forcing of ``solver._Residual`` from once and twice unions: the
+    candidates that alone cover a block of ``remaining``, and the blocks
+    of ``remaining`` they leave."""
+    once = twice = 0
+    for c in candidates:
+        twice |= once & c.covered
+        once |= c.covered
+    singles = once & ~twice & remaining
+    forced = [c for c in candidates if c.covered & singles]
+    for c in forced:
+        remaining &= ~c.covered
+    return forced, remaining
+
+
+def root_residuals():
+    """``(candidates, residual)`` of the root of the forcing instance and of
+    every tied-integer, float-cost and branching instance: the candidates
+    the root's two reductions keep, and the residual built from them."""
+    families = (tied_integer_instances(), float_cost_instances(), branching_instances())
+    for inst in itertools.chain([forcing_instance()], *families):
+        kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+        yield kept, solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+
+
+def test_a_residual_forces_prices_and_orders_as_the_oracles():
+    forcing = 0
+    for kept, res in root_residuals():
+        forced, remaining = forcing_oracle(kept, (1 << len(res.price)) - 1)
+        active = [c for c in kept if c.covered & remaining]
+        price, order = root_pass_oracle(active, remaining, len(res.price))
+        assert [c.cid for c in res.forced] == [c.cid for c in forced]
+        assert [c.cid for c in res.active] == [c.cid for c in active]
+        assert res.remaining == remaining
+        assert np.array_equal(res.price, price)
+        assert res.order == order
+        forcing += bool(forced) and bool(remaining)
+    assert forcing >= 30
+    active = three_hundred_and_one_hundred_coverers()
+    res = solver._Residual(active, 0b11, [], 2)
+    assert res.order == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+
+
+def test_forcing_leaves_the_counts_of_the_blocks_left():
+    # The residual orders the blocks left by their coverers counted before
+    # forcing, over every candidate; on those blocks the counts over the
+    # active candidates are the same.
+    dropped = 0
+    for kept, res in root_residuals():
+        planes = solver._bit_planes([c.covered for c in kept])
+        before = [sum(((plane >> p) & 1) << k for k, plane in enumerate(planes)) for p in res.rows.tolist()]
+        after = [sum((c.covered >> p) & 1 for c in res.active) for p in res.rows.tolist()]
+        assert before == after
+        dropped += len(res.active) < len(kept) and bool(res.remaining)
+    assert dropped >= 30
 
 
 def forcing_instance():
@@ -693,49 +778,65 @@ def test_the_lagrangian_does_not_depend_on_the_span_width(monkeypatch):
     assert split >= 400
 
 
-def test_a_residual_unpacks_each_active_mask_once(monkeypatch):
+def flag_unpacks(monkeypatch):
+    """The masks unpacked by ``coverage.masks_to_flags`` from now on, under
+    its own name or one the solver holds it by, counted through
+    ``monkeypatch``."""
     unpacked = []
-    unpack = solver.masks_to_flags
+    unpack = coverage.masks_to_flags
 
     def unpack_and_keep(masks, n):
         unpacked.extend(masks)
         return unpack(masks, n)
 
-    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep)
+    monkeypatch.setattr(coverage, "masks_to_flags", unpack_and_keep)
+    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep, raising=False)
+    return unpacked
+
+
+def test_a_residual_counts_its_candidates_once_and_unpacks_no_mask_to_flags(monkeypatch):
+    # One pass of the bit-plane counter over the candidates' masks forces,
+    # and orders the blocks left; the share prices are found without
+    # unpacking a list of masks.
     search = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(search.candidates))
     forcing = forcing_instance()
+    unpacked, counted = flag_unpacks(monkeypatch), []
+    bit_planes = solver._bit_planes
+
+    def count_and_keep(masks):
+        counted.append(list(masks))
+        return bit_planes(masks)
+
+    monkeypatch.setattr(solver, "_bit_planes", count_and_keep)
     for candidates, inst in ((kept, search), (list(forcing.candidates), forcing)):
-        unpacked.clear()
+        counted.clear()
         res = solver._Residual(candidates, inst.full_mask, [], inst.n_elements)
         assert res.remaining
-        assert Counter(unpacked) == Counter(c.covered for c in res.active)
-    assert len(kept) > 4 * solver._chunk_rows(search.n_elements)
+        assert counted == [[c.covered for c in candidates]]
+    assert unpacked == []
     assert [c.cid for c in res.forced] == ["a"]
 
 
-def test_a_solve_unpacks_each_residuals_active_masks_once(monkeypatch, lagrangians):
+def test_a_solve_unpacks_no_mask_to_flags(monkeypatch, lagrangians):
     # The probe stops on its budget, so the dual ascent, the Lagrangian and
-    # the core search run too.  Only building the root and the core unpacks
-    # masks to flags: the ascent reads their nonzero bytes and the
-    # Lagrangian their set bits.
-    unpacked, residuals = [], []
-    unpack, init = solver.masks_to_flags, solver._Residual.__init__
-
-    def unpack_and_keep(masks, n):
-        unpacked.extend(masks)
-        return unpack(masks, n)
+    # the core search run too: the residuals count their coverers in bit
+    # planes, the ascent reads the masks' nonzero bytes, the Lagrangian
+    # their set bits, and its heuristic counts its picks in bit planes.
+    inst = search_like_instance()
+    residuals = []
+    init = solver._Residual.__init__
 
     def init_and_keep(self, *args):
         init(self, *args)
         residuals.append(self)
 
-    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep)
+    unpacked = flag_unpacks(monkeypatch)
     monkeypatch.setattr(solver._Residual, "__init__", init_and_keep)
-    solve_exact(search_like_instance(), node_budget=20_000)
+    solve_exact(inst, node_budget=20_000)
     assert lagrangians == [1]
     assert len(residuals) == 2
-    assert Counter(unpacked) == Counter(c.covered for res in residuals for c in res.active)
+    assert unpacked == []
 
 
 def test_the_lagrangian_reads_only_the_blocks_left():
@@ -1387,7 +1488,7 @@ def redundancy_cases(draw):
     """Masks in drop order and a hit count per position at least the number
     of them holding it: repeats of a few masks and of subsets nested in
     them, so that counts reach 9 and more, with or without counts from
-    masks not in the list."""
+    masks not in the list.  The test takes the counts to bit planes."""
     n = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]))
     bases = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4))
     nested = [b & draw(st.integers(0, (1 << n) - 1)) for b in bases]
@@ -1410,9 +1511,10 @@ def redundancy_cases(draw):
 @example(([1] * 9 + [3] * 8, [17, 8]))
 def test_drop_redundant_matches_the_per_position_loop(case):
     masks, counts = case
-    held = np.array(counts, dtype=np.intp)
+    planes = count_planes(counts)
+    held = list(planes)
     assert solver._drop_redundant(masks, held) == redundancy_oracle(masks, counts)
-    assert held.tolist() == counts
+    assert held == planes
 
 
 def heuristic_runs(inst, untried):

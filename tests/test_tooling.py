@@ -114,6 +114,21 @@ def test_one_scan_reads_mask_bytes_and_one_expansion_reads_the_byte_tables():
     assert tables == {("coverage.py", "masks_to_positions")}
 
 
+def test_no_module_but_coverage_names_masks_to_flags():
+    # The package unpacks no list of masks to flags: masks_to_flags is kept
+    # for the tests' oracles, and any call, import or other use of it in
+    # src/gridwatch outside coverage.py fails here.
+    named = set()
+    for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
+        if path.name == "coverage.py":
+            continue
+        for func, node in _enclosed(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+            if name == "masks_to_flags":
+                named.add((path.name, func, node.lineno))
+    assert named == set()
+
+
 def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
     # The unit rule is applied by one pricing function, whether its pairs come
     # from the stencil walk or from the held table an r sweep prices again,
