@@ -13,6 +13,10 @@ covered set is one range of mask bits per grid row it reaches.
 a time, lays each type's stencil rows at the sites as those bit ranges.  A
 site whose ranges equal the previous site's takes that site's mask and mean
 detection probability; the sets of the others are built a group at a time.
+A chunk holds a fixed number of (site, grid row) ranges, as int32 bounds,
+so its arrays stay small whatever the number of sites, and it is wide
+enough that the fixed cost of a pass over a chunk stays small beside the
+work of its sites.
 The walk gives every pair's covered-set mask and mean detection probability,
 and the blocks no pair covers; none of that depends on the required
 detection probability.
@@ -223,8 +227,11 @@ def masks_to_nonzero_bytes(masks: list, n: int) -> tuple:
     follow the covered sets, not the number of masks times ``n``."""
     data = masks_to_bytes(masks, n)
     at = np.flatnonzero(data)
-    mask, byte = np.divmod(at, data.shape[1])
-    return mask, byte, data.reshape(-1)[at]
+    width = data.shape[1]
+    # A floor division and a multiply-subtract give np.divmod's two arrays
+    # in less time.
+    mask = at // width
+    return mask, at - mask * width, data.reshape(-1)[at]
 
 
 # The set bits of each byte value v, ascending, are
@@ -296,8 +303,13 @@ class CoverageTable:
 # The walk takes sites in chunks of at most _CHUNK_CELLS (site, stencil row)
 # runs, and builds new covered sets in groups of at most _GROUP_ENTRIES
 # covered blocks and _GROUP_CELLS (site, in-area block) flags: its arrays stay
-# small beside the table it returns, whatever the number of sites.
-_CHUNK_CELLS = 2**11
+# small beside the table it returns, whatever the number of sites.  Each
+# chunk costs a fixed pass over its sites, so chunks are wide: at 2**13 runs
+# a stencil of 100 grid rows takes 81 sites a chunk, and city-10k's walk
+# makes 190 passes.  The run bounds are int32 to keep that width inside the
+# walk's 1 MiB transient bound on a 30x30 map (see test_coverage.py): there
+# it allocates 0.84 MB beyond its result, and 1.00 MB with int64 bounds.
+_CHUNK_CELLS = 2**13
 _GROUP_ENTRIES = 2**14
 _GROUP_CELLS = 2**17
 
@@ -328,7 +340,10 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     bx, by = mesh.blocks_x, mesh.blocks_y
     # Blocks are numbered row-major, so the in-area blocks of grid row r,
     # columns a..b, are the mask bits start[r*bx + a] up to start[r*bx + b + 1].
-    start = np.concatenate(([0], np.cumsum(in_area)))
+    # The guard above keeps every bit index of a walk inside int32, and
+    # int32 run bounds keep a chunk's arrays small (see _CHUNK_CELLS).
+    start = np.zeros(len(in_area) + 1, dtype=np.int32)
+    np.cumsum(in_area, out=start[1:])
     sites = mesh.candidate_sites
     blocks = np.array([site.block for site in sites], dtype=np.int64)
     omegas = block_detection(mesh, catalog)
@@ -343,7 +358,7 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
         rows = min(2 * n + 1, by)
         step = max(1, _CHUNK_CELLS // rows)
         # A row of runs no site has: the first site of a type is always built.
-        last_runs, last = np.full(2 * rows, -1), None
+        last_runs, last = np.full(2 * rows, -1, dtype=np.int32), None
         for c in range(0, len(blocks), step):
             lo, hi = _site_runs(blocks[c : c + step], half, start, bx, by, rows)
             runs = np.concatenate((lo, hi), axis=1)

@@ -571,7 +571,9 @@ def test_walk_transient_memory_stays_small():
     # A sweep-r-sized map: 30x30 blocks with water, under every type that
     # tracks non-cooperative aircraft.  The walk's arrays come in bounded
     # chunks and groups, so what it allocates beyond the result it returns is
-    # about 0.56 MB; the per-site walk it replaced took about 0.2 MB.
+    # about 0.84 MB with chunks of 2**13 runs held as int32 bounds (int64
+    # bounds would take it to 1.00 MB); the per-site walk it replaced took
+    # about 0.2 MB.
     rng = random.Random(30)
     codes = [[rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(30)] for _ in range(30)]
     catalog = default_catalog()

@@ -142,6 +142,43 @@ def test_uncoverable_block_is_infeasible():
             solver(inst)
 
 
+class _Unread:
+    """A candidate whose mask must not be read."""
+
+    cid = "unread"
+    cost = 1.0
+
+    @property
+    def covered(self):
+        raise AssertionError("the cover check read a mask past the full union")
+
+
+def test_the_cover_check_reads_masks_until_the_union_is_full():
+    # Full only at its last candidate: every mask is read and none is missed.
+    inst = inst_from(range(6), [("a", [0, 1], 1.0), ("b", [1, 2, 3], 1.0), ("c", [2], 1.0), ("d", [5, 4], 1.0)])
+    solver._check_coverable(inst)
+    # Full at its first candidate: the masks after it are not read.
+    full = inst_from(range(6), [("all", range(6), 1.0)])
+    solver._check_coverable(PlacementInstance(full.universe, full.candidates + (_Unread(),)))
+    # An empty universe is full before any candidate.
+    solver._check_coverable(PlacementInstance((), (_Unread(),)))
+
+
+@pytest.mark.parametrize(
+    "universe, sets, message",
+    [
+        ([1, 2, 3], [("a", [2], 1.0), ("b", [2], 1.0)], "no candidate covers block(s) [1, 3]"),
+        (range(1, 13), [("a", [1], 1.0)], "no candidate covers block(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]..."),
+        ([7], [], "no candidate covers block(s) [7]"),
+    ],
+    ids=["two", "past-ten", "no-candidate"],
+)
+def test_the_cover_check_names_the_blocks_no_candidate_covers(universe, sets, message):
+    with pytest.raises(Infeasible) as raised:
+        solver._check_coverable(inst_from(universe, sets))
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("cost", [0.0, -1.0, math.inf, math.nan])
 def test_nonpositive_cost_rejected(cost):
     with pytest.raises(ValidationError, match="expected a finite positive number"):
@@ -463,6 +500,48 @@ def test_same_site_dominance_matches_the_complement_rule(n, specs):
     inst = inst_from(range(n), sets)
     sited = [replace(c, site=site) for c, (_, _, site) in zip(inst.candidates, specs)]
     assert solver._drop_site_dominated(sited) == drop_site_dominated_oracle(sited)
+
+
+def dedup_oracle(candidates):
+    """The cheapest, then least-cid, candidate of each covered-set value, in
+    cid order, and how many the others number."""
+    groups = {}
+    for c in candidates:
+        groups.setdefault(c.covered, []).append(c)
+    kept = sorted((min(group, key=lambda c: (c.cost, c.cid)) for group in groups.values()), key=lambda c: c.cid)
+    return kept, len(candidates) - len(kept)
+
+
+@st.composite
+def dedup_cases(draw):
+    """``(value, cost, distinct)`` rows and a permutation of their cids."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1.0, 2.0, 3.0]), st.booleans()), max_size=12))
+    return rows, draw(st.permutations([f"c{i:02d}" for i in range(len(rows))]))
+
+
+@given(dedup_cases())
+# One shared object, tied costs, the least cid given last.
+@example(([(1, 2.0, False)] * 4, ["c03", "c02", "c01", "c00"]))
+# Equal masks that are distinct objects only, and a cheaper one after them.
+@example(([(1, 2.0, True)] * 3 + [(1, 1.0, True), (2, 1.0, True), (2, 1.0, True)], ["c05", "c00", "c04", "c03", "c02", "c01"]))
+# Shared and distinct objects of one value, tied costs across them.
+@example(([(3, 1.0, False), (3, 1.0, True), (3, 1.0, False), (0, 1.0, True)], ["c02", "c01", "c03", "c00"]))
+def test_dedup_keeps_the_cheapest_candidate_of_each_covered_set(case):
+    # The root hashes a mask object once and keys the others holding it by
+    # their id.  Unequal masks must never meet and equal ones never part,
+    # whether they are one object or not; ties go to the least cid.
+    rows, cids = case
+    # Masks past 2**70 are never cached ints, so int(str(m)) is a new object.
+    shared = {v: v << 70 for v in range(4)}
+    candidates = []
+    for (value, cost, distinct), cid in zip(rows, cids):
+        covered = int(str(shared[value])) if distinct else shared[value]
+        assert (covered is shared[value]) == (not distinct or value == 0)
+        candidates.append(Candidate(cid, covered, cost))
+    kept, removed = solver._dedup_identical(candidates)
+    expected, expected_removed = dedup_oracle(candidates)
+    assert [id(c) for c in kept] == [id(c) for c in expected]
+    assert removed == expected_removed
 
 
 def test_same_site_dominance_keeps_the_plan():
@@ -1108,6 +1187,41 @@ def test_pricing_passes_match_a_fresh_prefix_sum_bit_for_bit():
             assert newly.tobytes() == expected.tobytes()
             returned.append((cost, newly, cost.copy(), newly.copy()))
     assert all(a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes() for a, b, c, d in returned)
+
+
+def test_a_repeated_pricing_pass_returns_the_blocks_last_result_bit_for_bit():
+    # A block keeps its last pass: the same uncovered blocks, as the same
+    # int or an equal one, get that result back, also after other blocks
+    # were priced in between, and it is bit for bit a pass of a residual
+    # that never priced before.  Other uncovered blocks get a pass of
+    # their own, and so does the first set once they have replaced it.
+    inst = search_like_instance()
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res, fresh = (solver._Residual(kept, inst.full_mask, [], inst.n_elements) for _ in range(2))
+    n = len(res.price)
+    rng = random.Random(31)
+    blocks = res.order[::10]
+    reused = 0
+    for p in blocks:
+        uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
+        other = res.remaining if uncovered != res.remaining else 1 << p
+        first = res.children_of(p, uncovered)
+        for q in blocks:
+            if q != p:
+                res.children_of(q, (res.remaining & rng.getrandbits(n)) | 1 << q)
+        for again in (uncovered, int(str(uncovered))):
+            cost, newly = res.children_of(p, again)
+            assert cost is first[0] and newly is first[1]
+            reused += 1
+        expected = fresh.children_of(p, uncovered)
+        assert first[1].tobytes() == expected[1].tobytes()
+        assert first[0].tobytes() == expected[0].tobytes()
+        # Another set is priced anew, and then the first one is too.
+        assert res.children_of(p, other)[1].tobytes() == fresh.children_of(p, other)[1].tobytes()
+        cost, newly = res.children_of(p, uncovered)
+        assert newly is not first[1]
+        assert newly.tobytes() == expected[1].tobytes()
+    assert reused == 2 * len(blocks) > 0
 
 
 def test_every_coverer_list_is_ascending():

@@ -341,7 +341,7 @@ def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
     # The run walk must give the table the per-site walk gave: these are the
     # bytes of city-10k's coverage.csv at seed 1 from one window per site.
     # ADS-B reaches every block from each of its 9 000 sites, so all of its
-    # entries hold one int.
+    # entries hold one int, and the exact solver proves the plan at its root.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import inputs
 
@@ -349,6 +349,7 @@ def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
     from gridwatch.mesh import build_mesh
     from gridwatch.pipeline import write_coverage_csv
     from gridwatch.scenario import load_scenario
+    from gridwatch.solver import PlacementInstance, solve_exact
 
     scenario = load_scenario(inputs.write_inputs(inputs.WORKLOADS["city-10k"], 1, tmp_path / "inputs"))
     mesh = build_mesh(scenario.corners, scenario.block_side_km, scenario.terrain, scenario.catalog.min_range_km)
@@ -359,3 +360,11 @@ def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
     adsb = [e for e in table.entries if e.sensor == "ADS-B"]
     assert len(adsb) == 9_000
     assert len({id(e.covered) for e in adsb}) == 1
+    # The root solves it: same-site dominance drops the 9 000 RF entries
+    # under ADS-B, all but one ADS-B entry are duplicates, and the one left
+    # covers every block for the least cost.
+    plan = solve_exact(PlacementInstance.from_coverage(table))
+    assert plan.metadata["site_dominated"] == 9_000
+    assert plan.metadata["dedup_removed"] == 8_999
+    assert plan.total_cost == 4_500.0
+    assert plan.proven_optimal
