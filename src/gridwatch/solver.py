@@ -383,7 +383,9 @@ class _Residual:
     block, in the order of ``candidates``, with their ``cost`` and ``sizes``
     (blocks left covered); the blocks left, ``remaining``, at positions
     ``rows``; the share price of :func:`_root_pass`, its sum ``bound`` and
-    its least ``least_price``; the branch order of :func:`_branch_order`;
+    its least ``least_price``; the branch order of :func:`_branch_order`,
+    and the masks of its runs of equal count of coverers and the ranks
+    where they start, found on first use (see :meth:`class_mask`);
     each branch block's coverers and their least cost, found on first use;
     and, for the search alone, their runs of set bits and costs and the union of their masks,
     the block's reach, also found on first use, and the block's last
@@ -395,16 +397,23 @@ class _Residual:
 
     Each block's coverers in ``candidates`` are counted once, into the bit
     planes of :func:`_bit_planes`, and the blocks with one coverer are read
-    off them by :func:`_counted_once`.  The same counts give the branch
-    order, as
-    forcing leaves no new singleton behind: on a block left uncovered, the
-    number of coverers in ``active`` equals the count before forcing, as no
-    forced candidate covers the block and each of its coverers touches the
-    blocks left and so stays active."""
+    off them by :func:`_counted`.  The same counts give the branch
+    order, as forcing leaves no new singleton behind: on a block left
+    uncovered, the number of coverers in ``active`` equals the count before
+    forcing, as no forced candidate covers the block and each of its
+    coverers touches the blocks left and so stays active.
+
+    The order sorts blocks by (count, position), so within a run of one
+    count it is position order, and the first block of the order in a set
+    of blocks is the lowest set bit of the set's meet with the first run's
+    mask it meets (see :meth:`branch_block`).  A run's mask is built only
+    when a search first steps to it: on search-400 at seed 1 the two
+    searches build 25 of their residuals' 82, and on the 8 sweep-r points
+    87 of 2 964."""
 
     def __init__(self, candidates: list, remaining: int, forced: list, n: int):
         planes = _bit_planes([c.covered for c in candidates])
-        singles = _counted_once(planes, remaining)
+        singles = _counted(planes, remaining, 1)
         more = [c for c in candidates if c.covered & singles]
         for c in more:
             remaining &= ~c.covered
@@ -417,6 +426,11 @@ class _Residual:
         self.rows = np.array(mask_positions(remaining), dtype=np.intp)
         self.price = _root_pass(self.active, self.cost / self.sizes, remaining, n)
         self.order = _branch_order(planes, self.rows, n)
+        # The masks of the runs of ``order`` found so far, and the rank where
+        # each of them and the next starts (see :meth:`class_mask`).
+        self._planes = planes
+        self._classes = []
+        self._starts = [0]
         self.bound = float(self.price[self.rows].sum())
         self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
         self._coverers = {}
@@ -429,6 +443,35 @@ class _Residual:
         self._product = np.empty(n)
         self._prefix = np.zeros(n + 1)
         self._sums = self._prefix[1:]
+
+    def class_mask(self, k: int) -> int:
+        """The mask of the blocks of the k-th run of ``order``, those of its
+        k-th least count of coverers.  The runs up to the k-th are found on
+        first use, in turn: a run's count is that of the block at the rank
+        where the run before it ends, and its mask is read off the bit
+        planes (see :func:`_counted`)."""
+        classes, starts, planes = self._classes, self._starts, self._planes
+        while len(classes) <= k:
+            p = self.order[starts[-1]]
+            count = sum(((plane >> p) & 1) << j for j, plane in enumerate(planes))
+            classes.append(_counted(planes, self.remaining, count))
+            starts.append(starts[-1] + classes[-1].bit_count())
+        return classes[k]
+
+    def branch_block(self, uncovered: int, at: int) -> tuple:
+        """``(k, p)``: block ``p``, the first block of ``uncovered`` in
+        ``order``, and ``k``, the run of ``order`` that holds it (see
+        :meth:`class_mask`).  ``uncovered`` must be a nonempty subset of
+        ``remaining`` with no block in a run before the ``at``-th.  Within a
+        run the blocks are in position order, so ``p`` is the lowest set bit
+        of ``uncovered`` in the first run it meets."""
+        classes = self._classes
+        while True:
+            mask = classes[at] if at < len(classes) else self.class_mask(at)
+            hit = uncovered & mask
+            if hit:
+                return at, (hit & -hit).bit_length() - 1
+            at += 1
 
     def coverers_of(self, p: int) -> tuple:
         """The mask with bit ci set for each coverer ``active[ci]`` of block
@@ -598,11 +641,13 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     neither forced nor active is dropped.
 
     A node counted and not pruned on its own bound picks its branch block,
-    the first of its uncovered blocks in ``res.order``.  The walk along the
-    order resumes past its parent's branch block: the child covers that
-    block, and its uncovered blocks are a subset of its parent's.  The node
-    then tries two lower bounds on its children before it reads the
-    block's coverers and prices them.
+    the first of its uncovered blocks in ``res.order``: it steps along the
+    runs of equal count of coverers from its stack entry's run until one
+    meets its uncovered blocks, and takes the lowest of those (see
+    :meth:`_Residual.branch_block`).  A child starts from its parent's run,
+    since its uncovered blocks are a subset of its parent's, but may still
+    hold blocks of that run.  The node then tries two lower bounds on its
+    children before it reads the block's coverers and prices them.
     Every child adds a coverer of the block, so it costs at least
     ``forced_cost + (cost + least)``, ``least`` the least cost among the
     block's coverers, excluded ones too.  A child that does not finish the
@@ -635,17 +680,16 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     and size and larger sorted picks, so it cannot beat an incumbent that
     the first one did not beat or became.  Leaves are not counted as
     nodes, so no count or budget moves.  On search-400 at seed 1 the
-    solver computes 2 514 leaf keys where keying every leaf took 25 802."""
+    solver computes 2 503 leaf keys where keying every leaf takes 25 791."""
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
     forced_costs, active_costs = [c.cost for c in forced], [c.cost for c in active]
     inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
     threshold = _prune_at(inc_key[0])
     skip_at = _prune_at(threshold)
     nodes = 0
-    order = res.order
     # A stack entry: (uncovered, excluded, cost, chosen_idx, bound, at),
-    # where bound is the price of ``uncovered`` and ``order[:at]`` holds none
-    # of its blocks.
+    # where bound is the price of ``uncovered`` and no run of ``res.order``
+    # before the ``at``-th holds one of its blocks.
     stack = [(res.remaining, 0, 0.0, (), res.bound, 0)] if res.remaining else []
     while stack:
         uncovered, excluded, cost, chosen_idx, bound, at = stack.pop()
@@ -654,9 +698,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
             break
         if forced_cost + cost + bound >= threshold:
             continue
-        while not (uncovered >> order[at]) & 1:
-            at += 1
-        branch_pos = order[at]
+        at, branch_pos = res.branch_block(uncovered, at)
         # The two skip bounds of the docstring.
         least_child = forced_cost + (cost + res.least_cost_of(branch_pos))
         if least_child >= skip_at:
@@ -693,8 +735,9 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
                 continue
             # Siblings earlier in ``idx`` are excluded below this child.
             child_excluded = excluded | (coverer_mask & ((1 << ci) - 1))
-            # The child covers the branch block and every block before it.
-            child = (child_uncovered, child_excluded, cost + c.cost, chosen_idx + (ci,), float(child_bound[j]), at + 1)
+            # The child's uncovered blocks are a subset of this node's, but
+            # may hold more of the branch block's run.
+            child = (child_uncovered, child_excluded, cost + c.cost, chosen_idx + (ci,), float(child_bound[j]), at)
             # Ties on the ratio go by index, which is cid order.
             children.append((c.cost / newly.bit_count(), ci, child))
         children.sort(reverse=True)
@@ -724,15 +767,17 @@ def _bit_planes(masks: list) -> list:
     return planes
 
 
-def _counted_once(planes: list, mask: int) -> int:
-    """The positions of ``mask`` whose count is 1 in the bit planes
-    ``planes`` (see :func:`_bit_planes`): those of plane 0 in no higher
-    plane.  x ^ (x & y) stands for x & ~y here: ~y is a negative int, and
-    with it the redundancy pass took twice as long on masks of 10^4
-    blocks."""
-    mask &= planes[0]
-    for plane in planes[1:]:
-        mask ^= mask & plane
+def _counted(planes: list, mask: int, count: int) -> int:
+    """The positions of ``mask`` whose count is ``count`` in the bit planes
+    ``planes`` (see :func:`_bit_planes`): those in plane k for each bit k
+    set in ``count`` and in no other plane.  x ^ (x & y) stands for x & ~y
+    here: ~y is a negative int, and with it the redundancy pass took twice
+    as long on masks of 10^4 blocks."""
+    for k, plane in enumerate(planes):
+        if (count >> k) & 1:
+            mask &= plane
+        else:
+            mask ^= mask & plane
     return mask
 
 
@@ -748,7 +793,7 @@ def _drop_redundant(masks: list, planes: list) -> list:
     once, one of ``singles``, is kept; after a drop, the positions of the
     mask whose count fell to 1 join them."""
     planes = list(planes)
-    singles = _counted_once(planes, planes[0])
+    singles = _counted(planes, planes[0], 1)
     kept = []
     for i, mask in enumerate(masks):
         if mask & singles:
@@ -760,7 +805,7 @@ def _drop_redundant(masks: list, planes: list) -> list:
             planes[k] ^= borrow
             borrow &= planes[k]
             k += 1
-        singles |= _counted_once(planes, mask)
+        singles |= _counted(planes, mask, 1)
     return kept
 
 
@@ -926,9 +971,10 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
     candidates are bitmasks over the residual candidates.  Each stack entry
-    carries its bound and where its walk along the branch order resumes,
-    past its parent's branch block.  A node whose children the two skip
-    bounds of :func:`_search` show cannot pass is counted but not priced.
+    carries its bound and the run of equal count of coverers its branch
+    block is sought from, the one its parent's was found in.  A node whose
+    children the two skip bounds of :func:`_search` show cannot pass is
+    counted but not priced.
     Otherwise it unpacks its uncovered blocks once into a prefix sum of
     their prices, prices every coverer of its block by differences of that
     sum over the runs of set bits of the coverer's mask, cached per block,

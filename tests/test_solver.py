@@ -790,6 +790,68 @@ def test_forcing_leaves_the_counts_of_the_blocks_left():
     assert dropped >= 30
 
 
+# The instance families of the branch block lookup's test, each listed on
+# first use.
+_LOOKUP_FAMILIES = {}
+
+
+def lookup_family(name):
+    """The tied-integer, float-cost, branching or forcing instances, as a list."""
+    if name not in _LOOKUP_FAMILIES:
+        forcing = lambda: [forcing_instance()] + [forced_then_branching_instance(seed) for seed in (1, 3, 14)]
+        families = {"tied": tied_integer_instances, "float": float_cost_instances, "branching": branching_instances, "forcing": forcing}
+        _LOOKUP_FAMILIES[name] = list(families[name]())
+    return _LOOKUP_FAMILIES[name]
+
+
+def count_runs_oracle(res):
+    """``res.order`` cut into its runs of equal count of coverers, a block's
+    count being the number of ``res.active`` that cover it."""
+    count = lambda p: sum((c.covered >> p) & 1 for c in res.active)
+    return [list(run) for _, run in itertools.groupby(res.order, key=count)]
+
+
+def first_in_order(res, uncovered):
+    """The first block of ``res.order`` in ``uncovered``."""
+    return next(p for p in res.order if (uncovered >> p) & 1)
+
+
+@given(data=st.data())
+def test_the_branch_block_is_the_first_uncovered_block_in_the_order(data):
+    # Each run of the order is one class mask, whose set bits in ascending
+    # order are the run.  The lookup, from any run up to the one holding the
+    # answer, gives the first block of the order left uncovered, and so does
+    # every lookup a search makes, after forcing and in a core too.
+    family = lookup_family(data.draw(st.sampled_from(["tied", "float", "branching", "forcing"])))
+    inst = family[data.draw(st.integers(0, len(family) - 1))]
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+    runs = count_runs_oracle(res)
+    masks = [res.class_mask(k) for k in range(len(runs))]
+    assert [mask_positions(m) for m in masks] == runs
+    with pytest.raises(IndexError):
+        res.class_mask(len(runs))
+    assert sum(masks) == res.remaining
+    assert sum(m.bit_count() for m in masks) == res.remaining.bit_count()
+    if res.remaining:
+        uncovered = res.remaining & data.draw(st.integers(0, inst.full_mask)) or res.remaining
+        first = first_in_order(res, uncovered)
+        k = next(k for k, run in enumerate(runs) if first in run)
+        assert [res.branch_block(uncovered, at) for at in range(k + 1)] == [(k, first)] * (k + 1)
+    looked_up = []
+    branch_block = solver._Residual.branch_block
+
+    def record(self, uncovered, at):
+        found = branch_block(self, uncovered, at)
+        looked_up.append((found[1], first_in_order(self, uncovered)))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Residual, "branch_block", record)
+        solve_exact(inst, node_budget=data.draw(st.sampled_from([5, 30, 120, solver.DEFAULT_NODE_BUDGET])))
+    assert all(got == want for got, want in looked_up)
+
+
 def forcing_instance():
     """12 blocks where block 0 has one coverer, "a", and the blocks it
     leaves need a search."""

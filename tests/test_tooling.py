@@ -147,6 +147,17 @@ def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
     assert len(checkers) == 1, checkers
 
 
+def test_the_search_finds_its_branch_block_through_one_lookup():
+    # A node's branch block is the lowest uncovered block of the first run
+    # of equal coverer count that holds one, which _Residual.branch_block
+    # finds; a walk of _search's own along res.order would be a second path.
+    path = ROOT / "src" / "gridwatch" / "solver.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.lineno for func, node in _enclosed(tree) if func == "_search" and isinstance(node, ast.Attribute) and node.attr == "order"]
+    assert reads == []
+    assert {func for func, name, _ in _calls(tree) if name == "branch_block"} == {"_search"}
+
+
 def test_only_the_oracle_ranks_plans_by_plan_key():
     # The exact solver holds every incumbent as sorted picks into its
     # residual's active candidates and ranks them by _leaf_key, so
@@ -277,7 +288,7 @@ def test_search_400_is_proven_within_its_budget(monkeypatch, tmp_path):
     # Of the 13 631 nodes the search expands, only these are priced: the
     # others have no child that could pass the bound.
     assert priced == [3520]
-    # The search keys one leaf child of each cost per node, of 25 802 it
+    # The search keys one leaf child of each cost per node, of 25 749 it
     # reaches; the Lagrangian's heuristic and each search's incumbent are
     # keyed too.
     assert keyed == [2503]
@@ -332,9 +343,54 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
         assert [c.cid for c in plan.chosen] == cids
         assert plan.metadata["root_lower_bound"] == pytest.approx(bound, rel=1e-12)
     # Of the 8 x 300 nodes the points expand, only these are priced, and
-    # of the 14 027 leaves they reach, only one of each cost per node is keyed.
+    # of the 14 019 leaves they reach, only one of each cost per node is keyed.
     assert priced == [714]
     assert keyed == [575]
+
+
+# The 29 cids of het-10k's plan at seed 1.
+_HET_10K_CIDS = [
+    "RF@000007", "RF@000062", "RF@000140", "RF@001289", "RF@001312", "RF@001639", "RF@001672", "RF@001730",
+    "RF@001956", "RF@002860", "RF@003114", "RF@003990", "RF@003998", "RF@004016", "RF@004739", "RF@004967",
+    "RF@005400", "RF@005812", "RF@006264", "RF@006541", "RF@006788", "RF@007616", "RF@007649", "RF@008281",
+    "RF@008412", "RF@008507", "RF@008790", "RF@009463", "RF@009532",
+]
+
+
+def test_het_10k_plan_quality_is_pinned(monkeypatch, tmp_path):
+    # city-10k's map under the sensors that track non-cooperative targets:
+    # the heterogeneous 10^4-block rung, at seed 1 and 300 nodes.  A change
+    # that lowers the cost or raises the bound edits these values; one that
+    # raises the cost or lowers the bound is a regression.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import dataclasses
+
+    import inputs
+
+    from gridwatch.coverage import covered_blocks
+    from gridwatch.pipeline import run_plan
+    from gridwatch.scenario import load_scenario
+
+    workload = dataclasses.replace(
+        inputs.WORKLOADS["city-10k"], name="het-10k", sensor_filter="noncooperative_capable", node_budget=300
+    )
+    result = run_plan(load_scenario(inputs.write_inputs(workload, 1, tmp_path / "inputs")))
+    plan = result.plan
+    assert plan.total_cost == 2_030_000.0
+    assert repr(plan.metadata["root_lower_bound"]) == "929224.095332951"
+    assert plan.nodes_explored == 301
+    assert not plan.proven_optimal
+    assert plan.metadata["site_dominated"] == 15_270
+    assert plan.metadata["dedup_removed"] == 0
+    assert plan.metadata["forced"] == 0
+    assert plan.metadata["budget_exceeded"] is True
+    assert [c.cid for c in plan.chosen] == _HET_10K_CIDS
+    # Every block is covered, by the reference geometry and not the masks.
+    sites = {s.block: s for s in result.mesh.candidate_sites}
+    covered = set()
+    for c in plan.chosen:
+        covered.update(covered_blocks(result.mesh, result.catalog.get(c.sensor), sites[c.site]))
+    assert covered == set(result.mesh.in_area_blocks)
 
 
 def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
