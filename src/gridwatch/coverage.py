@@ -36,14 +36,13 @@ candidates are the table's own :class:`Candidate` entries, so set algebra
 stays integer AND/OR/popcount work.  The conversions from masks to their
 bytes, 0/1 flags, nonzero bytes, set-bit positions and runs of set bits
 are defined here and nowhere else.  :func:`masks_to_bytes` is the one
-packer: :func:`masks_to_flags` unpacks its rows, and
-:func:`masks_to_nonzero_bytes` is the one scan of them for nonzero bytes.
-:func:`masks_to_positions` alone expands those bytes to their set bits, and
-:func:`masks_to_runs` takes the set bits of each mask's run bounds from it.
-The package unpacks no list of masks to flags: :func:`masks_to_flags` is
-kept as the tests' oracle, and the callers that need flags, such as the
-search's pricing pass and the solver's share prices, unpack one mask at a
-time with :func:`mask_flags`.  :func:`flags_to_masks` is the one way back
+packer, and :func:`masks_to_nonzero_bytes` is the one scan of its rows for
+nonzero bytes.  :func:`masks_to_positions` alone expands those bytes to
+their set bits, and :func:`masks_to_runs` takes the set bits of each mask's
+run bounds from it.  The package unpacks no list of masks to flags: the
+callers that need flags, such as the search's pricing pass and the
+solver's share prices, unpack one mask at a time with :func:`mask_flags`.
+:func:`flags_to_masks` is the one way back
 from rows of flags to masks: the walk packs its covered sets with it, and
 the Lagrangian each set of candidates its heuristic has tried.  The table
 is written out as ``coverage.csv`` by ``pipeline.write_coverage_csv``.
@@ -200,14 +199,10 @@ def masks_to_bytes(masks: list, n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), n_bytes)
 
 
-def masks_to_flags(masks: list, n: int) -> np.ndarray:
-    """The masks over ``n`` positions as rows of 0/1 bytes."""
-    return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
-
-
 def flags_to_masks(flags: np.ndarray) -> list:
     """Rows of 0/1 flags as masks, bit i of mask r set where ``flags[r, i]``
-    is: the inverse of :func:`masks_to_flags`."""
+    is: the inverse of unpacking the rows of :func:`masks_to_bytes` to
+    bits, little end first."""
     packed = np.packbits(flags, axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
@@ -215,8 +210,9 @@ def flags_to_masks(flags: np.ndarray) -> list:
 
 
 def mask_flags(mask: int, n: int) -> np.ndarray:
-    """One mask over ``n`` positions as 0/1 bytes: ``masks_to_flags([mask],
-    n)[0]`` without the list, the join and the row."""
+    """One mask over ``n`` positions as 0/1 bytes, bit i of ``mask`` at
+    index i: its little-endian bytes unpacked to bits, without the list,
+    the join and the row of :func:`masks_to_bytes`."""
     return np.unpackbits(np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8), count=n, bitorder="little")
 
 

@@ -32,7 +32,10 @@ branch and bound on the residual.  A residual is one record, built once
 and read by every search, bound and fixing pass over it.  Building it
 counts each block's coverers in one pass over its candidates' masks, into
 bit planes of the counts: the blocks with one coverer are forced, and the
-counts order the rest for branching.  A walk over the candidates left in
+counts order the rest, for the search's branching and the dual ascent
+alike.  That order is held as one mask per count, a run of it, read off the
+planes by a walk down them for the least count left the first time either
+reaches the run.  A walk over the candidates left in
 ascending cost share then prices each block at the share of its first
 coverer, the least, and stops once every block is priced.
 
@@ -366,15 +369,6 @@ def _root_pass(active: Sequence[Candidate], shares: np.ndarray, remaining: int, 
     return price
 
 
-def _branch_order(planes: list, rows: np.ndarray, n: int) -> list:
-    """``rows`` by ascending (number of coverers, position), the order in
-    which the search picks the block it branches on.  Plane k of ``planes``
-    holds bit k of each position's number of coverers (see
-    :func:`_bit_planes`)."""
-    counts = sum(mask_flags(plane, n).astype(np.int64) << k for k, plane in enumerate(planes))
-    return rows[np.argsort(counts[rows], kind="stable")].tolist()
-
-
 class _Residual:
     """A residual problem, built once and read by every search, bound and
     fixing pass over it.  To ``forced`` it adds the unique coverer in
@@ -383,9 +377,8 @@ class _Residual:
     block, in the order of ``candidates``, with their ``cost`` and ``sizes``
     (blocks left covered); the blocks left, ``remaining``, at positions
     ``rows``; the share price of :func:`_root_pass`, its sum ``bound`` and
-    its least ``least_price``; the branch order of :func:`_branch_order`,
-    and the masks of its runs of equal count of coverers and the ranks
-    where they start, found on first use (see :meth:`class_mask`);
+    its least ``least_price``; the masks of the runs of the branch order,
+    found on first use (see :meth:`class_mask`);
     each branch block's coverers and their least cost, found on first use;
     and, for the search alone, their runs of set bits and costs and the union of their masks,
     the block's reach, also found on first use, and the block's last
@@ -397,23 +390,26 @@ class _Residual:
 
     Each block's coverers in ``candidates`` are counted once, into the bit
     planes of :func:`_bit_planes`, and the blocks with one coverer are read
-    off them by :func:`_counted`.  The same counts give the branch
+    off them by :func:`_counted_once`.  The same counts give the branch
     order, as forcing leaves no new singleton behind: on a block left
     uncovered, the number of coverers in ``active`` equals the count before
     forcing, as no forced candidate covers the block and each of its
     coverers touches the blocks left and so stays active.
 
-    The order sorts blocks by (count, position), so within a run of one
-    count it is position order, and the first block of the order in a set
-    of blocks is the lowest set bit of the set's meet with the first run's
-    mask it meets (see :meth:`branch_block`).  A run's mask is built only
-    when a search first steps to it: on search-400 at seed 1 the two
-    searches build 25 of their residuals' 82, and on the 8 sweep-r points
-    87 of 2 964."""
+    The branch order sorts the blocks left by (count, position).  It is held
+    only as the masks of its runs, one per count, so within a run it is
+    position order, and the first block of the order in a set of blocks is
+    the lowest set bit of the set's meet with the first run's mask it meets
+    (see :meth:`branch_block`).  The search and the dual ascent both visit
+    blocks through that one lookup.  A run's mask is built only when one of
+    them first steps to it: at seed 1 the two searches of search-400 build
+    25 of their residuals' 82 runs (1 764 bytes), the 8 sweep-r points 87
+    of 2 964 (9 032 bytes), city-10k 1 of 504 and het-10k at 300 nodes 488
+    of 506 (543 068 bytes, as ``sys.getsizeof`` of the masks)."""
 
     def __init__(self, candidates: list, remaining: int, forced: list, n: int):
         planes = _bit_planes([c.covered for c in candidates])
-        singles = _counted(planes, remaining, 1)
+        singles = _counted_once(planes, remaining)
         more = [c for c in candidates if c.covered & singles]
         for c in more:
             remaining &= ~c.covered
@@ -425,12 +421,11 @@ class _Residual:
         self.sizes = np.array([(c.covered & remaining).bit_count() for c in self.active])
         self.rows = np.array(mask_positions(remaining), dtype=np.intp)
         self.price = _root_pass(self.active, self.cost / self.sizes, remaining, n)
-        self.order = _branch_order(planes, self.rows, n)
-        # The masks of the runs of ``order`` found so far, and the rank where
-        # each of them and the next starts (see :meth:`class_mask`).
+        # The masks of the runs of the branch order found so far, and the
+        # blocks in none of them (see :meth:`class_mask`).
         self._planes = planes
         self._classes = []
-        self._starts = [0]
+        self._unclassed = remaining
         self.bound = float(self.price[self.rows].sum())
         self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
         self._coverers = {}
@@ -445,26 +440,34 @@ class _Residual:
         self._sums = self._prefix[1:]
 
     def class_mask(self, k: int) -> int:
-        """The mask of the blocks of the k-th run of ``order``, those of its
-        k-th least count of coverers.  The runs up to the k-th are found on
-        first use, in turn: a run's count is that of the block at the rank
-        where the run before it ends, and its mask is read off the bit
-        planes (see :func:`_counted`)."""
-        classes, starts, planes = self._classes, self._starts, self._planes
+        """The mask of the k-th run of the branch order: the blocks of
+        ``remaining`` with the k-th least count of coverers.  The runs up to
+        the k-th are found on first use, in turn, each from the blocks in no
+        run before it.  Walking the bit planes down from the top, each plane
+        keeps the blocks it does not hold when there are some; the blocks
+        left at the bottom share every bit of the least count, so they are
+        the blocks of that count.  Raises IndexError past the last run."""
+        classes, planes = self._classes, self._planes
         while len(classes) <= k:
-            p = self.order[starts[-1]]
-            count = sum(((plane >> p) & 1) << j for j, plane in enumerate(planes))
-            classes.append(_counted(planes, self.remaining, count))
-            starts.append(starts[-1] + classes[-1].bit_count())
+            run = self._unclassed
+            if not run:
+                raise IndexError(f"run {k} of a branch order of {len(classes)}")
+            for plane in reversed(planes):
+                zeros = run ^ (run & plane)
+                if zeros:
+                    run = zeros
+            classes.append(run)
+            self._unclassed ^= run
         return classes[k]
 
     def branch_block(self, uncovered: int, at: int) -> tuple:
-        """``(k, p)``: block ``p``, the first block of ``uncovered`` in
-        ``order``, and ``k``, the run of ``order`` that holds it (see
+        """``(k, p)``: block ``p``, the first block of ``uncovered`` in the
+        branch order, and ``k``, the run that holds it (see
         :meth:`class_mask`).  ``uncovered`` must be a nonempty subset of
         ``remaining`` with no block in a run before the ``at``-th.  Within a
         run the blocks are in position order, so ``p`` is the lowest set bit
-        of ``uncovered`` in the first run it meets."""
+        of ``uncovered`` in the first run it meets.  The search finds each
+        node's branch block here, and the dual ascent each block it raises."""
         classes = self._classes
         while True:
             mask = classes[at] if at < len(classes) else self.class_mask(at)
@@ -575,7 +578,11 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
     cost less the price of its blocks, clamped at 0; it is computed a chunk
     of masks at a time.  Each block, in branch order, that no tight
     candidate covers is then raised by the least slack among its coverers,
-    and each of them gives up that much."""
+    and each of them gives up that much.  The blocks are visited through
+    :meth:`_Residual.branch_block`, the search's own lookup, on the live
+    blocks: ``remaining`` less those visited and those of tight candidates.
+    Every live block comes after the one just raised in the order, so the
+    next lookup starts from that block's run."""
     active = res.active
     prices = res.price.copy()
     step = _chunk_rows(len(prices))
@@ -584,13 +591,15 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
     for i in range(0, len(active), step):
         slack[i : i + step] -= price_of([c.covered for c in active[i : i + step]])
     np.maximum(slack, 0.0, out=slack)
-    # The blocks of every tight candidate: raising one of them gains nothing.
-    dead = 0
+    # The blocks left to raise: those of no tight candidate, as raising one
+    # of them gains nothing, and not yet visited.
+    live = res.remaining
     for ci in np.flatnonzero(slack == 0.0).tolist():
-        dead |= active[ci].covered
-    for p in res.order:
-        if (dead >> p) & 1:
-            continue
+        live ^= live & active[ci].covered
+    at = 0
+    while live:
+        at, p = res.branch_block(live, at)
+        live ^= 1 << p
         idx = res.coverers_of(p)[1]
         left = slack[idx]
         rise = left.min()
@@ -598,7 +607,7 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
         left -= rise
         slack[idx] = left
         for j in np.flatnonzero(left == 0.0).tolist():
-            dead |= active[idx[j]].covered
+            live ^= live & active[idx[j]].covered
     return prices
 
 
@@ -641,7 +650,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     neither forced nor active is dropped.
 
     A node counted and not pruned on its own bound picks its branch block,
-    the first of its uncovered blocks in ``res.order``: it steps along the
+    the first of its uncovered blocks in the branch order: it steps along the
     runs of equal count of coverers from its stack entry's run until one
     meets its uncovered blocks, and takes the lowest of those (see
     :meth:`_Residual.branch_block`).  A child starts from its parent's run,
@@ -688,8 +697,8 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     skip_at = _prune_at(threshold)
     nodes = 0
     # A stack entry: (uncovered, excluded, cost, chosen_idx, bound, at),
-    # where bound is the price of ``uncovered`` and no run of ``res.order``
-    # before the ``at``-th holds one of its blocks.
+    # where bound is the price of ``uncovered`` and no run of the branch
+    # order before the ``at``-th holds one of its blocks.
     stack = [(res.remaining, 0, 0.0, (), res.bound, 0)] if res.remaining else []
     while stack:
         uncovered, excluded, cost, chosen_idx, bound, at = stack.pop()
@@ -767,17 +776,15 @@ def _bit_planes(masks: list) -> list:
     return planes
 
 
-def _counted(planes: list, mask: int, count: int) -> int:
-    """The positions of ``mask`` whose count is ``count`` in the bit planes
-    ``planes`` (see :func:`_bit_planes`): those in plane k for each bit k
-    set in ``count`` and in no other plane.  x ^ (x & y) stands for x & ~y
-    here: ~y is a negative int, and with it the redundancy pass took twice
-    as long on masks of 10^4 blocks."""
-    for k, plane in enumerate(planes):
-        if (count >> k) & 1:
-            mask &= plane
-        else:
-            mask ^= mask & plane
+def _counted_once(planes: list, mask: int) -> int:
+    """The positions of ``mask`` whose count is 1 in the bit planes
+    ``planes`` (see :func:`_bit_planes`): those of plane 0 in no higher
+    plane.  x ^ (x & y) stands for x & ~y here: ~y is a negative int, and
+    with it the redundancy pass took twice as long on masks of 10^4
+    blocks."""
+    mask &= planes[0]
+    for plane in planes[1:]:
+        mask ^= mask & plane
     return mask
 
 
@@ -793,7 +800,7 @@ def _drop_redundant(masks: list, planes: list) -> list:
     once, one of ``singles``, is kept; after a drop, the positions of the
     mask whose count fell to 1 join them."""
     planes = list(planes)
-    singles = _counted(planes, planes[0], 1)
+    singles = _counted_once(planes, planes[0])
     kept = []
     for i, mask in enumerate(masks):
         if mask & singles:
@@ -805,7 +812,7 @@ def _drop_redundant(masks: list, planes: list) -> list:
             planes[k] ^= borrow
             borrow &= planes[k]
             k += 1
-        singles |= _counted(planes, mask, 1)
+        singles |= _counted_once(planes, mask)
     return kept
 
 
@@ -966,7 +973,8 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     per-block cheapest-share sum: each block is priced at the least
     ``cost / |covered & residual|`` among its coverers, the share of its
     first coverer in ascending share.  Each node branches on the uncovered
-    block with the fewest covering candidates, as counted in that pass,
+    block with the fewest covering candidates, as counted in that pass, the
+    lowest such block found in the mask of the blocks of that count,
     trying coverers in order of marginal cost per newly covered block;
     sibling subtrees exclude the coverers already tried so the search
     partitions the space.  A block's coverers and a node's excluded
@@ -995,7 +1003,8 @@ def solve_exact(instance: PlacementInstance, node_budget: int = DEFAULT_NODE_BUD
     on top of one node per residual candidate, at one node-time per
     ``_CANDIDATES_PER_NODE`` candidates a step, the search first runs as a
     probe of one node per residual candidate.  A probe that ends on its
-    budget is followed by a dual ascent from the static prices (see
+    budget is followed by a dual ascent from the static prices, which takes
+    its blocks in the search's branch order through the search's lookup (see
     :func:`_dual_ascent`), a Lagrangian from the ascent's prices (see
     :func:`_lagrangian`), which may improve the incumbent, and reduced-cost
     fixing, all three reading the root's record.  The kept candidates make

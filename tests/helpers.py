@@ -1,9 +1,11 @@
 """Shared builders for tests: geographic rectangles with exact km spans and
 small synthetic meshes/specs, plus plan and dual feasibility checks, spies on
 the search's pricing passes and the exact solver's leaf keys and greedy
-covers, and the one-at-a-time oracles that array code is checked against:
-the per-site coverage walk, the scalar unit-count rule, the same-site
-dominance rule and the per-position redundancy pass."""
+covers, the unpacking of masks to rows of flags, and the one-at-a-time
+oracles that array code is checked against: the per-site coverage walk, the
+scalar unit-count rule, the same-site dominance rule, the per-position
+redundancy pass, the branch order as a sort and the dual ascent as a walk
+along it."""
 
 import math
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 
 from gridwatch import solver
 from gridwatch.catalog import SensorSpec
-from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection, mask_positions
+from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection, mask_positions, masks_to_bytes
 from gridwatch.errors import DegenerateDetection, TooLarge, ValidationError
 from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint
 from gridwatch.mesh import DETECTABLE_TERRAINS, build_mesh
@@ -79,6 +81,11 @@ def covers(instance, plan):
     for c in plan.chosen:
         union |= c.covered
     return union == instance.full_mask
+
+
+def masks_to_flags(masks, n):
+    """The masks over ``n`` positions as rows of 0/1 bytes."""
+    return np.unpackbits(masks_to_bytes(masks, n), axis=1, count=n, bitorder="little")
 
 
 def dual_violations(instance, prices, rel=1e-9):
@@ -244,3 +251,42 @@ def drop_site_dominated_oracle(candidates):
             if any(d.cost < c.cost and not c.covered & ~d.covered for d in group):
                 beaten.add(c.cid)
     return [c for c in candidates if c.cid not in beaten]
+
+
+def branch_order_oracle(res):
+    """The blocks of ``res.remaining`` by ascending (number of coverers in
+    ``res.active``, position): the order in which the search branches and
+    the dual ascent raises prices.  The coverers are counted from the
+    active masks unpacked to flags, 256 of them at a time."""
+    n = len(res.price)
+    counts = np.zeros(n, dtype=np.int64)
+    for a in range(0, len(res.active), 256):
+        counts += masks_to_flags([c.covered for c in res.active[a : a + 256]], n).sum(axis=0, dtype=np.int64)
+    return sorted(mask_positions(res.remaining), key=lambda p: (int(counts[p]), p))
+
+
+def dual_ascent_oracle(res, order):
+    """``solver._dual_ascent`` as a walk along ``order``: the slack of each
+    active candidate is its cost less the price of its blocks, clamped at
+    0, and each block of ``order`` that no tight candidate covers is raised
+    by the least slack among its coverers, which each give up that much.
+    Returns the prices and the blocks raised, in turn."""
+    active = res.active
+    prices = res.price.copy()
+    slack = np.maximum(res.cost - solver._batch_pricer(res.price)([c.covered for c in active]), 0.0)
+    dead, raised = 0, []
+    for ci in np.flatnonzero(slack == 0.0).tolist():
+        dead |= active[ci].covered
+    for p in order:
+        if (dead >> p) & 1:
+            continue
+        raised.append(p)
+        idx = res.coverers_of(p)[1]
+        left = slack[idx]
+        rise = left.min()
+        prices[p] += rise
+        left -= rise
+        slack[idx] = left
+        for j in np.flatnonzero(left == 0.0).tolist():
+            dead |= active[idx[j]].covered
+    return prices, raised

@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from helpers import footprints_oracle, make_spec, rect_mesh, site_for_block, square_mesh, units_oracle
+from helpers import footprints_oracle, make_spec, masks_to_flags, rect_mesh, site_for_block, square_mesh, units_oracle
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from gridwatch.coverage import (
     flags_to_masks,
     mask_flags,
     mask_positions,
-    masks_to_flags,
     masks_to_nonzero_bytes,
     masks_to_positions,
     masks_to_runs,

@@ -4,17 +4,18 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import count_greedy_covers, count_leaf_keys, count_pricing_passes, covers, drop_site_dominated_oracle, dual_violations, make_spec
-from helpers import count_planes, rect_mesh, redundancy_oracle, square_mesh
+from helpers import branch_order_oracle, count_planes, dual_ascent_oracle, masks_to_flags, rect_mesh, redundancy_oracle, square_mesh
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage, solver
-from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, masks_to_flags, masks_to_runs
+from gridwatch.coverage import build_coverage, covered_blocks, mask_positions, masks_to_runs
 from gridwatch.errors import Infeasible, InfeasibleCoverage, TooLarge, ValidationError
 from gridwatch.mesh import DETECTABLE_TERRAINS
 from gridwatch.solver import (
@@ -676,14 +677,26 @@ def root_pass_oracle(active, remaining, n):
     return price, sorted(mask_positions(remaining), key=lambda p: (int(counts[p]), p))
 
 
+def run_order(res):
+    """The set bits of each of ``res``'s run masks, ascending, the runs in
+    turn until ``class_mask`` raises past the last: the branch order as the
+    residual holds it.  ``res`` needs only the fields ``class_mask`` reads."""
+    order = []
+    for k in itertools.count():
+        try:
+            order += mask_positions(solver._Residual.class_mask(res, k))
+        except IndexError:
+            return order
+
+
 def root_pass(active, remaining, n):
     """``solver._root_pass`` on the shares of the blocks of ``remaining``,
-    and their ``solver._branch_order`` from the bit planes of the masks of
-    ``active``."""
+    and their branch order as the run masks read off the bit planes of the
+    masks of ``active`` (see :func:`run_order`)."""
     shares = np.array([c.cost / (c.covered & remaining).bit_count() for c in active])
-    rows = np.flatnonzero(masks_to_flags([remaining], n)[0])
     planes = solver._bit_planes([c.covered for c in active])
-    return solver._root_pass(active, shares, remaining, n), solver._branch_order(planes, rows, n)
+    runs = SimpleNamespace(_planes=planes, _classes=[], _unclassed=remaining)
+    return solver._root_pass(active, shares, remaining, n), run_order(runs)
 
 
 @pytest.mark.parametrize("chunk_cells", [solver._CHUNK_CELLS, 100, 1])
@@ -768,12 +781,12 @@ def test_a_residual_forces_prices_and_orders_as_the_oracles():
         assert [c.cid for c in res.active] == [c.cid for c in active]
         assert res.remaining == remaining
         assert np.array_equal(res.price, price)
-        assert res.order == order
+        assert run_order(res) == order
         forcing += bool(forced) and bool(remaining)
     assert forcing >= 30
     active = three_hundred_and_one_hundred_coverers()
     res = solver._Residual(active, 0b11, [], 2)
-    assert res.order == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
+    assert run_order(res) == root_pass_oracle(active, 0b11, 2)[1] == [1, 0]
 
 
 def test_forcing_leaves_the_counts_of_the_blocks_left():
@@ -805,15 +818,16 @@ def lookup_family(name):
 
 
 def count_runs_oracle(res):
-    """``res.order`` cut into its runs of equal count of coverers, a block's
-    count being the number of ``res.active`` that cover it."""
+    """The branch order of ``res`` (see :func:`branch_order_oracle`) cut into
+    its runs of equal count of coverers, a block's count being the number
+    of ``res.active`` that cover it."""
     count = lambda p: sum((c.covered >> p) & 1 for c in res.active)
-    return [list(run) for _, run in itertools.groupby(res.order, key=count)]
+    return [list(run) for _, run in itertools.groupby(branch_order_oracle(res), key=count)]
 
 
-def first_in_order(res, uncovered):
-    """The first block of ``res.order`` in ``uncovered``."""
-    return next(p for p in res.order if (uncovered >> p) & 1)
+def first_in_order(order, uncovered):
+    """The first block of ``order`` in ``uncovered``."""
+    return next(p for p in order if (uncovered >> p) & 1)
 
 
 @given(data=st.data())
@@ -821,7 +835,8 @@ def test_the_branch_block_is_the_first_uncovered_block_in_the_order(data):
     # Each run of the order is one class mask, whose set bits in ascending
     # order are the run.  The lookup, from any run up to the one holding the
     # answer, gives the first block of the order left uncovered, and so does
-    # every lookup a search makes, after forcing and in a core too.
+    # every lookup a search or dual ascent makes, after forcing and in a
+    # core too.
     family = lookup_family(data.draw(st.sampled_from(["tied", "float", "branching", "forcing"])))
     inst = family[data.draw(st.integers(0, len(family) - 1))]
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
@@ -835,21 +850,76 @@ def test_the_branch_block_is_the_first_uncovered_block_in_the_order(data):
     assert sum(m.bit_count() for m in masks) == res.remaining.bit_count()
     if res.remaining:
         uncovered = res.remaining & data.draw(st.integers(0, inst.full_mask)) or res.remaining
-        first = first_in_order(res, uncovered)
+        first = first_in_order(branch_order_oracle(res), uncovered)
         k = next(k for k, run in enumerate(runs) if first in run)
         assert [res.branch_block(uncovered, at) for at in range(k + 1)] == [(k, first)] * (k + 1)
-    looked_up = []
+    looked_up, orders = [], {}
     branch_block = solver._Residual.branch_block
 
     def record(self, uncovered, at):
         found = branch_block(self, uncovered, at)
-        looked_up.append((found[1], first_in_order(self, uncovered)))
+        # Each residual's order, kept beside it so that its id is not reused.
+        if id(self) not in orders:
+            orders[id(self)] = (self, branch_order_oracle(self))
+        looked_up.append((found[1], first_in_order(orders[id(self)][1], uncovered)))
         return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver._Residual, "branch_block", record)
         solve_exact(inst, node_budget=data.draw(st.sampled_from([5, 30, 120, solver.DEFAULT_NODE_BUDGET])))
     assert all(got == want for got, want in looked_up)
+
+
+def root_residual(inst):
+    """The residual ``solve_exact`` builds at the root of ``inst``: of the
+    candidates the root's two reductions keep, forced."""
+    kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
+    return solver._Residual(kept, inst.full_mask, [], inst.n_elements)
+
+
+def sweep_r_like_residual():
+    """The root residual of a 30x30 mesh whose rows each shuffle 9 open, 3
+    water, 9 neighborhood, 3 hill and 6 commercial blocks, under the sensors
+    that track non-cooperative targets at r = 0.98: the map and sensors of
+    the benchmark's r sweep at one of its points."""
+    rng = random.Random(30)
+    row = [0] * 9 + [1] * 3 + [2] * 9 + [3] * 3 + [4] * 6
+    catalog = default_catalog().filtered([s.name for s in default_catalog() if s.tracks_noncooperative])
+    mesh = square_mesh(30, [rng.sample(row, len(row)) for _ in range(30)], min_range=catalog.min_range_km)
+    return root_residual(PlacementInstance.from_coverage(build_coverage(mesh, catalog, 0.98)))
+
+
+def test_the_dual_ascent_raises_the_blocks_of_the_branch_order_in_turn():
+    # The ascent finds each block it raises through the search's lookup;
+    # the oracle walks the sorted branch order and skips every block of a
+    # tight candidate.  They raise the same blocks in the same turn, and
+    # their prices agree bit for bit, on the lookup test's four families,
+    # the search-like instance and a sweep-r-like residual.  Raising a
+    # block of a tight candidate would add 0 to its price, so only the
+    # blocks looked up show that those are skipped.
+    families = [lookup_family(name) for name in ("tied", "float", "branching", "forcing")]
+    residuals = [root_residual(inst) for inst in itertools.chain(*families, [search_like_instance()])]
+    residuals.append(sweep_r_like_residual())
+    looked_up = []
+    branch_block = solver._Residual.branch_block
+
+    def record(self, live, at):
+        found = branch_block(self, live, at)
+        looked_up.append(found[1])
+        return found
+
+    changed = 0
+    for res in residuals:
+        looked_up.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver._Residual, "branch_block", record)
+            prices = solver._dual_ascent(res)
+        expected, raised = dual_ascent_oracle(res, branch_order_oracle(res))
+        assert prices.tobytes() == expected.tobytes()
+        assert looked_up == raised
+        changed += not np.array_equal(prices, res.price)
+    assert changed >= 500
+    assert len(residuals[-1].active) > 1000
 
 
 def forcing_instance():
@@ -919,30 +989,15 @@ def test_the_lagrangian_does_not_depend_on_the_span_width(monkeypatch):
     assert split >= 400
 
 
-def flag_unpacks(monkeypatch):
-    """The masks unpacked by ``coverage.masks_to_flags`` from now on, under
-    its own name or one the solver holds it by, counted through
-    ``monkeypatch``."""
-    unpacked = []
-    unpack = coverage.masks_to_flags
-
-    def unpack_and_keep(masks, n):
-        unpacked.extend(masks)
-        return unpack(masks, n)
-
-    monkeypatch.setattr(coverage, "masks_to_flags", unpack_and_keep)
-    monkeypatch.setattr(solver, "masks_to_flags", unpack_and_keep, raising=False)
-    return unpacked
-
-
 def test_a_residual_counts_its_candidates_once_and_unpacks_no_mask_to_flags(monkeypatch):
     # One pass of the bit-plane counter over the candidates' masks forces,
-    # and orders the blocks left; the share prices are found without
-    # unpacking a list of masks.
+    # and orders the blocks left.  That the share prices are found without
+    # unpacking a list of masks is checked statically: no module of the
+    # package names masks_to_flags (test_no_module_names_masks_to_flags).
     search = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(search.candidates))
     forcing = forcing_instance()
-    unpacked, counted = flag_unpacks(monkeypatch), []
+    counted = []
     bit_planes = solver._bit_planes
 
     def count_and_keep(masks):
@@ -955,7 +1010,6 @@ def test_a_residual_counts_its_candidates_once_and_unpacks_no_mask_to_flags(monk
         res = solver._Residual(candidates, inst.full_mask, [], inst.n_elements)
         assert res.remaining
         assert counted == [[c.covered for c in candidates]]
-    assert unpacked == []
     assert [c.cid for c in res.forced] == ["a"]
 
 
@@ -964,6 +1018,9 @@ def test_a_solve_unpacks_no_mask_to_flags(monkeypatch, lagrangians):
     # the core search run too: the residuals count their coverers in bit
     # planes, the ascent reads the masks' nonzero bytes, the Lagrangian
     # their set bits, and its heuristic counts its picks in bit planes.
+    # That none of them unpacks a list of masks to flags is checked
+    # statically (test_no_module_names_masks_to_flags); this solve checks
+    # that every stage runs, on two residuals.
     inst = search_like_instance()
     residuals = []
     init = solver._Residual.__init__
@@ -972,12 +1029,10 @@ def test_a_solve_unpacks_no_mask_to_flags(monkeypatch, lagrangians):
         init(self, *args)
         residuals.append(self)
 
-    unpacked = flag_unpacks(monkeypatch)
     monkeypatch.setattr(solver._Residual, "__init__", init_and_keep)
     solve_exact(inst, node_budget=20_000)
     assert lagrangians == [1]
     assert len(residuals) == 2
-    assert unpacked == []
 
 
 def test_the_lagrangian_reads_only_the_blocks_left():
@@ -1216,7 +1271,8 @@ def test_run_pricing_matches_boolean_sum():
     rng = random.Random(5)
     for res in run_pricing_residuals():
         n = len(res.price)
-        for p in res.order[:: max(1, len(res.order) // 10)]:
+        order = branch_order_oracle(res)
+        for p in order[:: max(1, len(order) // 10)]:
             for _ in range(5):
                 uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
                 cost, newly = res.children_of(p, uncovered)
@@ -1238,7 +1294,7 @@ def test_pricing_passes_match_a_fresh_prefix_sum_bit_for_bit():
     n = len(res.price)
     rng = random.Random(29)
     returned = []
-    for p in res.order[::10]:
+    for p in branch_order_oracle(res)[::10]:
         runs, offsets = masks_to_runs([res.active[ci].covered for ci in res.coverers_of(p)[1]], n)
         for uncovered in (res.remaining, (res.remaining & rng.getrandbits(n)) | 1 << p, 1 << p):
             prefix = np.zeros(n + 1)
@@ -1262,7 +1318,7 @@ def test_a_repeated_pricing_pass_returns_the_blocks_last_result_bit_for_bit():
     res, fresh = (solver._Residual(kept, inst.full_mask, [], inst.n_elements) for _ in range(2))
     n = len(res.price)
     rng = random.Random(31)
-    blocks = res.order[::10]
+    blocks = branch_order_oracle(res)[::10]
     reused = 0
     for p in blocks:
         uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
@@ -1307,7 +1363,7 @@ def test_run_cache_build_memory_stays_small():
     inst = PlacementInstance.from_coverage(build_coverage(square_mesh(100, codes, min_range=catalog.min_range_km), catalog, 0.98))
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
-    p = res.order[-1]
+    p = branch_order_oracle(res)[-1]
     assert len(res.coverers_of(p)[1]) > 600
     tracemalloc.start()
     try:
@@ -1643,7 +1699,7 @@ def test_a_node_keys_one_leaf_child_per_cost():
     # are not keyed.  d, of another cost, is.
     inst = inst_from(range(3), [(cid, [0, 1, 2], 2.0) for cid in "abc"] + [("d", [0, 1, 2], 3.0)])
     res = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
-    assert res.coverers_of(res.order[0])[1] == [0, 1, 2, 3]
+    assert res.coverers_of(branch_order_oracle(res)[0])[1] == [0, 1, 2, 3]
     leaf_key = solver._leaf_key
     for first_leaf_of_its_cost, keys in (
         (solver._first_leaf_of_its_cost, [(3,), (0,), (3,)]),
