@@ -16,7 +16,11 @@ detection probability; the sets of the others are built a group at a time.
 A chunk holds a fixed number of (site, grid row) ranges, as int32 bounds,
 so its arrays stay small whatever the number of sites, and it is wide
 enough that the fixed cost of a pass over a chunk stays small beside the
-work of its sites.
+work of its sites.  A group packs its sets over its span alone, the bits
+from its sites' least first covered bit, rounded down to a byte, to their
+greatest last one, and shifts each packed int into place: the flags, the
+packing and the int conversion scale with what the sets reach, not with the
+whole universe.
 The walk gives every pair's covered-set mask and mean detection probability,
 and the blocks no pair covers; none of that depends on the required
 detection probability.
@@ -83,14 +87,19 @@ _SNAP_REL = 1e-9
 MAX_COVERAGE_WORK = 10**9
 
 
+def terrain_detection(spec: SensorSpec) -> dict:
+    """Detection probability of ``spec`` on each terrain code, as a float (0
+    outside the area)."""
+    return {t.value: 0.0 if t == Terrain.OUTSIDE_AREA else float(spec.detect[t]) for t in Terrain}
+
+
 def block_detection(mesh: AreaMesh, catalog: SensorCatalog) -> dict:
     """Detection probability per block for each sensor type (0 outside the area)."""
     table = {}
     for spec in catalog:
         omega = np.zeros(mesh.n_blocks, dtype=np.float64)
-        for terrain, p in spec.detect.items():
-            omega[mesh.terrain == int(terrain)] = p
-        omega[mesh.terrain == int(Terrain.OUTSIDE_AREA)] = 0.0
+        for code, p in terrain_detection(spec).items():
+            omega[mesh.terrain == code] = p
         table[spec.name] = omega
     return table
 
@@ -298,13 +307,16 @@ class CoverageTable:
 
 # The walk takes sites in chunks of at most _CHUNK_CELLS (site, stencil row)
 # runs, and builds new covered sets in groups of at most _GROUP_ENTRIES
-# covered blocks and _GROUP_CELLS (site, in-area block) flags: its arrays stay
-# small beside the table it returns, whatever the number of sites.  Each
-# chunk costs a fixed pass over its sites, so chunks are wide: at 2**13 runs
-# a stencil of 100 grid rows takes 81 sites a chunk, and city-10k's walk
-# makes 190 passes.  The run bounds are int32 to keep that width inside the
-# walk's 1 MiB transient bound on a 30x30 map (see test_coverage.py): there
-# it allocates 0.84 MB beyond its result, and 1.00 MB with int64 bounds.
+# covered blocks and _GROUP_CELLS flags: its arrays stay small beside the
+# table it returns, whatever the number of sites.  A group's flags span its
+# sites' bits alone, from the least first covered bit, rounded down to a
+# byte, to the greatest last one, so _GROUP_CELLS bounds sites x span, not
+# sites x in-area blocks.  Each chunk costs a fixed pass over its sites, so
+# chunks are wide: at 2**13 runs a stencil of 100 grid rows takes 81 sites a
+# chunk, and city-10k's walk makes 190 passes.  The run bounds are int32 to
+# keep a chunk's arrays small: on a 30x30 map the walk allocates 0.46 MB
+# beyond its result, and 0.62 MB with int64 bounds, against the 1 MiB bound
+# of test_coverage.py.
 _CHUNK_CELLS = 2**13
 _GROUP_ENTRIES = 2**14
 _GROUP_CELLS = 2**17
@@ -340,8 +352,8 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     # int32 run bounds keep a chunk's arrays small (see _CHUNK_CELLS).
     start = np.zeros(len(in_area) + 1, dtype=np.int32)
     np.cumsum(in_area, out=start[1:])
-    sites = mesh.candidate_sites
-    blocks = np.array([site.block for site in sites], dtype=np.int64)
+    site_blocks = [site.block for site in mesh.candidate_sites]
+    blocks = np.array(site_blocks, dtype=np.int64)
     omegas = block_detection(mesh, catalog)
     pairs = []
     union = 0
@@ -355,6 +367,8 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
         step = max(1, _CHUNK_CELLS // rows)
         # A row of runs no site has: the first site of a type is always built.
         last_runs, last = np.full(2 * rows, -1, dtype=np.int32), None
+        # The cid prefix; str.zfill pads a site as ``:06d`` does, in half the time.
+        prefix = spec.name + "@"
         for c in range(0, len(blocks), step):
             lo, hi = _site_runs(blocks[c : c + step], half, start, bx, by, rows)
             runs = np.concatenate((lo, hi), axis=1)
@@ -363,14 +377,14 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
             size = (hi - lo).sum(axis=1)
             fresh = ~same & (size > 0)
             built = iter(_covered_sets(lo[fresh], hi[fresh], size[fresh], omega, n_in_area))
-            for site, reuse, covers in zip(sites[c : c + step], same.tolist(), size.tolist()):
+            for block, reuse, covers in zip(site_blocks[c : c + step], same.tolist(), size.tolist()):
                 if not reuse:
                     last = None
                     if covers:
                         last = next(built)
                         union |= last[0]
                 if last is not None:
-                    pairs.append((f"{spec.name}@{site.block:06d}", spec.name, site.block, *last, None))
+                    pairs.append((prefix + str(block).zfill(6), spec.name, block, *last, None))
     unreached = mask_flags(union, n_in_area) == 0
     return pairs, tuple(np.flatnonzero(in_area)[unreached].tolist())
 
@@ -400,35 +414,58 @@ def _site_runs(blocks: np.ndarray, half: np.ndarray, start: np.ndarray, bx: int,
 def _covered_sets(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, omega: np.ndarray, n_in_area: int) -> list:
     """``(mask, mean_detect)`` of each site's covered set, given as its row of
     runs ``lo`` to ``hi`` (see :func:`_site_runs`) holding ``size`` blocks;
-    the mean is over ``omega`` at the covered positions."""
+    the mean is over ``omega`` at the covered positions.
+
+    A group of sites is packed over its span alone: from the least first
+    covered bit among its sites, rounded down to a byte, to the greatest
+    last one.  Each packed int is then shifted into place."""
     out = []
     sizes = size.tolist()
-    first = 0
+    ends = np.cumsum(size)
+    # Each site's first covered bit, rounded down to a byte, and the bit past
+    # its last; an empty run reads lo = hi = 0, so it bounds neither.
+    starts = np.where(hi > lo, lo, n_in_area).min(axis=1) & ~7
+    stops = hi.max(axis=1)
+    counts = np.arange(1, len(sizes) + 1)
+    first = done = 0
     while first < len(sizes):
-        # One site at least, then as many as the group limits take.
-        last, entries = first + 1, sizes[first]
-        while (
-            last < len(sizes)
-            and entries + sizes[last] <= _GROUP_ENTRIES
-            and (last + 1 - first) * n_in_area <= _GROUP_CELLS
-        ):
-            entries += sizes[last]
-            last += 1
+        # One site at least, then as many as the group limits take.  Both the
+        # entries and sites x span grow with every site added, so the sites
+        # that fit are a prefix.
+        low = np.minimum.accumulate(starts[first:])
+        span = np.maximum.accumulate(stops[first:]) - low
+        fit = min(
+            np.searchsorted(ends, done + _GROUP_ENTRIES, "right"),
+            first + np.searchsorted(counts[: len(span)] * span, _GROUP_CELLS, "right"),
+        )
+        last = max(first + 1, int(fit))
+        base, width = int(low[last - first - 1]), int(span[last - first - 1])
         group_lo, group_hi = lo[first:last].ravel(), hi[first:last].ravel()
         length = group_hi - group_lo
-        # Every covered position: its run's first bit plus its offset in the run.
-        positions = np.arange(entries) + np.repeat(group_lo - (np.cumsum(length) - length), length)
-        flags = np.zeros((last - first) * n_in_area, dtype=bool)
-        flags[positions + np.repeat(np.arange(0, len(flags), n_in_area), sizes[first:last])] = True
+        entries = int(ends[last - 1]) - done
+        # Every covered position: its run's first bit plus its offset in the
+        # run.  Sums go in place and each array of the group's entries is
+        # dropped once used, before the next group makes its own: the walk
+        # then holds few such arrays at a time, which keeps the process's
+        # peak memory at the whole-universe packing's.
+        positions = np.repeat(group_lo - (np.cumsum(length) - length), length)
+        positions += np.arange(entries)
+        flags = np.zeros((last - first) * width, dtype=bool)
+        at = np.repeat(np.arange(-base, len(flags) - base, width), size[first:last])
+        at += positions
+        flags[at] = True
+        del at
         # Each set's values are one contiguous slice, summed pairwise as
         # ``omega[covered].mean()`` sums them; ``np.add.reduceat`` sums in
         # order and can differ in the last bit.
         values = omega[positions]
+        del positions
         a = 0
-        for mask, b in zip(flags_to_masks(flags.reshape(-1, n_in_area)), itertools.accumulate(sizes[first:last])):
-            out.append((mask, float(np.add.reduce(values[a:b])) / (b - a)))
+        for mask, b in zip(flags_to_masks(flags.reshape(-1, width)), itertools.accumulate(sizes[first:last])):
+            out.append((mask << base, float(np.add.reduce(values[a:b])) / (b - a)))
             a = b
-        first = last
+        del flags, values
+        first, done = last, done + entries
     return out
 
 

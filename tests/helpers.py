@@ -3,21 +3,31 @@ small synthetic meshes/specs, plus plan and dual feasibility checks, spies on
 the search's pricing passes and the exact solver's leaf keys and greedy
 covers, the unpacking of masks to rows of flags, and the one-at-a-time
 oracles that array code is checked against: the per-site coverage walk, the
-scalar unit-count rule, the same-site dominance rule, the per-position
-redundancy pass, the branch order as a sort and the dual ascent as a walk
-along it."""
+whole-universe packing of covered sets, the scalar unit-count rule, the
+same-site dominance rule, the per-position redundancy pass, the branch order
+as a sort, the dual ascent as a walk along it, and the per-row formatting of
+``coverage.csv`` and ``heatmap.csv``."""
 
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from gridwatch import solver
+from gridwatch import coverage, solver
 from gridwatch.catalog import SensorSpec
-from gridwatch.coverage import _SNAP_REL, MAX_COVERAGE_WORK, _footprint, block_detection, mask_positions, masks_to_bytes
+from gridwatch.coverage import (
+    _SNAP_REL,
+    MAX_COVERAGE_WORK,
+    _footprint,
+    block_detection,
+    flags_to_masks,
+    mask_positions,
+    masks_to_bytes,
+)
 from gridwatch.errors import DegenerateDetection, TooLarge, ValidationError
 from gridwatch.geo import EARTH_RADIUS_KM, GeoPoint
-from gridwatch.mesh import DETECTABLE_TERRAINS, build_mesh
+from gridwatch.mesh import DETECTABLE_TERRAINS, Terrain, build_mesh
 
 _DEG = math.pi / 180.0
 
@@ -210,6 +220,58 @@ def footprints_oracle(mesh, catalog):
             mask = shared.setdefault(mask, mask)
             pairs.append((f"{spec.name}@{site.block:06d}", spec.name, site.block, mask, zeta, None))
     return pairs, tuple(np.flatnonzero(in_area)[~union].tolist())
+
+
+def covered_sets_oracle(lo, hi, size, omega, n_in_area):
+    """``coverage._covered_sets`` with every group packed over the whole
+    universe: each site's flags span all ``n_in_area`` bits, so no mask is
+    shifted.  Groups take sites while they hold at most
+    ``coverage._GROUP_ENTRIES`` blocks and ``coverage._GROUP_CELLS`` flags."""
+    out = []
+    sizes = size.tolist()
+    first = 0
+    while first < len(sizes):
+        last, entries = first + 1, sizes[first]
+        while (
+            last < len(sizes)
+            and entries + sizes[last] <= coverage._GROUP_ENTRIES
+            and (last + 1 - first) * n_in_area <= coverage._GROUP_CELLS
+        ):
+            entries += sizes[last]
+            last += 1
+        group_lo, group_hi = lo[first:last].ravel(), hi[first:last].ravel()
+        length = group_hi - group_lo
+        positions = np.arange(entries) + np.repeat(group_lo - (np.cumsum(length) - length), length)
+        flags = np.zeros((last - first) * n_in_area, dtype=bool)
+        flags[positions + np.repeat(np.arange(0, len(flags), n_in_area), sizes[first:last])] = True
+        values = omega[positions]
+        a = 0
+        for mask, b in zip(flags_to_masks(flags.reshape(-1, n_in_area)), itertools.accumulate(sizes[first:last])):
+            out.append((mask, float(np.add.reduce(values[a:b])) / (b - a)))
+            a = b
+        first = last
+    return out
+
+
+def coverage_csv_oracle(table):
+    """``coverage.csv`` of ``table`` as text, every value of every row
+    formatted anew."""
+    lines = ["sensor,site_index,n_blocks,zeta,tau,kappa,install_cost_usd\n"]
+    for e in table.entries:
+        lines.append(f"{e.sensor},{e.site},{e.n_covered},{e.mean_detect!r},{1.0 - e.mean_detect!r},{e.units},{e.cost!r}\n")
+    return "".join(lines)
+
+
+def heatmap_csv_oracle(mesh, catalog, sensor):
+    """``heatmap.csv`` of ``sensor`` as text, from every type's detection per
+    block, each row formatted anew."""
+    omega = block_detection(mesh, catalog)[sensor].tolist()
+    labels = {t.value: t.label for t in Terrain}
+    lines = ["block_index,row,col,terrain,detection_probability\n"]
+    for z, (code, w) in enumerate(zip(mesh.terrain.tolist(), omega)):
+        j, k = divmod(z, mesh.blocks_x)
+        lines.append(f"{z},{j},{k},{labels[code]},{w!r}\n")
+    return "".join(lines)
 
 
 def units_oracle(mean_detect, log_miss, fov, rounding):

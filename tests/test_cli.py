@@ -1,8 +1,10 @@
 import builtins
+import csv
 import hashlib
 import io
 import json
 import math
+import random
 import shutil
 import weakref
 from dataclasses import replace
@@ -10,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import coverage_csv_oracle, heatmap_csv_oracle, rect_mesh, square_mesh
 
 from gridwatch import cli, coverage, pipeline
-from gridwatch.catalog import DETECT_KEYS
+from gridwatch.catalog import DETECT_KEYS, default_catalog
 from gridwatch.cli import main
+from gridwatch.coverage import Candidate, CoverageTable, build_coverage
 from gridwatch.errors import InvariantViolation, ValidationError
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario, with_overrides
@@ -728,6 +732,95 @@ def test_artifact_bytes_are_pinned(bundle):
         "summary.csv": "b363b7b4466fb7b43d7e0b27e40592e6de5ab53fdc3d558e08b70234b903ebc5",
         "sweep.csv": "10f77a60ad70452513924fa70ea04700d5f8ffbdb77f4a248d7ce2e8f281d236",
     }
+
+
+# -- writers against their per-row oracles --------------------------------------
+
+
+def coverage_text(tmp_path, table):
+    pipeline.write_coverage_csv(tmp_path / "coverage.csv", table)
+    return (tmp_path / "coverage.csv").read_bytes().decode("utf-8")
+
+
+def test_writers_match_their_per_row_oracles_on_the_minicity_bundle(bundle):
+    result = run_plan(load_scenario(bundle / "minicity.json"))
+    assert len({e.sensor for e in result.coverage.entries}) > 1
+    assert coverage_text(bundle, result.coverage) == coverage_csv_oracle(result.coverage)
+    for sensor in result.catalog.names:
+        pipeline.write_heatmap_csv(bundle / "heatmap.csv", result.mesh, result.catalog, sensor)
+        expected = heatmap_csv_oracle(result.mesh, result.catalog, sensor)
+        assert (bundle / "heatmap.csv").read_bytes().decode("utf-8") == expected, sensor
+
+
+def test_coverage_writer_matches_its_oracle_on_entries_that_share_one_mask(tmp_path):
+    # ADS-B reaches every block from each site, so its entries hold one int
+    # and one mean detection probability, and their rows reuse one text.
+    rng = random.Random(6)
+    codes = [[rng.choice([0, 1, 2, 3, 4]) for _ in range(6)] for _ in range(6)]
+    table = build_coverage(square_mesh(6, codes), default_catalog().filtered(["ADS-B", "Acoustic", "RF"]), 0.98)
+    adsb = [e for e in table.entries if e.sensor == "ADS-B"]
+    assert len(adsb) == 32 and len({(id(e.covered), id(e.mean_detect)) for e in adsb}) == 1
+    assert coverage_text(tmp_path, table) == coverage_csv_oracle(table)
+
+
+def test_coverage_writer_matches_its_oracle_on_a_repriced_table(tmp_path):
+    rng = random.Random(7)
+    codes = [[rng.choice([-1, 0, 1, 2, 3, 4]) for _ in range(7)] for _ in range(5)]
+    codes[0][0] = 0
+    mesh = rect_mesh(7, 5, codes)
+    catalog = default_catalog().filtered(["Acoustic", "OpticalCamera", "RF"])
+    first = build_coverage(mesh, catalog, 0.9)
+    for r in (0.9, 0.95, 0.99):
+        table = build_coverage(mesh, catalog, r, like=first)
+        assert coverage_text(tmp_path, table) == coverage_csv_oracle(table)
+        assert coverage_text(tmp_path, table) == coverage_text(tmp_path, build_coverage(mesh, catalog, r))
+
+
+def test_coverage_writer_matches_its_oracle_across_a_sensor_boundary(tmp_path):
+    full, part = 0b11111, 0b10110
+    zeta = 0.25
+    table = CoverageTable(
+        mesh=None,
+        entries=(
+            Candidate("A@000001", part, 300.0, "A", 1, 3, 0.5),
+            Candidate("A@000002", full, 100.0, "A", 2, 1, zeta),
+            # The next sensor's run starts with the same mask and mean
+            # objects, and a cost equal to the last one but of another type.
+            Candidate("B@000002", full, 100, "B", 2, 1, zeta),
+            # The same mask object with another mean, then another mask at
+            # the same cost.
+            Candidate("B@000003", full, 100, "B", 3, 1, 0.75),
+            Candidate("B@000004", part, 100, "B", 4, 1, 0.75),
+        ),
+    )
+    text = coverage_text(tmp_path, table)
+    assert text == coverage_csv_oracle(table)
+    assert text.splitlines()[3:] == ["B,2,5,0.25,0.75,1,100", "B,3,5,0.75,0.25,1,100", "B,4,3,0.75,0.25,1,100"]
+
+
+def test_free_text_csv_fields_are_quoted_and_read_back(bundle):
+    # A scenario name and a sensor name with a comma, double quotes and a
+    # line break: each must stay one field of its row.
+    odd = 'RF, "long"\nrange'
+    doc = json.loads((bundled_minicity_path().parent / "catalog.json").read_text(encoding="utf-8"))
+    for spec in doc["sensors"]:
+        if spec["name"] == "RF":
+            spec["name"] = odd
+    (bundle / "odd.json").write_text(json.dumps(doc), encoding="utf-8")
+    name = 'Dayton, "OH"\nnorth'
+    scn = scenario_with(bundle, name=name, catalog="odd.json", sensor_filter=[odd, "ADS-B"])
+    assert main(["plan", str(scn)]) == 0
+    with open(bundle / "out" / "summary.csv", newline="", encoding="utf-8") as fp:
+        summary = list(csv.reader(fp))
+    assert [row[:2] for row in summary] == [["city", "sensor_filter"], [name, f"ADS-B+{odd}"]]
+    assert [len(row) for row in summary] == [6, 6]
+    with open(bundle / "out" / "coverage.csv", newline="", encoding="utf-8") as fp:
+        rows = list(csv.reader(fp))
+    table = run_plan(load_scenario(scn)).coverage
+    assert len(rows) == 1 + len(table.entries)
+    assert all(len(row) == 7 for row in rows)
+    assert [row[0] for row in rows[1:]] == [e.sensor for e in table.entries]
+    assert {row[0] for row in rows[1:]} == {odd, "ADS-B"}
 
 
 # Traffic hours given outright for two years, one of them naming two classes

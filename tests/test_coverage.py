@@ -6,7 +6,16 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from helpers import footprints_oracle, make_spec, masks_to_flags, rect_mesh, site_for_block, square_mesh, units_oracle
+from helpers import (
+    covered_sets_oracle,
+    footprints_oracle,
+    make_spec,
+    masks_to_flags,
+    rect_mesh,
+    site_for_block,
+    square_mesh,
+    units_oracle,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -566,12 +575,102 @@ def test_run_walk_matches_the_per_site_walk(layout, limit):
     assert _walk_record(walk) == _walk_record(footprints_oracle(mesh, catalog))
 
 
+@st.composite
+def run_rows(draw):
+    """Rows of runs as :func:`coverage._site_runs` lays them, with a detection
+    value per bit: ``(lo, hi, size, omega, n)`` for 1-12 sites of 1-6 runs
+    over ``n`` bits, each site's runs ascending and disjoint, an empty run
+    read as ``lo = hi = 0``, and every site holding a block.  A site's set
+    may be one block, the whole universe, or start at bit 0 or end at the
+    last bit, so groups mix narrow and full-width sites."""
+    n = draw(st.integers(1, 150))
+    rows = draw(st.integers(1, 6))
+    sites = draw(st.integers(1, 12))
+    lo = np.zeros((sites, rows), dtype=np.int32)
+    hi = np.zeros((sites, rows), dtype=np.int32)
+    for i in range(sites):
+        kind = draw(st.sampled_from(["runs", "runs", "one", "full", "from 0", "to n"]))
+        if kind == "one":
+            at = draw(st.integers(0, n - 1))
+            bounds = [at, at + 1]
+        elif kind == "full":
+            bounds = [0, n]
+        else:
+            bounds = sorted(draw(st.lists(st.integers(0, n), min_size=2 * rows, max_size=2 * rows)))
+            if kind == "from 0":
+                bounds[0] = 0
+            elif kind == "to n":
+                bounds[-1] = n
+        runs = [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a] or [(n - 1, n)]
+        column = sorted(draw(st.lists(st.integers(0, rows - 1), min_size=len(runs), max_size=len(runs), unique=True)))
+        for c, (a, b) in zip(column, runs):
+            lo[i, c], hi[i, c] = a, b
+    omega = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    return lo, hi, (hi - lo).sum(axis=1), omega, n
+
+
+def _sets_record(sets):
+    return [(mask, repr(zeta)) for mask, zeta in sets]
+
+
+@pytest.mark.parametrize("cells", [None, 1, 16, 40, 100])
+@given(rows=run_rows())
+# Bits 9-11, packed from the byte bound at 8 when alone, beside a set from
+# bit 3 to the last of 21 bits; then the whole universe beside its last bit.
+@example(rows=(np.array([[9, 0], [3, 8]]), np.array([[12, 0], [5, 21]]), np.array([3, 15]), np.linspace(0.1, 0.9, 21), 21))
+@example(rows=(np.array([[0], [20]]), np.array([[21], [21]]), np.array([21, 1]), np.linspace(0.1, 0.9, 21), 21))
+def test_span_packing_matches_the_whole_universe_packing(rows, cells):
+    """Equal masks and bit-equal means as packing every set over the whole
+    universe, with the group cell limit at its default and at limits that
+    split groups by their spans (at 1, every site is its own group)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(coverage, "_GROUP_CELLS", cells)
+        got = coverage._covered_sets(*rows)
+    assert _sets_record(got) == _sets_record(covered_sets_oracle(*rows))
+
+
+@pytest.mark.parametrize("limit", [None, 1, 20, 300])
+@pytest.mark.parametrize(
+    "blocks_x,blocks_y,range_km",
+    [(13, 5, 0.9), (5, 11, 0.7), (17, 9, 1.5), (9, 4, 321.87)],
+    ids=["wide", "tall", "wider-reach", "everything"],
+)
+def test_span_packing_matches_on_grids_with_out_of_area_gaps(blocks_x, blocks_y, range_km, limit):
+    # Every site's runs on a non-square grid whose in-area blocks skip
+    # OUTSIDE_AREA cells, so a set's bits jump over the gaps.
+    rng = random.Random(blocks_x * 100 + blocks_y)
+    codes = [[rng.choice([-1, 0, 0, 1, 2, 3, 4]) for _ in range(blocks_x)] for _ in range(blocks_y)]
+    codes[0][0] = 0
+    mesh = rect_mesh(blocks_x, blocks_y, codes)
+    in_area = mesh.in_area
+    n_in_area = int(np.count_nonzero(in_area))
+    start = np.zeros(len(in_area) + 1, dtype=np.int32)
+    np.cumsum(in_area, out=start[1:])
+    stencil = coverage._footprint(range_km, mesh.block_side, max(blocks_x, blocks_y))
+    n = stencil.shape[0] // 2
+    half = stencil[:, n:].sum(axis=1) - 1
+    blocks = np.array([site.block for site in mesh.candidate_sites], dtype=np.int64)
+    lo, hi = coverage._site_runs(blocks, half, start, blocks_x, blocks_y, min(2 * n + 1, blocks_y))
+    size = (hi - lo).sum(axis=1)
+    kept = size > 0
+    omega = np.array([rng.uniform(0.05, 0.95) for _ in range(n_in_area)])
+    rows = (lo[kept], hi[kept], size[kept], omega, n_in_area)
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(coverage, "_GROUP_ENTRIES", limit)
+            mp.setattr(coverage, "_GROUP_CELLS", limit)
+        got = coverage._covered_sets(*rows)
+    assert len(got) == int(np.count_nonzero(kept)) > 0
+    assert _sets_record(got) == _sets_record(covered_sets_oracle(*rows))
+
+
 def test_walk_transient_memory_stays_small():
     # A sweep-r-sized map: 30x30 blocks with water, under every type that
     # tracks non-cooperative aircraft.  The walk's arrays come in bounded
     # chunks and groups, so what it allocates beyond the result it returns is
-    # about 0.84 MB with chunks of 2**13 runs held as int32 bounds (int64
-    # bounds would take it to 1.00 MB); the per-site walk it replaced took
+    # about 0.46 MB with chunks of 2**13 runs held as int32 bounds (int64
+    # bounds would take it to 0.62 MB); the per-site walk it replaced took
     # about 0.2 MB.
     rng = random.Random(30)
     codes = [[rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(30)] for _ in range(30)]

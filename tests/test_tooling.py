@@ -418,12 +418,13 @@ def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
     # bytes of city-10k's coverage.csv at seed 1 from one window per site.
     # ADS-B reaches every block from each of its 9 000 sites, so all of its
     # entries hold one int, and the exact solver proves the plan at its root.
+    # The heatmap's bytes are those of the per-block writer it replaced.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import inputs
 
     from gridwatch.coverage import build_coverage
     from gridwatch.mesh import build_mesh
-    from gridwatch.pipeline import write_coverage_csv
+    from gridwatch.pipeline import write_coverage_csv, write_heatmap_csv
     from gridwatch.scenario import load_scenario
     from gridwatch.solver import PlacementInstance, solve_exact
 
@@ -433,6 +434,9 @@ def test_city_10k_coverage_table_is_pinned(monkeypatch, tmp_path):
     write_coverage_csv(tmp_path / "coverage.csv", table)
     digest = hashlib.sha256((tmp_path / "coverage.csv").read_bytes()).hexdigest()
     assert digest == "90149a21d8df8b5e8727ccbede0fbeb650959a1bc42c6d3e3db8122e59c18f81"
+    write_heatmap_csv(tmp_path / "heatmap.csv", mesh, scenario.scaled_catalog, scenario.heatmap_sensor)
+    digest = hashlib.sha256((tmp_path / "heatmap.csv").read_bytes()).hexdigest()
+    assert digest == "b7f67d99a99716f45542fa67e92b89932c1d3896b77f7b68652af18e6f018e42"
     adsb = [e for e in table.entries if e.sensor == "ADS-B"]
     assert len(adsb) == 9_000
     assert len({id(e.covered) for e in adsb}) == 1
