@@ -11,20 +11,22 @@ entries, sorted by cid.  Node expansion is integer AND/OR work plus at
 most one pricing pass per node: the node's uncovered blocks are unpacked
 once into a prefix sum of their prices, held in a buffer the residual
 reuses, and what each child newly covers is priced by differences of that
-sum over the runs of set bits of the child's mask.  A block's coverers are
-a bitmask too, over indices into the residual candidates, kept beside the
-same indices as a list and their least cost; their runs and costs are
-cached beside them on the block's first pricing, and a block's last pass
-is returned again when the same uncovered blocks come back.  A node skips
-its excluded coverers among the children that pass the bound, and of its
-children that finish the cover it keys only the first of each cost.
+sum over the runs of set bits of the child's mask.  What the search knows
+of a block is one record, built on the block's first use and fetched once
+a node: the block's coverers as a bitmask over indices into the residual
+candidates, the same indices as a list, and their least cost; and, each
+filled when first needed, the union of the coverers' masks, their runs and
+costs, and the block's last pricing pass, returned again when the same
+uncovered blocks come back.  A node skips its excluded coverers among the
+children that pass the bound, and of its children that finish the cover
+it keys only the first of each cost.
 
 Before pricing, a node tries two cheap lower bounds on its children, and
 is counted but not priced when they show no child could pass (see
 :func:`_search`).  The second one needs to know whether some coverer of the
-branch block covers every uncovered block.  It first checks the union of the
-coverers' masks, cached per block; only when that union holds every
-uncovered block are the coverers scanned.
+branch block covers every uncovered block.  It first checks the record's
+union of the coverers' masks; only when that union holds every uncovered
+block are the coverers scanned.
 
 ``solve_exact`` is the one exact path: root reductions (candidates beaten
 at their own site, duplicate covered sets, forced unique coverers), then
@@ -92,8 +94,8 @@ MAX_BRUTE_CANDIDATES = 20
 # Most cells (candidates x blocks) the ascent's slack pass, the Lagrangian's
 # incidence and a block's runs take from the masks at once, so that a chunk's
 # temporaries stay well under a megabyte at any size.  It also
-# caps the nonzeros of a span of the Lagrangian's steps, and so the width of
-# their reused index buffer, unless one candidate alone covers more blocks.
+# caps the nonzeros of a span of the Lagrangian's steps, unless one
+# candidate alone covers more blocks.
 _CHUNK_CELLS = 1 << 16
 
 #: Subgradient steps of the root's Lagrangian: a fixed count, never a time
@@ -369,6 +371,27 @@ def _root_pass(active: Sequence[Candidate], shares: np.ndarray, remaining: int, 
     return price
 
 
+class _Block:
+    """What a residual knows of one of its blocks ``p``: ``mask``, with bit
+    ci set for each coverer ``active[ci]`` of ``p``, the same coverers as
+    ``idx``, an ascending index list, and ``least``, the least of their
+    costs.  Three fields start as None and are filled the first time they
+    are needed: ``reach``, the union of the coverers' masks, at the first
+    completion test (see :meth:`_Residual.completes`); ``runs``, the
+    coverers' runs, first-run columns and costs, at the first pricing pass;
+    and ``last``, the last ``uncovered`` priced and its result, for the
+    repeat check (see :meth:`_Residual.children_of`)."""
+
+    __slots__ = ("mask", "idx", "least", "reach", "runs", "last")
+
+    def __init__(self, active: list, p: int):
+        bit = 1 << p
+        self.idx = [ci for ci, c in enumerate(active) if c.covered & bit]
+        self.mask = sum(1 << ci for ci in self.idx)
+        self.least = min(active[ci].cost for ci in self.idx)
+        self.reach = self.runs = self.last = None
+
+
 class _Residual:
     """A residual problem, built once and read by every search, bound and
     fixing pass over it.  To ``forced`` it adds the unique coverer in
@@ -378,15 +401,15 @@ class _Residual:
     (blocks left covered); the blocks left, ``remaining``, at positions
     ``rows``; the share price of :func:`_root_pass`, its sum ``bound`` and
     its least ``least_price``; the masks of the runs of the branch order,
-    found on first use (see :meth:`class_mask`);
-    each branch block's coverers and their least cost, found on first use;
-    and, for the search alone, their runs of set bits and costs and the union of their masks,
-    the block's reach, also found on first use, and the block's last
-    pricing pass (see :meth:`children_of`).  The search's two skip
-    bounds (see :func:`_search`) start from :meth:`least_cost_of`, and the
-    second one reads :meth:`completes`.  ``solve_exact`` builds every
-    residual from candidates in cid order, so ``active`` is in cid order
-    too, as the search's leaf ranking needs.
+    found on first use (see :meth:`class_mask`); and one record per block
+    the search or the dual ascent reaches, built on first use, in one dict
+    (see :meth:`block` and :class:`_Block`).  The ascent reads only a
+    record's coverer list; its reach, runs and last pricing pass are the
+    search's, filled by :meth:`completes` and :meth:`children_of`.  The
+    search's two skip bounds (see :func:`_search`) start from the record's
+    ``least``, and the second one reads :meth:`completes`.  ``solve_exact``
+    builds every residual from candidates in cid order, so ``active`` is in
+    cid order too, as the search's leaf ranking needs.
 
     Each block's coverers in ``candidates`` are counted once, into the bit
     planes of :func:`_bit_planes`, and the blocks with one coverer are read
@@ -428,10 +451,7 @@ class _Residual:
         self._unclassed = remaining
         self.bound = float(self.price[self.rows].sum())
         self.least_price = float(self.price[self.rows].min()) if len(self.rows) else 0.0
-        self._coverers = {}
-        self._reach = {}
-        self._runs = {}
-        self._last = {}
+        self._blocks = {}
         # The pricing pass's product of prices and flags, and its prefix sum,
         # whose first entry stays 0 and whose rest is ``_sums``: reused by
         # every pass.
@@ -476,75 +496,46 @@ class _Residual:
                 return at, (hit & -hit).bit_length() - 1
             at += 1
 
-    def coverers_of(self, p: int) -> tuple:
-        """The mask with bit ci set for each coverer ``active[ci]`` of block
-        ``p``, the same coverers as an ascending index list, and the least
-        of their costs."""
-        found = self._coverers.get(p)
-        if found is None:
-            bit = 1 << p
-            idx = [ci for ci, c in enumerate(self.active) if c.covered & bit]
-            found = self._coverers[p] = (sum(1 << ci for ci in idx), idx, min(self.active[ci].cost for ci in idx))
-        return found
+    def block(self, p: int) -> _Block:
+        """The record of block ``p`` (see :class:`_Block`), built by one scan
+        of ``active`` on first use.  The search reads it once a node, and
+        the dual ascent once for each block it raises."""
+        blk = self._blocks.get(p)
+        if blk is None:
+            blk = self._blocks[p] = _Block(self.active, p)
+        return blk
 
-    def least_cost_of(self, p: int) -> float:
-        """The least cost among the coverers of block ``p``, excluded ones
-        too: every child of a node branching on ``p`` adds at least this
-        much.  Both of the search's skip bounds read it."""
-        return self.coverers_of(p)[2]
-
-    def reach_of(self, p: int) -> int:
-        """The blocks some coverer of block ``p`` covers: the union of their
-        masks.  :meth:`completes` finds it on first use and caches it."""
-        reach = 0
-        for ci in self.coverers_of(p)[1]:
-            reach |= self.active[ci].covered
-        return reach
-
-    def completes(self, p: int, uncovered: int) -> bool:
-        """Whether some coverer of block ``p`` covers every block of
-        ``uncovered``.  A block of ``uncovered`` out of :meth:`reach_of`
-        answers no at once; otherwise the coverers are scanned."""
-        reach = self._reach.get(p)
-        if reach is None:
-            reach = self._reach[p] = self.reach_of(p)
-        if uncovered & ~reach:
-            return False
+    def completes(self, blk: _Block, uncovered: int) -> bool:
+        """Whether some coverer of the block of record ``blk`` covers every
+        block of ``uncovered``.  A block of ``uncovered`` out of the
+        record's reach, the union of the coverers' masks found on the first
+        test, answers no at once; otherwise the coverers are scanned."""
         active = self.active
-        for ci in self.coverers_of(p)[1]:
+        if blk.reach is None:
+            reach = 0
+            for ci in blk.idx:
+                reach |= active[ci].covered
+            blk.reach = reach
+        if uncovered & ~blk.reach:
+            return False
+        for ci in blk.idx:
             if uncovered & active[ci].covered == uncovered:
                 return True
         return False
 
-    def runs_of(self, p: int) -> tuple:
-        """``(runs, first, cost)`` of the coverers of block ``p``, in the
-        order of :meth:`coverers_of`: the runs of set bits of their masks
-        (see :func:`masks_to_runs`), as two int32 rows of their ``lo`` and
-        ``hi`` bounds, the column of each coverer's first run and their
-        costs.  Found on first use, a chunk of ``_chunk_rows(n + 1)``
-        coverers at a time, so no temporary spans the block's coverers."""
-        found = self._runs.get(p)
-        if found is None:
-            idx = self.coverers_of(p)[1]
-            n = len(self.price)
-            step = _chunk_rows(n + 1)
-            runs, first, at = [], [], 0
-            for i in range(0, len(idx), step):
-                chunk, offsets = masks_to_runs([self.active[ci].covered for ci in idx[i : i + step]], n)
-                runs.append(chunk)
-                first.append(offsets[:-1] + at)
-                at += len(chunk)
-            found = self._runs[p] = (np.concatenate(runs).T.copy(), np.concatenate(first), self.cost[idx])
-        return found
-
-    def children_of(self, p: int, uncovered: int) -> tuple:
-        """``(cost, newly)`` of the coverers of block ``p``, in the order of
-        :meth:`coverers_of`: their costs, and the price of the blocks of
-        ``uncovered`` each one covers.  A coverer's price is a sum over the
-        runs of its mask of differences of one prefix sum of the prices of
-        ``uncovered``, so each is off by a few ulps of the price of
+    def children_of(self, blk: _Block, uncovered: int) -> tuple:
+        """``(cost, newly)`` of the coverers of the block of record ``blk``,
+        in the order of its ``idx``: their costs, and the price of the blocks
+        of ``uncovered`` each one covers.  A coverer's price is a sum over
+        the runs of its mask of differences of one prefix sum of the prices
+        of ``uncovered``, so each is off by a few ulps of the price of
         ``uncovered``, far below the prune slack.
 
+        The record's ``runs`` are found on the first pass: the runs of set
+        bits of the coverers' masks (see :func:`masks_to_runs`), as two
+        int32 rows of their ``lo`` and ``hi`` bounds, the column of each
+        coverer's first run and their costs, a chunk of ``_chunk_rows(n +
+        1)`` coverers at a time, so no temporary spans the block's coverers.
         ``uncovered`` is unpacked by :func:`mask_flags`, and the product of
         prices and flags and its prefix sum are written into two buffers
         the residual holds, so the only arrays a pass allocates are the flags
@@ -552,19 +543,29 @@ class _Residual:
         non-reentrant: two passes over one residual must not run at once.
         The arrays returned share nothing with them.
 
-        Each block keeps its last ``uncovered`` and result, and a call that
+        The record keeps its last ``uncovered`` and result, and a call that
         brings the same ``uncovered`` back gets that result again without a
         pass: on search-400 at seed 1, 972 of the 3 520 calls do.  Callers
         must not write to the arrays returned."""
-        last = self._last.get(p)
+        last = blk.last
         if last is not None and last[0] == uncovered:
             return last[1]
-        runs, first, cost = self.runs_of(p)
+        if blk.runs is None:
+            idx, n = blk.idx, len(self.price)
+            step = _chunk_rows(n + 1)
+            runs, first, at = [], [], 0
+            for i in range(0, len(idx), step):
+                chunk, offsets = masks_to_runs([self.active[ci].covered for ci in idx[i : i + step]], n)
+                runs.append(chunk)
+                first.append(offsets[:-1] + at)
+                at += len(chunk)
+            blk.runs = (np.concatenate(runs).T.copy(), np.concatenate(first), self.cost[idx])
+        runs, first, cost = blk.runs
         np.multiply(self.price, mask_flags(uncovered, len(self.price)), out=self._product)
         self._product.cumsum(out=self._sums)
         lo, hi = self._prefix.take(runs)
         found = cost, np.add.reduceat(hi - lo, first)
-        self._last[p] = (uncovered, found)
+        blk.last = (uncovered, found)
         return found
 
 
@@ -600,7 +601,7 @@ def _dual_ascent(res: _Residual) -> np.ndarray:
     while live:
         at, p = res.branch_block(live, at)
         live ^= 1 << p
-        idx = res.coverers_of(p)[1]
+        idx = res.block(p).idx
         left = slack[idx]
         rise = left.min()
         prices[p] += rise
@@ -655,12 +656,14 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     meets its uncovered blocks, and takes the lowest of those (see
     :meth:`_Residual.branch_block`).  A child starts from its parent's run,
     since its uncovered blocks are a subset of its parent's, but may still
-    hold blocks of that run.  The node then tries two lower bounds on its
-    children before it reads the block's coverers and prices them.
-    Every child adds a coverer of the block, so it costs at least
-    ``forced_cost + (cost + least)``, ``least`` the least cost among the
-    block's coverers, excluded ones too.  A child that does not finish the
-    cover also leaves a block priced at least ``res.least_price``.  When the
+    hold blocks of that run.  The node fetches the block's record once
+    (see :meth:`_Residual.block`) and reads everything it needs of the
+    block there.  It then tries two lower bounds on its children before it
+    reads the block's coverers and prices them.  Every child adds a coverer
+    of the block, so it costs at least ``forced_cost + (cost + least)``,
+    ``least`` the record's least cost among the block's coverers, excluded
+    ones too.  A child that does not finish the cover also leaves a block
+    priced at least ``res.least_price``.  When the
     first sum, or the second with no coverer that covers every uncovered
     block, reaches ``skip_at``, one prune slack past ``threshold``, no child
     can pass even with its bound drifted (see ``_PRUNE_REL``), so the node
@@ -669,8 +672,9 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     would not be counted, and a budgeted search would then reach other
     nodes.  Whether a coverer covers every uncovered block is an exact test
     on the masks (see :meth:`_Residual.completes`).  An uncovered block out
-    of the branch block's reach answers it without a scan: on search-400 it
-    answers about two tests in three.
+    of the reach, the union of the coverers' masks the record holds,
+    answers it without a scan: on search-400 it answers about two tests in
+    three.
 
     Every leaf is ``res.forced`` plus ``active[picks]``, with ``active`` in
     cid order.  Two leaves of equal fsum cost and size share the forced
@@ -708,17 +712,18 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
         if forced_cost + cost + bound >= threshold:
             continue
         at, branch_pos = res.branch_block(uncovered, at)
+        blk = res.block(branch_pos)
         # The two skip bounds of the docstring.
-        least_child = forced_cost + (cost + res.least_cost_of(branch_pos))
+        least_child = forced_cost + (cost + blk.least)
         if least_child >= skip_at:
             continue
-        if least_child + res.least_price >= skip_at and not res.completes(branch_pos, uncovered):
+        if least_child + res.least_price >= skip_at and not res.completes(blk, uncovered):
             continue
-        coverer_mask, idx, _ = res.coverers_of(branch_pos)
+        coverer_mask, idx = blk.mask, blk.idx
         # A child's bound is this node's bound less the price of what the
         # child newly covers.  Every coverer's child is priced at once, and
         # the excluded ones are skipped among those that pass the bound.
-        costs, newly_price = res.children_of(branch_pos, uncovered)
+        costs, newly_price = res.children_of(blk, uncovered)
         child_bound = bound - newly_price
         child_lower = forced_cost + (cost + costs) + child_bound
         dropped = coverer_mask & excluded
@@ -860,14 +865,14 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     plan costing no more than the incumbent can hold, and the incumbent's
     picks.
 
-    The incidence is stored as int32, column j's rows a slice of one array of
-    row indices.  It is filled a chunk of ``_chunk_rows(n)`` candidates at a
-    time from the set bits of their masks cut to ``res.remaining`` (see
+    The incidence is stored as intp, the index type ``take`` reads without
+    a copy, column j's rows a slice of one array of row indices.  It is
+    filled a chunk of ``_chunk_rows(n)`` candidates at a time from the set
+    bits of their masks cut to ``res.remaining`` (see
     :func:`masks_to_positions`), each position taken to its row by one map,
     so no mask is unpacked to flags.  The steps walk it in spans of whole
     consecutive columns, each holding at most ``_CHUNK_CELLS`` nonzeros, or
-    one column that alone holds more.  A^T u copies a span's rows into one
-    reused intp buffer, the width of the widest span, gathers u at them and
+    one column that alone holds more.  A^T u gathers u at a span's rows and
     sums each column by ``np.add.reduceat``: every column's sum is a
     reduction over the same values in the same order whatever the spans,
     so the bound does not depend on their width.  A x, which only the
@@ -877,9 +882,9 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     n, m = len(start), len(rows)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    incidence = np.empty(int(ends[-1]), dtype=np.int32)
-    row_of = np.empty(n, dtype=np.int32)
-    row_of[rows] = np.arange(m, dtype=np.int32)
+    incidence = np.empty(int(ends[-1]), dtype=np.intp)
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[rows] = np.arange(m)
     step = _chunk_rows(n)
     for a in range(0, len(active), step):
         positions, _ = masks_to_positions([c.covered & res.remaining for c in active[a : a + step]], n)
@@ -891,7 +896,6 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
         b = max(a + 1, int(np.searchsorted(ends, starts[a] + _CHUNK_CELLS, side="right")))
         spans.append((slice(a, b), incidence[starts[a] : ends[b - 1]], starts[a:b] - starts[a]))
         a = b
-    index = np.empty(max(len(rows_in) for _, rows_in, _ in spans), dtype=np.intp)
 
     def hits_of(x: np.ndarray) -> np.ndarray:
         """How many of the candidates flagged in ``x`` cover each row."""
@@ -908,9 +912,7 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     def reduced(u: np.ndarray) -> np.ndarray:
         rc = cost.copy()
         for cols, rows_in, at in spans:
-            idx = index[: len(rows_in)]
-            np.copyto(idx, rows_in)
-            rc[cols] -= np.add.reduceat(u.take(idx), at)
+            rc[cols] -= np.add.reduceat(u.take(rows_in), at)
         return rc
 
     def heuristic(picked: list) -> tuple:

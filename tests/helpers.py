@@ -119,9 +119,9 @@ def count_pricing_passes(monkeypatch):
     calls = [0]
     children_of = solver._Residual.children_of
 
-    def count(self, p, uncovered):
+    def count(self, blk, uncovered):
         calls[0] += 1
-        return children_of(self, p, uncovered)
+        return children_of(self, blk, uncovered)
 
     monkeypatch.setattr(solver._Residual, "children_of", count)
     return calls
@@ -343,7 +343,7 @@ def dual_ascent_oracle(res, order):
         if (dead >> p) & 1:
             continue
         raised.append(p)
-        idx = res.coverers_of(p)[1]
+        idx = res.block(p).idx
         left = slack[idx]
         rise = left.min()
         prices[p] += rise

@@ -1275,8 +1275,8 @@ def test_run_pricing_matches_boolean_sum():
         for p in order[:: max(1, len(order) // 10)]:
             for _ in range(5):
                 uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
-                cost, newly = res.children_of(p, uncovered)
-                idx = res.coverers_of(p)[1]
+                cost, newly = res.children_of(res.block(p), uncovered)
+                idx = res.block(p).idx
                 flags = masks_to_flags([res.active[ci].covered & uncovered for ci in idx], n).astype(bool)
                 assert newly.tolist() == pytest.approx([res.price[f].sum() for f in flags], rel=1e-12)
                 assert cost.tolist() == [res.active[ci].cost for ci in idx]
@@ -1295,13 +1295,14 @@ def test_pricing_passes_match_a_fresh_prefix_sum_bit_for_bit():
     rng = random.Random(29)
     returned = []
     for p in branch_order_oracle(res)[::10]:
-        runs, offsets = masks_to_runs([res.active[ci].covered for ci in res.coverers_of(p)[1]], n)
+        blk = res.block(p)
+        runs, offsets = masks_to_runs([res.active[ci].covered for ci in blk.idx], n)
         for uncovered in (res.remaining, (res.remaining & rng.getrandbits(n)) | 1 << p, 1 << p):
             prefix = np.zeros(n + 1)
             np.cumsum(res.price * masks_to_flags([uncovered], n)[0], out=prefix[1:])
             ends = prefix.take(runs)
             expected = np.add.reduceat(ends[:, 1] - ends[:, 0], offsets[:-1])
-            cost, newly = res.children_of(p, uncovered)
+            cost, newly = res.children_of(blk, uncovered)
             assert newly.tobytes() == expected.tobytes()
             returned.append((cost, newly, cost.copy(), newly.copy()))
     assert all(a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes() for a, b, c, d in returned)
@@ -1323,20 +1324,20 @@ def test_a_repeated_pricing_pass_returns_the_blocks_last_result_bit_for_bit():
     for p in blocks:
         uncovered = (res.remaining & rng.getrandbits(n)) | 1 << p
         other = res.remaining if uncovered != res.remaining else 1 << p
-        first = res.children_of(p, uncovered)
+        first = res.children_of(res.block(p), uncovered)
         for q in blocks:
             if q != p:
-                res.children_of(q, (res.remaining & rng.getrandbits(n)) | 1 << q)
+                res.children_of(res.block(q), (res.remaining & rng.getrandbits(n)) | 1 << q)
         for again in (uncovered, int(str(uncovered))):
-            cost, newly = res.children_of(p, again)
+            cost, newly = res.children_of(res.block(p), again)
             assert cost is first[0] and newly is first[1]
             reused += 1
-        expected = fresh.children_of(p, uncovered)
+        expected = fresh.children_of(fresh.block(p), uncovered)
         assert first[1].tobytes() == expected[1].tobytes()
         assert first[0].tobytes() == expected[0].tobytes()
         # Another set is priced anew, and then the first one is too.
-        assert res.children_of(p, other)[1].tobytes() == fresh.children_of(p, other)[1].tobytes()
-        cost, newly = res.children_of(p, uncovered)
+        assert res.children_of(res.block(p), other)[1].tobytes() == fresh.children_of(fresh.block(p), other)[1].tobytes()
+        cost, newly = res.children_of(res.block(p), uncovered)
         assert newly is not first[1]
         assert newly.tobytes() == expected[1].tobytes()
     assert reused == 2 * len(blocks) > 0
@@ -1345,11 +1346,27 @@ def test_a_repeated_pricing_pass_returns_the_blocks_last_result_bit_for_bit():
 def test_every_coverer_list_is_ascending():
     # The search keys one leaf child of each cost, the first it reaches;
     # that one is the least by picks only if a block's coverers come in
-    # ascending index.
-    for res in run_pricing_residuals():
+    # ascending index.  Every block's record holds what a scan of the
+    # residual's candidates finds, and its reach and runs, once filled, are
+    # the union of its coverers' masks and their runs.
+    for res in itertools.chain(run_pricing_residuals(), [sweep_r_like_residual()]):
+        n = len(res.price)
         for p in res.rows.tolist():
-            idx = res.coverers_of(p)[1]
-            assert idx == sorted(set(idx))
+            blk = res.block(p)
+            idx = [ci for ci, c in enumerate(res.active) if (c.covered >> p) & 1]
+            assert blk.idx == idx == sorted(set(idx))
+            assert blk.mask == sum(1 << ci for ci in idx)
+            assert blk.least == min(res.active[ci].cost for ci in idx)
+            assert blk.reach is None and blk.runs is None
+            res.completes(blk, 1 << p)
+            reach = 0
+            for ci in idx:
+                reach |= res.active[ci].covered
+            assert blk.reach == reach
+            res.children_of(blk, 1 << p)
+            runs, offsets = masks_to_runs([res.active[ci].covered for ci in idx], n)
+            assert np.array_equal(blk.runs[0], runs.T) and np.array_equal(blk.runs[1], offsets[:-1])
+            assert blk.runs[2].tolist() == [res.active[ci].cost for ci in idx]
 
 
 def test_run_cache_build_memory_stays_small():
@@ -1364,10 +1381,11 @@ def test_run_cache_build_memory_stays_small():
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
     p = branch_order_oracle(res)[-1]
-    assert len(res.coverers_of(p)[1]) > 600
+    blk = res.block(p)
+    assert len(blk.idx) > 600
     tracemalloc.start()
     try:
-        res.runs_of(p)
+        res.children_of(blk, 1 << p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1376,11 +1394,18 @@ def test_run_cache_build_memory_stays_small():
 
 def solve_both_ways(inst, node_budget):
     """``solve_exact`` with the search's two skip bounds, then with both
-    turned off through their one seam, and how often each priced a node."""
+    turned off through their one seam, every block record's ``least`` set
+    to -inf, and how often each priced a node."""
     solved = []
-    for least_cost_of in (solver._Residual.least_cost_of, lambda self, p: -math.inf):
+    init = solver._Block.__init__
+
+    def unbounded(self, active, p):
+        init(self, active, p)
+        self.least = -math.inf
+
+    for block_init in (init, unbounded):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver._Residual, "least_cost_of", least_cost_of)
+            mp.setattr(solver._Block, "__init__", block_init)
             priced = count_pricing_passes(mp)
             plan = solve_exact(inst, node_budget=node_budget)
         search = ([c.cid for c in plan.chosen], plan.nodes_explored, plan.metadata["budget_exceeded"])
@@ -1424,31 +1449,34 @@ def test_skipping_unpriced_nodes_changes_no_search_like_search(node_budget):
 
 
 def test_dual_ascent_builds_no_runs():
-    # The ascent reads a block's coverer list; the runs and the reach masks
-    # are the search's.
+    # The ascent reads a block record's coverer list; the runs, the reach
+    # masks and the last pricing passes are the search's.
     inst = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
     solver._dual_ascent(res)
-    assert res._coverers and not res._runs and not res._reach
+    assert res._blocks
+    assert all(blk.runs is None and blk.reach is None and blk.last is None for blk in res._blocks.values())
 
 
-def solve_recording_completion_tests(inst, node_budget, reach_of):
-    """``solve_exact`` with ``_Residual.reach_of`` replaced by ``reach_of``:
-    its search (cids, nodes, budget exit, bound, pricing passes) and, for
-    each completion test, (its answer, the coverer scan's answer, whether
-    the reach mask answered it)."""
+def solve_recording_completion_tests(inst, node_budget, reach):
+    """``solve_exact`` with each block record's reach set to ``reach``
+    before its first completion test, or left to the record when
+    ``reach`` is None: its search (cids, nodes, budget exit, bound, pricing
+    passes) and, for each completion test, (its answer, the coverer scan's
+    answer, whether the reach mask answered it)."""
     tests = []
     completes = solver._Residual.completes
 
-    def record(self, p, uncovered):
-        answer = completes(self, p, uncovered)
-        scan = any(uncovered & self.active[ci].covered == uncovered for ci in self.coverers_of(p)[1])
-        tests.append((answer, scan, bool(uncovered & ~self.reach_of(p))))
+    def record(self, blk, uncovered):
+        if reach is not None and blk.reach is None:
+            blk.reach = reach
+        answer = completes(self, blk, uncovered)
+        scan = any(uncovered & self.active[ci].covered == uncovered for ci in blk.idx)
+        tests.append((answer, scan, bool(uncovered & ~blk.reach)))
         return answer
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver._Residual, "reach_of", reach_of)
         mp.setattr(solver._Residual, "completes", record)
         priced = count_pricing_passes(mp)
         plan = solve_exact(inst, node_budget=node_budget)
@@ -1456,17 +1484,16 @@ def solve_recording_completion_tests(inst, node_budget, reach_of):
     return search + (repr(plan.metadata["root_lower_bound"]), priced[0]), tests
 
 
-def no_reach(self, p):
-    """A reach mask holding every block: it answers no completion test."""
-    return -1
+#: A reach mask holding every block: it answers no completion test.
+NO_REACH = -1
 
 
 def check_reach_mask(inst, node_budget) -> int:
     """How many completion tests the reach mask answers on ``inst``, having
     checked that each is answered as the coverer scan answers it and that
     the search is the same without the mask."""
-    with_mask, tests = solve_recording_completion_tests(inst, node_budget, solver._Residual.reach_of)
-    without, unmasked = solve_recording_completion_tests(inst, node_budget, no_reach)
+    with_mask, tests = solve_recording_completion_tests(inst, node_budget, None)
+    without, unmasked = solve_recording_completion_tests(inst, node_budget, NO_REACH)
     assert with_mask == without
     assert all(answer == scan for answer, scan, _ in tests)
     assert not any(masked for _, _, masked in unmasked)
@@ -1699,7 +1726,7 @@ def test_a_node_keys_one_leaf_child_per_cost():
     # are not keyed.  d, of another cost, is.
     inst = inst_from(range(3), [(cid, [0, 1, 2], 2.0) for cid in "abc"] + [("d", [0, 1, 2], 3.0)])
     res = solver._Residual(list(inst.candidates), inst.full_mask, [], inst.n_elements)
-    assert res.coverers_of(branch_order_oracle(res)[0])[1] == [0, 1, 2, 3]
+    assert res.block(branch_order_oracle(res)[0]).idx == [0, 1, 2, 3]
     leaf_key = solver._leaf_key
     for first_leaf_of_its_cost, keys in (
         (solver._first_leaf_of_its_cost, [(3,), (0,), (3,)]),

@@ -145,6 +145,11 @@ def test_coverage_prices_and_checks_the_requirement_in_one_function_each():
     assert len(checkers) == 1, checkers
 
 
+#: Names of the per-block caches and lookups that the one block record
+#: replaced; none may come back.
+_PER_BLOCK_CACHES = {"coverers_of", "least_cost_of", "reach_of", "runs_of", "_coverers", "_reach", "_runs", "_last"}
+
+
 def test_the_search_finds_its_branch_block_through_one_lookup():
     # The branch order has one form, the masks of its runs of equal coverer
     # count, and one lookup, _Residual.branch_block: the lowest block of the
@@ -152,18 +157,24 @@ def test_the_search_finds_its_branch_block_through_one_lookup():
     # branch block there and the dual ascent each block it raises.  A list
     # of the order, read as an attribute named order or built by a
     # _branch_order, would be a second form, and another caller of the
-    # lookup or of the run masks a second walk.
-    orders, calls = [], []
+    # lookup or of the run masks a second walk.  What the residual knows of
+    # a block is one record, fetched by _Residual.block by those two alone;
+    # a per-block cache or lookup beside it would be a second copy.
+    orders, caches, calls = [], [], []
     for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func, node in _enclosed(tree):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
             if (isinstance(node, ast.Attribute) and node.attr == "order") or name == "_branch_order":
                 orders.append((path.name, func, node.lineno))
-        calls += [(path.name, func, name) for func, name, _ in _calls(tree) if name in ("branch_block", "class_mask")]
+            if name in _PER_BLOCK_CACHES:
+                caches.append((path.name, func, node.lineno, name))
+        calls += [(path.name, func, name) for func, name, _ in _calls(tree) if name in ("branch_block", "class_mask", "block")]
     assert orders == []
+    assert caches == []
     assert {(f, func) for f, func, name in calls if name == "branch_block"} == {("solver.py", "_search"), ("solver.py", "_dual_ascent")}
     assert {(f, func) for f, func, name in calls if name == "class_mask"} == {("solver.py", "branch_block")}
+    assert {(f, func) for f, func, name in calls if name == "block"} == {("solver.py", "_search"), ("solver.py", "_dual_ascent")}
 
 
 def test_only_the_oracle_ranks_plans_by_plan_key():
