@@ -1017,22 +1017,30 @@ def test_a_solve_unpacks_no_mask_to_flags(monkeypatch, lagrangians):
     # The probe stops on its budget, so the dual ascent, the Lagrangian and
     # the core search run too: the residuals count their coverers in bit
     # planes, the ascent reads the masks' nonzero bytes, the Lagrangian
-    # their set bits, and its heuristic counts its picks in bit planes.
-    # That none of them unpacks a list of masks to flags is checked
-    # statically (test_no_module_names_masks_to_flags); this solve checks
-    # that every stage runs, on two residuals.
+    # their set bits, and its heuristic drops redundant picks by unions of
+    # their masks.  That none of them unpacks a list of masks to flags is
+    # checked statically (test_no_module_names_masks_to_flags); this solve
+    # checks that every stage runs, on two residuals, and that each run of
+    # the heuristic keeps the picks the per-position loop keeps.
     inst = search_like_instance()
-    residuals = []
-    init = solver._Residual.__init__
+    residuals, dropped = [], []
+    init, drop_redundant = solver._Residual.__init__, solver._drop_redundant
 
     def init_and_keep(self, *args):
         init(self, *args)
         residuals.append(self)
 
+    def drop_and_check(masks):
+        kept = drop_redundant(masks)
+        dropped.append(kept == redundancy_oracle(masks, own_counts(masks)))
+        return kept
+
     monkeypatch.setattr(solver._Residual, "__init__", init_and_keep)
+    monkeypatch.setattr(solver, "_drop_redundant", drop_and_check)
     solve_exact(inst, node_budget=20_000)
     assert lagrangians == [1]
     assert len(residuals) == 2
+    assert dropped == [True] * 38
 
 
 def test_the_lagrangian_reads_only_the_blocks_left():
@@ -1283,11 +1291,11 @@ def test_run_pricing_matches_boolean_sum():
 
 
 def test_pricing_passes_match_a_fresh_prefix_sum_bit_for_bit():
-    # A pass unpacks its mask alone, writes its product and prefix sum into
-    # the residual's buffers and reads the cached runs as rows of bounds; its
-    # prices are, bit for bit, those of a product and prefix sum built anew
-    # and read at the coverers' runs found anew.  A later pass leaves the
-    # arrays an earlier one returned as they were.
+    # A pass unpacks its mask alone, sums its product into a prefix sum of
+    # its own and reads the cached runs as rows of bounds; its prices are,
+    # bit for bit, those of a product and prefix sum built anew and read at
+    # the coverers' runs found anew.  A later pass leaves the arrays an
+    # earlier one returned as they were.
     inst = search_like_instance()
     kept, _ = solver._dedup_identical(solver._drop_site_dominated(inst.candidates))
     res = solver._Residual(kept, inst.full_mask, [], inst.n_elements)
@@ -1744,36 +1752,34 @@ def test_a_node_keys_one_leaf_child_per_cost():
 
 @st.composite
 def redundancy_cases(draw):
-    """Masks in drop order and a hit count per position at least the number
-    of them holding it: repeats of a few masks and of subsets nested in
-    them, so that counts reach 9 and more, with or without counts from
-    masks not in the list.  The test takes the counts to bit planes."""
+    """Masks in drop order: repeats of a few masks and of subsets nested in
+    them, so that counts reach 9 and more."""
     n = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]))
     bases = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4))
     nested = [b & draw(st.integers(0, (1 << n) - 1)) for b in bases]
-    masks = draw(st.lists(st.sampled_from(bases + nested), max_size=40))
-    extra = draw(st.one_of(st.just([0] * n), st.lists(st.integers(0, 12), min_size=n, max_size=n)))
-    return masks, [e + sum((m >> p) & 1 for m in masks) for p, e in enumerate(extra)]
+    return draw(st.lists(st.sampled_from(bases + nested), max_size=40))
+
+
+def own_counts(masks):
+    """How many of ``masks`` hold each position, up to the highest one set."""
+    return [sum((m >> p) & 1 for m in masks) for p in range(max((m.bit_length() for m in masks), default=0))]
 
 
 @given(redundancy_cases())
-@example(([], [0, 0, 0]))
-@example(([0b101], [1, 0, 1]))
-@example(([0b11, 0b11, 0b01], [2, 3]))
-# A count of 4 falls to 3: the borrow clears plane 2, so the OR of the higher
-# planes must be taken again for the count's fall from 2 to 1 to show.
-@example(([1] * 4, [4]))
-# A count of 6 falls to 5: it is held twice in plane 1 alone but not twice
-# in all, so it must not join the counts of 1.
-@example(([1] * 2, [6]))
-# Counts of 9 and 17 borrow through plane 3 and 4.
-@example(([1] * 9 + [3] * 8, [17, 8]))
+@example([])
+@example([0b101])
+@example([1] * 4)
+@example([1] * 9 + [3] * 8)
+# Two equal masks: the first is held again after it, the second is kept.
+@example([0b110, 0b110])
+# A zero mask holds no position, so it is dropped.
+@example([0, 0b1, 0])
+# A mask nested in a later one is dropped, the later one kept.
+@example([0b010, 0b111])
 def test_drop_redundant_matches_the_per_position_loop(case):
-    masks, counts = case
-    planes = count_planes(counts)
-    held = list(planes)
-    assert solver._drop_redundant(masks, held) == redundancy_oracle(masks, counts)
-    assert held == planes
+    masks = list(case)
+    assert solver._drop_redundant(masks) == redundancy_oracle(masks, own_counts(masks))
+    assert masks == case
 
 
 def heuristic_runs(inst, untried):

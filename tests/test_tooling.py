@@ -159,8 +159,12 @@ def test_the_search_finds_its_branch_block_through_one_lookup():
     # _branch_order, would be a second form, and another caller of the
     # lookup or of the run masks a second walk.  What the residual knows of
     # a block is one record, fetched by _Residual.block by those two alone;
-    # a per-block cache or lookup beside it would be a second copy.
-    orders, caches, calls = [], [], []
+    # a per-block cache or lookup beside it would be a second copy.  The
+    # coverer counts that forcing and the order read are counted once, in
+    # _Residual.__init__; the Lagrangian heuristic's redundancy pass asks
+    # only whether other picks cover a block, so it takes its masks alone
+    # and tests unions, with no counts to start from.
+    orders, caches, calls, counted, drop_args = [], [], [], [], []
     for path in sorted((ROOT / "src" / "gridwatch").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func, node in _enclosed(tree):
@@ -169,12 +173,21 @@ def test_the_search_finds_its_branch_block_through_one_lookup():
                 orders.append((path.name, func, node.lineno))
             if name in _PER_BLOCK_CACHES:
                 caches.append((path.name, func, node.lineno, name))
+            if isinstance(node, ast.FunctionDef) and node.name == "_drop_redundant":
+                drop_args.append([a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)])
+            if isinstance(node, ast.ClassDef) and node.name == "_Residual":
+                init = next(f for f in node.body if getattr(f, "name", None) == "__init__")
+                residual_init = (path.name, init.lineno, init.end_lineno)
         calls += [(path.name, func, name) for func, name, _ in _calls(tree) if name in ("branch_block", "class_mask", "block")]
+        counted += [(path.name, line) for _, name, line in _calls(tree) if name in ("_bit_planes", "_counted_once")]
     assert orders == []
     assert caches == []
     assert {(f, func) for f, func, name in calls if name == "branch_block"} == {("solver.py", "_search"), ("solver.py", "_dual_ascent")}
     assert {(f, func) for f, func, name in calls if name == "class_mask"} == {("solver.py", "branch_block")}
     assert {(f, func) for f, func, name in calls if name == "block"} == {("solver.py", "_search"), ("solver.py", "_dual_ascent")}
+    f, lo, hi = residual_init
+    assert counted and all(cf == f and lo <= line <= hi for cf, line in counted), counted
+    assert drop_args == [["masks"]]
 
 
 def test_only_the_oracle_ranks_plans_by_plan_key():
