@@ -58,7 +58,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 import numpy as np
@@ -174,7 +174,7 @@ def _unit_counts(mean_detect: np.ndarray, log_miss: float, fov: int, rounding: s
     some inputs, which can move a ratio across a rounding boundary."""
     valid = (mean_detect > 0.0) & (mean_detect < 1.0)
     # Values outside (0, 1) are priced at 0.5 and raise below.
-    den = np.fromiter(map(math.log1p, -np.where(valid, mean_detect, 0.5)), dtype=np.float64, count=len(mean_detect))
+    den = np.fromiter(map(math.log1p, (-np.where(valid, mean_detect, 0.5)).tolist()), dtype=np.float64, count=len(mean_detect))
     with np.errstate(over="ignore", invalid="ignore"):
         raw = log_miss / den
         finite = np.isfinite(raw * float(fov))
@@ -198,7 +198,7 @@ def _unit_counts(mean_detect: np.ndarray, log_miss: float, fov: int, rounding: s
             raise ValidationError(f"mean detection probability must be in (0, 1), got {zeta}")
         if not finite[i] or int(n[i]) * fov > sys.float_info.max:
             raise DegenerateDetection(f"mean detection probability {zeta} needs more units than a float can count")
-    return [int(k) * fov for k in n]
+    return [int(k) * fov for k in n.tolist()]
 
 
 def masks_to_bytes(masks: list, n: int) -> np.ndarray:
@@ -279,10 +279,18 @@ def mask_positions(mask: int) -> list:
     return np.flatnonzero(mask_flags(mask, mask.bit_length())).tolist()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Candidate:
     """One selectable (sensor type, site) pairing, or an abstract covering set
-    without sensor, site or ``mean_detect``."""
+    without sensor, site or ``mean_detect``.
+
+    ``__init__`` is written out rather than generated: the frozen dataclass's
+    own stores each field through an ``object.__setattr__`` dispatch, and
+    this one calls the field's slot descriptor directly, the cheaper store
+    for the tens of thousands of candidates a city-scale table builds.
+    Equality, hashing, repr, ``dataclasses.replace`` and the frozen
+    ``__setattr__`` stay the dataclass's.  Its parameters must track the
+    fields: their names, order and defaults."""
 
     cid: str
     covered: int = field(repr=False)
@@ -292,9 +300,24 @@ class Candidate:
     units: int = 1
     mean_detect: Optional[float] = None
 
+    def __init__(self, cid, covered, cost, sensor=None, site=None, units=1, mean_detect=None):
+        _set_cid(self, cid)
+        _set_covered(self, covered)
+        _set_cost(self, cost)
+        _set_sensor(self, sensor)
+        _set_site(self, site)
+        _set_units(self, units)
+        _set_mean_detect(self, mean_detect)
+
     @property
     def n_covered(self) -> int:
         return self.covered.bit_count()
+
+
+# The slot descriptors' setters of Candidate's fields, in field order.
+_set_cid, _set_covered, _set_cost, _set_sensor, _set_site, _set_units, _set_mean_detect = (
+    getattr(Candidate, f.name).__set__ for f in fields(Candidate)
+)
 
 
 @dataclass(frozen=True)
@@ -312,11 +335,10 @@ class CoverageTable:
 # sites' bits alone, from the least first covered bit, rounded down to a
 # byte, to the greatest last one, so _GROUP_CELLS bounds sites x span, not
 # sites x in-area blocks.  Each chunk costs a fixed pass over its sites, so
-# chunks are wide: at 2**13 runs a stencil of 100 grid rows takes 81 sites a
-# chunk, and city-10k's walk makes 190 passes.  The run bounds are int32 to
-# keep a chunk's arrays small: on a 30x30 map the walk allocates 0.46 MB
-# beyond its result, and 0.62 MB with int64 bounds, against the 1 MiB bound
-# of test_coverage.py.
+# chunks are wide: a chunk holds _CHUNK_CELLS // rows sites, where rows is
+# the number of grid rows the type's stencil spans.  The run bounds are
+# int32, half the size of int64 ones, to keep a chunk's arrays small beside
+# the walk's memory bound in test_coverage.py.
 _CHUNK_CELLS = 2**13
 _GROUP_ENTRIES = 2**14
 _GROUP_CELLS = 2**17
@@ -335,8 +357,14 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     site whose ranges equal the previous site's takes that site's covered set
     and mean detection probability; only the others are built, a group at a
     time (see :func:`_covered_sets`).  Consecutive sites with equal runs
-    thus share one int, and a type that reaches every block from every site
-    builds one set."""
+    thus share one int.
+
+    A type whose stencil row at offset ``by - 1`` still spans ``bx - 1``
+    columns to each side reaches every block from every site: the stencil is
+    a disc, so every nearer row spans as far.  Its sites take no runs and no
+    packing; they share one mask of every in-area bit and one mean over all
+    of ``omega``, the int and the float the general path builds for the
+    first site, whose positions are then all in-area positions in order."""
     in_area = mesh.in_area
     n_in_area = int(np.count_nonzero(in_area))
     work = len(catalog) * len(mesh.candidate_sites) * n_in_area
@@ -363,12 +391,18 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
         n = stencil.shape[0] // 2
         # Stencil row n + d is the run of offsets |dk| <= half[n + d]; -1 when empty.
         half = stencil[:, n:].sum(axis=1) - 1
+        # The cid prefix; str.zfill pads a site as ``:06d`` does, in half the time.
+        prefix = spec.name + "@"
+        if site_blocks and n >= by - 1 and half[n + by - 1] >= bx - 1:
+            # Every block from every site: a site's positions are all in-area ones.
+            every = ((1 << n_in_area) - 1, float(np.add.reduce(omega)) / n_in_area)
+            union = every[0]
+            pairs.extend([(prefix + str(block).zfill(6), spec.name, block, *every, None) for block in site_blocks])
+            continue
         rows = min(2 * n + 1, by)
         step = max(1, _CHUNK_CELLS // rows)
         # A row of runs no site has: the first site of a type is always built.
         last_runs, last = np.full(2 * rows, -1, dtype=np.int32), None
-        # The cid prefix; str.zfill pads a site as ``:06d`` does, in half the time.
-        prefix = spec.name + "@"
         for c in range(0, len(blocks), step):
             lo, hi = _site_runs(blocks[c : c + step], half, start, bx, by, rows)
             runs = np.concatenate((lo, hi), axis=1)

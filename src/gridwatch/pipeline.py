@@ -19,6 +19,7 @@ as the oracle the tests compare it with.  The other JSON artifacts go through
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 from contextvars import ContextVar
@@ -75,37 +76,51 @@ def scenario_mesh(scenario: Scenario) -> AreaMesh:
 
 def run_plan(scenario: Scenario) -> PlanResult:
     """Build mesh and coverage for a scenario and solve the placement problem.
-    An r :func:`sweep`'s later points reuse the previous point's mesh and table."""
-    catalog = scenario.scaled_catalog
-    held = _sweep_table.get()
-    # No local keeps the previous table: it is freed once this one replaces it.
-    mesh = held[0].mesh if held else scenario_mesh(scenario)
-    coverage = build_coverage(
-        mesh, catalog, scenario.required_detection, scenario.rounding, like=held[0] if held else None
-    )
-    if held is not None:
-        held[:] = [coverage]
-    instance = PlacementInstance.from_coverage(coverage)
-    if scenario.apply_dominance_filter:
-        instance = dominance_filter(instance, catalog)
-    if scenario.solver_mode == "greedy":
-        plan = solve_greedy(instance)
-    else:
-        plan = solve_exact(instance, node_budget=scenario.node_budget)
-    if len(instance.candidates) < len(coverage.entries):
-        # The filter's removals show in the candidate count.  It is a
-        # type-level rule, not a proof: the filtered instance's optimum and
-        # root bound need not hold for the scenario.
-        metadata = {k: v for k, v in plan.metadata.items() if k != "root_lower_bound"}
-        plan = replace(plan, proven_optimal=False, metadata=metadata)
-    return PlanResult(
-        scenario=scenario,
-        catalog=catalog,
-        mesh=mesh,
-        coverage=coverage,
-        instance=instance,
-        plan=plan,
-    )
+    An r :func:`sweep`'s later points reuse the previous point's mesh and table.
+
+    The cyclic garbage collector is paused for the call.  The walk, the
+    pricing and the solve allocate tens of thousands of containers that form
+    no cycles worth collecting, so the passes their allocations would trigger
+    only walk the live table.  Reference counting still frees everything
+    else, and whatever cycles the call leaves wait for the collector's next
+    pass.  On return or on any exception the collector is enabled again if,
+    and only if, it was enabled on entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        catalog = scenario.scaled_catalog
+        held = _sweep_table.get()
+        # No local keeps the previous table: it is freed once this one replaces it.
+        mesh = held[0].mesh if held else scenario_mesh(scenario)
+        coverage = build_coverage(
+            mesh, catalog, scenario.required_detection, scenario.rounding, like=held[0] if held else None
+        )
+        if held is not None:
+            held[:] = [coverage]
+        instance = PlacementInstance.from_coverage(coverage)
+        if scenario.apply_dominance_filter:
+            instance = dominance_filter(instance, catalog)
+        if scenario.solver_mode == "greedy":
+            plan = solve_greedy(instance)
+        else:
+            plan = solve_exact(instance, node_budget=scenario.node_budget)
+        if len(instance.candidates) < len(coverage.entries):
+            # The filter's removals show in the candidate count.  It is a
+            # type-level rule, not a proof: the filtered instance's optimum and
+            # root bound need not hold for the scenario.
+            metadata = {k: v for k, v in plan.metadata.items() if k != "root_lower_bound"}
+            plan = replace(plan, proven_optimal=False, metadata=metadata)
+        return PlanResult(
+            scenario=scenario,
+            catalog=catalog,
+            mesh=mesh,
+            coverage=coverage,
+            instance=instance,
+            plan=plan,
+        )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -149,10 +164,11 @@ _MESH_FEATURE = (
 
 
 def write_mesh_geojson(path, mesh: AreaMesh) -> None:
-    """Write ``mesh.geojson`` one feature at a time, byte for byte what
-    :func:`write_json` makes of :func:`mesh_to_geojson`, without building the
-    document: the lattice's coordinates and each terrain's properties are
-    formatted once, by ``json`` itself, and dropped into :data:`_MESH_FEATURE`."""
+    """Write ``mesh.geojson`` one grid row of features at a time, byte for
+    byte what :func:`write_json` makes of :func:`mesh_to_geojson`, without
+    building the document: the lattice's coordinates and each terrain's
+    properties are formatted once, by ``json`` itself, and dropped into
+    :data:`_MESH_FEATURE`."""
     L, origin = mesh.block_side, mesh.origin
     lon = [json.dumps(unproject(PlanePoint(mesh.x0 + k * L, mesh.y0), origin).lon) for k in range(mesh.blocks_x + 1)]
     lat = [json.dumps(unproject(PlanePoint(mesh.x0, mesh.y0 + j * L), origin).lat) for j in range(mesh.blocks_y + 1)]
@@ -161,15 +177,19 @@ def write_mesh_geojson(path, mesh: AreaMesh) -> None:
         f'        "terrain": {json.dumps(t.label)}'
         for t in Terrain
     }
+    bx = mesh.blocks_x
+    codes = mesh.terrain.tolist()
     with _atomic_open(path) as fp:
         fp.write('{\n  "features": [\n')
-        for z, code in enumerate(mesh.terrain.tolist()):
-            j, k = divmod(z, mesh.blocks_x)
-            west, east, south, north = lon[k], lon[k + 1], lat[j], lat[j + 1]
-            if z:
-                fp.write(",\n")
-            ring = (west, south, east, south, east, north, west, north, west, south)
-            fp.write(_MESH_FEATURE % (*ring, z, properties[code]))
+        for j in range(mesh.blocks_y):
+            south, north, a = lat[j], lat[j + 1], j * bx
+            row = ",\n".join(
+                [
+                    _MESH_FEATURE % (west, south, east, south, east, north, west, north, west, south, z, properties[code])
+                    for west, east, z, code in zip(lon, lon[1:], range(a, a + bx), codes[a : a + bx])
+                ]
+            )
+            fp.write(",\n" + row if j else row)
         fp.write('\n  ],\n  "type": "FeatureCollection"\n}\n')
 
 

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from gridwatch import cli, coverage, pipeline
 from gridwatch.catalog import DETECT_KEYS, default_catalog
 from gridwatch.cli import main
 from gridwatch.coverage import Candidate, CoverageTable, build_coverage
-from gridwatch.errors import InvariantViolation, ValidationError
+from gridwatch.errors import InfeasibleCoverage, InvariantViolation, ValidationError
 from gridwatch.pipeline import run_plan, sweep, write_sweep_csv
 from gridwatch.scenario import bundled_minicity_path, load_scenario, with_overrides
 
@@ -121,8 +122,9 @@ def test_plan_range_too_small_exits_2(bundle, capsys):
     assert err["error"] == "RANGE_TOO_SMALL"
 
 
-def test_plan_infeasible_coverage_exits_3(bundle, capsys):
-    # optical cameras cover only their own block, so a water block is uncoverable
+def wet_scenario(bundle):
+    """A 2x2 map with one water block under optical cameras alone, which
+    cover only their own block: the water block is uncoverable."""
     from helpers import corners_for
 
     (bundle / "water.csv").write_text("0,0\n0,1\n", encoding="utf-8")
@@ -132,6 +134,11 @@ def test_plan_infeasible_coverage_exits_3(bundle, capsys):
     doc["sensor_filter"] = ["OpticalCamera"]
     scn = bundle / "wet.json"
     scn.write_text(json.dumps(doc), encoding="utf-8")
+    return scn
+
+
+def test_plan_infeasible_coverage_exits_3(bundle, capsys):
+    scn = wet_scenario(bundle)
     assert main(["plan", str(scn)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "INFEASIBLE_COVERAGE"
@@ -542,6 +549,32 @@ def test_r_sweep_solves_with_only_the_latest_table(bundle, monkeypatch):
     monkeypatch.setattr(pipeline, "solve_exact", count_and_solve)
     sweep(load_scenario(scenario_with(bundle, sensor_filter=["RF"])), "r", [0.9, 0.95, 0.99])
     assert alive == [1, 1, 1]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_plan_pauses_the_collector_and_restores_it(bundle, monkeypatch, enabled):
+    # The walk, the pricing and the solve run with the cyclic collector
+    # paused; once run_plan returns or raises, the collector is as it was.
+    seen = []
+
+    def build_and_watch(*args, build=pipeline.build_coverage, **kwargs):
+        seen.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_coverage", build_and_watch)
+    feasible = load_scenario(scenario_with(bundle, sensor_filter=["RF"]))
+    wet = load_scenario(wet_scenario(bundle))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run_plan(feasible)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InfeasibleCoverage):
+            run_plan(wet)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_detection_scale_sweep_builds_footprints_at_every_point(bundle, footprint_builds):

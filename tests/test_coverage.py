@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 import random
 import tracemalloc
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from gridwatch.catalog import SensorCatalog, default_catalog
 from gridwatch import coverage
 from gridwatch.coverage import (
+    Candidate,
     block_detection,
     build_coverage,
     covered_blocks,
@@ -515,7 +518,48 @@ def test_priced_footprints_match_a_fresh_table():
     assert 0 < sum(kept_in_all) < len(kept_in_all)
 
 
+def test_candidate_init_tracks_the_fields():
+    # Candidate.__init__ is written out, not generated, so its parameters must
+    # be the fields in name, order and default, and each argument must land
+    # in its own field whether passed by position or by keyword.
+    fields = dataclasses.fields(Candidate)
+    params = list(inspect.signature(Candidate.__init__).parameters.values())[1:]
+    defaults = [inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default for f in fields]
+    assert [(p.name, p.default) for p in params] == [(f.name, d) for f, d in zip(fields, defaults)]
+    values = {"cid": "T@000007", "covered": 0b1011, "cost": 120.5, "sensor": "T", "site": 7, "units": 3, "mean_detect": 0.25}
+    by_position, by_keyword = Candidate(*values.values()), Candidate(**values)
+    for c in (by_position, by_keyword):
+        assert {f.name: getattr(c, f.name) for f in fields} == values
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword) == (
+        "Candidate(cid='T@000007', cost=120.5, sensor='T', site=7, units=3, mean_detect=0.25)"
+    )
+    bare = Candidate("c", 1, 2.0)
+    assert (bare.sensor, bare.site, bare.units, bare.mean_detect) == (None, None, 1, None)
+    assert dataclasses.replace(by_keyword, units=4, cost=160.0) == Candidate("T@000007", 0b1011, 160.0, "T", 7, 4, 0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_position.units = 4
+
+
 # -- the run walk ------------------------------------------------------------------
+
+# Five blocks wide and eight tall, with OUTSIDE_AREA and WATER cells and a
+# placeable block at each corner.
+_GAPPY_5X8 = [
+    [0, -1, 1, 2, 0],
+    [3, 0, -1, -1, 4],
+    [1, 1, 0, 2, -1],
+    [-1, 4, 3, 0, 0],
+    [0, 0, -1, 1, 2],
+    [2, -1, 0, 0, 3],
+    [4, 3, 1, -1, 0],
+    [0, 2, 0, 1, 0],
+]
+# From a block centre on 0.3 km blocks, the far corner of the block 4
+# columns and 7 rows away: at this range every site of _GAPPY_5X8 reaches
+# every block, and a range a hair shorter misses a corner site's far corner.
+_FAR_CORNER_KM = math.hypot(4.5 * 0.3, 7.5 * 0.3)
 
 
 @st.composite
@@ -558,6 +602,10 @@ def _walk_record(walk):
 # At a limit of 20, the first site of the second chunk of six has the runs of
 # the first site of the first chunk but not of the site just before it.
 @example(layout=(3, 3, [[2, 1, 2], [2, 0, 0], [0, 0, -1]], 0.3, (make_spec(name="Mid", range_km=1.04),)))
+# A range that reaches the far corner exactly takes the whole-grid path; one
+# that misses it by a nanometre takes the general one.
+@example(layout=(5, 8, _GAPPY_5X8, 0.3, (make_spec(name="Edge", range_km=_FAR_CORNER_KM),)))
+@example(layout=(5, 8, _GAPPY_5X8, 0.3, (make_spec(name="Short", range_km=_FAR_CORNER_KM - 1e-9),)))
 def test_run_walk_matches_the_per_site_walk(layout, limit):
     """The same pairs in the same order, equal masks, bit-equal means and the
     same unreached blocks as one window per site, with the chunk and group
@@ -573,6 +621,42 @@ def test_run_walk_matches_the_per_site_walk(layout, limit):
                 mp.setattr(coverage, name, limit)
         walk = coverage._footprints(mesh, catalog)
     assert _walk_record(walk) == _walk_record(footprints_oracle(mesh, catalog))
+
+
+@pytest.mark.parametrize("short_km,whole", [(0.0, True), (1e-9, False)], ids=["every-block", "one-corner-short"])
+def test_a_whole_grid_type_shares_one_set_and_lays_no_runs(monkeypatch, short_km, whole):
+    # A type that reaches every block from every site takes one mask and one
+    # mean for all its sites without laying a run; a range that misses one
+    # corner site's far corner walks the runs.
+    calls = []
+
+    def count(*args, site_runs=coverage._site_runs):
+        calls.append(len(args[0]))
+        return site_runs(*args)
+
+    monkeypatch.setattr(coverage, "_site_runs", count)
+    mesh = rect_mesh(5, 8, _GAPPY_5X8)
+    catalog = SensorCatalog((make_spec(name="T", range_km=_FAR_CORNER_KM - short_km),))
+    pairs, unreached = coverage._footprints(mesh, catalog)
+    assert len(pairs) == len(mesh.candidate_sites) and unreached == ()
+    full = (1 << len(mesh.in_area_blocks)) - 1
+    if whole:
+        assert calls == []
+        assert {id(p[3]) for p in pairs} == {id(pairs[0][3])}
+        assert {id(p[4]) for p in pairs} == {id(pairs[0][4])}
+        assert pairs[0][3] == full
+    else:
+        assert sum(calls) == len(pairs)
+        assert pairs[0][3] != full
+
+
+def test_a_map_without_sites_is_infeasible_at_any_range():
+    # Water hosts no site, so no pair covers a block, not even of a type that
+    # would reach every block from any site.
+    mesh = rect_mesh(3, 2, [[1, 1, -1], [1, 1, 1]])
+    with pytest.raises(InfeasibleCoverage) as err:
+        build_coverage(mesh, SensorCatalog((make_spec(range_km=321.87),)), 0.98)
+    assert err.value.uncovered == mesh.in_area_blocks == (0, 1, 3, 4, 5)
 
 
 @st.composite

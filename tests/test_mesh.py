@@ -144,6 +144,10 @@ def mixed_meshes(draw):
 @example(mesh=rect_mesh(1, 1, [[-1]]))
 @example(mesh=rect_mesh(1, 6, [[1], [0], [-1], [2], [3], [4]]))
 @example(mesh=rect_mesh(6, 1, [[4, 3, 2, -1, 0, 1]]))
+# One row of twelve, one column of twelve and a grid mostly outside the area.
+@example(mesh=rect_mesh(12, 1, [[-1, 0, 1, 2, 3, 4, -1, -1, 4, 3, 2, 0]]))
+@example(mesh=rect_mesh(1, 12, [[0], [-1], [-1], [1], [2], [3], [4], [-1], [0], [0], [1], [-1]]))
+@example(mesh=rect_mesh(5, 4, [[-1, -1, -1, -1, -1], [-1, 0, -1, -1, -1], [-1, -1, -1, 1, -1], [-1, -1, -1, -1, -1]]))
 def test_mesh_writer_matches_the_oracle_byte_for_byte(tmp_path_factory, mesh):
     path = tmp_path_factory.getbasetemp() / "mesh.geojson"
     write_mesh_geojson(path, mesh)
