@@ -10,13 +10,14 @@ contiguous run of columns and blocks are numbered row by row, so a site's
 covered set is one range of mask bits per grid row it reaches.
 
 :func:`build_coverage` runs in two stages.  A walk over the sites, a chunk at
-a time, lays each type's stencil rows at the sites as those bit ranges.  A
-site whose ranges equal the previous site's takes that site's mask and mean
-detection probability; the sets of the others are built a group at a time.
-A chunk holds a fixed number of (site, grid row) ranges, as int32 bounds,
-so its arrays stay small whatever the number of sites, and it is wide
-enough that the fixed cost of a pass over a chunk stays small beside the
-work of its sites.  A group packs its sets over its span alone, the bits
+a time, lays each type's stencil rows at the sites as those bit ranges, and
+builds each site's mask and mean detection probability from them, a group
+of sites at a time.  Only a type that reaches every block from every site
+lays no ranges: its sites share one mask and one mean.  A chunk holds a
+fixed number of (site, grid row) ranges, as int32 bounds, so its arrays
+stay small whatever the number of sites, and it is wide enough that the
+fixed cost of a pass over a chunk stays small beside the work of its
+sites.  A group packs its sets over its span alone, the bits
 from its sites' least first covered bit, rounded down to a byte, to their
 greatest last one, and shifts each packed int into place: the flags, the
 packing and the int conversion scale with what the sets reach, not with the
@@ -353,18 +354,20 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
     :class:`TooLarge` is raised before any footprint is computed.
 
     Every stencil row is one run of columns, so a site's covered set is one
-    range of mask bits per grid row it reaches (see :func:`_site_runs`).  A
-    site whose ranges equal the previous site's takes that site's covered set
-    and mean detection probability; only the others are built, a group at a
-    time (see :func:`_covered_sets`).  Consecutive sites with equal runs
-    thus share one int.
+    range of mask bits per grid row it reaches (see :func:`_site_runs`).
+    Every site that covers a block gets its own covered set and mean
+    detection probability, built a group at a time (see
+    :func:`_covered_sets`), even where its set equals another site's.
 
     A type whose stencil row at offset ``by - 1`` still spans ``bx - 1``
     columns to each side reaches every block from every site: the stencil is
     a disc, so every nearer row spans as far.  Its sites take no runs and no
     packing; they share one mask of every in-area bit and one mean over all
     of ``omega``, the int and the float the general path builds for the
-    first site, whose positions are then all in-area positions in order."""
+    first site, whose positions are then all in-area positions in order.
+    That is the walk's only sharing: a type that reaches every block from
+    many sites, but not from all of them, holds one int per site.  No
+    bundled type does so on any map the program runs."""
     in_area = mesh.in_area
     n_in_area = int(np.count_nonzero(in_area))
     work = len(catalog) * len(mesh.candidate_sites) * n_in_area
@@ -401,24 +404,14 @@ def _footprints(mesh: AreaMesh, catalog: SensorCatalog) -> tuple:
             continue
         rows = min(2 * n + 1, by)
         step = max(1, _CHUNK_CELLS // rows)
-        # A row of runs no site has: the first site of a type is always built.
-        last_runs, last = np.full(2 * rows, -1, dtype=np.int32), None
         for c in range(0, len(blocks), step):
             lo, hi = _site_runs(blocks[c : c + step], half, start, bx, by, rows)
-            runs = np.concatenate((lo, hi), axis=1)
-            same = (runs == np.concatenate((last_runs[None], runs[:-1]))).all(axis=1)
-            last_runs = runs[-1]
             size = (hi - lo).sum(axis=1)
-            fresh = ~same & (size > 0)
-            built = iter(_covered_sets(lo[fresh], hi[fresh], size[fresh], omega, n_in_area))
-            for block, reuse, covers in zip(site_blocks[c : c + step], same.tolist(), size.tolist()):
-                if not reuse:
-                    last = None
-                    if covers:
-                        last = next(built)
-                        union |= last[0]
-                if last is not None:
-                    pairs.append((prefix + str(block).zfill(6), spec.name, block, *last, None))
+            held = size > 0
+            sets = _covered_sets(lo[held], hi[held], size[held], omega, n_in_area)
+            for block, (mask, zeta) in zip(itertools.compress(site_blocks[c : c + step], held.tolist()), sets):
+                union |= mask
+                pairs.append((prefix + str(block).zfill(6), spec.name, block, mask, zeta, None))
     unreached = mask_flags(union, n_in_area) == 0
     return pairs, tuple(np.flatnonzero(in_area)[unreached].tolist())
 
@@ -428,7 +421,8 @@ def _site_runs(blocks: np.ndarray, half: np.ndarray, start: np.ndarray, bx: int,
     ``half`` laid at each of ``blocks``: one row per site and one column per
     grid row from the first the stencil reaches, ``rows`` in all.  A column
     past the stencil or the grid, or whose run is empty, reads ``lo = hi = 0``,
-    so sites with equal covered sets in each grid row have equal rows."""
+    so that it adds no position to its site's set and bounds no group's span
+    in :func:`_covered_sets`."""
     n = len(half) // 2
     j, k = np.divmod(blocks, bx)
     j, k = j[:, None], k[:, None]

@@ -250,8 +250,8 @@ def write_json(path: Path, doc: dict) -> None:
 
 
 # Rows a CSV writer joins into one write: each write holds about 0.25 MB of
-# text at most, where one write of all of city-10k's coverage.csv held 6.6 MB
-# at the top of the process's memory.
+# text at most, where one write of a whole table's text grows with the table
+# and sits at the top of the process's memory.
 _ROWS_PER_WRITE = 2**10
 
 

@@ -301,13 +301,13 @@ def _dedup_identical(candidates: Sequence[Candidate]):
     """Keep only the cheapest (then lexicographically first) candidate per
     covered set, in cid order, and say how many were dropped.
 
-    Candidates often share one mask object (every ADS-B entry of city-10k
-    holds the same int), and hashing a mask of 10^4 bits costs about a
-    microsecond.  So each mask object is hashed once, the first time it is
-    seen, and its id then maps to the slot of its value: the id of the
-    first object seen with that value.  Equal masks held by distinct
-    objects thus still meet in one slot.  Every mask stays referenced by
-    ``candidates`` for the whole call, so no id is reused."""
+    Candidates often share one mask object (every entry of a sensor type
+    that reaches every block from every site holds the same int), and
+    hashing a mask reads every word of it.  So each mask object is hashed
+    once, the first time it is seen, and its id then maps to the slot of its
+    value: the id of the first object seen with that value.  Equal masks
+    held by distinct objects thus still meet in one slot.  Every mask stays
+    referenced by ``candidates`` for the whole call, so no id is reused."""
     slot_of, first_of, best = {}, {}, {}
     for c in candidates:
         slot = slot_of.get(id(c.covered))
@@ -425,10 +425,8 @@ class _Residual:
     the lowest set bit of the set's meet with the first run's mask it meets
     (see :meth:`branch_block`).  The search and the dual ascent both visit
     blocks through that one lookup.  A run's mask is built only when one of
-    them first steps to it: at seed 1 the two searches of search-400 build
-    25 of their residuals' 82 runs (1 764 bytes), the 8 sweep-r points 87
-    of 2 964 (9 032 bytes), city-10k 1 of 504 and het-10k at 300 nodes 488
-    of 506 (543 068 bytes, as ``sys.getsizeof`` of the masks)."""
+    them first steps to it, so a search that ends within the first runs
+    builds no mask of the others."""
 
     def __init__(self, candidates: list, remaining: int, forced: list, n: int):
         planes = _bit_planes([c.covered for c in candidates])
@@ -536,8 +534,7 @@ class _Residual:
 
         The record keeps its last ``uncovered`` and result, and a call that
         brings the same ``uncovered`` back gets that result again without a
-        pass: on search-400 at seed 1, 972 of the 3 520 calls do.  Callers
-        must not write to the arrays returned."""
+        pass.  Callers must not write to the arrays returned."""
         last = blk.last
         if last is not None and last[0] == uncovered:
             return last[1]
@@ -664,8 +661,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     nodes.  Whether a coverer covers every uncovered block is an exact test
     on the masks (see :meth:`_Residual.completes`).  An uncovered block out
     of the reach, the union of the coverers' masks the record holds,
-    answers it without a scan: on search-400 it answers about two tests in
-    three.
+    answers it without a scan.
 
     Every leaf is ``res.forced`` plus ``active[picks]``, with ``active`` in
     cid order.  Two leaves of equal fsum cost and size share the forced
@@ -684,7 +680,7 @@ def _search(res: _Residual, incumbent: list, node_budget: int) -> tuple:
     and size and larger sorted picks, so it cannot beat an incumbent that
     the first one did not beat or became.  Leaves are not counted as
     nodes, so no count or budget moves.  On search-400 at seed 1 the
-    solver computes 2 503 leaf keys where keying every leaf takes 25 791."""
+    solver computes 2 503 leaf keys, far fewer than the leaves it reaches."""
     active, forced, forced_cost = res.active, res.forced, res.forced_cost
     forced_costs, active_costs = [c.cost for c in forced], [c.cost for c in active]
     inc_key = _leaf_key(forced_costs, active_costs, _picks_of(res, incumbent))
@@ -776,8 +772,8 @@ def _counted_once(planes: list, mask: int) -> int:
     """The positions of ``mask`` whose count is 1 in the bit planes
     ``planes`` (see :func:`_bit_planes`): those of plane 0 in no higher
     plane.  x ^ (x & y) stands for x & ~y here: ~y is a negative int, and
-    with it this read of city-10k's ten planes over 9 500 blocks at seed 1
-    takes 7.8 us, not 3.2 us."""
+    an AND with a negative int costs more than these two operations on
+    nonnegative ones."""
     mask &= planes[0]
     for plane in planes[1:]:
         mask ^= mask & plane
@@ -840,10 +836,9 @@ def _lagrangian(res: _Residual, start: np.ndarray, incumbent: list) -> tuple:
     when less by :func:`_leaf_key`.  This heuristic is a function of the
     set it starts from, so a set it has tried is skipped (see
     :func:`_untried`): its key already lost to the incumbent or became it.
-    Oscillating steps often leave the same set, most often an empty one;
-    on search-400 at seed 1, 11 of 50 runs were repeats.  The redundant
-    picks are found from unions of their masks cut to the blocks left (see
-    :func:`_drop_redundant`).
+    Oscillating steps often leave the same set, most often an empty one.
+    The redundant picks are found from unions of their masks cut to the
+    blocks left (see :func:`_drop_redundant`).
     ``incumbent`` must cover the universe and hold ``res.forced``; it is
     held as its picks (see :func:`_picks_of`), and the plan returned is
     ``res.forced`` plus the best picks.

@@ -600,7 +600,7 @@ def _walk_record(walk):
 @given(layout=walk_layouts())
 @example(layout=(7, 4, [[0, 1, -1, 2, 3, 4, 0]] * 4, 0.3, (make_spec(name="All", range_km=321.87),)))
 # At a limit of 20, the first site of the second chunk of six has the runs of
-# the first site of the first chunk but not of the site just before it.
+# the first site of the first chunk, and each builds its own set.
 @example(layout=(3, 3, [[2, 1, 2], [2, 0, 0], [0, 0, -1]], 0.3, (make_spec(name="Mid", range_km=1.04),)))
 # A range that reaches the far corner exactly takes the whole-grid path; one
 # that misses it by a nanometre takes the general one.
@@ -609,9 +609,8 @@ def _walk_record(walk):
 def test_run_walk_matches_the_per_site_walk(layout, limit):
     """The same pairs in the same order, equal masks, bit-equal means and the
     same unreached blocks as one window per site, with the chunk and group
-    limits at their defaults, at 1 (every site its own chunk and group, so a
-    repeated set is carried from one chunk to the next) and at 20 (chunks and
-    groups of a few sites)."""
+    limits at their defaults, at 1 (every site its own chunk and group) and
+    at 20 (chunks and groups of a few sites)."""
     blocks_x, blocks_y, codes, block_side, specs = layout
     mesh = rect_mesh(blocks_x, blocks_y, codes, block_side=block_side)
     catalog = SensorCatalog(specs)
@@ -627,26 +626,35 @@ def test_run_walk_matches_the_per_site_walk(layout, limit):
 def test_a_whole_grid_type_shares_one_set_and_lays_no_runs(monkeypatch, short_km, whole):
     # A type that reaches every block from every site takes one mask and one
     # mean for all its sites without laying a run; a range that misses one
-    # corner site's far corner walks the runs.
-    calls = []
+    # corner site's far corner walks the runs and builds a set for every
+    # site, though most of its sites reach every block.
+    calls, built = [], []
 
     def count(*args, site_runs=coverage._site_runs):
         calls.append(len(args[0]))
         return site_runs(*args)
 
+    def collect(*args, covered_sets=coverage._covered_sets):
+        sets = covered_sets(*args)
+        built.extend(sets)
+        return sets
+
     monkeypatch.setattr(coverage, "_site_runs", count)
+    monkeypatch.setattr(coverage, "_covered_sets", collect)
     mesh = rect_mesh(5, 8, _GAPPY_5X8)
     catalog = SensorCatalog((make_spec(name="T", range_km=_FAR_CORNER_KM - short_km),))
     pairs, unreached = coverage._footprints(mesh, catalog)
     assert len(pairs) == len(mesh.candidate_sites) and unreached == ()
     full = (1 << len(mesh.in_area_blocks)) - 1
     if whole:
-        assert calls == []
+        assert calls == built == []
         assert {id(p[3]) for p in pairs} == {id(pairs[0][3])}
         assert {id(p[4]) for p in pairs} == {id(pairs[0][4])}
         assert pairs[0][3] == full
     else:
-        assert sum(calls) == len(pairs)
+        assert sum(calls) == len(pairs) == len(built) == 26
+        assert [p[3] for p in pairs] == [mask for mask, _ in built]
+        assert len({id(p[3]) for p in pairs}) == len(pairs)
         assert pairs[0][3] != full
 
 

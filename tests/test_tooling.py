@@ -380,31 +380,41 @@ def test_sweep_r_search_is_pinned(monkeypatch, tmp_path):
     assert keyed == [575]
 
 
-# het-10k's plan at each pinned seed: (total_cost, repr(root_lower_bound),
-# site_dominated, cids).  Its bound is the root's dual ascent.
-_HET_10K_PLANS = {
-    1: (2_030_000.0, "929224.095332951", 15_270, [
+# The heterogeneous rungs: city-10k's map generator under the sensors that
+# track non-cooperative targets, at (blocks per side, node budget, nodes
+# explored).  het-10k runs 300 nodes, so its bound is the root's dual ascent;
+# het-1600's budget opens the gate to the Lagrangian and the core search.
+_HET_RUNGS = {
+    "het-10k": (100, 300, 301),
+    "het-1600": (40, 20_000, 20_001),
+}
+
+# Each rung's plan at each pinned seed: (total_cost, repr(root_lower_bound),
+# site_dominated, cids).
+_HET_PLANS = {
+    ("het-10k", 1): (2_030_000.0, "929224.095332951", 15_270, [
         "RF@000007", "RF@000062", "RF@000140", "RF@001289", "RF@001312", "RF@001639", "RF@001672", "RF@001730",
         "RF@001956", "RF@002860", "RF@003114", "RF@003990", "RF@003998", "RF@004016", "RF@004739", "RF@004967",
         "RF@005400", "RF@005812", "RF@006264", "RF@006541", "RF@006788", "RF@007616", "RF@007649", "RF@008281",
         "RF@008412", "RF@008507", "RF@008790", "RF@009463", "RF@009532",
     ]),
-    7321: (2_169_000.0, "927821.8176167755", 15_218, [
+    ("het-10k", 7321): (2_169_000.0, "927821.8176167755", 15_218, [
         "Acoustic@009999", "OpticalCamera@000031", "RF@000415", "RF@000584", "RF@001245", "RF@001268", "RF@001358",
         "RF@001633", "RF@001683", "RF@002298", "RF@002310", "RF@002786", "RF@002812", "RF@003949", "RF@004141",
         "RF@004260", "RF@004886", "RF@005025", "RF@005405", "RF@005425", "RF@006364", "RF@007098", "RF@007248",
         "RF@008082", "RF@008316", "RF@008335", "RF@008429", "RF@008505", "RF@008516", "RF@008952", "RF@009284",
         "RF@009853",
     ]),
+    ("het-1600", 1): (280_000.0, "274685.8742419439", 2_532, ["RF@000000", "RF@000468", "RF@001004", "RF@001266"]),
+    ("het-1600", 7321): (280_000.0, "272956.49687204114", 2_496, ["RF@000000", "RF@000468", "RF@001004", "RF@001306"]),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_HET_10K_PLANS))
-def test_het_10k_plan_quality_is_pinned(monkeypatch, tmp_path, seed):
-    # city-10k's map under the sensors that track non-cooperative targets:
-    # the heterogeneous 10^4-block rung, at 300 nodes.  A change that lowers
-    # the cost or raises the bound edits these values; one that raises the
-    # cost or lowers the bound is a regression.
+@pytest.mark.parametrize("rung,seed", sorted(_HET_PLANS), ids=[f"{rung}-{seed}" for rung, seed in sorted(_HET_PLANS)])
+def test_het_plan_quality_is_pinned(monkeypatch, tmp_path, rung, seed):
+    # A rung that is not proven within its budget.  A change that lowers the
+    # cost or raises the bound edits these values; one that raises the cost
+    # or lowers the bound is a regression.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import dataclasses
 
@@ -414,15 +424,20 @@ def test_het_10k_plan_quality_is_pinned(monkeypatch, tmp_path, seed):
     from gridwatch.pipeline import run_plan
     from gridwatch.scenario import load_scenario
 
+    blocks, node_budget, nodes = _HET_RUNGS[rung]
     workload = dataclasses.replace(
-        inputs.WORKLOADS["city-10k"], name="het-10k", sensor_filter="noncooperative_capable", node_budget=300
+        inputs.WORKLOADS["city-10k"],
+        name=rung,
+        blocks=blocks,
+        sensor_filter="noncooperative_capable",
+        node_budget=node_budget,
     )
     result = run_plan(load_scenario(inputs.write_inputs(workload, seed, tmp_path / "inputs")))
     plan = result.plan
-    cost, bound, site_dominated, cids = _HET_10K_PLANS[seed]
+    cost, bound, site_dominated, cids = _HET_PLANS[rung, seed]
     assert plan.total_cost == cost
     assert repr(plan.metadata["root_lower_bound"]) == bound
-    assert plan.nodes_explored == 301
+    assert plan.nodes_explored == nodes
     assert not plan.proven_optimal
     assert plan.metadata["site_dominated"] == site_dominated
     assert plan.metadata["dedup_removed"] == 0
